@@ -84,7 +84,7 @@ sim::MetricsSnapshot run_with(sim::AllocationPolicy& alloc, const std::vector<si
 
 int main() {
   const std::size_t jobs = hcrl::bench::env_jobs(20000);
-  auto cfg = hcrl::bench::paper_config(30, jobs);
+  auto cfg = hcrl::core::paper_experiment_config(30, jobs);
   cfg.finalize();
 
   workload::GoogleTraceGenerator gen(cfg.trace);

@@ -59,7 +59,7 @@ double eval_predictor(core::WorkloadPredictor& p, const std::vector<double>& gap
 
 int main() {
   const std::size_t jobs = hcrl::bench::env_jobs(20000);
-  auto cfg = hcrl::bench::paper_config(30, jobs);
+  auto cfg = hcrl::core::paper_experiment_config(30, jobs);
   cfg.finalize();
 
   workload::GoogleTraceGenerator gen(cfg.trace);

@@ -16,7 +16,7 @@ int main() {
   const std::size_t jobs = hcrl::bench::env_jobs(20000);
 
   hcrl::core::TradeoffOptions opts;
-  opts.base = hcrl::bench::paper_config(30, jobs);
+  opts.base = hcrl::core::paper_experiment_config(30, jobs);
   opts.local_weights = {0.1, 0.3, 0.5, 0.7, 0.9};
   opts.fixed_timeouts = {30.0, 60.0, 90.0};
   opts.global_vm_weights = {0.002, 0.01, 0.05};

@@ -90,12 +90,16 @@ void run_gemm_grid(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch * n * n));
 }
+// Cells with GEMM worker threads run on real time: CPU time counts only the
+// main thread, which would overstate items/s.
 void BM_GemmF64(benchmark::State& state) { run_gemm_grid<double>(state); }
-BENCHMARK(BM_GemmF64)->Args({512, 32, 1})->Args({512, 32, 2})->Args({512, 512, 1})
-    ->Args({512, 512, 2})->Args({512, 512, 4});
+BENCHMARK(BM_GemmF64)->Args({512, 32, 1})->Args({512, 512, 1});
+BENCHMARK(BM_GemmF64)->Args({512, 32, 2})->Args({512, 512, 2})->Args({512, 512, 4})
+    ->UseRealTime();
 void BM_GemmF32(benchmark::State& state) { run_gemm_grid<float>(state); }
-BENCHMARK(BM_GemmF32)->Args({512, 32, 1})->Args({512, 32, 2})->Args({512, 512, 1})
-    ->Args({512, 512, 2})->Args({512, 512, 4});
+BENCHMARK(BM_GemmF32)->Args({512, 32, 1})->Args({512, 512, 1});
+BENCHMARK(BM_GemmF32)->Args({512, 32, 2})->Args({512, 512, 2})->Args({512, 512, 4})
+    ->UseRealTime();
 
 // The acceptance benchmark for the batched path: one DQN SGD step on a
 // 32-transition minibatch, per-sample loop vs batched GEMM path — and the
@@ -149,12 +153,12 @@ BENCHMARK(BM_DqnTrainStepBatchedF32);
 void BM_DqnTrainStepBatchedT2(benchmark::State& state) {
   run_dqn_train_step(state, true, nn::Precision::kF64, 2);
 }
-BENCHMARK(BM_DqnTrainStepBatchedT2);
+BENCHMARK(BM_DqnTrainStepBatchedT2)->UseRealTime();
 
 void BM_DqnTrainStepBatchedF32T2(benchmark::State& state) {
   run_dqn_train_step(state, true, nn::Precision::kF32, 2);
 }
-BENCHMARK(BM_DqnTrainStepBatchedF32T2);
+BENCHMARK(BM_DqnTrainStepBatchedF32T2)->UseRealTime();
 
 // Batched LSTM sweep vs running the same windows one at a time — the
 // predictor's multi-window prediction path.
@@ -218,9 +222,11 @@ void run_lstm_sweep_grid(benchmark::State& state) {
                           static_cast<std::int64_t>(lookback * batch));
 }
 void BM_LstmSweepF64(benchmark::State& state) { run_lstm_sweep_grid<double>(state); }
-BENCHMARK(BM_LstmSweepF64)->Args({8, 1})->Args({32, 1})->Args({32, 2});
+BENCHMARK(BM_LstmSweepF64)->Args({8, 1})->Args({32, 1});
+BENCHMARK(BM_LstmSweepF64)->Args({32, 2})->UseRealTime();
 void BM_LstmSweepF32(benchmark::State& state) { run_lstm_sweep_grid<float>(state); }
-BENCHMARK(BM_LstmSweepF32)->Args({8, 1})->Args({32, 1})->Args({32, 2});
+BENCHMARK(BM_LstmSweepF32)->Args({8, 1})->Args({32, 1});
+BENCHMARK(BM_LstmSweepF32)->Args({32, 2})->UseRealTime();
 
 void BM_GroupedQInference(benchmark::State& state) {
   common::Rng rng(1);
@@ -381,9 +387,10 @@ void BM_ShardedEventThroughput(benchmark::State& state) {
   // Events/sec of the sharded engine at cluster scale: 10k servers,
   // round-robin + 30 s fixed timeout (trace-only routing, so the parallel
   // engine pre-routes arrivals and the shards run barrier-free). Each job
-  // contributes >= 4 events (arrival, finish, timeout, sleep/wake), so 250k
-  // jobs clears one million events per iteration. Items/s == events/s; arg
-  // is the shard count (1 = sharded engine overhead baseline).
+  // brings an arrival and a finish, plus timeout and sleep/wake events when
+  // its server idles: about 556k events per iteration. Items/s == events
+  // per wall second; arg is the shard count (1 = sharded engine overhead
+  // baseline).
   const auto num_shards = static_cast<std::size_t>(state.range(0));
   workload::GeneratorOptions g;
   g.num_jobs = 250000;
@@ -408,7 +415,87 @@ void BM_ShardedEventThroughput(benchmark::State& state) {
   }
   state.SetItemsProcessed(total_events);
 }
-BENCHMARK(BM_ShardedEventThroughput)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ShardedEventThroughput)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// A non-learning fleet trace at the paper's per-server arrival rate (95,000
+// jobs a week per 30 servers), as bench_e2e's fleet workloads use.
+std::vector<sim::Job> fleet_trace(std::size_t servers, std::size_t jobs) {
+  workload::GeneratorOptions g;
+  g.num_jobs = jobs;
+  g.horizon_s = sim::kSecondsPerWeek * static_cast<double>(jobs) / 95000.0 * 30.0 /
+                static_cast<double>(servers);
+  g.seed = 13;
+  return workload::GoogleTraceGenerator(g).generate();
+}
+
+// The same-trace engine pair: the serial Cluster and the lockstep
+// ShardedCluster with one shard run one 1000-server, 100k-job trace under
+// round-robin + 60 s fixed timeout, so the two cells compare engines alone.
+// Items/s == trace jobs/s.
+constexpr std::size_t kEngineServers = 1000;
+constexpr std::size_t kEngineJobs = 100000;
+
+void BM_EngineSerial(benchmark::State& state) {
+  const auto jobs = fleet_trace(kEngineServers, kEngineJobs);
+  for (auto _ : state) {
+    sim::RoundRobinAllocator alloc;
+    sim::FixedTimeoutPolicy power(60.0);
+    sim::ClusterConfig cfg;
+    cfg.num_servers = kEngineServers;
+    cfg.keep_job_records = false;
+    sim::Cluster cluster(cfg, alloc, power);
+    cluster.load_jobs(jobs);
+    cluster.run();
+    benchmark::DoNotOptimize(cluster.snapshot().energy_joules);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * jobs.size()));
+}
+BENCHMARK(BM_EngineSerial)->Unit(benchmark::kMillisecond);
+
+void BM_EngineLockstep1(benchmark::State& state) {
+  const auto jobs = fleet_trace(kEngineServers, kEngineJobs);
+  for (auto _ : state) {
+    sim::RoundRobinAllocator alloc;
+    sim::FixedTimeoutPolicy power(60.0);
+    sim::ShardedClusterConfig cfg;
+    cfg.cluster.num_servers = kEngineServers;
+    cfg.cluster.keep_job_records = false;
+    cfg.num_shards = 1;
+    sim::ShardedCluster cluster(cfg, alloc, power);
+    cluster.load_jobs(jobs);
+    cluster.run();
+    benchmark::DoNotOptimize(cluster.snapshot().energy_joules);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * jobs.size()));
+}
+BENCHMARK(BM_EngineLockstep1)->Unit(benchmark::kMillisecond);
+
+// One best-fit placement scan over a mid-run cluster of `servers` machines
+// (best-fit + 60 s timeout, stopped after half the trace completed, so awake,
+// idle and sleeping servers mix). Items/s == placement decisions/s.
+void BM_BestFitSelect(benchmark::State& state) {
+  const auto servers = static_cast<std::size_t>(state.range(0));
+  const auto jobs = fleet_trace(servers, 40 * servers);
+  sim::BestFitAllocator alloc;
+  sim::FixedTimeoutPolicy power(60.0);
+  sim::ClusterConfig cfg;
+  cfg.num_servers = servers;
+  cfg.keep_job_records = false;
+  sim::Cluster cluster(cfg, alloc, power);
+  cluster.load_jobs(jobs);
+  cluster.run_until_completed(jobs.size() / 2);
+  const sim::Job& probe = jobs[jobs.size() / 2];
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(alloc.select_server(cluster, probe));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_BestFitSelect)->Arg(500);
 
 void BM_TelemetryCounter(benchmark::State& state) {
   // Cost of the telemetry::count hot helper, disabled (arg 0: the tax every
@@ -457,7 +544,7 @@ void BM_TelemetryShardedEventThroughput(benchmark::State& state) {
   telemetry::global_registry().reset();
   state.SetItemsProcessed(total_events);
 }
-BENCHMARK(BM_TelemetryShardedEventThroughput)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TelemetryShardedEventThroughput)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_StateEncoding(benchmark::State& state) {
   core::StateEncoderOptions o;

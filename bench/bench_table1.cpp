@@ -2,10 +2,15 @@
 // power at 95,000 jobs for M = 30 and M = 40, under round-robin, DRL-only
 // and the hierarchical framework.
 //
-// All six cells ("table1/m30/*" + "table1/m40/*" from the builtin registry)
-// run as one ParallelRunner batch; each cluster size shares one cached
-// trace. Results come back order-stable, so rows print in registry order.
+// Every "table1/*" cell of the builtin registry (the three systems at each
+// of M = 30 and M = 40, plus table1/m30/hierarchical-faulty) runs as one
+// ParallelRunner batch; each cluster size shares one cached trace. Rows are
+// looked up by scenario name, never by position in the batch, and the
+// fault-injected cell prints in its own table.
 #include <cstdio>
+#include <map>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -31,8 +36,23 @@ constexpr PaperRow kPaperM40[] = {
     {"hierarchical", 224.51, 94.26, 1336.37},
 };
 
+using ResultsByName = std::map<std::string, const hcrl::core::ExperimentResult*>;
+
+const hcrl::core::ExperimentResult& result_named(const ResultsByName& by_name,
+                                                 const std::string& name) {
+  const auto it = by_name.find(name);
+  if (it == by_name.end()) throw std::runtime_error("bench_table1: no result for " + name);
+  return *it->second;
+}
+
 void report_for_machines(std::size_t machines, std::size_t jobs, const PaperRow* paper,
-                         const std::vector<hcrl::core::ExperimentResult>& results) {
+                         const ResultsByName& by_name) {
+  // paper[] lists round-robin, drl-only, hierarchical: the registry's names.
+  const std::string prefix = "table1/m" + std::to_string(machines) + "/";
+  const auto& rr = result_named(by_name, prefix + paper[0].system);
+  const auto& drl = result_named(by_name, prefix + paper[1].system);
+  const auto& hier = result_named(by_name, prefix + paper[2].system);
+
   std::printf("\n=== Table I, M = %zu, %zu jobs ===\n", machines, jobs);
   std::printf("--- paper reports (at 95,000 jobs on the real Google trace) ---\n");
   for (int i = 0; i < 3; ++i) {
@@ -41,21 +61,36 @@ void report_for_machines(std::size_t machines, std::size_t jobs, const PaperRow*
   }
   std::printf("--- this reproduction (synthetic Google-like trace) ---\n");
   hcrl::bench::print_result_header();
-  for (const auto& r : results) hcrl::bench::print_result_row(r);
+  for (const auto* r : {&rr, &drl, &hier}) hcrl::bench::print_result_row(*r);
 
-  const double rr = results[0].final_snapshot.energy_joules;
-  const double drl = results[1].final_snapshot.energy_joules;
-  const double hier = results[2].final_snapshot.energy_joules;
+  const double rr_e = rr.final_snapshot.energy_joules;
+  const double drl_e = drl.final_snapshot.energy_joules;
+  const double hier_e = hier.final_snapshot.energy_joules;
   std::printf("energy saving vs round-robin: drl-only %.1f%%, hierarchical %.1f%% "
               "(paper: %.1f%%, %.1f%%)\n",
-              100.0 * (1.0 - drl / rr), 100.0 * (1.0 - hier / rr),
+              100.0 * (1.0 - drl_e / rr_e), 100.0 * (1.0 - hier_e / rr_e),
               100.0 * (1.0 - paper[1].energy_kwh / paper[0].energy_kwh),
               100.0 * (1.0 - paper[2].energy_kwh / paper[0].energy_kwh));
   std::printf("hierarchical vs drl-only: energy %.1f%% lower, latency %.1f%% lower "
               "(paper: 16.1%%, 16.7%%)\n",
-              100.0 * (1.0 - hier / drl),
-              100.0 * (1.0 - results[2].final_snapshot.accumulated_latency_s /
-                                 results[1].final_snapshot.accumulated_latency_s));
+              100.0 * (1.0 - hier_e / drl_e),
+              100.0 * (1.0 - hier.final_snapshot.accumulated_latency_s /
+                                 drl.final_snapshot.accumulated_latency_s));
+}
+
+// The fault-injected twin of the M = 30 hierarchical cell, next to its
+// fault-free run on the same trace. The paper has no faulty column.
+void report_faulty(std::size_t jobs, const ResultsByName& by_name) {
+  std::printf("\n=== M = 30 hierarchical under injected faults, %zu jobs ===\n", jobs);
+  std::printf("%-34s ", "scenario");
+  hcrl::bench::print_result_header();
+  for (const char* name : {"table1/m30/hierarchical", "table1/m30/hierarchical-faulty"}) {
+    std::printf("%-34s ", name);
+    hcrl::bench::print_result_row(result_named(by_name, name));
+  }
+  const auto& f = result_named(by_name, "table1/m30/hierarchical-faulty").final_snapshot.faults;
+  std::printf("faults: %zu crashes, %zu evictions, %zu retries, %zu jobs lost\n", f.crashes,
+              f.evictions, f.retries, f.jobs_lost);
 }
 
 }  // namespace
@@ -91,12 +126,14 @@ void report_real_trace_cells() {
 int main() {
   const std::size_t jobs = hcrl::bench::env_jobs(95000);
 
-  // One batch: m30's three systems first (registry order), then m40's.
   const auto scenarios = hcrl::core::ScenarioRegistry::builtin().make_group("table1/", jobs);
   const auto results = hcrl::bench::run_parallel_sweep(scenarios);
+  ResultsByName by_name;
+  for (std::size_t i = 0; i < scenarios.size(); ++i) by_name[scenarios[i].name] = &results[i];
 
-  report_for_machines(30, jobs, kPaperM30, {results.begin(), results.begin() + 3});
-  report_for_machines(40, jobs, kPaperM40, {results.begin() + 3, results.end()});
+  report_for_machines(30, jobs, kPaperM30, by_name);
+  report_for_machines(40, jobs, kPaperM40, by_name);
+  report_faulty(jobs, by_name);
 
   report_real_trace_cells();
   return 0;

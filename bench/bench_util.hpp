@@ -36,12 +36,6 @@ inline std::size_t env_threads(std::size_t fallback = 0) {
   return fallback;
 }
 
-/// Paper-faithful base configuration (kept for compatibility; the benches
-/// themselves now pull named scenarios from ScenarioRegistry::builtin()).
-inline core::ExperimentConfig paper_config(std::size_t servers, std::size_t jobs) {
-  return core::paper_experiment_config(servers, jobs);
-}
-
 inline void print_result_row(const core::ExperimentResult& r) {
   const auto& s = r.final_snapshot;
   std::printf("%-22s %12.2f %16.2f %12.2f %10.1f\n", r.system.c_str(), s.energy_kwh(),

@@ -1,8 +1,7 @@
 #include "src/sim/cluster.hpp"
 
-#include <limits>
+#include <optional>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "src/sim/sim_telemetry.hpp"
 
@@ -52,34 +51,21 @@ void Cluster::install_faults(FaultInjector* faults) {
 
 void Cluster::load_jobs(std::vector<Job> jobs) {
   if (jobs_loaded_) throw std::logic_error("Cluster::load_jobs: already loaded");
-  // Arrival events carry the jobs_ index in their JobId-typed `job` field, so
-  // a trace larger than JobId's range would silently alias indices. Fail loud.
-  if (jobs.size() > static_cast<std::size_t>(std::numeric_limits<JobId>::max())) {
-    throw std::invalid_argument("Cluster::load_jobs: trace exceeds JobId index range");
-  }
-  std::unordered_set<JobId> ids;
-  ids.reserve(jobs.size());
-  Time prev = 0.0;
-  for (const Job& j : jobs) {
-    j.validate(cfg_.server.num_resources);
-    if (j.arrival < prev) throw std::invalid_argument("Cluster::load_jobs: not sorted by arrival");
-    prev = j.arrival;
-    if (!ids.insert(j.id).second) throw std::invalid_argument("Cluster::load_jobs: duplicate id");
-  }
+  validate_trace(jobs, cfg_.server.num_resources, "Cluster::load_jobs");
   jobs_ = std::move(jobs);
   jobs_loaded_ = true;
-  // The `job` field of an arrival event is the *index* into jobs_.
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    queue_.push(jobs_[i].arrival, EventType::kJobArrival, /*server=*/0,
-                static_cast<JobId>(i));
-  }
-  // Fault-plan events take the next seq block: at equal timestamps they
-  // lose to trace arrivals (lower seqs) and win against runtime events.
+  // Trace arrivals stream from the cursor; fault-plan events are the first
+  // heap entries, so at equal timestamps they win against runtime events.
   if (faults_ != nullptr) {
     for (const FaultEvent& f : faults_->plan().events) {
       queue_.push(f.time, to_event_type(f.kind), f.server);
     }
   }
+}
+
+NextEvent Cluster::peek_next() const {
+  return next_event(jobs_, next_arrival_, faults_,
+                    queue_.empty() ? std::nullopt : std::optional<Time>(queue_.top().time));
 }
 
 bool Cluster::step() {
@@ -94,53 +80,33 @@ bool Cluster::step() {
   // Fault-injected retries are re-arrivals, so for the barrier they count
   // exactly like arrival events (and a pending retry means the simulation
   // is not drained).
-  bool retry_next = retry_outranks_heap();
-  if (power_policy_.has_staged_decisions()) {
-    const bool drained = queue_.empty() && !retry_next;
-    const Time next_time =
-        retry_next ? faults_->next_retry_time() : (queue_.empty() ? now_ : queue_.top().time);
-    const bool arrival_next =
-        retry_next || (!queue_.empty() && queue_.top().type == EventType::kJobArrival);
-    if (drained || next_time != now_ || arrival_next) {
-      count_flush(drained        ? FlushReason::kDrain
-                  : arrival_next ? FlushReason::kArrival
-                                 : FlushReason::kTimeAdvance);
-      power_policy_.flush_decisions();  // may push events at times >= now_
-      retry_next = retry_outranks_heap();
-    }
+  NextEvent next = peek_next();
+  if (power_policy_.has_staged_decisions() &&
+      (next.source == EventSource::kNone || next.time != now_ || next.is_arrival())) {
+    count_flush(next.source == EventSource::kNone ? FlushReason::kDrain
+                : next.is_arrival()               ? FlushReason::kArrival
+                                                  : FlushReason::kTimeAdvance);
+    power_policy_.flush_decisions();  // may push events at times >= now_
+    next = peek_next();
   }
-  if (retry_next) {
-    const FaultInjector::Retry r = faults_->pop_retry();
-    if (r.time < now_) throw std::logic_error("Cluster: time went backwards");
-    now_ = r.time;
-    dispatch_arrival(r.job);
-    if (telemetry::enabled()) telemetry::count(SimMetrics::get().events);
-    return true;
-  }
-  if (queue_.empty()) {
+  if (next.source == EventSource::kNone) {
     if (!finished_notified_) {
       finished_notified_ = true;
       allocation_.on_simulation_end(*this, now_);
     }
     return false;
   }
-  const Event e = queue_.pop();
-  if (e.time < now_) throw std::logic_error("Cluster: time went backwards");
-  now_ = e.time;
-  handle(e);
+  if (next.time < now_) throw std::logic_error("Cluster: time went backwards");
+  now_ = next.time;
+  if (next.source == EventSource::kArrival) {
+    dispatch_arrival(jobs_[next_arrival_++]);
+  } else if (next.source == EventSource::kRetry) {
+    dispatch_arrival(faults_->pop_retry().job);
+  } else {
+    handle(queue_.pop());
+  }
   if (telemetry::enabled()) telemetry::count(SimMetrics::get().events);
   return true;
-}
-
-bool Cluster::retry_outranks_heap() const {
-  if (faults_ == nullptr || !faults_->has_pending_retry()) return false;
-  if (queue_.empty()) return true;
-  const Event& top = queue_.top();
-  const Time rt = faults_->next_retry_time();
-  if (rt != top.time) return rt < top.time;
-  // Equal-time precedence: trace arrival, then retry, then anything else.
-  // (Retries never enter the heap, so a kJobArrival top is a trace arrival.)
-  return top.type != EventType::kJobArrival;
 }
 
 void Cluster::run() {
@@ -164,8 +130,7 @@ void Cluster::run_until_completed(std::size_t n) {
 void Cluster::handle(const Event& e) {
   switch (e.type) {
     case EventType::kJobArrival:
-      dispatch_arrival(jobs_.at(static_cast<std::size_t>(e.job)));
-      break;
+      throw std::logic_error("Cluster: trace arrivals stream from the cursor, not the heap");
     case EventType::kJobFinish:
       servers_.at(e.server).handle_job_finish(e.job, now_, queue_, power_policy_, e.generation);
       break;

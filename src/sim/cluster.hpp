@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/sim/arrivals.hpp"
 #include "src/sim/cluster_view.hpp"
 #include "src/sim/event_queue.hpp"
 #include "src/sim/fault/fault.hpp"
@@ -93,9 +94,8 @@ class Cluster final : public ClusterView {
   void dispatch_arrival(const Job& job);
   /// Re-queue jobs revoked by a crash/eviction through the retry policy.
   void requeue_killed(const std::vector<Job>& killed);
-  /// True when the pending retry stream outranks the heap top: strictly
-  /// earlier, or equal-time against anything but a trace arrival.
-  bool retry_outranks_heap() const;
+  /// The next trace arrival, retry delivery or heap event (see arrivals.hpp).
+  NextEvent peek_next() const;
 
   ClusterConfig cfg_;
   AllocationPolicy& allocation_;
@@ -104,6 +104,7 @@ class Cluster final : public ClusterView {
   std::vector<Server> servers_;
   EventQueue queue_;
   std::vector<Job> jobs_;
+  std::size_t next_arrival_ = 0;  // trace cursor: index of the next arrival
   FaultInjector* faults_ = nullptr;  // not owned; null = faults off
   bool jobs_loaded_ = false;
   bool finished_notified_ = false;

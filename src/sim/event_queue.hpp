@@ -11,7 +11,7 @@
 namespace hcrl::sim {
 
 enum class EventType : std::uint8_t {
-  kJobArrival,     // broker-level arrival (job field set)
+  kJobArrival,     // pre-routed trace arrival (parallel ShardedCluster; job = trace index)
   kJobFinish,      // job completes on `server`
   kWakeComplete,   // server finished its sleep->active transition
   kSleepComplete,  // server finished its active->sleep transition

@@ -10,10 +10,11 @@
 //    does not change when servers are added (existing streams are stable)
 //    and generation order is irrelevant. The plan is sorted by
 //    (time, server, kind) and injected as ordinary EventQueue events at
-//    load time, so fault events occupy a contiguous block of low sequence
-//    numbers: at equal timestamps they lose to trace arrivals (which hold
-//    the lowest seqs) and win against runtime events — on the serial engine
-//    and on every lockstep shard count alike.
+//    load time, before any runtime event, so fault events hold the lowest
+//    sequence numbers: at equal timestamps they win against runtime events
+//    and lose to trace arrivals (streamed from a cursor ahead of the heap;
+//    see src/sim/arrivals.hpp) — on the serial engine and on every lockstep
+//    shard count alike.
 //
 //  * Retries do NOT go through the event heap. They live in a dedicated
 //    (time, seq) min-heap inside the FaultInjector, and both engines give

@@ -46,12 +46,6 @@ Server::Server(ServerId id, const ServerConfig& cfg, ClusterMetrics* metrics)
   if (metrics_ != nullptr) metrics_->on_server_status(id_, is_on(), 0.0);
 }
 
-ResourceVector Server::available() const {
-  ResourceVector avail = capacity_;
-  avail.subtract(used_);
-  return avail;
-}
-
 void Server::set_power(Time now, double watts) {
   power_.set(now, watts);
   if (metrics_ != nullptr) metrics_->on_power_change(id_, watts, now);
@@ -123,9 +117,7 @@ void Server::handle_arrival(const Job& job, Time now, EventQueue& queue, PowerPo
 void Server::try_start_jobs(Time now, EventQueue& queue) {
   assert(state_ == PowerState::kActive);
   while (!queue_.empty()) {
-    ResourceVector avail = capacity_;
-    avail.subtract(used_);
-    if (!avail.fits(queue_.front().demand)) break;  // strict FCFS: no backfill
+    if (!available().fits(queue_.front().demand)) break;  // strict FCFS: no backfill
     Job job = std::move(queue_.front());
     queue_.pop_front();
     used_.add(job.demand);

@@ -99,7 +99,11 @@ class Server {
   /// Utilization of one resource dimension (0 = CPU), in [0, 1].
   double utilization(std::size_t resource = 0) const { return used_[resource]; }
   const ResourceVector& used() const noexcept { return used_; }
-  ResourceVector available() const;
+  ResourceVector available() const {
+    ResourceVector avail = capacity_;
+    avail.subtract(used_);
+    return avail;
+  }
   std::size_t queue_length() const noexcept { return queue_.size(); }
   std::size_t running_count() const noexcept { return running_.size(); }
   std::size_t jobs_on_server() const noexcept { return queue_.size() + running_.size(); }

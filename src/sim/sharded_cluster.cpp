@@ -5,10 +5,10 @@
 #include <exception>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unordered_set>
 
 #include "src/sim/sim_telemetry.hpp"
 #include "src/telemetry/profiler.hpp"
@@ -78,22 +78,7 @@ void ShardedCluster::install_faults(FaultInjector* faults) {
 
 void ShardedCluster::load_jobs(std::vector<Job> jobs) {
   if (jobs_loaded_) throw std::logic_error("ShardedCluster::load_jobs: already loaded");
-  if (jobs.size() > static_cast<std::size_t>(std::numeric_limits<JobId>::max())) {
-    throw std::invalid_argument("ShardedCluster::load_jobs: trace exceeds JobId index range");
-  }
-  std::unordered_set<JobId> ids;
-  ids.reserve(jobs.size());
-  Time prev = 0.0;
-  for (const Job& j : jobs) {
-    j.validate(cfg_.cluster.server.num_resources);
-    if (j.arrival < prev) {
-      throw std::invalid_argument("ShardedCluster::load_jobs: not sorted by arrival");
-    }
-    prev = j.arrival;
-    if (!ids.insert(j.id).second) {
-      throw std::invalid_argument("ShardedCluster::load_jobs: duplicate id");
-    }
-  }
+  validate_trace(jobs, cfg_.cluster.server.num_resources, "ShardedCluster::load_jobs");
   jobs_ = std::move(jobs);
   jobs_loaded_ = true;
 
@@ -131,40 +116,20 @@ void ShardedCluster::load_jobs(std::vector<Job> jobs) {
 }
 
 ShardedCluster::MergedTop ShardedCluster::merged_top() const {
-  MergedTop best;
+  // The earliest shard heap top; equal times go to the lowest shard.
+  MergedTop top;
+  std::optional<Time> heap_top;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const Shard& sh = shards_[s];
     if (sh.queue.empty()) continue;
     const Time t = sh.queue.top().time;
-    if (!best.any || t < best.time) {
-      best.any = true;
-      best.time = t;
-      best.shard = s;
+    if (!heap_top || t < *heap_top) {
+      heap_top = t;
+      top.shard = s;
     }
   }
-  // Equal-time precedence (matches Cluster::step): trace arrival, then
-  // retry, then heap events — the retry check comes first so the arrival
-  // check below can still overrule it.
-  if (faults_ != nullptr && faults_->has_pending_retry()) {
-    const Time rt = faults_->next_retry_time();
-    if (!best.any || rt <= best.time) {
-      best.any = true;
-      best.is_retry = true;
-      best.time = rt;
-    }
-  }
-  if (next_arrival_ < jobs_.size()) {
-    const Time ta = jobs_[next_arrival_].arrival;
-    // Arrivals win time-ties: in the serial engine they were pushed at load
-    // and own seqs 0..J-1, below every runtime event's seq.
-    if (!best.any || ta <= best.time) {
-      best.any = true;
-      best.is_arrival = true;
-      best.is_retry = false;
-      best.time = ta;
-    }
-  }
-  return best;
+  top.next = next_event(jobs_, next_arrival_, faults_, heap_top);
+  return top;
 }
 
 bool ShardedCluster::step() {
@@ -176,31 +141,29 @@ bool ShardedCluster::step() {
   // time advance, any arrival, or queue drain. The flush may push events
   // earlier than the current merged top, so re-derive it afterwards.
   MergedTop top = merged_top();
+  const NextEvent& next = top.next;  // follows `top` through the re-derivation
   // Retries are re-arrivals: for the barrier they count like arrivals.
   if (power_policy_.has_staged_decisions() &&
-      (!top.any || top.time != now_ || top.is_arrival || top.is_retry)) {
-    count_flush(!top.any                         ? FlushReason::kDrain
-                : top.is_arrival || top.is_retry ? FlushReason::kArrival
-                                                 : FlushReason::kTimeAdvance);
+      (next.source == EventSource::kNone || next.time != now_ || next.is_arrival())) {
+    count_flush(next.source == EventSource::kNone ? FlushReason::kDrain
+                : next.is_arrival()               ? FlushReason::kArrival
+                                                  : FlushReason::kTimeAdvance);
     power_policy_.flush_decisions();
     top = merged_top();
   }
-  if (!top.any) {
+  if (next.source == EventSource::kNone) {
     if (!finished_notified_) {
       finished_notified_ = true;
       allocation_.on_simulation_end(*this, now_);
     }
     return false;
   }
-  if (top.time < now_) throw std::logic_error("ShardedCluster: time went backwards");
-  now_ = top.time;
-  if (top.is_arrival) {
-    const Job& job = jobs_[next_arrival_];
-    ++next_arrival_;
-    deliver_arrival(job);
-  } else if (top.is_retry) {
-    const FaultInjector::Retry r = faults_->pop_retry();
-    deliver_arrival(r.job);
+  if (next.time < now_) throw std::logic_error("ShardedCluster: time went backwards");
+  now_ = next.time;
+  if (next.source == EventSource::kArrival) {
+    deliver_arrival(jobs_[next_arrival_++]);
+  } else if (next.source == EventSource::kRetry) {
+    deliver_arrival(faults_->pop_retry().job);
   } else {
     Shard& sh = shards_[top.shard];
     const Event e = sh.queue.pop();

@@ -26,6 +26,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/sim/arrivals.hpp"
 #include "src/sim/cluster.hpp"
 #include "src/sim/cluster_view.hpp"
 #include "src/sim/event_queue.hpp"
@@ -112,11 +113,8 @@ class ShardedCluster final : public ClusterView {
   };
 
   struct MergedTop {
-    bool any = false;
-    bool is_arrival = false;  // trace arrival (cursor)
-    bool is_retry = false;    // fault-injected re-arrival (injector heap)
-    Time time = 0.0;
-    std::size_t shard = 0;
+    NextEvent next;
+    std::size_t shard = 0;  // owner of the heap top when next.source == kHeap
   };
 
   MergedTop merged_top() const;

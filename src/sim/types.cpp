@@ -5,41 +5,47 @@
 
 namespace hcrl::sim {
 
-void ResourceVector::add(const ResourceVector& other) {
-  if (other.dims() != dims()) throw std::invalid_argument("ResourceVector::add: dim mismatch");
-  for (std::size_t i = 0; i < v_.size(); ++i) v_[i] += other.v_[i];
-}
+namespace {
 
-void ResourceVector::subtract(const ResourceVector& other) {
-  if (other.dims() != dims()) throw std::invalid_argument("ResourceVector::subtract: dim mismatch");
-  for (std::size_t i = 0; i < v_.size(); ++i) v_[i] -= other.v_[i];
-}
-
-bool ResourceVector::fits(const ResourceVector& demand) const {
-  if (demand.dims() != dims()) throw std::invalid_argument("ResourceVector::fits: dim mismatch");
-  // Small epsilon so that accumulated floating-point release/acquire noise
-  // never wedges a job that exactly fills the machine.
-  constexpr double kEps = 1e-9;
-  for (std::size_t i = 0; i < v_.size(); ++i) {
-    if (demand.v_[i] > v_[i] + kEps) return false;
+std::size_t checked_dims(std::size_t dims) {
+  if (dims > ResourceVector::kMaxDims) {
+    throw std::invalid_argument("ResourceVector: " + std::to_string(dims) +
+                                " dimensions exceed the limit of " +
+                                std::to_string(ResourceVector::kMaxDims));
   }
-  return true;
+  return dims;
+}
+
+}  // namespace
+
+ResourceVector::ResourceVector(std::size_t dims, double fill) : dims_(checked_dims(dims)) {
+  std::fill_n(v_.begin(), dims_, fill);
+}
+
+ResourceVector::ResourceVector(std::initializer_list<double> init)
+    : dims_(checked_dims(init.size())) {
+  std::copy(init.begin(), init.end(), v_.begin());
+}
+
+void ResourceVector::throw_index_error(std::size_t i, std::size_t dims) {
+  throw std::out_of_range("ResourceVector: index " + std::to_string(i) + " >= dims " +
+                          std::to_string(dims));
 }
 
 double ResourceVector::max_component() const noexcept {
   double m = 0.0;
-  for (double x : v_) m = std::max(m, x);
+  for (std::size_t i = 0; i < dims_; ++i) m = std::max(m, v_[i]);
   return m;
 }
 
 void ResourceVector::clamp(double lo, double hi) noexcept {
-  for (double& x : v_) x = std::clamp(x, lo, hi);
+  for (std::size_t i = 0; i < dims_; ++i) v_[i] = std::clamp(v_[i], lo, hi);
 }
 
 std::string ResourceVector::to_string() const {
   std::ostringstream os;
   os << "[";
-  for (std::size_t i = 0; i < v_.size(); ++i) {
+  for (std::size_t i = 0; i < dims_; ++i) {
     if (i) os << ", ";
     os << v_[i];
   }

@@ -1,10 +1,11 @@
 // Core value types of the cluster simulator.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace hcrl::sim {
 
@@ -19,30 +20,60 @@ constexpr Time kSecondsPerWeek = 7.0 * kSecondsPerDay;
 
 /// Per-resource utilization/request vector, normalized so that one server
 /// offers 1.0 of each resource (CPU, memory, disk, ... — dimension D).
+/// Stored inline (no heap block), so copying a Job or computing a server's
+/// free capacity never allocates; D is therefore capped at kMaxDims.
 class ResourceVector {
  public:
+  /// Largest supported dimension; construction beyond it throws.
+  static constexpr std::size_t kMaxDims = 4;
+
   ResourceVector() = default;
-  explicit ResourceVector(std::size_t dims, double fill = 0.0) : v_(dims, fill) {}
-  ResourceVector(std::initializer_list<double> init) : v_(init) {}
+  explicit ResourceVector(std::size_t dims, double fill = 0.0);
+  ResourceVector(std::initializer_list<double> init);
 
-  std::size_t dims() const noexcept { return v_.size(); }
-  double operator[](std::size_t i) const { return v_.at(i); }
-  double& operator[](std::size_t i) { return v_.at(i); }
+  std::size_t dims() const noexcept { return dims_; }
+  /// Checked: an index at or past dims() throws std::out_of_range.
+  double operator[](std::size_t i) const { return v_[checked(i)]; }
+  double& operator[](std::size_t i) { return v_[checked(i)]; }
 
-  void add(const ResourceVector& other);
-  void subtract(const ResourceVector& other);
+  void add(const ResourceVector& other) {
+    check_same_dims(other, "ResourceVector::add: dim mismatch");
+    for (std::size_t i = 0; i < dims_; ++i) v_[i] += other.v_[i];
+  }
+  void subtract(const ResourceVector& other) {
+    check_same_dims(other, "ResourceVector::subtract: dim mismatch");
+    for (std::size_t i = 0; i < dims_; ++i) v_[i] -= other.v_[i];
+  }
   /// True when every component of `demand` fits within `*this` capacity.
-  bool fits(const ResourceVector& demand) const;
+  bool fits(const ResourceVector& demand) const {
+    check_same_dims(demand, "ResourceVector::fits: dim mismatch");
+    // Small epsilon so that accumulated floating-point release/acquire noise
+    // never wedges a job that exactly fills the machine.
+    constexpr double kEps = 1e-9;
+    for (std::size_t i = 0; i < dims_; ++i) {
+      if (demand.v_[i] > v_[i] + kEps) return false;
+    }
+    return true;
+  }
   /// Largest component value (the bottleneck dimension).
   double max_component() const noexcept;
   /// Clamp all components to [lo, hi].
   void clamp(double lo, double hi) noexcept;
 
-  const std::vector<double>& values() const noexcept { return v_; }
   std::string to_string() const;
 
  private:
-  std::vector<double> v_;
+  void check_same_dims(const ResourceVector& other, const char* what) const {
+    if (other.dims_ != dims_) throw std::invalid_argument(what);
+  }
+  [[noreturn]] static void throw_index_error(std::size_t i, std::size_t dims);
+  std::size_t checked(std::size_t i) const {
+    if (i >= dims_) throw_index_error(i, dims_);
+    return i;
+  }
+
+  std::array<double, kMaxDims> v_{};
+  std::size_t dims_ = 0;
 };
 
 /// A job / VM request: the unit of work dispatched by the broker.

@@ -78,19 +78,21 @@ std::vector<sim::Job> GoogleTraceGenerator::generate() {
   ap.base_rate_hz = target_rate / duty_gain;
 
   ArrivalProcess process(ap, rng.fork());
-  std::vector<double> arrivals = process.generate(opts_.horizon_s);
-  // The thinning draw count is random; trim or extend to exactly num_jobs so
-  // experiments are comparable across seeds (the paper fixes 95,000 jobs).
-  while (arrivals.size() > opts_.num_jobs) arrivals.pop_back();
-  while (arrivals.size() < opts_.num_jobs) {
-    const double last = arrivals.empty() ? 0.0 : arrivals.back();
-    arrivals.push_back(process.next_after(std::max(last, opts_.horizon_s)));
-  }
-
+  // The thinning draw count is random; stop at, or extend to, exactly
+  // num_jobs so experiments are comparable across seeds (the paper fixes
+  // 95,000 jobs). Arrivals are drawn up to the horizon; the first draw past
+  // it is discarded and the process restarts from the horizon.
   std::vector<sim::Job> jobs;
-  jobs.reserve(arrivals.size());
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    jobs.push_back(make_job(static_cast<sim::JobId>(i), arrivals[i], rng));
+  jobs.reserve(opts_.num_jobs);
+  double t = 0.0;
+  bool past_horizon = false;
+  for (std::size_t i = 0; i < opts_.num_jobs; ++i) {
+    t = process.next_after(t);
+    if (!past_horizon && t >= opts_.horizon_s) {
+      past_horizon = true;
+      t = process.next_after(opts_.horizon_s);
+    }
+    jobs.push_back(make_job(static_cast<sim::JobId>(i), t, rng));
   }
   return jobs;
 }

@@ -68,6 +68,10 @@ std::vector<sim::Job> read_trace(std::istream& in) {
   }
   const std::vector<std::string> header = fields;
   const std::size_t dims = header.size() - 3;
+  if (dims > sim::ResourceVector::kMaxDims) {
+    fail_at(reader.line(), std::to_string(dims) + " resource columns exceed the limit of " +
+                               std::to_string(sim::ResourceVector::kMaxDims));
+  }
 
   std::vector<sim::Job> jobs;
   double prev_arrival = -1.0;

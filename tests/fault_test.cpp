@@ -21,6 +21,8 @@
 #include "src/core/scenario.hpp"
 #include "src/nn/precision.hpp"
 #include "src/policy/tournament.hpp"
+#include "src/sim/cluster.hpp"
+#include "src/sim/sharded_cluster.hpp"
 #include "src/telemetry/registry.hpp"
 
 namespace hcrl {
@@ -312,6 +314,105 @@ TEST(FaultRun, SerialAndShardOneLockstepAreBitIdentical) {
   const ExperimentResult a = core::run_scenario(serial);
   const ExperimentResult b = core::run_scenario(sharded);
   expect_identical(a, b);
+}
+
+// ---- equal-time order: trace arrival, then retry, then heap -----------------
+
+// Logs every routing decision as "<t> arrival|retry <id>", with " s0-down"
+// while server 0 is crash-failed. Trace jobs go to server id-1, retries to 2.
+class RoutingRecorder final : public sim::AllocationPolicy {
+ public:
+  explicit RoutingRecorder(std::vector<std::string>& log) : log_(log) {}
+  sim::ServerId select_server(const sim::ClusterView& cluster, const sim::Job& job) override {
+    const bool retry = job.submitted >= 0.0;
+    log_.push_back(std::to_string(static_cast<int>(cluster.now())) +
+                   (retry ? " retry " : " arrival ") + std::to_string(job.id) +
+                   (cluster.server(0).failed() ? " s0-down" : ""));
+    return retry ? 2 : static_cast<sim::ServerId>(job.id - 1);
+  }
+  std::string name() const override { return "routing-recorder"; }
+
+ private:
+  std::vector<std::string>& log_;
+};
+
+// Logs every idle entry as "<t> idle s<server>" and keeps the server on.
+class IdleRecorder final : public sim::PowerPolicy {
+ public:
+  explicit IdleRecorder(std::vector<std::string>& log) : log_(log) {}
+  double on_idle(const sim::Server& server, sim::Time now) override {
+    log_.push_back(std::to_string(static_cast<int>(now)) + " idle s" +
+                   std::to_string(server.id()));
+    return sim::kNeverSleep;
+  }
+  std::string name() const override { return "idle-recorder"; }
+
+ private:
+  std::vector<std::string>& log_;
+};
+
+sim::Job order_job(sim::JobId id, sim::Time arrival, sim::Time duration) {
+  sim::Job j;
+  j.id = id;
+  j.arrival = arrival;
+  j.duration = duration;
+  j.demand = sim::ResourceVector{0.2, 0.2, 0.01};
+  return j;
+}
+
+// Integer times make three sources collide at t = 20: trace job 3 arrives,
+// job 1 (killed by the t = 10 crash, backoff exactly 10 s) is redelivered,
+// and the heap holds server 0's recovery and job 2's finish on server 1.
+template <class Engine>
+void run_equal_time_trace(Engine& engine) {
+  FaultConfig f;
+  f.backoff_base_s = 10.0;
+  f.backoff_jitter = 0.0;
+  FaultPlan plan;
+  plan.events = {{10.0, 0, FaultKind::kCrash}, {20.0, 0, FaultKind::kRecover}};
+  FaultInjector faults(f, plan);
+  engine.install_faults(&faults);
+  engine.load_jobs({order_job(1, 0.0, 100.0), order_job(2, 0.0, 20.0), order_job(3, 20.0, 5.0)});
+  engine.run();
+  EXPECT_EQ(engine.snapshot().jobs_completed, 3u);
+  EXPECT_EQ(engine.snapshot().faults.retries, 1u);
+}
+
+sim::ClusterConfig equal_time_cluster() {
+  sim::ClusterConfig c;
+  c.num_servers = 3;
+  c.server.start_asleep = false;  // idle at t = 0: no wake transitions
+  return c;
+}
+
+const std::vector<std::string> kEqualTimeOrder = {
+    "0 arrival 1",
+    "0 arrival 2",
+    "20 arrival 3 s0-down",  // trace arrival first: the recovery has not run
+    "20 retry 1 s0-down",    // then the retry, still before any heap event
+    "20 idle s1",            // then the heap: recovery, then job 2's finish
+    "120 idle s2",
+};
+
+TEST(FaultRun, EqualTimeOrderIsArrivalRetryHeapOnSerialEngine) {
+  std::vector<std::string> log;
+  RoutingRecorder alloc(log);
+  IdleRecorder power(log);
+  sim::Cluster engine(equal_time_cluster(), alloc, power);
+  run_equal_time_trace(engine);
+  EXPECT_EQ(log, kEqualTimeOrder);
+}
+
+TEST(FaultRun, EqualTimeOrderIsArrivalRetryHeapOnLockstepOneShard) {
+  std::vector<std::string> log;
+  RoutingRecorder alloc(log);
+  IdleRecorder power(log);
+  sim::ShardedClusterConfig cfg;
+  cfg.cluster = equal_time_cluster();
+  cfg.num_shards = 1;
+  sim::ShardedCluster engine(cfg, alloc, power);
+  run_equal_time_trace(engine);
+  EXPECT_EQ(log, kEqualTimeOrder);
 }
 
 TEST(FaultRun, ShardedLockstepParityAcrossShardCounts) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
+
+#include "src/common/rng.hpp"
+#include "src/workload/arrival_process.hpp"
 
 namespace hcrl::workload {
 namespace {
@@ -56,6 +62,40 @@ TEST(Generator, MarginalsRespectPaperBounds) {
     EXPECT_LE(j.demand[2], o.disk_hi);
     EXPECT_NO_THROW(j.validate(3));
   }
+}
+
+// Reference: the thinned process's arrivals up to the horizon, cut to
+// num_jobs, or extended by restarting the process at the horizon.
+TEST(Generator, ArrivalsFollowTheThinnedProcess) {
+  std::size_t trimmed = 0, extended = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    GeneratorOptions o = small_opts(300);
+    o.seed = seed;
+    const auto jobs = GoogleTraceGenerator(o).generate();
+
+    ArrivalProcessOptions ap;
+    ap.diurnal_amplitude = o.diurnal_amplitude;
+    ap.burst_multiplier = o.burst_multiplier;
+    ap.mean_burst_s = o.mean_burst_s;
+    ap.mean_calm_s = o.mean_calm_s;
+    ap.base_rate_hz = 1.0;
+    ap.base_rate_hz = static_cast<double>(o.num_jobs) / o.horizon_s / ap.effective_rate();
+    common::Rng rng(o.seed);
+    ArrivalProcess process(ap, rng.fork());
+    std::vector<double> expected = process.generate(o.horizon_s);
+    if (expected.size() > o.num_jobs) ++trimmed;
+    if (expected.size() < o.num_jobs) ++extended;
+    expected.resize(std::min(expected.size(), o.num_jobs));
+    double t = o.horizon_s;
+    while (expected.size() < o.num_jobs) expected.push_back(t = process.next_after(t));
+
+    ASSERT_EQ(jobs.size(), o.num_jobs);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_EQ(jobs[i].arrival, expected[i]) << "seed " << seed << " job " << i;
+    }
+  }
+  EXPECT_GT(trimmed, 0u);   // both paths must be exercised
+  EXPECT_GT(extended, 0u);
 }
 
 TEST(Generator, DeterministicForSeed) {

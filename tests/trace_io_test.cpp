@@ -178,6 +178,34 @@ TEST(TraceIo, CrlfAndTrailingNewlinesTolerated) {
   EXPECT_DOUBLE_EQ(jobs[1].demand[0], 0.2);
 }
 
+TEST(TraceIo, FourResourceTraceRoundTrips) {
+  sim::Job j;
+  j.id = 4;
+  j.arrival = 1.5;
+  j.duration = 60.0;
+  j.demand = sim::ResourceVector{0.1, 0.2, 0.3, 0.4};
+  std::stringstream buf;
+  write_trace(buf, {j});
+  std::string header;
+  std::getline(buf, header);
+  EXPECT_EQ(header, "id,arrival,duration,cpu,memory,disk,resource3");
+  buf.seekg(0);
+  const auto loaded = read_trace(buf);
+  ASSERT_EQ(loaded.size(), 1u);
+  ASSERT_EQ(loaded[0].demand.dims(), 4u);
+  for (std::size_t d = 0; d < 4; ++d) {
+    EXPECT_DOUBLE_EQ(loaded[0].demand[d], j.demand[d]);
+  }
+}
+
+TEST(TraceIo, FiveResourceTraceRejected) {
+  const std::string msg = error_message_of(
+      "id,arrival,duration,cpu,memory,disk,resource3,resource4\n"
+      "1,0.0,60.0,0.1,0.1,0.1,0.1,0.1\n");
+  EXPECT_NE(msg.find("line 1"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("5 resource columns exceed the limit of 4"), std::string::npos) << msg;
+}
+
 TEST(TraceIo, GeneratedTraceRoundTrips) {
   GeneratorOptions o;
   o.num_jobs = 500;

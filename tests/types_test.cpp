@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 namespace hcrl::sim {
 namespace {
@@ -32,6 +34,11 @@ TEST(ResourceVector, DimMismatchThrows) {
   EXPECT_THROW(a.add(b), std::invalid_argument);
   EXPECT_THROW(a.subtract(b), std::invalid_argument);
   EXPECT_THROW(a.fits(b), std::invalid_argument);
+  // A larger vector mismatches too, even though both fit the inline storage.
+  const ResourceVector c(4);
+  EXPECT_THROW(a.add(c), std::invalid_argument);
+  EXPECT_THROW(a.subtract(c), std::invalid_argument);
+  EXPECT_THROW(a.fits(c), std::invalid_argument);
 }
 
 TEST(ResourceVector, FitsIsComponentwise) {
@@ -46,6 +53,60 @@ TEST(ResourceVector, FitsToleratesFloatNoise) {
   // Simulate accumulated noise from add/subtract cycles.
   cap.subtract({1e-12, 0.0});
   EXPECT_TRUE(cap.fits({1.0, 1.0}));
+}
+
+TEST(ResourceVector, FourDimensionsAcceptedFiveRejected) {
+  static_assert(ResourceVector::kMaxDims == 4);
+  const ResourceVector four{0.1, 0.2, 0.3, 0.4};
+  EXPECT_EQ(four.dims(), 4u);
+  EXPECT_DOUBLE_EQ(four[3], 0.4);
+  EXPECT_EQ(ResourceVector(4, 1.0).dims(), 4u);
+
+  auto expect_limit_error = [](auto&& construct) {
+    try {
+      construct();
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("limit of 4"), std::string::npos) << msg;
+    }
+  };
+  expect_limit_error([] { return ResourceVector(5); });
+  expect_limit_error([] { return ResourceVector{0.1, 0.1, 0.1, 0.1, 0.1}; });
+}
+
+TEST(ResourceVector, IndexPastDimsThrowsOutOfRange) {
+  ResourceVector v{0.1, 0.2};
+  const ResourceVector& cv = v;
+  EXPECT_DOUBLE_EQ(cv[1], 0.2);
+  // Index 2 is inside the inline storage but past dims(): still an error.
+  EXPECT_THROW((void)cv[2], std::out_of_range);
+  EXPECT_THROW(v[2] = 1.0, std::out_of_range);
+  EXPECT_THROW((void)cv[ResourceVector::kMaxDims], std::out_of_range);
+  EXPECT_THROW((void)ResourceVector()[0], std::out_of_range);
+}
+
+TEST(ResourceVector, CopiesAreIndependent) {
+  // Inline storage: copying a vector or a Job touches no heap block.
+  static_assert(std::is_trivially_copyable_v<ResourceVector>);
+  static_assert(std::is_trivially_copyable_v<Job>);
+  ResourceVector a{0.1, 0.2, 0.3};
+  ResourceVector b = a;
+  b[0] = 0.9;
+  b.add({0.1, 0.1, 0.1});
+  EXPECT_DOUBLE_EQ(a[0], 0.1);
+  EXPECT_DOUBLE_EQ(a[2], 0.3);
+  a = b;
+  a.clamp(0.0, 0.5);
+  EXPECT_DOUBLE_EQ(b[0], 1.0);
+  EXPECT_DOUBLE_EQ(a[0], 0.5);
+
+  Job j;
+  j.demand = ResourceVector{0.4, 0.4, 0.4};
+  Job k = j;
+  k.demand.subtract({0.1, 0.1, 0.1});
+  EXPECT_DOUBLE_EQ(j.demand[1], 0.4);
+  EXPECT_NEAR(k.demand[1], 0.3, 1e-12);
 }
 
 TEST(ResourceVector, MaxComponentAndClamp) {
