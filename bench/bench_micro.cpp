@@ -12,7 +12,6 @@
 #include "src/rl/smdp.hpp"
 #include "src/rl/tabular_q.hpp"
 #include "src/sim/cluster.hpp"
-#include "src/sim/sharded_cluster.hpp"
 #include "src/telemetry/registry.hpp"
 #include "src/workload/generator.hpp"
 
@@ -383,45 +382,6 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEventThroughput)->Unit(benchmark::kMillisecond);
 
-void BM_ShardedEventThroughput(benchmark::State& state) {
-  // Events/sec of the sharded engine at cluster scale: 10k servers,
-  // round-robin + 30 s fixed timeout (trace-only routing, so the parallel
-  // engine pre-routes arrivals and the shards run barrier-free). Each job
-  // brings an arrival and a finish, plus timeout and sleep/wake events when
-  // its server idles: about 556k events per iteration. Items/s == events
-  // per wall second; arg is the shard count (1 = sharded engine overhead
-  // baseline).
-  const auto num_shards = static_cast<std::size_t>(state.range(0));
-  workload::GeneratorOptions g;
-  g.num_jobs = 250000;
-  g.horizon_s = 250000.0 * 0.02;  // dense arrivals keep 10k servers cycling
-  g.seed = 11;
-  const auto jobs = workload::GoogleTraceGenerator(g).generate();
-  std::int64_t total_events = 0;
-  for (auto _ : state) {
-    sim::RoundRobinAllocator alloc;
-    sim::FixedTimeoutPolicy power(30.0);
-    sim::ShardedClusterConfig cfg;
-    cfg.cluster.num_servers = 10000;
-    cfg.cluster.keep_job_records = false;
-    cfg.cluster.server.t_on = 30.0;
-    cfg.cluster.server.t_off = 10.0;
-    cfg.num_shards = num_shards;
-    cfg.execution = sim::ShardedClusterConfig::Execution::kParallel;
-    sim::ShardedCluster cluster(cfg, alloc, power);
-    cluster.load_jobs(jobs);
-    cluster.run();
-    total_events += static_cast<std::int64_t>(cluster.events_processed());
-  }
-  state.SetItemsProcessed(total_events);
-}
-BENCHMARK(BM_ShardedEventThroughput)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 // A non-learning fleet trace at the paper's per-server arrival rate (95,000
 // jobs a week per 30 servers), as bench_e2e's fleet workloads use.
 std::vector<sim::Job> fleet_trace(std::size_t servers, std::size_t jobs) {
@@ -433,15 +393,16 @@ std::vector<sim::Job> fleet_trace(std::size_t servers, std::size_t jobs) {
   return workload::GoogleTraceGenerator(g).generate();
 }
 
-// The same-trace engine pair: the serial Cluster and the lockstep
-// ShardedCluster with one shard run one 1000-server, 100k-job trace under
-// round-robin + 60 s fixed timeout, so the two cells compare engines alone.
-// Items/s == trace jobs/s.
+// The engine cells run one 1000-server, 100k-job trace under round-robin +
+// 60 s fixed timeout through the Cluster engine, with telemetry off
+// (BM_EngineSerial) or fully on (BM_TelemetryEngineSerial: the per-event
+// counters and flush instrumentation). Items/s == trace jobs/s.
 constexpr std::size_t kEngineServers = 1000;
 constexpr std::size_t kEngineJobs = 100000;
 
-void BM_EngineSerial(benchmark::State& state) {
+void run_engine_trace(benchmark::State& state, bool telemetry_on) {
   const auto jobs = fleet_trace(kEngineServers, kEngineJobs);
+  telemetry::set_enabled(telemetry_on);
   for (auto _ : state) {
     sim::RoundRobinAllocator alloc;
     sim::FixedTimeoutPolicy power(60.0);
@@ -453,27 +414,16 @@ void BM_EngineSerial(benchmark::State& state) {
     cluster.run();
     benchmark::DoNotOptimize(cluster.snapshot().energy_joules);
   }
+  telemetry::set_enabled(false);
+  telemetry::global_registry().reset();
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * jobs.size()));
 }
+
+void BM_EngineSerial(benchmark::State& state) { run_engine_trace(state, false); }
 BENCHMARK(BM_EngineSerial)->Unit(benchmark::kMillisecond);
 
-void BM_EngineLockstep1(benchmark::State& state) {
-  const auto jobs = fleet_trace(kEngineServers, kEngineJobs);
-  for (auto _ : state) {
-    sim::RoundRobinAllocator alloc;
-    sim::FixedTimeoutPolicy power(60.0);
-    sim::ShardedClusterConfig cfg;
-    cfg.cluster.num_servers = kEngineServers;
-    cfg.cluster.keep_job_records = false;
-    cfg.num_shards = 1;
-    sim::ShardedCluster cluster(cfg, alloc, power);
-    cluster.load_jobs(jobs);
-    cluster.run();
-    benchmark::DoNotOptimize(cluster.snapshot().energy_joules);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * jobs.size()));
-}
-BENCHMARK(BM_EngineLockstep1)->Unit(benchmark::kMillisecond);
+void BM_TelemetryEngineSerial(benchmark::State& state) { run_engine_trace(state, true); }
+BENCHMARK(BM_TelemetryEngineSerial)->Unit(benchmark::kMillisecond);
 
 // One best-fit placement scan over a mid-run cluster of `servers` machines
 // (best-fit + 60 s timeout, stopped after half the trace completed, so awake,
@@ -512,39 +462,6 @@ void BM_TelemetryCounter(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_TelemetryCounter)->Arg(0)->Arg(1);
-
-void BM_TelemetryShardedEventThroughput(benchmark::State& state) {
-  // BM_ShardedEventThroughput/2 with full metric collection enabled: the
-  // end-to-end telemetry overhead story (per-event counters on the shard
-  // drain hot path plus the flush/sync instrumentation). Compare items/s
-  // against the telemetry-off cell above.
-  workload::GeneratorOptions g;
-  g.num_jobs = 250000;
-  g.horizon_s = 250000.0 * 0.02;
-  g.seed = 11;
-  const auto jobs = workload::GoogleTraceGenerator(g).generate();
-  telemetry::set_enabled(true);
-  std::int64_t total_events = 0;
-  for (auto _ : state) {
-    sim::RoundRobinAllocator alloc;
-    sim::FixedTimeoutPolicy power(30.0);
-    sim::ShardedClusterConfig cfg;
-    cfg.cluster.num_servers = 10000;
-    cfg.cluster.keep_job_records = false;
-    cfg.cluster.server.t_on = 30.0;
-    cfg.cluster.server.t_off = 10.0;
-    cfg.num_shards = 2;
-    cfg.execution = sim::ShardedClusterConfig::Execution::kParallel;
-    sim::ShardedCluster cluster(cfg, alloc, power);
-    cluster.load_jobs(jobs);
-    cluster.run();
-    total_events += static_cast<std::int64_t>(cluster.events_processed());
-  }
-  telemetry::set_enabled(false);
-  telemetry::global_registry().reset();
-  state.SetItemsProcessed(total_events);
-}
-BENCHMARK(BM_TelemetryShardedEventThroughput)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_StateEncoding(benchmark::State& state) {
   core::StateEncoderOptions o;

@@ -149,7 +149,6 @@ int main(int argc, char** argv) {
       manifest.tool = "run_experiment";
       manifest.scenario = scenario.name;
       manifest.precision = nn::to_string(cfg.precision);
-      manifest.shards = static_cast<int>(cfg.shards);
       manifest.gemm_threads = static_cast<int>(cfg.gemm_threads > 0 ? cfg.gemm_threads
                                                                     : nn::gemm_threads());
       manifest.wall_seconds = r.wall_seconds;

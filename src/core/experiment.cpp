@@ -45,9 +45,7 @@ void ExperimentConfig::validate() const {
   if (system == SystemKind::kDrlFixedTimeout && fixed_timeout_s < 0.0) {
     throw std::invalid_argument("ExperimentConfig: negative fixed timeout");
   }
-  if (shards > num_servers) {
-    throw std::invalid_argument("ExperimentConfig: more shards than servers");
-  }
+  if (shards != 0) throw std::invalid_argument("ExperimentConfig: shards must be 0");
   if (sla_latency_s < 0.0) {
     throw std::invalid_argument("ExperimentConfig: negative sla_latency_s");
   }

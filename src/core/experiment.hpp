@@ -94,12 +94,9 @@ struct ExperimentConfig {
   /// the per-call path is kept as the parity reference and enabled by
   /// setting this false).
   bool batch_decisions = true;
-  /// Event-loop engine for the measured run: 0 keeps the serial sim::Cluster;
-  /// >= 1 runs sim::ShardedCluster with that many shards in deterministic
-  /// lockstep (shards=1 is bit-identical to the serial engine; any fixed
-  /// shard count is bit-reproducible run-to-run). The threaded shard engine
-  /// is exercised by bench/ and tests; the driver keeps lockstep so every
-  /// policy — including the staging RL tiers — is supported unchanged.
+  /// Vestigial: must be 0 (validate() rejects anything else) and has no
+  /// config key. It stays only because bench_e2e checks it, until the next
+  /// benchmark change.
   std::size_t shards = 0;
 
   /// Deterministic fault injection for the measured run (config keys
@@ -139,8 +136,7 @@ struct ExperimentResult {
   workload::TraceStats trace_stats;
   double wall_seconds = 0.0;
   std::size_t servers_on_at_end = 0;
-  /// Tail latency over completed jobs (sorted-merge across shards, so the
-  /// value is engine-independent); 0 when no job completed.
+  /// Tail latency over completed jobs; 0 when no job completed.
   double latency_p95_s = 0.0;
   double latency_p99_s = 0.0;
   /// Completed jobs with latency > config.sla_latency_s (0 when disabled).

@@ -20,7 +20,6 @@
 #include "src/core/local_tier.hpp"
 #include "src/policy/registry.hpp"
 #include "src/sim/cluster.hpp"
-#include "src/sim/sharded_cluster.hpp"
 #include "src/telemetry/profiler.hpp"
 #include "src/telemetry/trace.hpp"
 
@@ -53,16 +52,6 @@ std::vector<double> completed_latencies(const sim::Cluster& cluster) {
   return latencies;
 }
 
-std::vector<double> completed_latencies(const sim::ShardedCluster& cluster) {
-  std::vector<double> latencies;
-  for (std::size_t s = 0; s < cluster.num_shards(); ++s) {
-    for (const sim::JobRecord& r : cluster.shard_metrics(s).job_records()) {
-      latencies.push_back(r.latency());
-    }
-  }
-  return latencies;
-}
-
 void fill_tail_metrics(ExperimentResult& result, std::vector<double> latencies,
                        double sla_latency_s) {
   if (latencies.empty()) return;
@@ -71,9 +60,7 @@ void fill_tail_metrics(ExperimentResult& result, std::vector<double> latencies,
         latencies.begin(), latencies.end(), [&](double l) { return l > sla_latency_s; }));
   }
   // common::percentile uses the same index rule as
-  // ClusterMetrics::latency_percentile, computed over the merged shard
-  // records so the value is engine-independent (the multiset of latencies is
-  // identical across engines; record order is not).
+  // ClusterMetrics::latency_percentile.
   result.latency_p95_s = common::percentile(latencies, 0.95);
   result.latency_p99_s = common::percentile(latencies, 0.99);
 }
@@ -208,11 +195,23 @@ ExperimentResult run_scenario(const Scenario& scenario, RunObserver* observer) {
   std::size_t next_checkpoint =
       cfg.checkpoint_every_jobs > 0 ? cfg.checkpoint_every_jobs : static_cast<std::size_t>(-1);
 
-  // One loop body for both engines: sim::Cluster (cfg.shards == 0) and
-  // sim::ShardedCluster in lockstep (cfg.shards >= 1). Both expose step(),
-  // jobs_completed(), snapshot() and servers_on() with identical semantics,
-  // and with one shard the sharded engine is bit-identical to the serial one.
-  auto measured_loop = [&](auto& cluster) {
+  // Deterministic fault injection for the measured run (see
+  // src/sim/fault/fault.hpp). The schedule is a pure function of
+  // (faults.seed, num_servers, horizon): faults.seed == 0 derives one from
+  // the trace seed so faulty scenarios stay reproducible without extra keys.
+  std::unique_ptr<sim::FaultInjector> faults;
+  if (cfg.faults.enabled()) {
+    sim::FaultConfig fc = cfg.faults;
+    if (fc.seed == 0) fc.seed = common::SplitMix64(cfg.trace.seed ^ 0xFA017FA017FA017FULL).next();
+    const double horizon =
+        (trace.jobs.empty() ? 0.0 : trace.jobs.back().arrival) + fc.horizon_padding_s;
+    faults = std::make_unique<sim::FaultInjector>(fc, cfg.num_servers, horizon);
+  }
+
+  {
+    sim::Cluster cluster(cluster_config(cfg), *policies.allocation, *policies.power);
+    cluster.install_faults(faults.get());
+    cluster.load_jobs(std::move(trace.jobs));
     telemetry::Span span(measured_run_span(), scenario.name);
     while (cluster.step()) {
       check_watchdog();
@@ -229,34 +228,6 @@ ExperimentResult run_scenario(const Scenario& scenario, RunObserver* observer) {
     result.final_snapshot = cluster.snapshot();
     result.servers_on_at_end = cluster.servers_on();
     fill_tail_metrics(result, completed_latencies(cluster), cfg.sla_latency_s);
-  };
-
-  // Deterministic fault injection for the measured run (see
-  // src/sim/fault/fault.hpp). The schedule is a pure function of
-  // (faults.seed, num_servers, horizon): faults.seed == 0 derives one from
-  // the trace seed so faulty scenarios stay reproducible without extra keys.
-  std::unique_ptr<sim::FaultInjector> faults;
-  if (cfg.faults.enabled()) {
-    sim::FaultConfig fc = cfg.faults;
-    if (fc.seed == 0) fc.seed = common::SplitMix64(cfg.trace.seed ^ 0xFA017FA017FA017FULL).next();
-    const double horizon =
-        (trace.jobs.empty() ? 0.0 : trace.jobs.back().arrival) + fc.horizon_padding_s;
-    faults = std::make_unique<sim::FaultInjector>(fc, cfg.num_servers, horizon);
-  }
-
-  if (cfg.shards == 0) {
-    sim::Cluster cluster(cluster_config(cfg), *policies.allocation, *policies.power);
-    cluster.install_faults(faults.get());
-    cluster.load_jobs(std::move(trace.jobs));
-    measured_loop(cluster);
-  } else {
-    sim::ShardedClusterConfig scc;
-    scc.cluster = cluster_config(cfg);
-    scc.num_shards = cfg.shards;
-    sim::ShardedCluster cluster(scc, *policies.allocation, *policies.power);
-    cluster.install_faults(faults.get());
-    cluster.load_jobs(std::move(trace.jobs));
-    measured_loop(cluster);
   }
 
   result.trace_stats = trace.stats;

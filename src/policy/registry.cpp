@@ -149,8 +149,6 @@ BuiltPower PolicyRegistry::make_power(const std::string& name, const core::Exper
 
 namespace {
 
-using sim::AllocationPolicy;
-
 PolicyRegistry build_builtin() {
   PolicyRegistry r;
 
@@ -158,14 +156,12 @@ PolicyRegistry build_builtin() {
   r.add_allocator({.name = "round-robin",
                    .description = "paper baseline: cyclic dispatch",
                    .options = {},
-                   .routing = AllocationPolicy::RoutingMode::kTraceOnly,
                    .factory = [](const core::ExperimentConfig&, common::Config&) {
                      return BuiltAllocator{std::make_unique<sim::RoundRobinAllocator>()};
                    }});
   r.add_allocator({.name = "random",
                    .description = "uniformly random dispatch (diagnostic)",
                    .options = {{"seed", "RNG seed (default: drl.seed)"}},
-                   .routing = AllocationPolicy::RoutingMode::kTraceOnly,
                    .factory = [](const core::ExperimentConfig& cfg, common::Config& opts) {
                      const auto seed = static_cast<std::uint64_t>(
                          opts.get_int("seed", static_cast<std::int64_t>(cfg.drl.seed)));
@@ -240,21 +236,18 @@ PolicyRegistry build_builtin() {
   r.add_power({.name = "always-on",
                .description = "never sleeps (paper baseline)",
                .options = {},
-               .shard_parallel_safe = true,
                .factory = [](const core::ExperimentConfig&, common::Config&) {
                  return BuiltPower{std::make_unique<sim::AlwaysOnPolicy>()};
                }});
   r.add_power({.name = "immediate-sleep",
                .description = "sleeps the instant the server idles (\"ad hoc\")",
                .options = {},
-               .shard_parallel_safe = true,
                .factory = [](const core::ExperimentConfig&, common::Config&) {
                  return BuiltPower{std::make_unique<sim::ImmediateSleepPolicy>()};
                }});
   r.add_power({.name = "fixed-timeout",
                .description = "sleep after a fixed idle timeout",
                .options = {{"timeout_s", "idle timeout in seconds (default: fixed_timeout_s)"}},
-               .shard_parallel_safe = true,
                .factory = [](const core::ExperimentConfig& cfg, common::Config& opts) {
                  const double t = opts.get_double("timeout_s", cfg.fixed_timeout_s);
                  return BuiltPower{std::make_unique<sim::FixedTimeoutPolicy>(t)};
@@ -387,18 +380,13 @@ void print_policy_listing(std::ostream& out) {
   out << "allocation policies (config: allocator = <name>, options as allocator.<key>):\n";
   for (const std::string& name : reg.allocator_names()) {
     const AllocatorInfo& info = reg.allocator_info(name);
-    std::string tags =
-        info.routing == AllocationPolicy::RoutingMode::kTraceOnly ? "trace-only" : "global-state";
-    if (info.learning) tags += ", learning";
-    print_padded(out, name, info.description + " [" + tags + "]");
+    print_padded(out, name, info.description + (info.learning ? " [learning]" : ""));
     print_options(out, "allocator", info);
   }
   out << "power policies (config: power = <name>, options as power.<key>):\n";
   for (const std::string& name : reg.power_names()) {
     const PowerInfo& info = reg.power_info(name);
-    std::string tags = info.shard_parallel_safe ? "shard-parallel-safe" : "lockstep-only";
-    if (info.learning) tags += ", learning";
-    print_padded(out, name, info.description + " [" + tags + "]");
+    print_padded(out, name, info.description + (info.learning ? " [learning]" : ""));
     print_options(out, "power", info);
   }
 }

@@ -3,7 +3,7 @@
 //
 // The registry replaces the ad-hoc construction that used to live in
 // core/runner.cpp: a policy is an entry — name, one-line description, option
-// schema, parallel-safety metadata, factory — and anything that can name a
+// schema, learning flag, factory — and anything that can name a
 // registered entry (an ExperimentConfig, a tournament combo, a CLI flag) can
 // construct it. New policies and new scenarios then multiply instead of add:
 // registering one policy makes it a row in every tournament, a value for the
@@ -16,9 +16,8 @@
 //  * `options` lists every key the factory reads from its option block;
 //    make_allocator/make_power reject unknown keys with a did-you-mean
 //    diagnostic, so the schema IS the validation.
-//  * `routing` / `shard_parallel_safe` must match what the constructed
-//    policy declares — the registry audit test instantiates every entry and
-//    checks, so a wrong declaration cannot land silently.
+//  * `learning` must match what the factory builds (a non-null learner
+//    view) — the registry audit test instantiates every entry and checks.
 //  * Factories must be deterministic: everything stochastic seeds from the
 //    ExperimentConfig (or an option key), never from global state.
 //
@@ -63,9 +62,6 @@ struct AllocatorInfo {
   std::string name;
   std::string description;
   std::vector<OptionSpec> options;
-  /// Declared routing mode; audited against the built instance in tests.
-  sim::AllocationPolicy::RoutingMode routing =
-      sim::AllocationPolicy::RoutingMode::kGlobalState;
   /// True for policies that learn online (the driver runs the offline
   /// construction phase and wires the decision service for these).
   bool learning = false;
@@ -78,8 +74,6 @@ struct PowerInfo {
   std::string name;
   std::string description;
   std::vector<OptionSpec> options;
-  /// Declared PowerPolicy::shard_parallel_safe(); audited in tests.
-  bool shard_parallel_safe = false;
   bool learning = false;
   std::function<BuiltPower(const core::ExperimentConfig& cfg, common::Config& opts)> factory;
 };

@@ -1,11 +1,72 @@
 #include "src/sim/cluster.hpp"
 
-#include <optional>
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "src/sim/sim_telemetry.hpp"
 
 namespace hcrl::sim {
+
+namespace {
+
+/// Throws std::invalid_argument unless every job is valid with `dims`
+/// resources, arrivals are sorted, ids are unique and the trace fits
+/// JobId's index range.
+void validate_trace(const std::vector<Job>& jobs, std::size_t dims) {
+  if (jobs.size() > static_cast<std::size_t>(std::numeric_limits<JobId>::max())) {
+    throw std::invalid_argument("Cluster::load_jobs: trace exceeds JobId index range");
+  }
+  std::vector<JobId> ids;
+  ids.reserve(jobs.size());
+  Time prev = 0.0;
+  for (const Job& j : jobs) {
+    j.validate(dims);
+    if (j.arrival < prev) throw std::invalid_argument("Cluster::load_jobs: not sorted by arrival");
+    prev = j.arrival;
+    ids.push_back(j.id);
+  }
+  std::sort(ids.begin(), ids.end());
+  if (std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
+    throw std::invalid_argument("Cluster::load_jobs: duplicate id");
+  }
+}
+
+enum class EventSource : std::uint8_t { kNone, kArrival, kRetry, kHeap };
+
+struct NextEvent {
+  EventSource source = EventSource::kNone;
+  Time time = 0.0;
+
+  /// Trace arrivals and retry deliveries both route through the allocator.
+  bool is_arrival() const noexcept {
+    return source == EventSource::kArrival || source == EventSource::kRetry;
+  }
+};
+
+/// The next event: the trace arrival at `cursor` (none once the cursor
+/// passes the end), the head of `faults`' retry stream (none without an
+/// injector or pending retry), or the top of `queue`. The earliest wins;
+/// equal times go trace arrival, then retry, then heap.
+NextEvent next_event(const std::vector<Job>& trace, std::size_t cursor,
+                     const FaultInjector* faults, const EventQueue& queue) {
+  NextEvent next;
+  // A later source takes over only when strictly earlier, so ties keep the
+  // earlier source in precedence order.
+  auto consider = [&next](EventSource source, Time t) {
+    if (next.source == EventSource::kNone || t < next.time) next = {source, t};
+  };
+  if (cursor < trace.size()) consider(EventSource::kArrival, trace[cursor].arrival);
+  if (faults != nullptr && faults->has_pending_retry()) {
+    consider(EventSource::kRetry, faults->next_retry_time());
+  }
+  if (!queue.empty()) consider(EventSource::kHeap, queue.top().time);
+  return next;
+}
+
+}  // namespace
 
 void ClusterConfig::validate() const {
   if (num_servers == 0) throw std::invalid_argument("ClusterConfig: need >= 1 server");
@@ -51,7 +112,7 @@ void Cluster::install_faults(FaultInjector* faults) {
 
 void Cluster::load_jobs(std::vector<Job> jobs) {
   if (jobs_loaded_) throw std::logic_error("Cluster::load_jobs: already loaded");
-  validate_trace(jobs, cfg_.server.num_resources, "Cluster::load_jobs");
+  validate_trace(jobs, cfg_.server.num_resources);
   jobs_ = std::move(jobs);
   jobs_loaded_ = true;
   // Trace arrivals stream from the cursor; fault-plan events are the first
@@ -61,11 +122,6 @@ void Cluster::load_jobs(std::vector<Job> jobs) {
       queue_.push(f.time, to_event_type(f.kind), f.server);
     }
   }
-}
-
-NextEvent Cluster::peek_next() const {
-  return next_event(jobs_, next_arrival_, faults_,
-                    queue_.empty() ? std::nullopt : std::optional<Time>(queue_.top().time));
 }
 
 bool Cluster::step() {
@@ -80,14 +136,14 @@ bool Cluster::step() {
   // Fault-injected retries are re-arrivals, so for the barrier they count
   // exactly like arrival events (and a pending retry means the simulation
   // is not drained).
-  NextEvent next = peek_next();
+  NextEvent next = next_event(jobs_, next_arrival_, faults_, queue_);
   if (power_policy_.has_staged_decisions() &&
       (next.source == EventSource::kNone || next.time != now_ || next.is_arrival())) {
     count_flush(next.source == EventSource::kNone ? FlushReason::kDrain
                 : next.is_arrival()               ? FlushReason::kArrival
                                                   : FlushReason::kTimeAdvance);
     power_policy_.flush_decisions();  // may push events at times >= now_
-    next = peek_next();
+    next = next_event(jobs_, next_arrival_, faults_, queue_);
   }
   if (next.source == EventSource::kNone) {
     if (!finished_notified_) {
@@ -129,8 +185,6 @@ void Cluster::run_until_completed(std::size_t n) {
 
 void Cluster::handle(const Event& e) {
   switch (e.type) {
-    case EventType::kJobArrival:
-      throw std::logic_error("Cluster: trace arrivals stream from the cursor, not the heap");
     case EventType::kJobFinish:
       servers_.at(e.server).handle_job_finish(e.job, now_, queue_, power_policy_, e.generation);
       break;
@@ -197,19 +251,5 @@ double Cluster::mean_cpu_utilization() const {
 }
 
 std::size_t Cluster::servers_on() const { return metrics_.servers_on(); }
-
-double Cluster::mean_cpu_utilization_scan() const {
-  double total = 0.0;
-  for (const Server& s : servers_) total += s.utilization(0);
-  return total / static_cast<double>(servers_.size());
-}
-
-std::size_t Cluster::servers_on_scan() const {
-  std::size_t n = 0;
-  for (const Server& s : servers_) {
-    if (s.is_on()) ++n;
-  }
-  return n;
-}
 
 }  // namespace hcrl::sim

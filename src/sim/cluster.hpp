@@ -10,7 +10,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/sim/arrivals.hpp"
 #include "src/sim/cluster_view.hpp"
 #include "src/sim/event_queue.hpp"
 #include "src/sim/fault/fault.hpp"
@@ -80,10 +79,6 @@ class Cluster final : public ClusterView {
   std::size_t servers_on() const override;
   /// Number of servers currently crash-failed; O(1).
   std::size_t servers_failed() const override { return metrics_.servers_failed(); }
-  /// Brute-force O(M) rescans of the same quantities. Tests pin the
-  /// incremental counters against these; production code should not call them.
-  double mean_cpu_utilization_scan() const;
-  std::size_t servers_on_scan() const;
 
   const ClusterConfig& config() const noexcept { return cfg_; }
 
@@ -94,8 +89,6 @@ class Cluster final : public ClusterView {
   void dispatch_arrival(const Job& job);
   /// Re-queue jobs revoked by a crash/eviction through the retry policy.
   void requeue_killed(const std::vector<Job>& killed);
-  /// The next trace arrival, retry delivery or heap event (see arrivals.hpp).
-  NextEvent peek_next() const;
 
   ClusterConfig cfg_;
   AllocationPolicy& allocation_;

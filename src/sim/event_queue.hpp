@@ -11,7 +11,6 @@
 namespace hcrl::sim {
 
 enum class EventType : std::uint8_t {
-  kJobArrival,     // pre-routed trace arrival (parallel ShardedCluster; job = trace index)
   kJobFinish,      // job completes on `server`
   kWakeComplete,   // server finished its sleep->active transition
   kSleepComplete,  // server finished its active->sleep transition
@@ -24,7 +23,7 @@ enum class EventType : std::uint8_t {
 struct Event {
   Time time = 0.0;
   std::uint64_t seq = 0;  // insertion order; breaks ties deterministically
-  EventType type = EventType::kJobArrival;
+  EventType type = EventType::kJobFinish;
   ServerId server = 0;
   JobId job = 0;
   std::uint64_t generation = 0;  // for cancellable timeouts

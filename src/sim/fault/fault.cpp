@@ -114,8 +114,7 @@ FaultPlan FaultPlan::generate(const FaultConfig& cfg, std::size_t num_servers, T
   }
 
   // (time, server, kind) — at equal times faults fire in ascending server
-  // order, which the contiguous shard partition preserves for any shard
-  // count (see ShardedCluster::load_jobs).
+  // order, independent of generation order.
   std::stable_sort(plan.events.begin(), plan.events.end(),
                    [](const FaultEvent& a, const FaultEvent& b) noexcept {
                      if (a.time != b.time) return a.time < b.time;

@@ -13,15 +13,14 @@
 //    load time, before any runtime event, so fault events hold the lowest
 //    sequence numbers: at equal timestamps they win against runtime events
 //    and lose to trace arrivals (streamed from a cursor ahead of the heap;
-//    see src/sim/arrivals.hpp) — on the serial engine and on every lockstep
-//    shard count alike.
+//    see Cluster::step in src/sim/cluster.cpp).
 //
 //  * Retries do NOT go through the event heap. They live in a dedicated
-//    (time, seq) min-heap inside the FaultInjector, and both engines give
+//    (time, seq) min-heap inside the FaultInjector, and the engine gives
 //    them a fixed precedence at equal timestamps: trace arrival, then
-//    retry, then heap event. Because kills and bounces happen at globally
-//    ordered points, the retry heap's insertion order — and therefore every
-//    tie-break — is identical across engines and shard counts.
+//    retry, then heap event. Kills and bounces happen at totally ordered
+//    events, so the retry heap's insertion order — and therefore every
+//    tie-break — is reproducible run to run.
 //
 //  * Backoff is a pure function of (seed, job id, attempt): capped
 //    exponential with deterministic jitter. Re-running a scenario replays
@@ -98,8 +97,8 @@ struct FaultPlan {
 };
 
 /// Owns the plan plus the deterministic retry stream. One per run; shared
-/// by the engine via install_faults(). Not thread-safe (lockstep engines
-/// only — ShardedCluster rejects faults in kParallel mode).
+/// by the engine via install_faults(). Not thread-safe: one engine drives
+/// it from one thread.
 class FaultInjector {
  public:
   FaultInjector(const FaultConfig& cfg, FaultPlan plan);

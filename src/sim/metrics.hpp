@@ -14,8 +14,7 @@
 namespace hcrl::sim {
 
 /// Lost-work accounting under fault injection (all zero without faults).
-/// Integer fields are exact and shard-count-invariant: every count is taken
-/// at a globally ordered event on the owning shard's collector.
+/// Integer fields are exact: every count is taken at a totally ordered event.
 struct FaultCounters {
   std::size_t crashes = 0;          // full-server failures applied
   std::size_t recoveries = 0;       // repairs completed
@@ -67,7 +66,7 @@ class ClusterMetrics {
   void on_reliability_change(ServerId server, double new_penalty, Time now);
   /// A server's availability (powered on/off) or CPU utilization changed.
   /// Maintains the O(1) servers_on / cpu_used_sum aggregates so cluster-wide
-  /// load queries never rescan every server (at 10k-server shards the
+  /// load queries never rescan every server (at 10k servers the
   /// per-checkpoint O(M) scans dominate the metrics path).
   void on_server_status(ServerId server, bool is_on, double cpu_used);
 

@@ -26,18 +26,9 @@ class AllocationPolicy {
  public:
   virtual ~AllocationPolicy() = default;
 
-  /// What cluster state select_server actually reads. The sharded engine
-  /// uses this to decide how much synchronization an arrival needs.
-  enum class RoutingMode {
-    /// Reads live cluster state (utilizations, power states, metrics).
-    /// Arrivals are cross-shard sync points: every shard must have drained
-    /// strictly past the arrival time before the decision is made.
-    kGlobalState,
-    /// Depends only on the trace (arrival order) and num_servers — e.g.
-    /// round-robin or seeded-random dispatch. Arrivals can be pre-routed to
-    /// shards at load time and shards run fully independently.
-    kTraceOnly,
-  };
+  /// Vestigial: nothing reads routing_mode(). It stays only because the
+  /// bench_e2e timing decorator forwards it, until the next benchmark change.
+  enum class RoutingMode { kGlobalState };
 
   /// Called once per job arrival (= one decision epoch, §V). Must return a
   /// server index in [0, cluster.num_servers()).
@@ -49,7 +40,7 @@ class AllocationPolicy {
     (void)now;
   }
 
-  /// Conservative default: assume the policy reads global state.
+  /// Vestigial (see RoutingMode).
   virtual RoutingMode routing_mode() const { return RoutingMode::kGlobalState; }
 
   virtual std::string name() const = 0;
@@ -96,10 +87,8 @@ class PowerPolicy {
     (void)server; (void)job; (void)now;
   }
 
-  /// True when the policy keeps no mutable cross-server state, so distinct
-  /// shards may call on_idle()/on_arrival() concurrently from worker threads.
-  /// Policies that stage decisions or share learners must return false (the
-  /// sharded engine then runs them in single-threaded lockstep).
+  /// Vestigial: nothing reads it. It stays only because the bench_e2e
+  /// timing decorator forwards it, until the next benchmark change.
   virtual bool shard_parallel_safe() const { return false; }
 
   virtual std::string name() const = 0;
@@ -111,7 +100,6 @@ class PowerPolicy {
 class RoundRobinAllocator final : public AllocationPolicy {
  public:
   ServerId select_server(const ClusterView& cluster, const Job& job) override;
-  RoutingMode routing_mode() const override { return RoutingMode::kTraceOnly; }
   std::string name() const override { return "round-robin"; }
 
  private:
@@ -123,7 +111,6 @@ class RandomAllocator final : public AllocationPolicy {
  public:
   explicit RandomAllocator(common::Rng rng) : rng_(rng) {}
   ServerId select_server(const ClusterView& cluster, const Job& job) override;
-  RoutingMode routing_mode() const override { return RoutingMode::kTraceOnly; }
   std::string name() const override { return "random"; }
 
  private:
@@ -176,8 +163,7 @@ class TetrisAllocator final : public AllocationPolicy {
 };
 
 /// Power-of-k-choices: sample k servers from the seeded per-policy stream
-/// and dispatch to the least-loaded usable one among them. Reads the sampled
-/// servers' live state, so unlike RandomAllocator it is NOT trace-only.
+/// and dispatch to the least-loaded usable one among them.
 class RandomKAllocator final : public AllocationPolicy {
  public:
   RandomKAllocator(std::size_t k, common::Rng rng);
@@ -196,7 +182,6 @@ class RandomKAllocator final : public AllocationPolicy {
 class AlwaysOnPolicy final : public PowerPolicy {
  public:
   double on_idle(const Server& server, Time now) override;
-  bool shard_parallel_safe() const override { return true; }
   std::string name() const override { return "always-on"; }
 };
 
@@ -206,7 +191,6 @@ class AlwaysOnPolicy final : public PowerPolicy {
 class ImmediateSleepPolicy final : public PowerPolicy {
  public:
   double on_idle(const Server& server, Time now) override;
-  bool shard_parallel_safe() const override { return true; }
   std::string name() const override { return "immediate-sleep"; }
 };
 
@@ -217,7 +201,6 @@ class FixedTimeoutPolicy final : public PowerPolicy {
     if (timeout_s < 0.0) throw std::invalid_argument("FixedTimeoutPolicy: negative timeout");
   }
   double on_idle(const Server& server, Time now) override;
-  bool shard_parallel_safe() const override { return true; }
   std::string name() const override { return "fixed-timeout-" + std::to_string(timeout_); }
   double timeout() const noexcept { return timeout_; }
 

@@ -1,8 +1,7 @@
-// Simulation-layer telemetry ids, shared by Cluster and ShardedCluster so
-// both engines report into the same metric names. The structs are magic
-// statics: ids resolve once per process, and the hot helpers in
+// Simulation-layer telemetry ids for the Cluster engine. The struct is a
+// magic static: ids resolve once per process, and the hot helpers in
 // telemetry/registry.hpp are a relaxed load + branch while telemetry is
-// disabled — the engines' determinism contracts are unaffected either way.
+// disabled — the engine's determinism contract is unaffected either way.
 #pragma once
 
 #include "src/telemetry/registry.hpp"
@@ -10,13 +9,12 @@
 namespace hcrl::sim {
 
 /// Why a decision epoch was flushed (mirrors the barrier conditions in
-/// Cluster::step() / ShardedCluster::step()).
+/// Cluster::step()).
 enum class FlushReason { kDrain, kTimeAdvance, kArrival, kForced };
 
 struct SimMetrics {
   telemetry::MetricId events;
   telemetry::MetricId arrivals;
-  telemetry::MetricId sync_windows;
   telemetry::MetricId flush_drain;
   telemetry::MetricId flush_time_advance;
   telemetry::MetricId flush_arrival;
@@ -33,7 +31,6 @@ struct SimMetrics {
       return SimMetrics{
           .events = reg.counter("sim.events"),
           .arrivals = reg.counter("sim.arrivals"),
-          .sync_windows = reg.counter("sim.sync_windows"),
           .flush_drain = reg.counter("sim.epoch_flush.drain"),
           .flush_time_advance = reg.counter("sim.epoch_flush.time_advance"),
           .flush_arrival = reg.counter("sim.epoch_flush.arrival"),

@@ -8,8 +8,9 @@
 //   gauge:     {"kind":"gauge","count":N,"value":V}
 //   histogram: {"kind":"histogram","count":N,"sum":S,
 //               "p50":…,"p95":…,"p99":…,"bounds":[…],"bins":[…]}
-// A standalone run-manifest JSON (config, precision, shards, git describe,
-// wall-clock) is additionally written next to every metrics snapshot.
+// A standalone run-manifest JSON (config, precision, GEMM threads, git
+// describe, wall-clock) is additionally written next to every metrics
+// snapshot.
 #pragma once
 
 #include <map>
@@ -26,7 +27,6 @@ struct RunManifest {
   std::string tool;      // e.g. "run_experiment", "tournament"
   std::string scenario;  // scenario name / grid description
   std::string precision; // "f32" / "f64" / "mixed"
-  int shards = 0;        // 0 = serial engine
   int gemm_threads = 1;
   double wall_seconds = 0.0;
   /// Extra tool-specific keys (sorted on output).

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace hcrl::core {
 namespace {
@@ -90,6 +91,24 @@ TEST(ExperimentConfigFrom, NegativeSlaRejected) {
 TEST(ExperimentConfigFrom, UnknownKeysRejected) {
   const auto raw = common::Config::from_string("trace.num_jobs = 100\nnot_a_key = 1\n");
   EXPECT_THROW(experiment_config_from(raw), std::invalid_argument);
+}
+
+// The simulator has one engine, so `shards` is not a config key, and the
+// vestigial ExperimentConfig::shards field must stay 0.
+TEST(ExperimentConfigFrom, ShardsKeyRejectedAsUnknown) {
+  const auto raw = common::Config::from_string("shards = 2\n");
+  try {
+    experiment_config_from(raw);
+    FAIL() << "expected unknown-key rejection";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown keys: shards"), std::string::npos) << e.what();
+  }
+}
+
+TEST(ExperimentConfigFrom, NonZeroShardsFailsValidation) {
+  ExperimentConfig cfg = experiment_config_from(common::Config{});
+  cfg.shards = 1;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
 TEST(ExperimentConfigFrom, InvalidValuesRejectedByValidation) {

@@ -14,7 +14,7 @@ namespace {
 TEST(EventQueue, OrdersByTime) {
   EventQueue q;
   q.push(5.0, EventType::kJobFinish, 1);
-  q.push(1.0, EventType::kJobArrival, 0);
+  q.push(1.0, EventType::kJobFinish, 0);
   q.push(3.0, EventType::kWakeComplete, 2);
   EXPECT_EQ(q.size(), 3u);
   EXPECT_DOUBLE_EQ(q.pop().time, 1.0);
@@ -25,9 +25,9 @@ TEST(EventQueue, OrdersByTime) {
 
 TEST(EventQueue, TiesBreakByInsertionOrder) {
   EventQueue q;
-  q.push(2.0, EventType::kJobArrival, 0, 100);
-  q.push(2.0, EventType::kJobArrival, 0, 200);
-  q.push(2.0, EventType::kJobArrival, 0, 300);
+  q.push(2.0, EventType::kJobFinish, 0, 100);
+  q.push(2.0, EventType::kJobFinish, 0, 200);
+  q.push(2.0, EventType::kJobFinish, 0, 300);
   EXPECT_EQ(q.pop().job, 100);
   EXPECT_EQ(q.pop().job, 200);
   EXPECT_EQ(q.pop().job, 300);
@@ -44,7 +44,7 @@ TEST(EventQueue, CarriesPayload) {
 
 TEST(EventQueue, TopDoesNotPop) {
   EventQueue q;
-  q.push(1.0, EventType::kJobArrival);
+  q.push(1.0, EventType::kJobFinish);
   EXPECT_DOUBLE_EQ(q.top().time, 1.0);
   EXPECT_EQ(q.size(), 1u);
 }
@@ -52,9 +52,9 @@ TEST(EventQueue, TopDoesNotPop) {
 TEST(EventQueue, InterleavedPushPopKeepsOrder) {
   EventQueue q;
   q.push(10.0, EventType::kJobFinish, 0, 1);
-  q.push(4.0, EventType::kJobArrival, 0, 2);
+  q.push(4.0, EventType::kJobFinish, 0, 2);
   EXPECT_EQ(q.pop().job, 2);
-  q.push(6.0, EventType::kJobArrival, 0, 3);
+  q.push(6.0, EventType::kJobFinish, 0, 3);
   q.push(12.0, EventType::kSleepComplete, 0, 4);
   EXPECT_EQ(q.pop().job, 3);
   EXPECT_EQ(q.pop().job, 1);
@@ -65,15 +65,15 @@ TEST(EventQueue, EmptyTopAndPopThrow) {
   EventQueue q;
   EXPECT_THROW(q.top(), std::logic_error);
   EXPECT_THROW(q.pop(), std::logic_error);
-  q.push(1.0, EventType::kJobArrival);
+  q.push(1.0, EventType::kJobFinish);
   q.pop();
   EXPECT_THROW(q.top(), std::logic_error);
   EXPECT_THROW(q.pop(), std::logic_error);
 }
 
 // Randomized interleavings of push / reserve_seq / push_at — the mix the
-// sharded engine's per-shard queues see when staged decisions claim their
-// inline-path seq — must always drain as the one total (time, seq) order.
+// engine's queue sees when staged decisions claim their inline-path seq —
+// must always drain as the one total (time, seq) order.
 // The test mirrors the queue's seq counter (push and reserve_seq each
 // consume exactly one number) and checks the drain against a sort.
 TEST(EventQueue, RandomizedReserveSeqInterleavingsDrainInTotalOrder) {

@@ -1,9 +1,9 @@
 // Deterministic fault injection: plan generation, backoff/retry goldens,
 // lost-work accounting invariants, and — the load-bearing properties — that
-// fixed-seed faulty runs are bit-reproducible run to run, across engines
-// (serial vs sharded lockstep), and with telemetry on or off; plus the
-// harness robustness seams (per-cell watchdog, crash-safe tournament
-// journal resume).
+// fixed-seed faulty runs are bit-reproducible run to run and with telemetry
+// on or off, and that equal-time events run arrival, then retry, then heap;
+// plus the harness robustness seams (per-cell watchdog, crash-safe
+// tournament journal resume).
 #include "src/sim/fault/fault.hpp"
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "src/nn/precision.hpp"
 #include "src/policy/tournament.hpp"
 #include "src/sim/cluster.hpp"
-#include "src/sim/sharded_cluster.hpp"
 #include "src/telemetry/registry.hpp"
 
 namespace hcrl {
@@ -307,15 +306,6 @@ TEST(FaultRun, FixedSeedIsBitReproducibleAtBothPrecisions) {
   }
 }
 
-TEST(FaultRun, SerialAndShardOneLockstepAreBitIdentical) {
-  Scenario serial = make_faulty("tiny/least-loaded", 300);
-  Scenario sharded = make_faulty("tiny/least-loaded", 300);
-  sharded.config.shards = 1;
-  const ExperimentResult a = core::run_scenario(serial);
-  const ExperimentResult b = core::run_scenario(sharded);
-  expect_identical(a, b);
-}
-
 // ---- equal-time order: trace arrival, then retry, then heap -----------------
 
 // Logs every routing decision as "<t> arrival|retry <id>", with " s0-down"
@@ -363,8 +353,15 @@ sim::Job order_job(sim::JobId id, sim::Time arrival, sim::Time duration) {
 // Integer times make three sources collide at t = 20: trace job 3 arrives,
 // job 1 (killed by the t = 10 crash, backoff exactly 10 s) is redelivered,
 // and the heap holds server 0's recovery and job 2's finish on server 1.
-template <class Engine>
-void run_equal_time_trace(Engine& engine) {
+TEST(FaultRun, EqualTimeOrderIsArrivalRetryHeap) {
+  std::vector<std::string> log;
+  RoutingRecorder alloc(log);
+  IdleRecorder power(log);
+  sim::ClusterConfig c;
+  c.num_servers = 3;
+  c.server.start_asleep = false;  // idle at t = 0: no wake transitions
+  sim::Cluster engine(c, alloc, power);
+
   FaultConfig f;
   f.backoff_base_s = 10.0;
   f.backoff_jitter = 0.0;
@@ -376,76 +373,16 @@ void run_equal_time_trace(Engine& engine) {
   engine.run();
   EXPECT_EQ(engine.snapshot().jobs_completed, 3u);
   EXPECT_EQ(engine.snapshot().faults.retries, 1u);
-}
 
-sim::ClusterConfig equal_time_cluster() {
-  sim::ClusterConfig c;
-  c.num_servers = 3;
-  c.server.start_asleep = false;  // idle at t = 0: no wake transitions
-  return c;
-}
-
-const std::vector<std::string> kEqualTimeOrder = {
-    "0 arrival 1",
-    "0 arrival 2",
-    "20 arrival 3 s0-down",  // trace arrival first: the recovery has not run
-    "20 retry 1 s0-down",    // then the retry, still before any heap event
-    "20 idle s1",            // then the heap: recovery, then job 2's finish
-    "120 idle s2",
-};
-
-TEST(FaultRun, EqualTimeOrderIsArrivalRetryHeapOnSerialEngine) {
-  std::vector<std::string> log;
-  RoutingRecorder alloc(log);
-  IdleRecorder power(log);
-  sim::Cluster engine(equal_time_cluster(), alloc, power);
-  run_equal_time_trace(engine);
-  EXPECT_EQ(log, kEqualTimeOrder);
-}
-
-TEST(FaultRun, EqualTimeOrderIsArrivalRetryHeapOnLockstepOneShard) {
-  std::vector<std::string> log;
-  RoutingRecorder alloc(log);
-  IdleRecorder power(log);
-  sim::ShardedClusterConfig cfg;
-  cfg.cluster = equal_time_cluster();
-  cfg.num_shards = 1;
-  sim::ShardedCluster engine(cfg, alloc, power);
-  run_equal_time_trace(engine);
-  EXPECT_EQ(log, kEqualTimeOrder);
-}
-
-TEST(FaultRun, ShardedLockstepParityAcrossShardCounts) {
-  const ExperimentResult base = core::run_scenario(make_faulty("tiny/least-loaded", 300));
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-    Scenario s = make_faulty("tiny/least-loaded", 300);
-    s.config.shards = shards;
-    const ExperimentResult r = core::run_scenario(s);
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-
-    // Integer counters are taken at globally ordered events — exact at any
-    // shard count.
-    EXPECT_EQ(r.final_snapshot.jobs_arrived, base.final_snapshot.jobs_arrived);
-    EXPECT_EQ(r.final_snapshot.jobs_completed, base.final_snapshot.jobs_completed);
-    EXPECT_EQ(r.final_snapshot.faults.crashes, base.final_snapshot.faults.crashes);
-    EXPECT_EQ(r.final_snapshot.faults.recoveries, base.final_snapshot.faults.recoveries);
-    EXPECT_EQ(r.final_snapshot.faults.evictions, base.final_snapshot.faults.evictions);
-    EXPECT_EQ(r.final_snapshot.faults.jobs_killed, base.final_snapshot.faults.jobs_killed);
-    EXPECT_EQ(r.final_snapshot.faults.bounces, base.final_snapshot.faults.bounces);
-    EXPECT_EQ(r.final_snapshot.faults.retries, base.final_snapshot.faults.retries);
-    EXPECT_EQ(r.final_snapshot.faults.jobs_lost, base.final_snapshot.faults.jobs_lost);
-
-    // Float integrals accumulate per shard then sum — equal up to rounding.
-    EXPECT_NEAR(r.final_snapshot.energy_joules, base.final_snapshot.energy_joules,
-                1e-6 * std::max(1.0, std::abs(base.final_snapshot.energy_joules)));
-    EXPECT_NEAR(r.final_snapshot.accumulated_latency_s,
-                base.final_snapshot.accumulated_latency_s,
-                1e-6 * std::max(1.0, std::abs(base.final_snapshot.accumulated_latency_s)));
-
-    // And the sharded run itself is bit-reproducible run to run.
-    const ExperimentResult again = core::run_scenario(s);
-    expect_identical(r, again);
-  }
+  const std::vector<std::string> expected = {
+      "0 arrival 1",
+      "0 arrival 2",
+      "20 arrival 3 s0-down",  // trace arrival first: the recovery has not run
+      "20 retry 1 s0-down",    // then the retry, still before any heap event
+      "20 idle s1",            // then the heap: recovery, then job 2's finish
+      "120 idle s2",
+  };
+  EXPECT_EQ(log, expected);
 }
 
 TEST(FaultRun, TelemetryToggleDoesNotPerturbResults) {

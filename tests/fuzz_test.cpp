@@ -150,7 +150,7 @@ TEST(ConfigRobustness, OutOfRangeNumericsThrow) {
   expect_rejected("num_servers = -3\n");
   expect_rejected("trace.num_jobs = -1\n");
   expect_rejected("pretrain_jobs = -2\n");
-  expect_rejected("shards = -1\n");
+  expect_rejected("checkpoint_every_jobs = -1\n");
   expect_rejected("num_servers = 99999999999999999999999\n");  // overflows int64
   expect_rejected("num_servers = twelve\n");
   expect_rejected("watchdog_s = -5\n");
@@ -197,7 +197,7 @@ TEST_P(ConfigSoupFuzz, RandomKeyValueSoupParsesOrThrowsCleanly) {
   // validated config or throws std::invalid_argument. Anything else (crash,
   // sanitizer report, silent wrap-around) fails the suite.
   static const char* kKeys[] = {"num_servers",       "num_groups",        "pretrain_jobs",
-                                "shards",            "trace.num_jobs",    "faults.mtbf_s",
+                                "gemm_threads",      "trace.num_jobs",    "faults.mtbf_s",
                                 "faults.mttr_s",     "faults.max_retries", "faults.backoff_jitter",
                                 "watchdog_s",        "system",            "fixed_timeout_s"};
   static const char* kValues[] = {"0",    "1",        "-1",  "4",     "3.5",  "-3.5",

@@ -187,7 +187,6 @@ TEST(RlPowerManager, LearnsGapAppropriateTimeouts) {
           case sim::EventType::kIdleTimeout:
             server.handle_idle_timeout(e.generation, e.time, queue, mgr);
             break;
-          case sim::EventType::kJobArrival:
           case sim::EventType::kServerCrash:
           case sim::EventType::kServerRecover:
           case sim::EventType::kSpotEvict:

@@ -154,21 +154,6 @@ TEST(RandomKAllocator, RejectsZeroK) {
   EXPECT_THROW(RandomKAllocator(0, common::Rng(1)), std::invalid_argument);
 }
 
-TEST(NewAllocators, RoutingModeReadsGlobalState) {
-  // All four heuristics read live server state, so they must NOT declare the
-  // trace-only fast path (the sharded engine would skip arrival syncs).
-  BestFitAllocator best;
-  WorstFitAllocator worst;
-  TetrisAllocator tetris;
-  RandomKAllocator rk(2, common::Rng(1));
-  for (const AllocationPolicy* p :
-       {static_cast<const AllocationPolicy*>(&best), static_cast<const AllocationPolicy*>(&worst),
-        static_cast<const AllocationPolicy*>(&tetris),
-        static_cast<const AllocationPolicy*>(&rk)}) {
-    EXPECT_EQ(p->routing_mode(), AllocationPolicy::RoutingMode::kGlobalState);
-  }
-}
-
 TEST(PowerPolicies, TimeoutValues) {
   ClusterMetrics metrics(1);
   ServerConfig cfg;

@@ -1,7 +1,7 @@
-// Registry-wide audit: every registered policy's declared metadata (routing
-// mode, shard-parallel safety, learning) must match what the constructed
-// instance reports, and every entry must run on both cluster engines. Plus
-// the did-you-mean diagnostics contract for unknown names and option keys.
+// Registry-wide audit: every registered policy's declared learning flag must
+// match what the factory builds, and every entry must run through
+// core::run_scenario. Plus the did-you-mean diagnostics contract for unknown
+// names and option keys.
 #include <algorithm>
 #include <functional>
 #include <stdexcept>
@@ -16,9 +16,6 @@
 #include "src/core/runner.hpp"
 #include "src/core/scenario.hpp"
 #include "src/policy/registry.hpp"
-#include "src/sim/cluster.hpp"
-#include "src/sim/sharded_cluster.hpp"
-#include "src/workload/generator.hpp"
 
 namespace {
 
@@ -38,14 +35,6 @@ core::ExperimentConfig tiny_config() {
   return cfg;
 }
 
-std::vector<sim::Job> tiny_trace() {
-  workload::GeneratorOptions opts;
-  opts.num_jobs = 120;
-  opts.horizon_s = 4000.0;
-  opts.seed = 21;
-  return workload::GoogleTraceGenerator(opts).generate();
-}
-
 // ---- metadata audit --------------------------------------------------------
 
 TEST(PolicyRegistryAudit, AllocatorMetadataMatchesInstances) {
@@ -57,7 +46,6 @@ TEST(PolicyRegistryAudit, AllocatorMetadataMatchesInstances) {
     const policy::AllocatorInfo& info = reg.allocator_info(name);
     policy::BuiltAllocator built = reg.make_allocator(name, cfg);
     ASSERT_NE(built.policy, nullptr);
-    EXPECT_EQ(built.policy->routing_mode(), info.routing);
     EXPECT_EQ(built.drl != nullptr, info.learning);
   }
 }
@@ -71,17 +59,14 @@ TEST(PolicyRegistryAudit, PowerMetadataMatchesInstances) {
     const policy::PowerInfo& info = reg.power_info(name);
     policy::BuiltPower built = reg.make_power(name, cfg);
     ASSERT_NE(built.policy, nullptr);
-    EXPECT_EQ(built.policy->shard_parallel_safe(), info.shard_parallel_safe);
     EXPECT_EQ(built.rl != nullptr, info.learning);
   }
 }
 
-// ---- every entry runs on both engines --------------------------------------
+// ---- every entry runs ------------------------------------------------------
 
-// Drive each allocator through the registry-backed driver on the serial
-// engine, the one-shard sharded engine (bit-identity contract) and two-shard
-// lockstep (must complete; order differs, totals agree on completed jobs).
-TEST(PolicyRegistryAudit, EveryAllocatorRunsOnBothEngines) {
+// Run each allocator through the registry-backed core::run_scenario.
+TEST(PolicyRegistryAudit, EveryAllocatorRuns) {
   const auto& reg = policy::PolicyRegistry::builtin();
   for (const std::string& name : reg.allocator_names()) {
     SCOPED_TRACE(name);
@@ -91,29 +76,16 @@ TEST(PolicyRegistryAudit, EveryAllocatorRunsOnBothEngines) {
     scenario.config.allocator = name;
     scenario.config.power = "immediate-sleep";
 
-    scenario.config.shards = 0;
-    const core::ExperimentResult serial = core::run_scenario(scenario);
-    EXPECT_EQ(serial.allocator, name);
-    EXPECT_EQ(serial.power, "immediate-sleep");
-    EXPECT_EQ(serial.final_snapshot.jobs_completed, 120u);
-    EXPECT_GT(serial.latency_p99_s, 0.0);
-    EXPECT_GE(serial.latency_p99_s, serial.latency_p95_s);
-
-    scenario.config.shards = 1;
-    const core::ExperimentResult sharded = core::run_scenario(scenario);
-    EXPECT_EQ(sharded.final_snapshot.energy_joules, serial.final_snapshot.energy_joules);
-    EXPECT_EQ(sharded.final_snapshot.accumulated_latency_s,
-              serial.final_snapshot.accumulated_latency_s);
-    EXPECT_EQ(sharded.latency_p95_s, serial.latency_p95_s);
-    EXPECT_EQ(sharded.latency_p99_s, serial.latency_p99_s);
-
-    scenario.config.shards = 2;
-    const core::ExperimentResult two = core::run_scenario(scenario);
-    EXPECT_EQ(two.final_snapshot.jobs_completed, 120u);
+    const core::ExperimentResult r = core::run_scenario(scenario);
+    EXPECT_EQ(r.allocator, name);
+    EXPECT_EQ(r.power, "immediate-sleep");
+    EXPECT_EQ(r.final_snapshot.jobs_completed, 120u);
+    EXPECT_GT(r.latency_p99_s, 0.0);
+    EXPECT_GE(r.latency_p99_s, r.latency_p95_s);
   }
 }
 
-TEST(PolicyRegistryAudit, EveryPowerPolicyRunsOnBothEngines) {
+TEST(PolicyRegistryAudit, EveryPowerPolicyRuns) {
   const auto& reg = policy::PolicyRegistry::builtin();
   for (const std::string& name : reg.power_names()) {
     SCOPED_TRACE(name);
@@ -123,47 +95,9 @@ TEST(PolicyRegistryAudit, EveryPowerPolicyRunsOnBothEngines) {
     scenario.config.allocator = "round-robin";
     scenario.config.power = name;
 
-    scenario.config.shards = 0;
-    const core::ExperimentResult serial = core::run_scenario(scenario);
-    EXPECT_EQ(serial.power, name);
-    EXPECT_EQ(serial.final_snapshot.jobs_completed, 120u);
-
-    scenario.config.shards = 1;
-    const core::ExperimentResult sharded = core::run_scenario(scenario);
-    EXPECT_EQ(sharded.final_snapshot.energy_joules, serial.final_snapshot.energy_joules);
-    EXPECT_EQ(sharded.latency_p99_s, serial.latency_p99_s);
-
-    scenario.config.shards = 2;
-    const core::ExperimentResult two = core::run_scenario(scenario);
-    EXPECT_EQ(two.final_snapshot.jobs_completed, 120u);
-  }
-}
-
-// Declared flags gate the threaded sharded mode: every kTraceOnly allocator
-// × shard-parallel-safe power pair must actually run under Execution::
-// kParallel (a wrong declaration would throw or race here).
-TEST(PolicyRegistryAudit, DeclaredSafeEntriesRunInParallelShardedMode) {
-  const auto& reg = policy::PolicyRegistry::builtin();
-  const core::ExperimentConfig cfg = tiny_config();
-  for (const std::string& alloc_name : reg.allocator_names()) {
-    const policy::AllocatorInfo& alloc_info = reg.allocator_info(alloc_name);
-    if (alloc_info.routing != sim::AllocationPolicy::RoutingMode::kTraceOnly) continue;
-    for (const std::string& power_name : reg.power_names()) {
-      const policy::PowerInfo& power_info = reg.power_info(power_name);
-      if (!power_info.shard_parallel_safe) continue;
-      SCOPED_TRACE(alloc_name + "+" + power_name);
-      policy::BuiltAllocator alloc = reg.make_allocator(alloc_name, cfg);
-      policy::BuiltPower power = reg.make_power(power_name, cfg);
-      sim::ShardedClusterConfig scc;
-      scc.cluster.num_servers = cfg.num_servers;
-      scc.cluster.server = cfg.server;
-      scc.num_shards = 2;
-      scc.execution = sim::ShardedClusterConfig::Execution::kParallel;
-      sim::ShardedCluster cluster(scc, *alloc.policy, *power.policy);
-      cluster.load_jobs(tiny_trace());
-      cluster.run();
-      EXPECT_EQ(cluster.jobs_completed(), 120u);
-    }
+    const core::ExperimentResult r = core::run_scenario(scenario);
+    EXPECT_EQ(r.power, name);
+    EXPECT_EQ(r.final_snapshot.jobs_completed, 120u);
   }
 }
 

@@ -41,11 +41,10 @@ Time drain(Server& server, EventQueue& queue, PowerPolicy& policy, Time until = 
       case EventType::kIdleTimeout:
         server.handle_idle_timeout(e.generation, now, queue, policy);
         break;
-      case EventType::kJobArrival: break;  // not used in single-server tests
       case EventType::kServerCrash:
       case EventType::kServerRecover:
       case EventType::kSpotEvict:
-        break;  // fault events are injected by the cluster engines, not servers
+        break;  // fault events are injected by the cluster engine, not servers
     }
   }
   return now;

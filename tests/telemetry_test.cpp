@@ -2,7 +2,7 @@
 // counts, histogram boundary semantics, snapshot schema stability, span /
 // trace-event collection, trace JSON well-formedness, and — the load-bearing
 // one — telemetry on vs. off bit-identity of full experiment results at both
-// precisions, serial and sharded.
+// precisions.
 #include "src/telemetry/registry.hpp"
 
 #include <gtest/gtest.h>
@@ -230,7 +230,7 @@ TEST(Export, SnapshotSchemaIsStable) {
   EXPECT_NE(out.find("\"schema\":\"hcrl-metrics-v1\""), std::string::npos) << out;
   EXPECT_NE(out.find(expected_metrics), std::string::npos) << out;
   for (const char* key : {"\"tool\":\"test\"", "\"scenario\":\"unit\"", "\"precision\":\"f64\"",
-                          "\"shards\":0", "\"gemm_threads\":1", "\"git_describe\":",
+                          "\"gemm_threads\":1", "\"git_describe\":",
                           "\"wall_seconds\":0"}) {
     EXPECT_NE(out.find(key), std::string::npos) << "missing " << key << " in " << out;
   }
@@ -402,34 +402,30 @@ void expect_results_identical(const core::ExperimentResult& a, const core::Exper
   }
 }
 
-TEST(TelemetryBitIdentity, FullExperimentBothPrecisionsSerialAndSharded) {
+TEST(TelemetryBitIdentity, FullExperimentBothPrecisions) {
   for (const nn::Precision precision : {nn::Precision::kF64, nn::Precision::kF32}) {
-    for (const std::size_t shards : {std::size_t{0}, std::size_t{2}}) {
-      SCOPED_TRACE(std::string("precision=") + nn::to_string(precision) +
-                   " shards=" + std::to_string(shards));
-      core::Scenario scenario = core::ScenarioRegistry::builtin().make("tiny/hierarchical", 250);
-      scenario.config.precision = precision;
-      scenario.config.shards = shards;
+    SCOPED_TRACE(std::string("precision=") + nn::to_string(precision));
+    core::Scenario scenario = core::ScenarioRegistry::builtin().make("tiny/hierarchical", 250);
+    scenario.config.precision = precision;
 
-      ASSERT_FALSE(enabled());
-      const core::ExperimentResult off = core::run_scenario(scenario);
+    ASSERT_FALSE(enabled());
+    const core::ExperimentResult off = core::run_scenario(scenario);
 
-      // Full telemetry: metrics AND trace-event collection.
-      TraceCollector collector;
-      collector.install();
-      set_enabled(true);
-      const core::ExperimentResult on = core::run_scenario(scenario);
-      set_enabled(false);
-      collector.uninstall();
+    // Full telemetry: metrics AND trace-event collection.
+    TraceCollector collector;
+    collector.install();
+    set_enabled(true);
+    const core::ExperimentResult on = core::run_scenario(scenario);
+    set_enabled(false);
+    collector.uninstall();
 
-      expect_results_identical(on, off);
-      EXPECT_GT(collector.num_events(), 0u);
-      const RegistrySnapshot snap = global_registry().snapshot();
-      EXPECT_GT(snap.find("sim.events")->count, 0u);
-      EXPECT_GT(snap.find("core.decision.flushes")->count, 0u);
-      EXPECT_GT(snap.find("nn.gemm.calls")->count, 0u);
-      EXPECT_GT(snap.find("runner.scenarios")->count, 0u);
-    }
+    expect_results_identical(on, off);
+    EXPECT_GT(collector.num_events(), 0u);
+    const RegistrySnapshot snap = global_registry().snapshot();
+    EXPECT_GT(snap.find("sim.events")->count, 0u);
+    EXPECT_GT(snap.find("core.decision.flushes")->count, 0u);
+    EXPECT_GT(snap.find("nn.gemm.calls")->count, 0u);
+    EXPECT_GT(snap.find("runner.scenarios")->count, 0u);
   }
 }
 
