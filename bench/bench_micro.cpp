@@ -242,88 +242,6 @@ void BM_GroupedQInference(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupedQInference)->Arg(30)->Arg(40)->Arg(60);
 
-// Decision-epoch batching (core::DecisionService): B staged placement
-// decisions resolved by ONE q_values_batch fusion (B*K rows per GEMM sweep)
-// vs B per-call q_values walks (2 sweeps of K rows each). Items processed =
-// decisions, so every cell reads directly as decisions/sec; the acceptance
-// gate is batched(B>=16) >= 2x per-call at equal precision.
-void run_grouped_q_decisions(benchmark::State& state, nn::Precision precision, bool batched) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  common::Rng rng(1);
-  core::GroupedQOptions o;
-  o.encoder.num_servers = 30;  // paper's M=30 cluster, K=3 groups
-  o.encoder.num_groups = 3;
-  o.precision = precision;
-  core::GroupedQNetwork net(o, rng);
-  std::vector<nn::Vec> states;
-  for (std::size_t b = 0; b < batch; ++b) {
-    nn::Vec s(o.encoder.full_state_dim());
-    for (auto& v : s) v = rng.uniform();
-    states.push_back(std::move(s));
-  }
-  std::vector<const nn::Vec*> ptrs;
-  for (const auto& s : states) ptrs.push_back(&s);
-  nn::Matrix out;
-  for (auto _ : state) {
-    if (batched) {
-      net.q_values_batch(ptrs, out);
-      benchmark::DoNotOptimize(out.data());
-    } else {
-      for (const nn::Vec* s : ptrs) {
-        auto q = net.q_values(*s);
-        benchmark::DoNotOptimize(q.data());
-      }
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-void BM_GroupedQDecisionsPerCall(benchmark::State& state) {
-  run_grouped_q_decisions(state, nn::Precision::kF64, false);
-}
-BENCHMARK(BM_GroupedQDecisionsPerCall)->Arg(16)->Arg(64);
-void BM_GroupedQDecisionsBatched(benchmark::State& state) {
-  run_grouped_q_decisions(state, nn::Precision::kF64, true);
-}
-BENCHMARK(BM_GroupedQDecisionsBatched)->Arg(16)->Arg(64);
-void BM_GroupedQDecisionsPerCallF32(benchmark::State& state) {
-  run_grouped_q_decisions(state, nn::Precision::kF32, false);
-}
-BENCHMARK(BM_GroupedQDecisionsPerCallF32)->Arg(16)->Arg(64);
-void BM_GroupedQDecisionsBatchedF32(benchmark::State& state) {
-  run_grouped_q_decisions(state, nn::Precision::kF32, true);
-}
-BENCHMARK(BM_GroupedQDecisionsBatchedF32)->Arg(16)->Arg(64);
-
-// The local tier's side of the decision epoch: B staged predictor queries
-// against one warmed LSTM through predict_n (ONE batch-B stacked-gate sweep)
-// vs B predict() chains. Items processed = predictions (decisions/sec).
-void run_predictor_decisions(benchmark::State& state, bool batched) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  core::LstmPredictorOptions o;  // paper shape: 35-step lookback, 30 units
-  o.train_interval = 1000000;    // inference cost only
-  core::LstmPredictor predictor(o);
-  common::Rng rng(5);
-  for (int i = 0; i < 64; ++i) predictor.observe(60.0 + 500.0 * rng.uniform());
-  for (auto _ : state) {
-    if (batched) {
-      benchmark::DoNotOptimize(predictor.predict_n(batch).data());
-    } else {
-      for (std::size_t b = 0; b < batch; ++b) benchmark::DoNotOptimize(predictor.predict());
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-void BM_PredictorDecisionsPerCall(benchmark::State& state) {
-  run_predictor_decisions(state, false);
-}
-BENCHMARK(BM_PredictorDecisionsPerCall)->Arg(16);
-void BM_PredictorDecisionsBatched(benchmark::State& state) {
-  run_predictor_decisions(state, true);
-}
-BENCHMARK(BM_PredictorDecisionsBatched)->Arg(16);
-
 void BM_LstmStep(benchmark::State& state) {
   common::Rng rng(2);
   auto params = std::make_shared<nn::LstmParams>(30, 1);  // paper's 30 hidden units

@@ -5,17 +5,30 @@
 //
 // This exercises the whole public API: trace generation, the DRL global
 // tier, the LSTM+RL local tier, and the metrics pipeline.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
+#include <stdexcept>
 #include <string>
 
 #include "src/core/experiment.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+/// Parses a positive job count; throws std::invalid_argument otherwise.
+std::size_t parse_job_count(const std::string& text) {
+  std::size_t n = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), n);
+  if (ec != std::errc() || end != text.data() + text.size() || n == 0) {
+    throw std::invalid_argument("num_jobs must be a positive integer, got '" + text + "'");
+  }
+  return n;
+}
+
+int run(int argc, char** argv) {
   using namespace hcrl;
 
-  std::size_t num_jobs = 8000;
-  if (argc > 1) num_jobs = static_cast<std::size_t>(std::stoull(argv[1]));
+  const std::size_t num_jobs = argc > 1 ? parse_job_count(argv[1]) : 8000;
 
   core::ExperimentConfig cfg;
   cfg.num_servers = 30;
@@ -42,4 +55,15 @@ int main(int argc, char** argv) {
                 s.accumulated_latency_s / 1e6, s.average_power_watts, r.wall_seconds);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

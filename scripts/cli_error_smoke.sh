@@ -9,6 +9,7 @@ BUILD_DIR=${1:?usage: cli_error_smoke.sh <build-dir>}
 RUN_EXPERIMENT="$BUILD_DIR/examples/run_experiment"
 TOURNAMENT="$BUILD_DIR/examples/tournament"
 TRACE_TOOLS="$BUILD_DIR/examples/trace_tools"
+QUICKSTART="$BUILD_DIR/examples/quickstart"
 
 failures=0
 
@@ -67,6 +68,12 @@ expect_error "trace_tools: missing trace file" \
   -- "$TRACE_TOOLS" inspect /nonexistent/trace.csv
 expect_error "trace_tools: unknown raw-trace format" \
   -- "$TRACE_TOOLS" convert not-a-format /nonexistent/raw.csv /tmp/out.csv
+
+# --- quickstart -------------------------------------------------------------
+expect_error "quickstart: non-numeric job count" \
+  -- "$QUICKSTART" banana
+expect_error "quickstart: negative job count" \
+  -- "$QUICKSTART" -5
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures CLI error-path check(s) failed" >&2

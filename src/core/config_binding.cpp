@@ -65,7 +65,6 @@ ExperimentConfig experiment_config_from(const common::Config& config) {
     throw std::invalid_argument("experiment_config_from: gemm_threads must be >= 0");
   }
   cfg.gemm_threads = static_cast<std::size_t>(gemm_threads);
-  cfg.batch_decisions = config.get_bool("batch_decisions", cfg.batch_decisions);
   cfg.sla_latency_s = config.get_double("sla_latency_s", cfg.sla_latency_s);
 
   // Fault injection & harness robustness (validated by FaultConfig::validate
@@ -120,10 +119,8 @@ ExperimentConfig experiment_config_from(const common::Config& config) {
   cfg.drl.w_chosen_queue = config.get_double("drl.w_chosen_queue", cfg.drl.w_chosen_queue);
   cfg.drl.guide_mix = config.get_double("drl.guide_mix", cfg.drl.guide_mix);
   cfg.drl.qnet.learning_rate = config.get_double("drl.learning_rate", cfg.drl.qnet.learning_rate);
-  cfg.drl.qnet.subq_hidden =
-      static_cast<std::size_t>(config.get_int("drl.subq_hidden", static_cast<std::int64_t>(cfg.drl.qnet.subq_hidden)));
-  cfg.drl.batch_size =
-      static_cast<std::size_t>(config.get_int("drl.batch_size", static_cast<std::int64_t>(cfg.drl.batch_size)));
+  cfg.drl.qnet.subq_hidden = non_negative("drl.subq_hidden", cfg.drl.qnet.subq_hidden);
+  cfg.drl.batch_size = non_negative("drl.batch_size", cfg.drl.batch_size);
   cfg.drl.seed = static_cast<std::uint64_t>(config.get_int("drl.seed", 7));
 
   // Local tier.

@@ -1,90 +1,8 @@
-// Decision-epoch batching service (the fusion point of the two-tier agent).
-//
-// Within one simulation decision epoch — a maximal run of same-timestamp
-// events, bounded by the Cluster's flush barriers — every agent inference is
-// *staged* here instead of executed inline: the local tier's per-server
-// predictor queries (time-to-next-arrival behind each idle timeout choice)
-// and the global tier's placement Q-evaluations. flush() then executes the
-// backlog as batched forward passes — one predict_n() sweep per distinct
-// predictor and ONE GroupedQNetwork::q_values_batch() GEMM fusion for all
-// staged states — and publishes results for ticket-indexed scatter-back.
-//
-// Results are read in place: predictions by value, Q-vectors as spans into
-// the service-owned output matrix (no per-state Vec assembly on the decision
-// path). The batched sweeps reuse the per-call kernels at batch B, and the
-// GEMM row-batch invariance (nn/matrix.hpp) keeps every entry bit-identical
-// to the per-call path — the property tests/decision_service_test.cpp pins.
-//
-// One service instance is shared by both tiers of one experiment run; it is
-// single-threaded, like the simulation loop that drives it.
 #pragma once
-
-#include <cstddef>
-#include <span>
-#include <vector>
-
-#include "src/nn/matrix.hpp"
 
 namespace hcrl::core {
 
-class GroupedQNetwork;
-class WorkloadPredictor;
-
-/// Lifetime counters of one DecisionService (diagnostics + tests): how many
-/// requests were fused into how many batched sweeps.
-struct DecisionServiceStats {
-  std::size_t flushes = 0;           // flush() calls that had staged work
-  std::size_t predict_requests = 0;  // staged predictor queries
-  std::size_t predict_batches = 0;   // predict_n() sweeps issued
-  std::size_t q_requests = 0;        // staged Q-evaluations
-  std::size_t q_batches = 0;         // q_values_batch() GEMM fusions issued
-  std::size_t max_epoch_requests = 0;  // largest single-epoch backlog
-};
-
-class DecisionService {
- public:
-  /// Index of a staged request within the current epoch, per request kind.
-  using Ticket = std::size_t;
-
-  /// Stage one live prediction from `predictor`. Requests against the same
-  /// predictor instance fuse into one predict_n() call at flush().
-  Ticket stage_predict(WorkloadPredictor& predictor);
-
-  /// Stage one Q-evaluation of `state` (borrowed: the caller keeps it alive
-  /// until flush()). All staged states fuse into one q_values_batch() sweep;
-  /// an epoch may only stage against one network instance.
-  Ticket stage_q_values(GroupedQNetwork& qnet, const nn::Vec& state);
-
-  /// True while staged requests await a flush.
-  bool pending() const noexcept { return !flushed_ && (!predict_reqs_.empty() || !q_states_.empty()); }
-
-  /// Execute the staged backlog as batched sweeps and publish the results.
-  /// Safe to call with nothing staged (no-op, not counted).
-  void flush();
-
-  /// Result of a staged prediction; valid from its flush() until the first
-  /// stage of the next epoch.
-  double prediction(Ticket ticket) const;
-
-  /// Q-vector of a staged evaluation, as a span into the batched output
-  /// matrix; same validity window as prediction().
-  std::span<const double> q_values(Ticket ticket) const;
-
-  const DecisionServiceStats& stats() const noexcept { return stats_; }
-
- private:
-  void begin_epoch_if_needed();
-  void require_flushed(const char* what) const;
-
-  std::vector<WorkloadPredictor*> predict_reqs_;
-  std::vector<const nn::Vec*> q_states_;
-  GroupedQNetwork* qnet_ = nullptr;
-
-  std::vector<double> predictions_;
-  nn::Matrix q_out_;
-  bool flushed_ = true;  // a new service is an (empty) flushed epoch
-
-  DecisionServiceStats stats_;
-};
+/// Empty stub: bench_e2e still names it; the next benchmark change deletes it.
+class DecisionService {};
 
 }  // namespace hcrl::core

@@ -88,11 +88,7 @@ struct ExperimentConfig {
   /// bit-identical to serial — so scenarios with different values may share
   /// one sweep.
   std::size_t gemm_threads = 0;
-  /// Route agent inference through a shared core::DecisionService: idle
-  /// decisions staged per decision epoch, predictor/Q evaluations fused into
-  /// batched sweeps, results scattered back (bit-identical action sequences;
-  /// the per-call path is kept as the parity reference and enabled by
-  /// setting this false).
+  /// Vestigial stub, no config key: bench_e2e reads it; the next benchmark change deletes it.
   bool batch_decisions = true;
   /// Vestigial: must be 0 (validate() rejects anything else) and has no
   /// config key. It stays only because bench_e2e checks it, until the next

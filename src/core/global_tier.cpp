@@ -14,8 +14,7 @@ namespace {
 /// the plain argmax when the whole action space is failed (the engine then
 /// bounces the placement into the retry stream). With no failed servers this
 /// delegates to nn::argmax, keeping the no-fault path bit-identical.
-template <class Row>
-std::size_t live_argmax(const Row& q, const sim::ClusterView& cluster) {
+std::size_t live_argmax(const nn::Vec& q, const sim::ClusterView& cluster) {
   if (cluster.servers_failed() == 0) return nn::argmax(q);
   std::size_t best = q.size();
   for (std::size_t i = 0; i < q.size(); ++i) {
@@ -106,14 +105,6 @@ sim::ServerId DrlAllocator::select_server(const sim::ClusterView& cluster, const
       action = static_cast<std::size_t>(
           rng_.uniform_int(0, static_cast<std::int64_t>(qnet_->num_actions()) - 1));
     }
-  } else if (service_ != nullptr) {
-    // Arrivals are decision-epoch barriers (Cluster::step flushes staged
-    // local-tier work first), so this epoch holds exactly this request; the
-    // value of routing it here is the span read — argmax over the batched
-    // output row, no Q-vector assembly — and the single shared fusion point.
-    const DecisionService::Ticket ticket = service_->stage_q_values(*qnet_, state);
-    service_->flush();
-    action = live_argmax(service_->q_values(ticket), cluster);
   } else {
     action = live_argmax(qnet_->q_values(state), cluster);
   }

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "src/common/rng.hpp"
-#include "src/core/decision_service.hpp"
 #include "src/core/qnetwork.hpp"
 #include "src/core/state.hpp"
 #include "src/rl/replay.hpp"
@@ -20,6 +19,8 @@
 #include "src/sim/policies.hpp"
 
 namespace hcrl::core {
+
+class DecisionService;
 
 struct DrlAllocatorOptions {
   GroupedQOptions qnet;
@@ -76,11 +77,8 @@ class DrlAllocator final : public sim::AllocationPolicy {
   /// Install the exploration guide heuristic (owned). Null disables guiding.
   void set_guide(std::unique_ptr<sim::AllocationPolicy> guide) { guide_ = std::move(guide); }
 
-  /// Route greedy Q-evaluations through a shared DecisionService: the state
-  /// is staged and flushed as a q_values_batch() sweep and the argmax reads
-  /// the result row in place (span) — no per-decision Q-vector assembly.
-  /// Null (the default) restores the direct q_values() call.
-  void set_decision_service(DecisionService* service) noexcept { service_ = service; }
+  /// No-op stub: bench_e2e still calls it; the next benchmark change deletes it.
+  void set_decision_service(DecisionService*) noexcept {}
 
   /// Persist / restore the learned network parameters (Sub-Q online copy +
   /// autoencoder). The loading allocator must be built with identical
@@ -108,7 +106,6 @@ class DrlAllocator final : public sim::AllocationPolicy {
   common::Rng rng_;
   std::unique_ptr<sim::AllocationPolicy> guide_;
   bool learning_ = true;
-  DecisionService* service_ = nullptr;  // not owned; null = direct q_values()
 
   bool has_prev_ = false;
   nn::Vec prev_state_;

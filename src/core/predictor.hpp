@@ -28,16 +28,6 @@ class WorkloadPredictor {
   /// Predicted next inter-arrival time (seconds). Implementations return a
   /// configurable prior before enough observations accumulate.
   virtual double predict() = 0;
-  /// Batching seam for core::DecisionService: `n` live predictions in one
-  /// call. predict() is pure (no observation is consumed), so every entry
-  /// equals predict(); the default loops it, the LSTM overrides with a single
-  /// batched multi-window sweep so n requests cost one stacked-gate GEMM
-  /// chain instead of n.
-  virtual std::vector<double> predict_n(std::size_t n) {
-    std::vector<double> out(n);
-    for (auto& v : out) v = predict();
-    return out;
-  }
   virtual std::string name() const = 0;
 };
 
@@ -154,9 +144,6 @@ class LstmPredictor final : public WorkloadPredictor {
 
   void observe(double interarrival_s) override;
   double predict() override;
-  /// n live predictions through ONE batched LSTM sweep (batch = n), instead
-  /// of n sequential forward chains; entries are bit-identical to predict().
-  std::vector<double> predict_n(std::size_t n) override;
   std::string name() const override { return "lstm"; }
 
   /// Batched multi-window prediction: window w feeds the `lookback` history

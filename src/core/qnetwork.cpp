@@ -27,11 +27,9 @@ void GroupedQOptions::validate() const {
 namespace detail {
 
 /// Precision-parameterized half of GroupedQNetwork: the autoencoder, the
-/// online/target Sub-Q stacks, the optimizer and all the GEMM plumbing. The
-/// decision-path scratch matrices live here and are reused across calls, so
-/// one q_values() decision costs the network sweeps plus a single head
-/// matrix staging — no per-head Vec assembly (the hot-hook allocation
-/// cleanup of the decision epoch).
+/// online/target Sub-Q stacks, the optimizer and all the GEMM plumbing. One
+/// q_values() decision costs the two network sweeps plus a single head
+/// matrix staging — no per-head Vec assembly.
 template <class S>
 class GroupedQCore {
  public:
@@ -54,10 +52,6 @@ class GroupedQCore {
 
   nn::Vec q_values_target(const nn::Vec& full_state) {
     return q_values_with(*target_subq_, full_state);
-  }
-
-  void q_values_batch(std::span<const nn::Vec* const> states, nn::Matrix& out) {
-    q_values_batch_with(*online_subq_, states, out);
   }
 
   double train_batch(const std::vector<const rl::Transition*>& batch, double beta) {
@@ -199,49 +193,28 @@ class GroupedQCore {
     }
   }
 
+  /// One decision state through ONE autoencoder sweep (its K group rows) and
+  /// ONE Sub-Q sweep (its K head rows). The staging matrices are written
+  /// row-in-place straight from the state and then move-consumed by the
+  /// sweeps, which recycle them as layer activations.
   nn::Vec q_values_with(nn::NetworkT<S>& subq, const nn::Vec& full_state) {
-    nn::Matrix out;
-    const nn::Vec* state = &full_state;
-    q_values_batch_with(subq, {&state, 1}, out);
-    return out.row(0);
-  }
-
-  /// B decision states through ONE autoencoder sweep (B*K group rows) and ONE
-  /// Sub-Q sweep (B*K head rows), instead of B separate 2-sweep q_values()
-  /// calls. Row b of `out` is the full |M|-action Q-vector of states[b],
-  /// written in place — the decision epoch reads rows as spans, never
-  /// assembling per-state Vecs. Single-panel GEMM row invariance (head input
-  /// and hidden dims < one k-panel, see nn/matrix.hpp) makes each row
-  /// bit-identical to a lone q_values() call.
-  void q_values_batch_with(nn::NetworkT<S>& subq, std::span<const nn::Vec* const> states,
-                           nn::Matrix& out) {
     const auto& enc = opts_.encoder;
-    const std::size_t B = states.size();
     const std::size_t K = enc.num_groups;
-    out.resize_for_overwrite(B, enc.num_servers);
-    if (B == 0) return;
-    // The staging matrices are written row-in-place straight from the states
-    // (no per-head Vec assembly, one allocation each) and then move-consumed
-    // by the sweeps, which recycle them as layer activations.
     nn::MatrixT<S> groups;
-    groups.resize_for_overwrite(B * K, enc.group_state_dim());
-    for (std::size_t b = 0; b < B; ++b) fill_group_rows(groups, b * K, *states[b]);
+    groups.resize_for_overwrite(K, enc.group_state_dim());
+    fill_group_rows(groups, 0, full_state);
     const nn::MatrixT<S> codes = autoencoder_->encode_batch(std::move(groups));
     nn::MatrixT<S> heads;
-    heads.resize_for_overwrite(B * K, head_input_dim_);
-    for (std::size_t b = 0; b < B; ++b) {
-      for (std::size_t k = 0; k < K; ++k) {
-        fill_head_row(heads, b * K + k, *states[b], k, codes, b * K);
-      }
-    }
+    heads.resize_for_overwrite(K, head_input_dim_);
+    for (std::size_t k = 0; k < K; ++k) fill_head_row(heads, k, full_state, k, codes, 0);
     const nn::MatrixT<S> head_q = subq.predict_batch(std::move(heads));
-    for (std::size_t b = 0; b < B; ++b) {
-      double* dst = out.data() + b * out.cols();
-      for (std::size_t k = 0; k < K; ++k) {
-        const S* src = head_q.data() + (b * K + k) * head_q.cols();
-        for (std::size_t a = 0; a < enc.group_size(); ++a) *dst++ = static_cast<double>(src[a]);
-      }
+    nn::Vec q(enc.num_servers);
+    double* dst = q.data();
+    for (std::size_t k = 0; k < K; ++k) {
+      const S* src = head_q.data() + k * head_q.cols();
+      for (std::size_t a = 0; a < enc.group_size(); ++a) *dst++ = static_cast<double>(src[a]);
     }
+    return q;
   }
 
   GroupedQOptions opts_;
@@ -301,14 +274,6 @@ nn::Vec GroupedQNetwork::q_values(const nn::Vec& full_state) {
 
 nn::Vec GroupedQNetwork::q_values_target(const nn::Vec& full_state) {
   return f32_ ? f32_->q_values_target(full_state) : f64_->q_values_target(full_state);
-}
-
-void GroupedQNetwork::q_values_batch(std::span<const nn::Vec* const> states, nn::Matrix& out) {
-  if (f32_) {
-    f32_->q_values_batch(states, out);
-  } else {
-    f64_->q_values_batch(states, out);
-  }
 }
 
 double GroupedQNetwork::train_batch(const std::vector<const rl::Transition*>& batch,

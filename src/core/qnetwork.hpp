@@ -23,7 +23,6 @@
 
 #include <iosfwd>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -76,12 +75,6 @@ class GroupedQNetwork {
   nn::Vec q_values(const nn::Vec& full_state);
   /// Q-values using the target parameters (for bootstrap targets).
   nn::Vec q_values_target(const nn::Vec& full_state);
-  /// Q-values for B states fused into one autoencoder sweep (B*K group rows)
-  /// and one Sub-Q sweep (B*K head rows). Row b of `out` (resized to
-  /// B x num_actions) is states[b]'s Q-vector, bit-identical to
-  /// q_values(*states[b]); callers read rows in place (spans), no per-state
-  /// Vec assembly. This is the GEMM fusion point of core::DecisionService.
-  void q_values_batch(std::span<const nn::Vec* const> states, nn::Matrix& out);
 
   /// One SGD step on a minibatch of SMDP transitions; returns mean loss.
   double train_batch(const std::vector<const rl::Transition*>& batch, double beta);

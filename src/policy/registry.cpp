@@ -253,7 +253,7 @@ PolicyRegistry build_builtin() {
                  return BuiltPower{std::make_unique<sim::FixedTimeoutPolicy>(t)};
                }});
   r.add_power({.name = "rl-dpm",
-               .description = "the paper's staged RL local tier (tabular SMDP + predictor)",
+               .description = "the paper's RL local tier (tabular SMDP + predictor)",
                .options = {{"predictor", "workload predictor kind (default: local.predictor; "
                                          "lstm|last-value|sliding-mean|window|ar)"}},
                .learning = true,

@@ -41,7 +41,7 @@
 namespace hcrl::policy {
 
 /// A constructed allocation policy plus the learner hook the driver wires
-/// (decision service, pretraining, set_learning). Null `drl` = non-learning.
+/// (pretraining, set_learning). Null `drl` = non-learning.
 struct BuiltAllocator {
   std::unique_ptr<sim::AllocationPolicy> policy;
   core::DrlAllocator* drl = nullptr;  // non-owning view into `policy`
@@ -63,7 +63,7 @@ struct AllocatorInfo {
   std::string description;
   std::vector<OptionSpec> options;
   /// True for policies that learn online (the driver runs the offline
-  /// construction phase and wires the decision service for these).
+  /// construction phase for these).
   bool learning = false;
   /// Builds the policy. `opts` arrives as a by-value copy of the per-policy
   /// option block; the registry rejects keys the factory did not read.
@@ -131,7 +131,7 @@ struct ResolvedSystem {
 ResolvedSystem resolve_system(const core::ExperimentConfig& cfg);
 
 /// Everything run_scenario needs to run a system: both constructed tiers
-/// plus the learner views the driver wires (pretraining, decision service).
+/// plus the learner views run_scenario wires (pretraining, set_learning).
 struct SystemBundle {
   std::unique_ptr<sim::AllocationPolicy> allocation;
   std::unique_ptr<sim::PowerPolicy> power;

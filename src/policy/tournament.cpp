@@ -253,7 +253,7 @@ std::vector<PolicyCombo> default_combos() {
       "worst-fit+immediate-sleep",
       "tetris+immediate-sleep",
       "random-3+immediate-sleep",
-      "first-fit-packing+rl-window",  // staged RL local tier coverage
+      "first-fit-packing+rl-window",  // RL local tier coverage
   };
   std::vector<PolicyCombo> combos;
   combos.reserve(std::size(specs));

@@ -44,8 +44,8 @@ struct PolicyCombo {
 /// Unknown names throw std::invalid_argument with did-you-mean suggestions.
 PolicyCombo combo_from_string(const std::string& text);
 
-/// The default entry list: every cheap heuristic pairing plus one staged-RL
-/// local tier (first-fit-packing + rl-dpm/window). DRL combos are entered
+/// The default entry list: every cheap heuristic pairing plus one RL local
+/// tier (first-fit-packing + rl-dpm/window). DRL combos are entered
 /// explicitly by name (they pretrain, so they dominate wall-clock).
 std::vector<PolicyCombo> default_combos();
 

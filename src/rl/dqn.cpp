@@ -41,25 +41,6 @@ class DqnCore {
     }
   }
 
-  /// B states through ONE batched forward sweep (GEMM) instead of B predict()
-  /// walks. Row b of `out` (resized to B x n_actions) is states[b]'s
-  /// Q-vector; for layer dims within one GEMM panel the rows are
-  /// bit-identical to per-call q_values() (see nn/matrix.hpp).
-  void q_values_batch(std::span<const nn::Vec* const> states, nn::Matrix& out) {
-    const std::size_t B = states.size();
-    out.resize_for_overwrite(B, n_actions_);
-    if (B == 0) return;
-    nn::MatrixT<S> X;
-    X.resize_for_overwrite(B, state_dim_);
-    for (std::size_t b = 0; b < B; ++b) X.set_row_cast(b, *states[b]);
-    const nn::MatrixT<S> Q = online_.predict_batch(std::move(X));
-    for (std::size_t b = 0; b < B; ++b) {
-      double* dst = out.data() + b * out.cols();
-      const S* src = Q.data() + b * Q.cols();
-      for (std::size_t a = 0; a < n_actions_; ++a) dst[a] = static_cast<double>(src[a]);
-    }
-  }
-
   /// One SGD step on `batch`; returns the mean loss.
   double train(const std::vector<const Transition*>& batch, const DqnAgent::Options& opts) {
     optimizer_->zero_grad();
@@ -212,46 +193,6 @@ std::size_t DqnAgent::act(const nn::Vec& state, common::Rng& rng) {
 }
 
 std::size_t DqnAgent::act_greedy(const nn::Vec& state) { return nn::argmax(q_values(state)); }
-
-void DqnAgent::q_values_batch(std::span<const nn::Vec* const> states, nn::Matrix& out) {
-  if (f32_) {
-    f32_->q_values_batch(states, out);
-  } else {
-    f64_->q_values_batch(states, out);
-  }
-}
-
-std::vector<std::size_t> DqnAgent::act_batch(std::span<const nn::Vec* const> states,
-                                             common::Rng& rng) {
-  // Phase 1 walks the states in order making exactly the RNG draws a loop of
-  // act() calls would make (epsilon advances per state; exploration draws its
-  // uniform immediately), so the action sequence is bit-identical to the
-  // per-call path. Phase 2 fuses only the greedy states' forwards into one
-  // GEMM batch — exploration never evaluates the network, in either path.
-  std::vector<std::size_t> actions(states.size());
-  std::vector<const nn::Vec*> greedy_states;
-  std::vector<std::size_t> greedy_pos;
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    const double eps = opts_.epsilon.value(action_steps_);
-    ++action_steps_;
-    if (rng.bernoulli(eps)) {
-      actions[i] =
-          static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n_actions_) - 1));
-    } else {
-      greedy_states.push_back(states[i]);
-      greedy_pos.push_back(i);
-    }
-  }
-  if (!greedy_states.empty()) {
-    nn::Matrix q;
-    q_values_batch(greedy_states, q);
-    for (std::size_t g = 0; g < greedy_pos.size(); ++g) {
-      actions[greedy_pos[g]] =
-          nn::argmax(std::span<const double>(q.data() + g * q.cols(), q.cols()));
-    }
-  }
-  return actions;
-}
 
 void DqnAgent::observe(Transition t) {
   if (t.state.size() != state_dim_ || t.next_state.size() != state_dim_) {

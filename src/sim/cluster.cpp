@@ -39,11 +39,6 @@ enum class EventSource : std::uint8_t { kNone, kArrival, kRetry, kHeap };
 struct NextEvent {
   EventSource source = EventSource::kNone;
   Time time = 0.0;
-
-  /// Trace arrivals and retry deliveries both route through the allocator.
-  bool is_arrival() const noexcept {
-    return source == EventSource::kArrival || source == EventSource::kRetry;
-  }
 };
 
 /// The next event: the trace arrival at `cursor` (none once the cursor
@@ -125,26 +120,7 @@ void Cluster::load_jobs(std::vector<Job> jobs) {
 }
 
 bool Cluster::step() {
-  // Decision-epoch boundary: decisions staged via PowerPolicy::defer_idle
-  // must be committed before any event that could observe their outcome —
-  // a time advance (a staged timeout may schedule an event earlier than the
-  // current heap top), any job arrival (the global tier's state encoding
-  // reads every server's power state), or queue drain. Same-time non-arrival
-  // events touch only their own server's state and the staged decisions touch
-  // only theirs, so they commute with the staged requests and may extend the
-  // epoch — that is where the cross-server batching comes from.
-  // Fault-injected retries are re-arrivals, so for the barrier they count
-  // exactly like arrival events (and a pending retry means the simulation
-  // is not drained).
-  NextEvent next = next_event(jobs_, next_arrival_, faults_, queue_);
-  if (power_policy_.has_staged_decisions() &&
-      (next.source == EventSource::kNone || next.time != now_ || next.is_arrival())) {
-    count_flush(next.source == EventSource::kNone ? FlushReason::kDrain
-                : next.is_arrival()               ? FlushReason::kArrival
-                                                  : FlushReason::kTimeAdvance);
-    power_policy_.flush_decisions();  // may push events at times >= now_
-    next = next_event(jobs_, next_arrival_, faults_, queue_);
-  }
+  const NextEvent next = next_event(jobs_, next_arrival_, faults_, queue_);
   if (next.source == EventSource::kNone) {
     if (!finished_notified_) {
       finished_notified_ = true;
@@ -172,14 +148,6 @@ void Cluster::run() {
 
 void Cluster::run_until_completed(std::size_t n) {
   while (metrics_.jobs_completed() < n && step()) {
-  }
-  // The loop can exit with decisions still staged (the n-th completion may
-  // land mid-epoch). Their outcomes are already fixed — only arrivals feed
-  // the predictors, and none intervened — so committing here preserves the
-  // (time, seq) order a longer run would have produced.
-  if (power_policy_.has_staged_decisions()) {
-    count_flush(FlushReason::kForced);
-    power_policy_.flush_decisions();
   }
 }
 

@@ -36,19 +36,6 @@ class EventQueue {
     heap_.push(Event{time, next_seq_++, type, server, job, generation});
   }
 
-  /// Claim the next insertion-order number without pushing an event. A
-  /// decision staged for a later batched flush reserves its seq at the exact
-  /// point the inline path would have pushed, so the (time, seq) total order
-  /// of the heap — and therefore every tie-break — is identical whether
-  /// decisions are answered inline or committed at the epoch boundary.
-  std::uint64_t reserve_seq() noexcept { return next_seq_++; }
-
-  /// Push with a previously reserved seq (see reserve_seq()).
-  void push_at(Time time, std::uint64_t seq, EventType type, ServerId server = 0, JobId job = 0,
-               std::uint64_t generation = 0) {
-    heap_.push(Event{time, seq, type, server, job, generation});
-  }
-
   bool empty() const noexcept { return heap_.empty(); }
   std::size_t size() const noexcept { return heap_.size(); }
 

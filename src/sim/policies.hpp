@@ -58,27 +58,12 @@ class PowerPolicy {
   /// 0 sleeps immediately, kNeverSleep stays on.
   virtual double on_idle(const Server& server, Time now) = 0;
 
-  // ---- batched decision-epoch seam ----------------------------------------
-  //
-  // A policy that fuses its decisions into shared NN batches stages each
-  // idle decision instead of answering inline: defer_idle() records the
-  // request (reserving the event seq the inline path would have consumed —
-  // see EventQueue::reserve_seq) and returns true; the cluster calls
-  // flush_decisions() at the epoch boundary — before the next event that
-  // could observe the outcome (a time advance, any job arrival, or queue
-  // drain) — and the policy then answers every staged request via
-  // Server::commit_idle_decision. The defaults keep every existing policy on
-  // the inline path.
-
-  /// Stage the idle decision for `server` at `now`; return false to answer
-  /// inline through on_idle() instead.
+  /// Unused stubs: bench_e2e overrides them; the next benchmark change deletes them.
   virtual bool defer_idle(Server& server, Time now, EventQueue& queue) {
     (void)server; (void)now; (void)queue;
     return false;
   }
-  /// True while staged decisions await flush_decisions().
   virtual bool has_staged_decisions() const { return false; }
-  /// Commit every staged decision (in staging order).
   virtual void flush_decisions() {}
 
   /// Called on every job arrival at the server, before it is enqueued

@@ -159,31 +159,15 @@ void Server::enter_idle(Time now, EventQueue& queue, PowerPolicy& policy) {
   assert(running_.empty() && queue_.empty());
   state_ = PowerState::kIdle;
   refresh_power(now);
-  if (policy.defer_idle(*this, now, queue)) return;  // staged; committed at the epoch flush
-  apply_idle_timeout(policy.on_idle(*this, now), now, queue, kFreshSeq);
-}
-
-void Server::apply_idle_timeout(double timeout, Time now, EventQueue& queue, std::uint64_t seq) {
+  const double timeout = policy.on_idle(*this, now);
   if (timeout < 0.0) throw std::invalid_argument("PowerPolicy returned negative timeout");
   if (timeout == 0.0) {
-    begin_sleep(now, queue, seq);
+    begin_sleep(now, queue);
   } else if (timeout < kNeverSleep) {
     ++timeout_generation_;
-    if (seq == kFreshSeq) {
-      queue.push(now + timeout, EventType::kIdleTimeout, id_, /*job=*/0, timeout_generation_);
-    } else {
-      queue.push_at(now + timeout, seq, EventType::kIdleTimeout, id_, /*job=*/0,
-                    timeout_generation_);
-    }
+    queue.push(now + timeout, EventType::kIdleTimeout, id_, /*job=*/0, timeout_generation_);
   }
-  // kNeverSleep: stay idle with no pending event (a reserved seq stays unused,
-  // which leaves the heap's relative order untouched).
-}
-
-void Server::commit_idle_decision(double timeout, Time staged_at, std::uint64_t reserved_seq,
-                                  EventQueue& queue) {
-  if (state_ != PowerState::kIdle) return;  // decision became moot since staging
-  apply_idle_timeout(timeout, staged_at, queue, reserved_seq);
+  // kNeverSleep: stay idle with no pending event.
 }
 
 void Server::begin_wake(Time now, EventQueue& queue) {
@@ -193,15 +177,11 @@ void Server::begin_wake(Time now, EventQueue& queue) {
   queue.push(now + cfg_.t_on, EventType::kWakeComplete, id_, /*job=*/0, incarnation_);
 }
 
-void Server::begin_sleep(Time now, EventQueue& queue, std::uint64_t seq) {
+void Server::begin_sleep(Time now, EventQueue& queue) {
   assert(state_ == PowerState::kIdle);
   state_ = PowerState::kFallingAsleep;
   refresh_power(now);
-  if (seq == kFreshSeq) {
-    queue.push(now + cfg_.t_off, EventType::kSleepComplete, id_, /*job=*/0, incarnation_);
-  } else {
-    queue.push_at(now + cfg_.t_off, seq, EventType::kSleepComplete, id_, /*job=*/0, incarnation_);
-  }
+  queue.push(now + cfg_.t_off, EventType::kSleepComplete, id_, /*job=*/0, incarnation_);
 }
 
 void Server::handle_wake_complete(Time now, EventQueue& queue, PowerPolicy& policy,

@@ -80,15 +80,6 @@ class Server {
   /// is running.
   std::vector<Job> handle_eviction(Time now, EventQueue& queue, PowerPolicy& policy);
 
-  /// Deferred half of the idle decision (batched decision epochs): apply the
-  /// timeout a policy staged via PowerPolicy::defer_idle at time `staged_at`,
-  /// scheduling any event with the seq reserved at staging time so the heap's
-  /// (time, seq) order matches the inline path exactly. A no-op if the server
-  /// has left the idle state since staging (cannot happen under the cluster's
-  /// flush barriers; kept as a guard for direct drivers).
-  void commit_idle_decision(double timeout, Time staged_at, std::uint64_t reserved_seq,
-                            EventQueue& queue);
-
   // ---- views ---------------------------------------------------------------
   ServerId id() const noexcept { return id_; }
   PowerState power_state() const noexcept { return state_; }
@@ -127,14 +118,10 @@ class Server {
     Time start = 0.0;
   };
 
-  /// Sentinel for "allocate a fresh seq" in the seq-threaded helpers.
-  static constexpr std::uint64_t kFreshSeq = ~std::uint64_t{0};
-
   void try_start_jobs(Time now, EventQueue& queue);
   void enter_idle(Time now, EventQueue& queue, PowerPolicy& policy);
-  void apply_idle_timeout(double timeout, Time now, EventQueue& queue, std::uint64_t seq);
   void begin_wake(Time now, EventQueue& queue);
-  void begin_sleep(Time now, EventQueue& queue, std::uint64_t seq = kFreshSeq);
+  void begin_sleep(Time now, EventQueue& queue);
   void set_power(Time now, double watts);
   void refresh_power(Time now);
   void update_trackers(Time now);

@@ -4,8 +4,8 @@
 // TraceCollector, if any. Everything no-ops when telemetry is disabled —
 // the constructor is a relaxed load + branch.
 //
-//   static const telemetry::SpanDef kFlushSpan("core.decision.flush");
-//   { telemetry::Span span(kFlushSpan); flush(); }
+//   static const telemetry::SpanDef kPretrainSpan("runner.pretrain");
+//   { telemetry::Span span(kPretrainSpan); pretrain(); }
 //
 // SpanDef registers its histogram once (function-local static at the
 // instrumentation site); Span itself is cheap enough for per-phase use but

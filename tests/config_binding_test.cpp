@@ -105,6 +105,18 @@ TEST(ExperimentConfigFrom, ShardsKeyRejectedAsUnknown) {
   }
 }
 
+// Both tiers decide inline, so `batch_decisions` is not a config key.
+TEST(ExperimentConfigFrom, BatchDecisionsKeyRejectedAsUnknown) {
+  const auto raw = common::Config::from_string("batch_decisions = false\n");
+  try {
+    experiment_config_from(raw);
+    FAIL() << "expected unknown-key rejection";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown keys: batch_decisions"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ExperimentConfigFrom, NonZeroShardsFailsValidation) {
   ExperimentConfig cfg = experiment_config_from(common::Config{});
   cfg.shards = 1;

@@ -151,6 +151,8 @@ TEST(ConfigRobustness, OutOfRangeNumericsThrow) {
   expect_rejected("trace.num_jobs = -1\n");
   expect_rejected("pretrain_jobs = -2\n");
   expect_rejected("checkpoint_every_jobs = -1\n");
+  expect_rejected("drl.subq_hidden = -1\n");
+  expect_rejected("drl.batch_size = -1\n");
   expect_rejected("num_servers = 99999999999999999999999\n");  // overflows int64
   expect_rejected("num_servers = twelve\n");
   expect_rejected("watchdog_s = -5\n");
@@ -199,7 +201,8 @@ TEST_P(ConfigSoupFuzz, RandomKeyValueSoupParsesOrThrowsCleanly) {
   static const char* kKeys[] = {"num_servers",       "num_groups",        "pretrain_jobs",
                                 "gemm_threads",      "trace.num_jobs",    "faults.mtbf_s",
                                 "faults.mttr_s",     "faults.max_retries", "faults.backoff_jitter",
-                                "watchdog_s",        "system",            "fixed_timeout_s"};
+                                "watchdog_s",        "system",            "fixed_timeout_s",
+                                "drl.subq_hidden",   "drl.batch_size"};
   static const char* kValues[] = {"0",    "1",        "-1",  "4",     "3.5",  "-3.5",
                                   "nan",  "inf",      "1e#", "",      "true", "hierarchical",
                                   "1e308", "99999999999999999999999", "0.25", "x"};
