@@ -78,13 +78,11 @@ int main() {
   std::printf("\nPart 2: full hierarchical framework with each predictor\n");
   hcrl::bench::print_result_header();
   for (const char* kind : {"lstm", "last-value", "sliding-mean"}) {
-    auto run_cfg = cfg;
-    run_cfg.system = core::SystemKind::kHierarchical;
-    run_cfg.local.predictor = kind;
-    const auto r = core::run_experiment(run_cfg);
-    auto labeled = r;
-    labeled.system = std::string("hierarchical/") + kind;
-    hcrl::bench::print_result_row(labeled);
+    core::Scenario scenario;
+    scenario.name = std::string("hierarchical/") + kind;
+    scenario.config = cfg;
+    scenario.config.local.predictor = kind;
+    hcrl::bench::print_result_row(scenario.name, core::run_scenario(scenario));
   }
   std::printf("\n(paper's argument: linear predictors are ruined by a single long "
               "inter-arrival; the LSTM captures long-term dependencies)\n");

@@ -14,10 +14,11 @@
 
 namespace {
 
-void print_series(const std::vector<hcrl::core::ExperimentResult>& results) {
+void print_series(const std::vector<hcrl::core::Scenario>& scenarios,
+                  const std::vector<hcrl::core::ExperimentResult>& results) {
   std::printf("\nFig. 8(a): accumulated latency (1e6 s) vs jobs completed\n");
   std::printf("%10s", "jobs");
-  for (const auto& r : results) std::printf(" %20s", r.system.c_str());
+  for (const auto& sc : scenarios) std::printf(" %20s", sc.name.c_str());
   std::printf("\n");
   const std::size_t rows = results[0].series.size();
   for (std::size_t i = 0; i < rows; ++i) {
@@ -30,7 +31,7 @@ void print_series(const std::vector<hcrl::core::ExperimentResult>& results) {
 
   std::printf("\nFig. 8(b): energy usage (kWh) vs jobs completed\n");
   std::printf("%10s", "jobs");
-  for (const auto& r : results) std::printf(" %20s", r.system.c_str());
+  for (const auto& sc : scenarios) std::printf(" %20s", sc.name.c_str());
   std::printf("\n");
   for (std::size_t i = 0; i < rows; ++i) {
     std::printf("%10zu", results[0].series[i].jobs_completed);
@@ -49,9 +50,11 @@ int main() {
   std::printf("=== Fig. 8: M = 30, %zu jobs ===\n", jobs);
   const auto scenarios = hcrl::core::ScenarioRegistry::builtin().make_group("fig8/", jobs);
   const auto results = hcrl::bench::run_parallel_sweep(scenarios);
-  print_series(results);
+  print_series(scenarios, results);
 
   hcrl::bench::print_result_header();
-  for (const auto& r : results) hcrl::bench::print_result_row(r);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    hcrl::bench::print_result_row(scenarios[i].name, results[i]);
+  }
   return 0;
 }

@@ -19,7 +19,7 @@ int main() {
 
   std::printf("\nFig. 9(a): accumulated latency (1e6 s) vs jobs completed\n");
   std::printf("%10s", "jobs");
-  for (const auto& r : results) std::printf(" %20s", r.system.c_str());
+  for (const auto& sc : scenarios) std::printf(" %20s", sc.name.c_str());
   std::printf("\n");
   const std::size_t rows = results[0].series.size();
   for (std::size_t i = 0; i < rows; ++i) {
@@ -32,7 +32,7 @@ int main() {
 
   std::printf("\nFig. 9(b): energy usage (kWh) vs jobs completed\n");
   std::printf("%10s", "jobs");
-  for (const auto& r : results) std::printf(" %20s", r.system.c_str());
+  for (const auto& sc : scenarios) std::printf(" %20s", sc.name.c_str());
   std::printf("\n");
   for (std::size_t i = 0; i < rows; ++i) {
     std::printf("%10zu", results[0].series[i].jobs_completed);
@@ -43,6 +43,8 @@ int main() {
   }
 
   hcrl::bench::print_result_header();
-  for (const auto& r : results) hcrl::bench::print_result_row(r);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    hcrl::bench::print_result_row(scenarios[i].name, results[i]);
+  }
   return 0;
 }

@@ -56,12 +56,14 @@ void report_for_machines(std::size_t machines, std::size_t jobs, const PaperRow*
   std::printf("\n=== Table I, M = %zu, %zu jobs ===\n", machines, jobs);
   std::printf("--- paper reports (at 95,000 jobs on the real Google trace) ---\n");
   for (int i = 0; i < 3; ++i) {
-    std::printf("%-22s %12.2f %16.2f %12.2f\n", paper[i].system, paper[i].energy_kwh,
+    std::printf("%-30s %12.2f %16.2f %12.2f\n", paper[i].system, paper[i].energy_kwh,
                 paper[i].latency_1e6s, paper[i].power_w);
   }
   std::printf("--- this reproduction (synthetic Google-like trace) ---\n");
-  hcrl::bench::print_result_header();
-  for (const auto* r : {&rr, &drl, &hier}) hcrl::bench::print_result_row(*r);
+  hcrl::bench::print_result_header("system");
+  hcrl::bench::print_result_row(paper[0].system, rr);
+  hcrl::bench::print_result_row(paper[1].system, drl);
+  hcrl::bench::print_result_row(paper[2].system, hier);
 
   const double rr_e = rr.final_snapshot.energy_joules;
   const double drl_e = drl.final_snapshot.energy_joules;
@@ -82,11 +84,9 @@ void report_for_machines(std::size_t machines, std::size_t jobs, const PaperRow*
 // fault-free run on the same trace. The paper has no faulty column.
 void report_faulty(std::size_t jobs, const ResultsByName& by_name) {
   std::printf("\n=== M = 30 hierarchical under injected faults, %zu jobs ===\n", jobs);
-  std::printf("%-34s ", "scenario");
   hcrl::bench::print_result_header();
   for (const char* name : {"table1/m30/hierarchical", "table1/m30/hierarchical-faulty"}) {
-    std::printf("%-34s ", name);
-    hcrl::bench::print_result_row(result_named(by_name, name));
+    hcrl::bench::print_result_row(name, result_named(by_name, name));
   }
   const auto& f = result_named(by_name, "table1/m30/hierarchical-faulty").final_snapshot.faults;
   std::printf("faults: %zu crashes, %zu evictions, %zu retries, %zu jobs lost\n", f.crashes,
@@ -115,11 +115,9 @@ void report_real_trace_cells() {
   }
   const auto results = hcrl::bench::run_parallel_sweep(scenarios);
   std::printf("\n=== real-trace cells (bundled fixture slices, 6 servers) ===\n");
-  std::printf("%-26s ", "scenario");
   hcrl::bench::print_result_header();
   for (std::size_t i = 0; i < results.size(); ++i) {
-    std::printf("%-26s ", scenarios[i].name.c_str());
-    hcrl::bench::print_result_row(results[i]);
+    hcrl::bench::print_result_row(scenarios[i].name, results[i]);
   }
 }
 

@@ -36,14 +36,14 @@ inline std::size_t env_threads(std::size_t fallback = 0) {
   return fallback;
 }
 
-inline void print_result_row(const core::ExperimentResult& r) {
+inline void print_result_row(const std::string& label, const core::ExperimentResult& r) {
   const auto& s = r.final_snapshot;
-  std::printf("%-22s %12.2f %16.2f %12.2f %10.1f\n", r.system.c_str(), s.energy_kwh(),
+  std::printf("%-30s %12.2f %16.2f %12.2f %10.1f\n", label.c_str(), s.energy_kwh(),
               s.accumulated_latency_s / 1e6, s.average_power_watts, r.wall_seconds);
 }
 
-inline void print_result_header() {
-  std::printf("%-22s %12s %16s %12s %10s\n", "system", "energy(kWh)", "latency(1e6 s)",
+inline void print_result_header(const char* label = "scenario") {
+  std::printf("%-30s %12s %16s %12s %10s\n", label, "energy(kWh)", "latency(1e6 s)",
               "power(W)", "wall(s)");
 }
 

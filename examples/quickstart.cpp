@@ -5,30 +5,19 @@
 //
 // This exercises the whole public API: trace generation, the DRL global
 // tier, the LSTM+RL local tier, and the metrics pipeline.
-#include <charconv>
 #include <cstdio>
 #include <exception>
-#include <stdexcept>
-#include <string>
 
-#include "src/core/experiment.hpp"
+#include "src/common/config.hpp"
+#include "src/core/runner.hpp"
+#include "src/policy/registry.hpp"
 
 namespace {
-
-/// Parses a positive job count; throws std::invalid_argument otherwise.
-std::size_t parse_job_count(const std::string& text) {
-  std::size_t n = 0;
-  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), n);
-  if (ec != std::errc() || end != text.data() + text.size() || n == 0) {
-    throw std::invalid_argument("num_jobs must be a positive integer, got '" + text + "'");
-  }
-  return n;
-}
 
 int run(int argc, char** argv) {
   using namespace hcrl;
 
-  const std::size_t num_jobs = argc > 1 ? parse_job_count(argv[1]) : 8000;
+  const std::size_t num_jobs = argc > 1 ? common::parse_count(argv[1], "num_jobs", 1) : 8000;
 
   core::ExperimentConfig cfg;
   cfg.num_servers = 30;
@@ -44,14 +33,14 @@ int run(int argc, char** argv) {
   std::printf("%-22s %12s %14s %12s %10s\n", "system", "energy(kWh)", "latency(1e6 s)",
               "power(W)", "wall(s)");
 
-  const auto systems = {core::SystemKind::kRoundRobin, core::SystemKind::kDrlOnly,
-                        core::SystemKind::kHierarchical};
-  for (core::SystemKind kind : systems) {
-    core::ExperimentConfig run_cfg = cfg;
-    run_cfg.system = kind;
-    const core::ExperimentResult r = core::run_experiment(run_cfg);
+  for (const char* system : {"round-robin", "drl-only", "hierarchical"}) {
+    core::Scenario scenario;
+    scenario.name = system;
+    scenario.config = cfg;
+    policy::apply_system(scenario.config, system);
+    const core::ExperimentResult r = core::run_scenario(scenario);
     const auto& s = r.final_snapshot;
-    std::printf("%-22s %12.2f %14.3f %12.1f %10.1f\n", r.system.c_str(), s.energy_kwh(),
+    std::printf("%-22s %12.2f %14.3f %12.1f %10.1f\n", system, s.energy_kwh(),
                 s.accumulated_latency_s / 1e6, s.average_power_watts, r.wall_seconds);
   }
   return 0;

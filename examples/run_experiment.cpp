@@ -82,16 +82,14 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "usage: %s --scenario <name> [jobs]\n", arg(0));
         return 1;
       }
-      const std::size_t jobs =
-          nargs >= 4 ? static_cast<std::size_t>(std::stoull(args[3])) : 5000;
+      const std::size_t jobs = nargs >= 4 ? common::parse_count(args[3], "jobs", 1) : 5000;
       scenario = core::ScenarioRegistry::builtin().make(args[2], jobs);
     } else if (mode == "--trace" || mode == "--catalog") {
       if (nargs < 3) {
         std::fprintf(stderr, "usage: %s %s <arg> [system]\n", arg(0), mode.c_str());
         return 1;
       }
-      const core::SystemKind system =
-          nargs >= 4 ? core::system_kind_from_string(args[3]) : core::SystemKind::kHierarchical;
+      const std::string system = nargs >= 4 ? args[3] : "hierarchical";
       if (mode == "--catalog") {
         scenario = core::catalog_scenario(args[2], system);
         scenario.name = std::string("catalog:") + args[2];
@@ -123,7 +121,7 @@ int main(int argc, char** argv) {
             "checkpoint_every_jobs = 1000\n");
       }
       scenario.config = core::experiment_config_from(raw);
-      scenario.name = core::to_string(scenario.config.system);
+      scenario.name = scenario.config.allocator + "+" + scenario.config.power;
     }
     scenario.validate();
   } catch (const std::exception& e) {
@@ -152,7 +150,6 @@ int main(int argc, char** argv) {
       manifest.gemm_threads = static_cast<int>(cfg.gemm_threads > 0 ? cfg.gemm_threads
                                                                     : nn::gemm_threads());
       manifest.wall_seconds = r.wall_seconds;
-      manifest.extra["system"] = r.system;
       manifest.extra["allocator"] = r.allocator;
       manifest.extra["power"] = r.power;
       telemetry_session.finish(manifest);
@@ -160,7 +157,7 @@ int main(int argc, char** argv) {
 
     const auto& s = r.final_snapshot;
     std::printf("\nscenario:          %s\n", scenario.name.c_str());
-    std::printf("system:            %s\n", r.system.c_str());
+    std::printf("policies:          %s+%s\n", r.allocator.c_str(), r.power.c_str());
     std::printf("trace:             %s\n", r.trace_stats.to_string().c_str());
     std::printf("jobs completed:    %zu\n", s.jobs_completed);
     std::printf("energy:            %.2f kWh\n", s.energy_kwh());

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/config.hpp"
 #include "src/core/runner.hpp"
 #include "src/core/scenario.hpp"
 #include "src/nn/matrix.hpp"
@@ -105,7 +106,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--scenarios") {
         opts.scenario_names = split_csv(next());
       } else if (arg == "--jobs") {
-        opts.jobs = static_cast<std::size_t>(std::stoull(next()));
+        opts.jobs = common::parse_count(next(), "--jobs", 1);
       } else if (arg == "--sla") {
         opts.sla_latency_s = std::stod(next());
       } else if (arg == "--watchdog") {
@@ -113,7 +114,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--journal") {
         opts.journal_path = next();
       } else if (arg == "--workers") {
-        workers = static_cast<std::size_t>(std::stoull(next()));
+        workers = common::parse_count(next(), "--workers");
       } else if (arg == "--serial") {
         serial = true;
       } else if (arg == "--out-dir") {

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/config.hpp"
 #include "src/common/stats.hpp"
 #include "src/policy/registry.hpp"
 #include "src/core/trace_source.hpp"  // core::infer_horizon_s
@@ -64,8 +65,7 @@ void print_summary(const std::vector<sim::Job>& jobs, double horizon_s) {
 }
 
 int cmd_generate(int argc, char** argv) {
-  std::size_t jobs = 20000;
-  if (argc > 2) jobs = static_cast<std::size_t>(std::stoull(argv[2]));
+  const std::size_t jobs = argc > 2 ? common::parse_count(argv[2], "num_jobs", 1) : 20000;
   const std::string path = argc > 3 ? argv[3] : "/tmp/hcrl_trace.csv";
 
   workload::GeneratorOptions opts;
@@ -97,7 +97,7 @@ int cmd_convert(int argc, char** argv) {
               adapter_report.to_string().c_str());
 
   workload::trace::NormalizeOptions norm;
-  if (argc > 5) norm.max_jobs = static_cast<std::size_t>(std::stoull(argv[5]));
+  if (argc > 5) norm.max_jobs = common::parse_count(argv[5], "max_jobs");
   workload::trace::NormalizeReport norm_report;
   const auto jobs = workload::trace::normalize(std::move(raw), norm, &norm_report);
   std::printf("normalize: %s\n", norm_report.to_string().c_str());
@@ -145,7 +145,7 @@ int cmd_slice(int argc, char** argv) {
   workload::trace::NormalizeOptions norm;
   norm.window_start_s = std::stod(argv[4]);
   norm.window_end_s = std::stod(argv[5]);
-  if (argc > 6) norm.max_jobs = static_cast<std::size_t>(std::stoull(argv[6]));
+  if (argc > 6) norm.max_jobs = common::parse_count(argv[6], "max_jobs");
   // Pass-through for everything but the window: canonical traces already
   // satisfy the simulator's ranges.
   norm.min_duration_s = std::numeric_limits<double>::min();

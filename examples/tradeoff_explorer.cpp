@@ -5,19 +5,21 @@
 //
 //   ./tradeoff_explorer [num_jobs] [threads]   (threads 0 = one per core)
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 
+#include "src/common/config.hpp"
 #include "src/core/tradeoff.hpp"
 #include "src/sim/types.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace hcrl;
 
-  std::size_t jobs = 6000;
-  if (argc > 1) jobs = static_cast<std::size_t>(std::stoull(argv[1]));
+  const std::size_t jobs = argc > 1 ? common::parse_count(argv[1], "num_jobs", 1) : 6000;
 
   core::TradeoffOptions opts;
-  opts.threads = argc > 2 ? static_cast<std::size_t>(std::stoull(argv[2])) : 0;
+  opts.threads = argc > 2 ? common::parse_count(argv[2], "threads") : 0;
   opts.base.num_servers = 30;
   opts.base.num_groups = 3;
   opts.base.trace.num_jobs = jobs;
@@ -45,4 +47,15 @@ int main(int argc, char** argv) {
   std::printf("\nLarger w favours power saving; smaller w favours latency. The adaptive\n"
               "timeout traces a curve fixed timeouts cannot reach (paper, Fig. 10).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

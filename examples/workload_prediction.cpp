@@ -5,21 +5,24 @@
 // inter-arrival times alongside the linear baseline predictors.
 //
 //   ./workload_prediction [num_arrivals]
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <memory>
 #include <vector>
 
+#include "src/common/config.hpp"
 #include "src/common/rng.hpp"
 #include "src/core/predictor.hpp"
 #include "src/workload/arrival_process.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace hcrl;
 
-  std::size_t n = 3000;
-  if (argc > 1) n = static_cast<std::size_t>(std::stoull(argv[1]));
+  const std::size_t n = argc > 1 ? common::parse_count(argv[1], "num_arrivals", 1) : 3000;
 
   // A bursty arrival stream similar to what one server sees after the
   // global tier consolidates jobs onto it.
@@ -45,6 +48,7 @@ int main(int argc, char** argv) {
   auto mean = core::make_predictor("sliding-mean", lstm_opts);
 
   const std::size_t warmup = gaps.size() / 2;
+  const std::size_t sample_every = std::max<std::size_t>(1, gaps.size() / 16);
   double err_lstm = 0.0, err_last = 0.0, err_mean = 0.0;
   std::size_t scored = 0;
   std::printf("online training on %zu inter-arrivals (first %zu warm-up)...\n", n, warmup);
@@ -57,7 +61,7 @@ int main(int argc, char** argv) {
       err_last += std::abs(std::log1p(pv) - std::log1p(gaps[i]));
       err_mean += std::abs(std::log1p(pm) - std::log1p(gaps[i]));
       ++scored;
-      if (i % (gaps.size() / 16) == 0) {
+      if (i % sample_every == 0) {
         std::printf("%8zu %10.1f %10.1f %10.1f %10.1f\n", i, gaps[i], pl, pv, pm);
       }
     }
@@ -71,4 +75,15 @@ int main(int argc, char** argv) {
   std::printf("  %-14s %8.4f\n", "last-value", err_last / scored);
   std::printf("  %-14s %8.4f\n", "sliding-mean", err_mean / scored);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

@@ -1,15 +1,20 @@
 #!/usr/bin/env bash
 # CLI error-path smoke: every user mistake must exit 1 with a one-line
 # `error: <what>` on stderr — no stack traces, no std::terminate, no exit 0.
+# Count arguments are strict: a sign, a suffix or an out-of-range value is a
+# mistake too.
 #
 # Usage: cli_error_smoke.sh <build-dir>
 set -u
 
 BUILD_DIR=${1:?usage: cli_error_smoke.sh <build-dir>}
+FIXTURES="$(cd "$(dirname "$0")/.." && pwd)/data/traces"
 RUN_EXPERIMENT="$BUILD_DIR/examples/run_experiment"
 TOURNAMENT="$BUILD_DIR/examples/tournament"
 TRACE_TOOLS="$BUILD_DIR/examples/trace_tools"
 QUICKSTART="$BUILD_DIR/examples/quickstart"
+TRADEOFF_EXPLORER="$BUILD_DIR/examples/tradeoff_explorer"
+WORKLOAD_PREDICTION="$BUILD_DIR/examples/workload_prediction"
 
 failures=0
 
@@ -35,6 +40,21 @@ expect_error() {
   rm -f "$stderr_file"
 }
 
+# expect_ok <description> -- <command...>
+# Passes when the command exits 0.
+expect_ok() {
+  local desc=$1
+  shift 2
+  "$@" >/dev/null 2>&1
+  local code=$?
+  if [ "$code" -ne 0 ]; then
+    echo "FAIL: $desc — expected exit 0, got $code" >&2
+    failures=$((failures + 1))
+  else
+    echo "ok: $desc"
+  fi
+}
+
 # --- run_experiment ---------------------------------------------------------
 expect_error "run_experiment: negative num_servers" \
   -- "$RUN_EXPERIMENT" --inline "num_servers = -3"
@@ -51,6 +71,16 @@ expect_error "run_experiment: missing config file" \
   -- "$RUN_EXPERIMENT" /nonexistent/config.cfg
 expect_error "run_experiment: missing trace file" \
   -- "$RUN_EXPERIMENT" --trace /nonexistent/trace.csv
+expect_error "run_experiment: negative job count" \
+  -- "$RUN_EXPERIMENT" --scenario tiny/round-robin -5
+expect_error "run_experiment: job count with a suffix" \
+  -- "$RUN_EXPERIMENT" --scenario tiny/round-robin 12abc
+expect_error "run_experiment: removed fixed_timeout_s key" \
+  -- "$RUN_EXPERIMENT" --inline "fixed_timeout_s = 30"
+expect_error "run_experiment: NaN idle timeout" \
+  -- "$RUN_EXPERIMENT" --inline "system = drl-fixed-timeout" "power.timeout_s = nan"
+expect_error "run_experiment: unknown system preset" \
+  -- "$RUN_EXPERIMENT" --catalog google2011-sample hierarchial
 
 # --- tournament -------------------------------------------------------------
 expect_error "tournament: unknown combo" \
@@ -59,6 +89,12 @@ expect_error "tournament: unknown scenario" \
   -- "$TOURNAMENT" --scenarios nope/nothing --serial --jobs 50
 expect_error "tournament: non-numeric --jobs" \
   -- "$TOURNAMENT" --jobs banana
+expect_error "tournament: --jobs with a suffix" \
+  -- "$TOURNAMENT" --jobs 40x
+expect_error "tournament: zero --jobs" \
+  -- "$TOURNAMENT" --jobs 0
+expect_error "tournament: negative --workers" \
+  -- "$TOURNAMENT" --workers -1
 expect_error "tournament: unwritable --out-dir" \
   -- "$TOURNAMENT" --combos round-robin+always-on --scenarios tiny/round-robin \
      --jobs 50 --serial --out-dir /nonexistent/deep/dir
@@ -68,12 +104,35 @@ expect_error "trace_tools: missing trace file" \
   -- "$TRACE_TOOLS" inspect /nonexistent/trace.csv
 expect_error "trace_tools: unknown raw-trace format" \
   -- "$TRACE_TOOLS" convert not-a-format /nonexistent/raw.csv /tmp/out.csv
+expect_error "trace_tools: negative job count" \
+  -- "$TRACE_TOOLS" generate -5 /nonexistent/out.csv
+expect_error "trace_tools: non-numeric max_jobs" \
+  -- "$TRACE_TOOLS" convert google2011 "$FIXTURES/google2011_task_events.sample.csv" \
+     /nonexistent/out.csv lots
 
 # --- quickstart -------------------------------------------------------------
 expect_error "quickstart: non-numeric job count" \
   -- "$QUICKSTART" banana
 expect_error "quickstart: negative job count" \
   -- "$QUICKSTART" -5
+
+# --- tradeoff_explorer ------------------------------------------------------
+expect_error "tradeoff_explorer: non-numeric job count" \
+  -- "$TRADEOFF_EXPLORER" banana
+expect_error "tradeoff_explorer: negative job count" \
+  -- "$TRADEOFF_EXPLORER" -5
+expect_error "tradeoff_explorer: zero job count" \
+  -- "$TRADEOFF_EXPLORER" 0
+expect_error "tradeoff_explorer: negative thread count" \
+  -- "$TRADEOFF_EXPLORER" 100 -1
+
+# --- workload_prediction ----------------------------------------------------
+expect_error "workload_prediction: non-numeric arrival count" \
+  -- "$WORKLOAD_PREDICTION" banana
+expect_error "workload_prediction: negative arrival count" \
+  -- "$WORKLOAD_PREDICTION" -5
+expect_ok "workload_prediction: fewer than 16 arrivals" \
+  -- "$WORKLOAD_PREDICTION" 10
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures CLI error-path check(s) failed" >&2

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include "src/common/csv.hpp"
 
 namespace hcrl::common {
 
@@ -55,7 +58,7 @@ Config Config::from_file(const std::string& path) {
 }
 
 void Config::set(const std::string& key, const std::string& value) { values_[key] = value; }
-void Config::set(const std::string& key, double value) { values_[key] = std::to_string(value); }
+void Config::set(const std::string& key, double value) { values_[key] = format_csv_double(value); }
 void Config::set(const std::string& key, std::int64_t value) { values_[key] = std::to_string(value); }
 void Config::set(const std::string& key, bool value) { values_[key] = value ? "true" : "false"; }
 
@@ -142,6 +145,17 @@ std::string Config::to_string() const {
   std::ostringstream os;
   for (const auto& [k, v] : values_) os << k << " = " << v << "\n";
   return os.str();
+}
+
+std::size_t parse_count(const std::string& text, const std::string& what, std::size_t min) {
+  std::size_t n = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+  if (ec != std::errc() || ptr != end || n < min) {
+    throw std::invalid_argument(what + " must be an integer >= " + std::to_string(min) +
+                                ", got '" + text + "'");
+  }
+  return n;
 }
 
 }  // namespace hcrl::common

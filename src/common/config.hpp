@@ -2,7 +2,8 @@
 //
 // Experiments are described by flat `key = value` files (or programmatic
 // maps). Typed getters validate and convert; unknown keys are detectable so
-// configs stay in sync with the code.
+// configs stay in sync with the code. parse_count is the strict parser for
+// count arguments on the command line.
 #pragma once
 
 #include <map>
@@ -24,6 +25,7 @@ class Config {
   void set(const std::string& key, const std::string& value);
   /// Overload so string literals don't decay into the bool overload.
   void set(const std::string& key, const char* value) { set(key, std::string(value)); }
+  /// Stored round-trip exact: get_double returns `value` bit for bit.
   void set(const std::string& key, double value);
   void set(const std::string& key, std::int64_t value);
   void set(const std::string& key, bool value);
@@ -51,5 +53,10 @@ class Config {
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> read_;
 };
+
+/// Parses a count argument strictly: the whole of `text` must be decimal
+/// digits (no sign, space or suffix) for a value in [min, SIZE_MAX].
+/// Throws std::invalid_argument naming `what` otherwise.
+std::size_t parse_count(const std::string& text, const std::string& what, std::size_t min = 0);
 
 }  // namespace hcrl::common

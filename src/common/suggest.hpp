@@ -1,7 +1,7 @@
 // "Did you mean ...?" diagnostics for string-keyed registries.
 //
 // Every name-to-thing lookup in the codebase (policy registry, scenario
-// registry, predictor kinds, system kinds) fails the same way: a user typo
+// registry, predictor kinds, system presets) fails the same way: a user typo
 // hits a bare "unknown key" throw and the valid keys have to be dug out of
 // the source. closest_match() finds the nearest registered name by edit
 // distance; unknown_key_message() formats the uniform diagnostic every

@@ -2,22 +2,9 @@
 
 #include <stdexcept>
 
-#include "src/common/suggest.hpp"
+#include "src/policy/registry.hpp"
 
 namespace hcrl::core {
-
-SystemKind system_kind_from_string(const std::string& name) {
-  if (name == "round-robin") return SystemKind::kRoundRobin;
-  if (name == "drl-only") return SystemKind::kDrlOnly;
-  if (name == "hierarchical") return SystemKind::kHierarchical;
-  if (name == "drl-fixed-timeout") return SystemKind::kDrlFixedTimeout;
-  if (name == "least-loaded") return SystemKind::kLeastLoaded;
-  if (name == "first-fit-packing") return SystemKind::kFirstFitPacking;
-  throw std::invalid_argument(common::unknown_key_message(
-      "system kind", name,
-      {"round-robin", "drl-only", "hierarchical", "drl-fixed-timeout", "least-loaded",
-       "first-fit-packing"}));
-}
 
 namespace {
 
@@ -50,10 +37,8 @@ ExperimentConfig experiment_config_from(const common::Config& config) {
     return static_cast<std::size_t>(v);
   };
 
-  cfg.system = system_kind_from_string(config.get_string("system", "hierarchical"));
   cfg.num_servers = non_negative("num_servers", 30);
   cfg.num_groups = non_negative("num_groups", 3);
-  cfg.fixed_timeout_s = config.get_double("fixed_timeout_s", cfg.fixed_timeout_s);
   cfg.pretrain_jobs = non_negative("pretrain_jobs", cfg.pretrain_jobs);
   cfg.learn_during_run = config.get_bool("learn_during_run", cfg.learn_during_run);
   cfg.checkpoint_every_jobs = non_negative("checkpoint_every_jobs", cfg.checkpoint_every_jobs);
@@ -83,7 +68,9 @@ ExperimentConfig experiment_config_from(const common::Config& config) {
   cfg.watchdog_s = config.get_double("watchdog_s", cfg.watchdog_s);
 
   // Registry-backed policy selection (validated in ExperimentConfig::validate
-  // against src/policy/registry.hpp, with did-you-mean diagnostics).
+  // against src/policy/registry.hpp, with did-you-mean diagnostics): a
+  // `system` preset names the pair, `allocator` / `power` override a half.
+  if (config.has("system")) policy::apply_system(cfg, config.get_string("system"));
   cfg.allocator = config.get_string("allocator", cfg.allocator);
   cfg.power = config.get_string("power", cfg.power);
   cfg.allocator_opts = option_block(config, "allocator");
@@ -132,6 +119,10 @@ ExperimentConfig experiment_config_from(const common::Config& config) {
   cfg.local.agent.beta = config.get_double("local.beta", cfg.local.agent.beta);
   cfg.local.seed = static_cast<std::uint64_t>(config.get_int("local.seed", 13));
 
+  if (config.has("fixed_timeout_s")) {
+    throw std::invalid_argument(
+        "experiment_config_from: unknown key 'fixed_timeout_s' (did you mean 'power.timeout_s'?)");
+  }
   const auto unused = config.unused_keys();
   if (!unused.empty()) {
     std::string msg = "experiment_config_from: unknown keys:";

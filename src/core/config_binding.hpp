@@ -4,12 +4,16 @@
 // programmatically can be set from a `key = value` file, e.g.
 //
 //   system = hierarchical
+//   power.predictor = window
 //   num_servers = 30
 //   num_groups = 3
 //   trace.num_jobs = 95000
 //   drl.w_vms = 0.01
 //   local.w = 0.5
 //
+// `system` names a paper preset of the policy pair (policy::apply_system);
+// `allocator` / `power` override either half of it, and the
+// `allocator.<key>` / `power.<key>` blocks configure the resulting pair.
 // Unknown keys are reported as errors so config files never rot silently.
 #pragma once
 
@@ -17,10 +21,6 @@
 #include "src/core/experiment.hpp"
 
 namespace hcrl::core {
-
-/// Parse the system name ("round-robin", "drl-only", "hierarchical",
-/// "drl-fixed-timeout", "least-loaded", "first-fit-packing").
-SystemKind system_kind_from_string(const std::string& name);
 
 /// Build an ExperimentConfig from a flat config. Starts from defaults,
 /// overrides any provided key, then finalizes. Throws std::invalid_argument

@@ -1,26 +1,12 @@
-// run_experiment / run_comparison are source-compatibility wrappers over the
-// composable Scenario/Runner API; the actual driver lives in runner.cpp.
+// ExperimentConfig's derived fields and validation; the driver that runs a
+// config lives in runner.cpp.
 #include "src/core/experiment.hpp"
 
 #include <stdexcept>
 
-#include "src/core/runner.hpp"
-#include "src/core/scenario.hpp"
 #include "src/policy/registry.hpp"
 
 namespace hcrl::core {
-
-std::string to_string(SystemKind kind) {
-  switch (kind) {
-    case SystemKind::kRoundRobin: return "round-robin";
-    case SystemKind::kDrlOnly: return "drl-only";
-    case SystemKind::kHierarchical: return "hierarchical";
-    case SystemKind::kDrlFixedTimeout: return "drl-fixed-timeout";
-    case SystemKind::kLeastLoaded: return "least-loaded";
-    case SystemKind::kFirstFitPacking: return "first-fit-packing";
-  }
-  return "?";
-}
 
 void ExperimentConfig::finalize() {
   drl.qnet.encoder.num_servers = num_servers;
@@ -42,9 +28,6 @@ void ExperimentConfig::validate() const {
   }
   trace.validate();
   server.validate();
-  if (system == SystemKind::kDrlFixedTimeout && fixed_timeout_s < 0.0) {
-    throw std::invalid_argument("ExperimentConfig: negative fixed timeout");
-  }
   if (shards != 0) throw std::invalid_argument("ExperimentConfig: shards must be 0");
   if (sla_latency_s < 0.0) {
     throw std::invalid_argument("ExperimentConfig: negative sla_latency_s");
@@ -56,19 +39,6 @@ void ExperimentConfig::validate() const {
   // Registry-backed selection: unknown allocator/power/predictor names and
   // unknown per-policy option keys fail here with did-you-mean diagnostics.
   policy::validate_system_selection(*this);
-}
-
-ExperimentResult run_experiment(const ExperimentConfig& config) {
-  Scenario scenario;
-  scenario.name = to_string(config.system);
-  scenario.config = config;
-  return run_scenario(scenario);
-}
-
-std::vector<ExperimentResult> run_comparison(const ExperimentConfig& base,
-                                             const std::vector<SystemKind>& systems) {
-  LogObserver log;
-  return SerialRunner().run(comparison_scenarios(base, systems), &log);
 }
 
 }  // namespace hcrl::core

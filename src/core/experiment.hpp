@@ -1,17 +1,21 @@
-// Experiment driver: builds the paper's systems and measures them.
+// Experiment driver: builds a policy pair and measures it.
 //
-// Systems (§VII-B):
+// An experiment names its global-tier allocator and local-tier power
+// manager as registry entries (src/policy/registry.hpp). The paper's
+// systems (§VII-B) are presets of that pair (policy::apply_system):
 //   round-robin       — round-robin broker, servers never sleep (baseline);
 //   drl-only          — DRL global tier, "ad hoc" immediate sleep locally;
-//   hierarchical      — DRL global tier + RL/LSTM local tier (the paper's);
-//   drl-fixed-timeout — DRL global tier + fixed 30/60/90 s timeout (Fig. 10
-//                       baselines);
+//   hierarchical      — DRL global tier + RL/LSTM local tier (the paper's,
+//                       and the ExperimentConfig default);
+//   drl-fixed-timeout — DRL global tier + fixed idle timeout (Fig. 10
+//                       baselines, power.timeout_s, default 60 s);
 //   least-loaded / first-fit-packing — extra non-learning references.
 //
-// DRL systems get an offline construction phase first (§IV: experience
-// accumulation + DNN pre-training): the driver replays a prefix of the
-// trace with learning enabled before the measured run, mirroring the
-// paper's use of separate cluster traces for pre-training.
+// Learning allocators get an offline construction phase first (§IV:
+// experience accumulation + DNN pre-training): the driver replays the first
+// `pretrain_jobs` jobs of the measured trace with learning enabled, then
+// runs the whole trace. The paper pre-trains on separate cluster traces;
+// here the pretraining jobs are also part of the measured run.
 #pragma once
 
 #include <optional>
@@ -28,35 +32,23 @@
 
 namespace hcrl::core {
 
-enum class SystemKind {
-  kRoundRobin,
-  kDrlOnly,
-  kHierarchical,
-  kDrlFixedTimeout,
-  kLeastLoaded,
-  kFirstFitPacking,
-};
-
-std::string to_string(SystemKind kind);
+/// Vestigial stub, no config key: bench_e2e names it; the next benchmark change deletes it.
+enum class SystemKind { kRoundRobin };
 
 struct ExperimentConfig {
-  SystemKind system = SystemKind::kHierarchical;
   std::size_t num_servers = 30;
   std::size_t num_groups = 3;  // K for the grouped Q-network
   workload::GeneratorOptions trace;
   sim::ServerConfig server;
 
-  double fixed_timeout_s = 60.0;  // for kDrlFixedTimeout
-
-  /// Registry-backed policy selection (src/policy/registry.hpp). A non-empty
-  /// `allocator` / `power` names any registered policy and overrides that
-  /// half of the pair implied by `system`; the option blocks carry the
-  /// per-policy keys (config file syntax: `allocator = random-k` +
-  /// `allocator.k = 4`, `power = fixed-timeout` + `power.timeout_s = 45`).
-  /// Empty strings (the default) keep the exact system-enum behaviour, so
-  /// every existing config file is unchanged.
-  std::string allocator;
-  std::string power;
+  /// The policy pair: registry names (src/policy/registry.hpp) of the
+  /// global-tier allocator and the local-tier power manager, defaulting to
+  /// the paper's hierarchical system. The option blocks carry the keys of
+  /// the named policies (config file syntax: `allocator = random-k` +
+  /// `allocator.k = 4`, `power = fixed-timeout` + `power.timeout_s = 45`);
+  /// policy::apply_system sets the pair from a paper system preset.
+  std::string allocator = "drl";
+  std::string power = "rl-dpm";
   common::Config allocator_opts;
   common::Config power_opts;
 
@@ -90,6 +82,10 @@ struct ExperimentConfig {
   std::size_t gemm_threads = 0;
   /// Vestigial stub, no config key: bench_e2e reads it; the next benchmark change deletes it.
   bool batch_decisions = true;
+  /// Vestigial stub, no config key: bench_e2e assigns it; the next benchmark change deletes it.
+  SystemKind system = SystemKind::kRoundRobin;
+  /// Vestigial stub, no config key: bench_e2e assigns it; the next benchmark change deletes it.
+  double fixed_timeout_s = 60.0;
   /// Vestigial: must be 0 (validate() rejects anything else) and has no
   /// config key. It stays only because bench_e2e checks it, until the next
   /// benchmark change.
@@ -122,9 +118,8 @@ struct CheckpointRow {
 };
 
 struct ExperimentResult {
-  std::string system;
-  /// Resolved registry names of the policies that actually ran (equals the
-  /// system-enum pair unless ExperimentConfig::allocator/power overrode it).
+  /// Registry names of the policies that ran (ExperimentConfig::allocator
+  /// and ::power).
   std::string allocator;
   std::string power;
   sim::MetricsSnapshot final_snapshot;
@@ -138,17 +133,5 @@ struct ExperimentResult {
   /// Completed jobs with latency > config.sla_latency_s (0 when disabled).
   std::size_t sla_violations = 0;
 };
-
-/// Run one full experiment (trace generation + optional pretraining +
-/// measured simulation). Thin wrapper over run_scenario() in
-/// src/core/runner.hpp; prefer the Scenario/Runner API for sweeps — it
-/// names scenarios, validates them up front, shares traces explicitly and
-/// scales across cores (ParallelRunner).
-ExperimentResult run_experiment(const ExperimentConfig& config);
-
-/// Run the same trace through several systems (shares one cached trace).
-/// Wrapper over SerialRunner + comparison_scenarios() (src/core/scenario.hpp).
-std::vector<ExperimentResult> run_comparison(const ExperimentConfig& base,
-                                             const std::vector<SystemKind>& systems);
 
 }  // namespace hcrl::core

@@ -154,8 +154,8 @@ ExperimentResult run_scenario(const Scenario& scenario, RunObserver* observer) {
     return scenario.effective_trace()->produce();
   }();
 
-  // Both tiers come from the policy registry: the config's system enum (or
-  // its allocator/power override keys) name registered entries.
+  // Both tiers come from the policy registry: the config's allocator and
+  // power keys name registered entries.
   policy::SystemBundle policies = policy::build_system(cfg);
 
   // ---- offline construction phase (DRL systems only) -----------------------
@@ -179,9 +179,8 @@ ExperimentResult run_scenario(const Scenario& scenario, RunObserver* observer) {
   if (policies.local_rl != nullptr) policies.local_rl->set_learning(cfg.learn_during_run);
 
   ExperimentResult result;
-  result.system = to_string(cfg.system);
-  result.allocator = policies.allocator_name;
-  result.power = policies.power_name;
+  result.allocator = cfg.allocator;
+  result.power = cfg.power;
   std::size_t next_checkpoint =
       cfg.checkpoint_every_jobs > 0 ? cfg.checkpoint_every_jobs : static_cast<std::size_t>(-1);
 
@@ -310,14 +309,6 @@ void CsvCheckpointObserver::on_checkpoint(const Scenario& scenario, const Checkp
   out_ << scenario.name << ',' << row.jobs_completed << ',' << row.sim_time_s << ','
        << row.accumulated_latency_s << ',' << row.energy_kwh << ',' << row.average_power_w
        << '\n';
-}
-
-void LogObserver::on_complete(const Scenario& scenario, const ExperimentResult& result) {
-  const auto& s = result.final_snapshot;
-  common::log_info() << scenario.name << ": energy=" << s.energy_kwh() << " kWh"
-                     << " latency=" << s.accumulated_latency_s / 1e6 << "e6 s"
-                     << " power=" << s.average_power_watts << " W"
-                     << " (wall " << result.wall_seconds << " s)";
 }
 
 }  // namespace hcrl::core

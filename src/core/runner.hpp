@@ -102,11 +102,4 @@ class CsvCheckpointObserver final : public RunObserver {
   std::ostream& out_;
 };
 
-/// Logs one summary line per completed scenario via common::log_info —
-/// the progress narration run_comparison used to hard-code.
-class LogObserver final : public RunObserver {
- public:
-  void on_complete(const Scenario& scenario, const ExperimentResult& result) override;
-};
-
 }  // namespace hcrl::core

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/common/rng.hpp"
+#include "src/policy/registry.hpp"
 #include "src/sim/types.hpp"
 #include "src/workload/trace/calibrate.hpp"
 
@@ -42,23 +43,6 @@ void Scenario::validate() const {
 
 // ---- helpers ---------------------------------------------------------------
 
-std::vector<Scenario> comparison_scenarios(const ExperimentConfig& base,
-                                           const std::vector<SystemKind>& systems,
-                                           const std::string& name_prefix) {
-  const auto shared = make_cached(std::make_shared<SyntheticTraceSource>(base.trace));
-  std::vector<Scenario> scenarios;
-  scenarios.reserve(systems.size());
-  for (SystemKind kind : systems) {
-    Scenario s;
-    s.name = name_prefix + to_string(kind);
-    s.config = base;
-    s.config.system = kind;
-    s.trace = shared;
-    scenarios.push_back(std::move(s));
-  }
-  return scenarios;
-}
-
 ExperimentConfig paper_experiment_config(std::size_t servers, std::size_t jobs) {
   ExperimentConfig cfg;
   cfg.num_servers = servers;
@@ -72,10 +56,10 @@ ExperimentConfig paper_experiment_config(std::size_t servers, std::size_t jobs) 
   return cfg;
 }
 
-Scenario trace_scenario(std::shared_ptr<const TraceSource> source, SystemKind kind) {
+Scenario trace_scenario(std::shared_ptr<const TraceSource> source, const std::string& system) {
   if (source == nullptr) throw std::invalid_argument("trace_scenario: null source");
   Scenario s;
-  s.config.system = kind;
+  policy::apply_system(s.config, system);
   s.config.num_servers = 6;
   s.config.num_groups = 2;
   s.config.checkpoint_every_jobs = 100;
@@ -87,11 +71,12 @@ Scenario trace_scenario(std::shared_ptr<const TraceSource> source, SystemKind ki
   return s;
 }
 
-Scenario catalog_scenario(const std::string& dataset, SystemKind kind) {
-  return trace_scenario(std::make_shared<CatalogTraceSource>(dataset), kind);
+Scenario catalog_scenario(const std::string& dataset, const std::string& system) {
+  return trace_scenario(std::make_shared<CatalogTraceSource>(dataset), system);
 }
 
-Scenario calibrated_scenario(const std::string& dataset, SystemKind kind, std::size_t jobs) {
+Scenario calibrated_scenario(const std::string& dataset, const std::string& system,
+                             std::size_t jobs) {
   const Trace fixture = CatalogTraceSource(dataset).produce();
   workload::trace::CalibrationOptions cal;
   cal.verify = false;  // only the fitted options are needed here
@@ -101,7 +86,7 @@ Scenario calibrated_scenario(const std::string& dataset, SystemKind kind, std::s
     fitted.num_jobs = jobs;
   }
   Scenario s;
-  s.config.system = kind;
+  policy::apply_system(s.config, system);
   s.config.num_servers = 6;
   s.config.num_groups = 2;
   s.config.trace = fitted;
@@ -171,11 +156,11 @@ std::vector<std::string> ScenarioRegistry::names() const { return order_; }
 
 namespace {
 
-Scenario paper_scenario(std::size_t servers, SystemKind kind, std::size_t jobs,
+Scenario paper_scenario(std::size_t servers, const std::string& system, std::size_t jobs,
                         bool with_checkpoints) {
   Scenario s;
   s.config = paper_experiment_config(servers, jobs);
-  s.config.system = kind;
+  policy::apply_system(s.config, system);
   if (with_checkpoints) {
     // ~19 plot points, like the paper's figures.
     s.config.checkpoint_every_jobs = std::max<std::size_t>(1, jobs / 19);
@@ -183,9 +168,9 @@ Scenario paper_scenario(std::size_t servers, SystemKind kind, std::size_t jobs,
   return s;
 }
 
-Scenario tiny_scenario(SystemKind kind, std::size_t jobs) {
+Scenario tiny_scenario(const std::string& system, std::size_t jobs) {
   Scenario s;
-  s.config.system = kind;
+  policy::apply_system(s.config, system);
   s.config.num_servers = 6;
   s.config.num_groups = 2;
   s.config.trace.num_jobs = jobs;
@@ -207,46 +192,41 @@ void add_faults(ExperimentConfig& cfg) {
   cfg.faults.seed = 1045;
 }
 
-constexpr SystemKind kPaperSystems[] = {SystemKind::kRoundRobin, SystemKind::kDrlOnly,
-                                        SystemKind::kHierarchical};
-constexpr SystemKind kAllSystems[] = {SystemKind::kRoundRobin,      SystemKind::kDrlOnly,
-                                      SystemKind::kHierarchical,    SystemKind::kDrlFixedTimeout,
-                                      SystemKind::kLeastLoaded,     SystemKind::kFirstFitPacking};
-
 ScenarioRegistry build_builtin() {
   ScenarioRegistry r;
-  for (SystemKind kind : kPaperSystems) {
-    r.add("fig8/" + to_string(kind),
-          [kind](std::size_t jobs) { return paper_scenario(30, kind, jobs, true); });
+  // The paper's three systems per grid: Figs. 8 and 9 with checkpoints,
+  // Table I without.
+  struct PaperGrid {
+    const char* prefix;
+    std::size_t servers;
+    bool checkpoints;
+  };
+  for (const PaperGrid& g : {PaperGrid{"fig8/", 30, true}, PaperGrid{"fig9/", 40, true},
+                             PaperGrid{"table1/m30/", 30, false},
+                             PaperGrid{"table1/m40/", 40, false}}) {
+    for (const std::string system : {"round-robin", "drl-only", "hierarchical"}) {
+      r.add(g.prefix + system, [g, system](std::size_t jobs) {
+        return paper_scenario(g.servers, system, jobs, g.checkpoints);
+      });
+    }
   }
-  for (SystemKind kind : kPaperSystems) {
-    r.add("fig9/" + to_string(kind),
-          [kind](std::size_t jobs) { return paper_scenario(40, kind, jobs, true); });
-  }
-  for (SystemKind kind : kPaperSystems) {
-    r.add("table1/m30/" + to_string(kind),
-          [kind](std::size_t jobs) { return paper_scenario(30, kind, jobs, false); });
-  }
-  for (SystemKind kind : kPaperSystems) {
-    r.add("table1/m40/" + to_string(kind),
-          [kind](std::size_t jobs) { return paper_scenario(40, kind, jobs, false); });
-  }
-  for (SystemKind kind : kAllSystems) {
-    r.add("tiny/" + to_string(kind),
-          [kind](std::size_t jobs) { return tiny_scenario(kind, jobs); });
+  for (const policy::SystemPreset& preset : policy::system_presets()) {
+    const std::string system = preset.name;
+    r.add("tiny/" + system, [system](std::size_t jobs) { return tiny_scenario(system, jobs); });
   }
   // Fault-injected twins of the tiny sweep (deterministic crash/evict plans;
   // see src/sim/fault/fault.hpp), plus one paper-scale faulty cell that rides
   // into bench_table1 via make_group("table1/").
-  for (SystemKind kind : kAllSystems) {
-    r.add("tiny/" + to_string(kind) + "-faulty", [kind](std::size_t jobs) {
-      Scenario s = tiny_scenario(kind, jobs);
+  for (const policy::SystemPreset& preset : policy::system_presets()) {
+    const std::string system = preset.name;
+    r.add("tiny/" + system + "-faulty", [system](std::size_t jobs) {
+      Scenario s = tiny_scenario(system, jobs);
       add_faults(s.config);
       return s;
     });
   }
   r.add("table1/m30/hierarchical-faulty", [](std::size_t jobs) {
-    Scenario s = paper_scenario(30, SystemKind::kHierarchical, jobs, false);
+    Scenario s = paper_scenario(30, "hierarchical", jobs, false);
     add_faults(s.config);
     return s;
   });
@@ -255,11 +235,11 @@ ScenarioRegistry build_builtin() {
   // fixture). The paper's own system (hierarchical) runs on each.
   for (const char* dataset : {"google2011-sample", "alibaba2018-sample"}) {
     r.add(dataset, [dataset](std::size_t) {
-      return catalog_scenario(dataset, SystemKind::kHierarchical);
+      return catalog_scenario(dataset, "hierarchical");
     });
     const std::string base = dataset;
     r.add(base.substr(0, base.rfind("-sample")) + "-calibrated", [dataset](std::size_t jobs) {
-      return calibrated_scenario(dataset, SystemKind::kHierarchical, jobs);
+      return calibrated_scenario(dataset, "hierarchical", jobs);
     });
   }
   return r;

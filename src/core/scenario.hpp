@@ -1,6 +1,6 @@
 // Scenario: a named, self-contained experiment description.
 //
-// The paper's evaluation (§VII) is a grid of scenarios — system kind ×
+// The paper's evaluation (§VII) is a grid of scenarios — policy pair ×
 // cluster size × trace — so the experiment API treats "one cell of that
 // grid" as a value: a name (for logs, errors and result tables), an
 // ExperimentConfig, an optional TraceSource (null means "synthesize from
@@ -47,13 +47,6 @@ struct Scenario {
   void validate() const;
 };
 
-/// Scenarios for running `systems` on one shared, cached trace built from
-/// `base.trace` — the explicit form of the old run_comparison sharing.
-/// Names are `<prefix><system-name>`.
-std::vector<Scenario> comparison_scenarios(const ExperimentConfig& base,
-                                           const std::vector<SystemKind>& systems,
-                                           const std::string& name_prefix = "");
-
 /// Paper-faithful base configuration: M servers, one-week-equivalent trace
 /// scaled to `jobs` (the paper's 95,000-job week), seed 2011, offline
 /// construction on the first quarter of the trace.
@@ -61,14 +54,15 @@ ExperimentConfig paper_experiment_config(std::size_t servers, std::size_t jobs);
 
 /// Real-trace scenario recipe: run `source` at the tiny test scale
 /// (6 servers, 2 groups) with pretraining on the first quarter of the
-/// trace and checkpoints every 100 jobs. Backs `run_experiment --trace`;
-/// pass a caching source — the pretrain sizing produces it once up front.
-Scenario trace_scenario(std::shared_ptr<const TraceSource> source, SystemKind kind);
+/// trace and checkpoints every 100 jobs, under the paper system preset
+/// `system` (policy::apply_system). Backs `run_experiment --trace`; pass a
+/// caching source — the pretrain sizing produces it once up front.
+Scenario trace_scenario(std::shared_ptr<const TraceSource> source, const std::string& system);
 
 /// trace_scenario over a workload::trace::TraceCatalog dataset
 /// (CatalogTraceSource). The same recipe backs the registry's
 /// "<dataset>-sample" entries and `run_experiment --catalog`.
-Scenario catalog_scenario(const std::string& dataset, SystemKind kind);
+Scenario catalog_scenario(const std::string& dataset, const std::string& system);
 
 /// Calibrated-synthetic twin: generator options fitted to the dataset's
 /// fixture (workload::trace::calibrate, fit-only), run through the
@@ -76,7 +70,8 @@ Scenario catalog_scenario(const std::string& dataset, SystemKind kind);
 /// rescales the twin to that many jobs at the fitted arrival rate — how a
 /// few-hundred-job slice scales to a 95,000-job week; 0 keeps the
 /// fixture's size.
-Scenario calibrated_scenario(const std::string& dataset, SystemKind kind, std::size_t jobs);
+Scenario calibrated_scenario(const std::string& dataset, const std::string& system,
+                             std::size_t jobs);
 
 class ScenarioRegistry {
  public:
@@ -100,8 +95,9 @@ class ScenarioRegistry {
 
   /// The built-in paper grid: "fig8/<system>" (M=30), "fig9/<system>"
   /// (M=40), "table1/m30/<system>", "table1/m40/<system>" for round-robin,
-  /// drl-only and hierarchical; "tiny/<system>" for all six systems at
-  /// test scale (6 servers). Real-cluster workloads ride along as
+  /// drl-only and hierarchical; "tiny/<system>" for all six
+  /// policy::system_presets() at test scale (6 servers). Real-cluster
+  /// workloads ride along as
   /// "google2011-sample" / "alibaba2018-sample" (TraceCatalog fixture
   /// slices, hierarchical system, `jobs` ignored) and their
   /// "<dataset>-calibrated" synthetic twins (generator options fitted to

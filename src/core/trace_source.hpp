@@ -1,11 +1,6 @@
-// TraceSource: one polymorphic producer for every kind of workload trace.
-//
-// The experiment layer used to be welded to the synthetic
-// workload::GoogleTraceGenerator; real traces persisted via
-// workload::trace_io could not reach run_experiment at all, and
-// run_comparison shared a trace across systems only implicitly (by
-// re-generating from the same seed). TraceSource makes the producer a
-// first-class value:
+// TraceSource: one polymorphic producer for every kind of workload trace,
+// so a scenario can run a synthetic trace, a real one, or one shared with
+// other scenarios. The producer is a first-class value:
 //
 //   * SyntheticTraceSource  — wraps workload::GeneratorOptions;
 //   * FileTraceSource       — reads a workload::trace_io CSV file;

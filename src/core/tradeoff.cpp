@@ -8,6 +8,7 @@
 #include "src/common/log.hpp"
 #include "src/core/runner.hpp"
 #include "src/core/scenario.hpp"
+#include "src/policy/registry.hpp"
 
 namespace hcrl::core {
 
@@ -47,7 +48,7 @@ TradeoffResult explore_tradeoff(const TradeoffOptions& options) {
     Scenario s;
     s.name = "hierarchical/w=" + std::to_string(w);
     s.config = options.base;
-    s.config.system = SystemKind::kHierarchical;
+    policy::apply_system(s.config, "hierarchical");
     s.config.local.w = w;
     scenarios.push_back(std::move(s));
     cells.push_back({"hierarchical", w});
@@ -58,8 +59,8 @@ TradeoffResult explore_tradeoff(const TradeoffOptions& options) {
       Scenario s;
       s.name = label + "/w_vms=" + std::to_string(w_vms);
       s.config = options.base;
-      s.config.system = SystemKind::kDrlFixedTimeout;
-      s.config.fixed_timeout_s = timeout;
+      policy::apply_system(s.config, "drl-fixed-timeout");
+      s.config.power_opts.set("timeout_s", timeout);
       s.config.drl.w_vms = w_vms;
       scenarios.push_back(std::move(s));
       cells.push_back({label, w_vms});

@@ -15,6 +15,9 @@ namespace hcrl::policy {
 
 namespace {
 
+/// fixed-timeout's idle timeout when its option block sets none.
+constexpr double kDefaultIdleTimeoutS = 60.0;
+
 std::vector<std::string> schema_keys(const std::vector<OptionSpec>& options) {
   std::vector<std::string> keys;
   keys.reserve(options.size());
@@ -247,9 +250,9 @@ PolicyRegistry build_builtin() {
                }});
   r.add_power({.name = "fixed-timeout",
                .description = "sleep after a fixed idle timeout",
-               .options = {{"timeout_s", "idle timeout in seconds (default: fixed_timeout_s)"}},
-               .factory = [](const core::ExperimentConfig& cfg, common::Config& opts) {
-                 const double t = opts.get_double("timeout_s", cfg.fixed_timeout_s);
+               .options = {{"timeout_s", "idle timeout in seconds (default 60; inf never sleeps)"}},
+               .factory = [](const core::ExperimentConfig&, common::Config& opts) {
+                 const double t = opts.get_double("timeout_s", kDefaultIdleTimeoutS);
                  return BuiltPower{std::make_unique<sim::FixedTimeoutPolicy>(t)};
                }});
   r.add_power({.name = "rl-dpm",
@@ -277,82 +280,60 @@ const PolicyRegistry& PolicyRegistry::builtin() {
   return registry;
 }
 
-// ---- system resolution -----------------------------------------------------
+// ---- system presets --------------------------------------------------------
 
-ResolvedSystem resolve_system(const core::ExperimentConfig& cfg) {
-  ResolvedSystem r;
-  switch (cfg.system) {
-    case core::SystemKind::kRoundRobin:
-      r.allocator = "round-robin";
-      r.power = "always-on";
-      break;
-    case core::SystemKind::kDrlOnly:
-      r.allocator = "drl";
-      r.power = "immediate-sleep";
-      break;
-    case core::SystemKind::kHierarchical:
-      r.allocator = "drl";
-      r.power = "rl-dpm";
-      break;
-    case core::SystemKind::kDrlFixedTimeout:
-      r.allocator = "drl";
-      r.power = "fixed-timeout";
-      break;
-    case core::SystemKind::kLeastLoaded:
-      r.allocator = "least-loaded";
-      r.power = "immediate-sleep";
-      break;
-    case core::SystemKind::kFirstFitPacking:
-      r.allocator = "first-fit-packing";
-      r.power = "immediate-sleep";
-      break;
+const std::vector<SystemPreset>& system_presets() {
+  static const std::vector<SystemPreset> presets = {
+      {"round-robin", "round-robin", "always-on"},
+      {"drl-only", "drl", "immediate-sleep"},
+      {"hierarchical", "drl", "rl-dpm"},
+      {"drl-fixed-timeout", "drl", "fixed-timeout"},
+      {"least-loaded", "least-loaded", "immediate-sleep"},
+      {"first-fit-packing", "first-fit-packing", "immediate-sleep"},
+  };
+  return presets;
+}
+
+void apply_system(core::ExperimentConfig& cfg, const std::string& name) {
+  std::vector<std::string> names;
+  for (const SystemPreset& p : system_presets()) {
+    if (name == p.name) {
+      cfg.allocator = p.allocator;
+      cfg.power = p.power;
+      return;
+    }
+    names.emplace_back(p.name);
   }
-  if (!cfg.allocator.empty()) {
-    r.allocator = cfg.allocator;
-    r.allocator_opts = cfg.allocator_opts;
-  } else if (!cfg.allocator_opts.keys().empty()) {
-    throw std::invalid_argument(
-        "ExperimentConfig: allocator.* options require the allocator key");
-  }
-  if (!cfg.power.empty()) {
-    r.power = cfg.power;
-    r.power_opts = cfg.power_opts;
-  } else if (!cfg.power_opts.keys().empty()) {
-    throw std::invalid_argument("ExperimentConfig: power.* options require the power key");
-  }
-  return r;
+  throw std::invalid_argument(common::unknown_key_message("system", name, names));
 }
 
 SystemBundle build_system(const core::ExperimentConfig& cfg) {
-  const ResolvedSystem sel = resolve_system(cfg);
   const PolicyRegistry& reg = PolicyRegistry::builtin();
-  BuiltAllocator a = reg.make_allocator(sel.allocator, cfg, sel.allocator_opts);
-  BuiltPower p = reg.make_power(sel.power, cfg, sel.power_opts);
+  BuiltAllocator a = reg.make_allocator(cfg.allocator, cfg, cfg.allocator_opts);
+  BuiltPower p = reg.make_power(cfg.power, cfg, cfg.power_opts);
   SystemBundle bundle;
   bundle.allocation = std::move(a.policy);
   bundle.power = std::move(p.policy);
   bundle.drl = a.drl;
   bundle.local_rl = p.rl;
-  bundle.allocator_name = sel.allocator;
-  bundle.power_name = sel.power;
   return bundle;
 }
 
 void validate_system_selection(const core::ExperimentConfig& cfg) {
-  const ResolvedSystem sel = resolve_system(cfg);
   const PolicyRegistry& reg = PolicyRegistry::builtin();
-  const AllocatorInfo& a = reg.allocator_info(sel.allocator);
-  reg.validate_options(a, sel.allocator_opts);
-  const PowerInfo& p = reg.power_info(sel.power);
-  reg.validate_options(p, sel.power_opts);
-  if (p.name == "rl-dpm") {
-    common::Config opts = sel.power_opts;
+  reg.validate_options(reg.allocator_info(cfg.allocator), cfg.allocator_opts);
+  reg.validate_options(reg.power_info(cfg.power), cfg.power_opts);
+  common::Config opts = cfg.power_opts;
+  if (cfg.power == "rl-dpm") {
     const std::string kind = opts.get_string("predictor", cfg.local.predictor);
     const std::vector<std::string> kinds = core::predictor_kinds();
     if (std::find(kinds.begin(), kinds.end(), kind) == kinds.end()) {
       throw std::invalid_argument("ExperimentConfig: " +
                                   common::unknown_key_message("predictor", kind, kinds));
     }
+  } else if (cfg.power == "fixed-timeout" &&
+             !(opts.get_double("timeout_s", kDefaultIdleTimeoutS) >= 0.0)) {
+    throw std::invalid_argument("ExperimentConfig: power.timeout_s must be >= 0");
   }
 }
 

@@ -119,16 +119,21 @@ class PolicyRegistry {
   std::vector<PowerInfo> powers_;
 };
 
-/// The system a config resolves to: the pair implied by `system`, with any
-/// non-empty allocator/power override applied on top.
-struct ResolvedSystem {
-  std::string allocator;
-  common::Config allocator_opts;
-  std::string power;
-  common::Config power_opts;
+/// A paper system (§VII-B, Fig. 10): a name for one allocator + power pair.
+struct SystemPreset {
+  const char* name;
+  const char* allocator;
+  const char* power;
 };
 
-ResolvedSystem resolve_system(const core::ExperimentConfig& cfg);
+/// The six presets, in table order: round-robin, drl-only, hierarchical,
+/// drl-fixed-timeout, least-loaded, first-fit-packing.
+const std::vector<SystemPreset>& system_presets();
+
+/// Set cfg.allocator / cfg.power to the preset's pair. The option blocks are
+/// left alone: they apply to whichever pair the config ends up naming.
+/// Unknown names throw std::invalid_argument with a did-you-mean.
+void apply_system(core::ExperimentConfig& cfg, const std::string& name);
 
 /// Everything run_scenario needs to run a system: both constructed tiers
 /// plus the learner views run_scenario wires (pretraining, set_learning).
@@ -137,18 +142,17 @@ struct SystemBundle {
   std::unique_ptr<sim::PowerPolicy> power;
   core::DrlAllocator* drl = nullptr;
   core::RlPowerManager* local_rl = nullptr;
-  std::string allocator_name;  // registry names actually used
-  std::string power_name;
 };
 
-/// The registry construction path used by core::run_scenario: resolve the
-/// config's system selection and build both tiers from the builtin registry.
+/// The registry construction path used by core::run_scenario: build the
+/// config's allocator and power policies from the builtin registry.
 SystemBundle build_system(const core::ExperimentConfig& cfg);
 
-/// Config-time diagnostics (called from ExperimentConfig::validate):
-/// resolve the selection, check names and option keys against the registry,
-/// and check the predictor kind when the local tier is the RL manager. All
-/// failures are std::invalid_argument with did-you-mean suggestions.
+/// Config-time diagnostics (called from ExperimentConfig::validate): check
+/// the policy names and option keys against the registry, the predictor
+/// kind when the local tier is the RL manager, and the idle timeout when it
+/// is fixed-timeout. All failures are std::invalid_argument, with
+/// did-you-mean suggestions for names and keys.
 void validate_system_selection(const core::ExperimentConfig& cfg);
 
 /// The shared --list-policies body: every registered allocator and power

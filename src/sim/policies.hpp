@@ -183,7 +183,9 @@ class ImmediateSleepPolicy final : public PowerPolicy {
 class FixedTimeoutPolicy final : public PowerPolicy {
  public:
   explicit FixedTimeoutPolicy(double timeout_s) : timeout_(timeout_s) {
-    if (timeout_s < 0.0) throw std::invalid_argument("FixedTimeoutPolicy: negative timeout");
+    if (!(timeout_s >= 0.0)) {
+      throw std::invalid_argument("FixedTimeoutPolicy: timeout must be >= 0 (inf never sleeps)");
+    }
   }
   double on_idle(const Server& server, Time now) override;
   std::string name() const override { return "fixed-timeout-" + std::to_string(timeout_); }

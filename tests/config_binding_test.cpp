@@ -5,21 +5,15 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/core/runner.hpp"
+
 namespace hcrl::core {
 namespace {
 
-TEST(SystemKindFromString, AllNamesRoundTrip) {
-  for (SystemKind kind : {SystemKind::kRoundRobin, SystemKind::kDrlOnly,
-                          SystemKind::kHierarchical, SystemKind::kDrlFixedTimeout,
-                          SystemKind::kLeastLoaded, SystemKind::kFirstFitPacking}) {
-    EXPECT_EQ(system_kind_from_string(to_string(kind)), kind);
-  }
-  EXPECT_THROW(system_kind_from_string("nonsense"), std::invalid_argument);
-}
-
 TEST(ExperimentConfigFrom, DefaultsWhenEmpty) {
   const auto cfg = experiment_config_from(common::Config{});
-  EXPECT_EQ(cfg.system, SystemKind::kHierarchical);
+  EXPECT_EQ(cfg.allocator, "drl");  // the hierarchical system
+  EXPECT_EQ(cfg.power, "rl-dpm");
   EXPECT_EQ(cfg.num_servers, 30u);
   EXPECT_EQ(cfg.drl.qnet.encoder.num_servers, 30u);  // finalize() ran
 }
@@ -35,7 +29,8 @@ TEST(ExperimentConfigFrom, OverridesApply) {
       "local.w = 0.9\n"
       "local.predictor = sliding-mean\n");
   const auto cfg = experiment_config_from(raw);
-  EXPECT_EQ(cfg.system, SystemKind::kDrlOnly);
+  EXPECT_EQ(cfg.allocator, "drl");
+  EXPECT_EQ(cfg.power, "immediate-sleep");
   EXPECT_EQ(cfg.num_servers, 12u);
   EXPECT_EQ(cfg.num_groups, 4u);
   EXPECT_EQ(cfg.trace.num_jobs, 2000u);
@@ -67,6 +62,25 @@ TEST(ExperimentConfigFrom, PolicySelectionKeysBind) {
   EXPECT_EQ(cfg.power, "fixed-timeout");
   EXPECT_DOUBLE_EQ(cfg.power_opts.get_double("timeout_s"), 45.0);
   EXPECT_DOUBLE_EQ(cfg.sla_latency_s, 120.0);
+}
+
+TEST(ExperimentConfigFrom, PolicyKeysOverrideHalfOfTheSystemPreset) {
+  const auto cfg = experiment_config_from(common::Config::from_string(
+      "system = drl-fixed-timeout\n"
+      "allocator = best-fit\n"
+      "power.timeout_s = 30\n"));
+  EXPECT_EQ(cfg.allocator, "best-fit");
+  EXPECT_EQ(cfg.power, "fixed-timeout");  // kept from the preset
+  EXPECT_DOUBLE_EQ(cfg.power_opts.get_double("timeout_s"), 30.0);
+}
+
+TEST(ExperimentConfigFrom, FixedTimeoutKeyPointsToPowerTimeout) {
+  try {
+    experiment_config_from(common::Config::from_string("fixed_timeout_s = 30\n"));
+    FAIL() << "expected fixed_timeout_s to be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("power.timeout_s"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ExperimentConfigFrom, UnknownPolicyOptionKeyRejected) {
@@ -139,8 +153,10 @@ TEST(ExperimentConfigFrom, RunsEndToEnd) {
       "trace.num_jobs = 300\n"
       "checkpoint_every_jobs = 100\n"
       "pretrain_jobs = 0\n");
-  const auto cfg = experiment_config_from(raw);
-  const auto result = run_experiment(cfg);
+  Scenario scenario;
+  scenario.name = "round-robin";
+  scenario.config = experiment_config_from(raw);
+  const auto result = run_scenario(scenario);
   EXPECT_EQ(result.final_snapshot.jobs_completed, 300u);
   EXPECT_EQ(result.series.size(), 3u);
 }

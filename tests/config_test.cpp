@@ -73,10 +73,15 @@ TEST(Config, SettersRoundTrip) {
   Config cfg;
   cfg.set("s", "v");
   cfg.set("d", 1.5);
+  cfg.set("tiny", 1e-7);
+  cfg.set("long", 123.456789012);
   cfg.set("i", std::int64_t{42});
   cfg.set("b", true);
   EXPECT_EQ(cfg.get_string("s"), "v");
   EXPECT_DOUBLE_EQ(cfg.get_double("d"), 1.5);
+  // Doubles round-trip bit for bit, however small or long.
+  EXPECT_EQ(cfg.get_double("tiny"), 1e-7);
+  EXPECT_EQ(cfg.get_double("long"), 123.456789012);
   EXPECT_EQ(cfg.get_int("i"), 42);
   EXPECT_TRUE(cfg.get_bool("b"));
 }

@@ -201,11 +201,12 @@ TEST_P(ConfigSoupFuzz, RandomKeyValueSoupParsesOrThrowsCleanly) {
   static const char* kKeys[] = {"num_servers",       "num_groups",        "pretrain_jobs",
                                 "gemm_threads",      "trace.num_jobs",    "faults.mtbf_s",
                                 "faults.mttr_s",     "faults.max_retries", "faults.backoff_jitter",
-                                "watchdog_s",        "system",            "fixed_timeout_s",
+                                "watchdog_s",        "system",            "power.timeout_s",
                                 "drl.subq_hidden",   "drl.batch_size"};
   static const char* kValues[] = {"0",    "1",        "-1",  "4",     "3.5",  "-3.5",
                                   "nan",  "inf",      "1e#", "",      "true", "hierarchical",
-                                  "1e308", "99999999999999999999999", "0.25", "x"};
+                                  "1e308", "99999999999999999999999", "0.25", "x",
+                                  "drl-fixed-timeout"};
   common::Rng rng(GetParam());
   for (int round = 0; round < 200; ++round) {
     std::string text;

@@ -2,16 +2,19 @@
 // qualitative ordering on a moderately sized trace.
 #include <gtest/gtest.h>
 
-#include "src/core/experiment.hpp"
+#include <string>
+
+#include "src/core/runner.hpp"
+#include "src/policy/registry.hpp"
 #include "src/sim/cluster.hpp"
 #include "src/workload/generator.hpp"
 
 namespace hcrl {
 namespace {
 
-core::ExperimentConfig mid_config(core::SystemKind kind, std::uint64_t seed) {
+core::ExperimentConfig mid_config(const std::string& system, std::uint64_t seed) {
   core::ExperimentConfig cfg;
-  cfg.system = kind;
+  policy::apply_system(cfg, system);
   cfg.num_servers = 12;
   cfg.num_groups = 3;
   cfg.trace.num_jobs = 3000;
@@ -23,13 +26,20 @@ core::ExperimentConfig mid_config(core::SystemKind kind, std::uint64_t seed) {
   return cfg;
 }
 
+core::ExperimentResult run(const core::ExperimentConfig& cfg) {
+  core::Scenario scenario;
+  scenario.name = cfg.allocator + "+" + cfg.power;
+  scenario.config = cfg;
+  return core::run_scenario(scenario);
+}
+
 // Conservation + sanity invariants must hold under every policy and seed.
 class ConservationInvariants
-    : public testing::TestWithParam<std::tuple<core::SystemKind, std::uint64_t>> {};
+    : public testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {};
 
 TEST_P(ConservationInvariants, Hold) {
-  const auto [kind, seed] = GetParam();
-  const core::ExperimentResult r = core::run_experiment(mid_config(kind, seed));
+  const auto& [system, seed] = GetParam();
+  const core::ExperimentResult r = run(mid_config(system, seed));
   const auto& s = r.final_snapshot;
 
   // Every arrived job completes; none is lost or duplicated.
@@ -52,26 +62,24 @@ TEST_P(ConservationInvariants, Hold) {
 
 INSTANTIATE_TEST_SUITE_P(
     PoliciesAndSeeds, ConservationInvariants,
-    testing::Combine(testing::Values(core::SystemKind::kRoundRobin,
-                                     core::SystemKind::kDrlOnly,
-                                     core::SystemKind::kHierarchical,
-                                     core::SystemKind::kFirstFitPacking),
+    testing::Combine(testing::Values("round-robin", "drl-only", "hierarchical",
+                                     "first-fit-packing"),
                      testing::Values(1u, 7u)));
 
 // The paper's headline qualitative result (Table I / Figs. 8-9): both DRL
 // systems use substantially less energy than round-robin, and round-robin
 // has the lowest latency.
 TEST(PaperOrdering, DrlSystemsBeatRoundRobinOnEnergy) {
-  auto scaled = [](core::SystemKind kind) {
-    core::ExperimentConfig cfg = mid_config(kind, 3);
+  auto scaled = [](const std::string& system) {
+    core::ExperimentConfig cfg = mid_config(system, 3);
     cfg.trace.num_jobs = 6000;
     cfg.trace.horizon_s *= 2.0;
     cfg.pretrain_jobs = 3000;
-    return core::run_experiment(cfg);
+    return run(cfg);
   };
-  const auto rr = scaled(core::SystemKind::kRoundRobin);
-  const auto drl = scaled(core::SystemKind::kDrlOnly);
-  const auto hier = scaled(core::SystemKind::kHierarchical);
+  const auto rr = scaled("round-robin");
+  const auto drl = scaled("drl-only");
+  const auto hier = scaled("hierarchical");
 
   // Energy: round-robin (always on) is substantially worse. (The margin at
   // full 95k-job scale is ~40-55%; this test uses a small trace, so assert a
@@ -87,16 +95,16 @@ TEST(PaperOrdering, DrlSystemsBeatRoundRobinOnEnergy) {
 }
 
 TEST(PaperOrdering, JobRecordsAreInternallyConsistent) {
-  core::ExperimentConfig cfg = mid_config(core::SystemKind::kHierarchical, 5);
+  core::ExperimentConfig cfg = mid_config("hierarchical", 5);
   cfg.trace.num_jobs = 1500;
   cfg.pretrain_jobs = 500;
-  const auto result = core::run_experiment(cfg);
+  const auto result = run(cfg);
   EXPECT_EQ(result.final_snapshot.jobs_completed, 1500u);
 }
 
 TEST(WholeStack, DeterministicGivenIdenticalConfig) {
-  const auto a = core::run_experiment(mid_config(core::SystemKind::kHierarchical, 11));
-  const auto b = core::run_experiment(mid_config(core::SystemKind::kHierarchical, 11));
+  const auto a = run(mid_config("hierarchical", 11));
+  const auto b = run(mid_config("hierarchical", 11));
   EXPECT_DOUBLE_EQ(a.final_snapshot.energy_joules, b.final_snapshot.energy_joules);
   EXPECT_DOUBLE_EQ(a.final_snapshot.accumulated_latency_s,
                    b.final_snapshot.accumulated_latency_s);
@@ -107,12 +115,12 @@ TEST(WholeStack, FixedTimeoutFamilyBracketsImmediateSleep) {
   // 30 s timeout burns at least as much energy as immediate sleep minus
   // transition effects; mostly we assert all variants complete and produce
   // ordered, finite metrics.
-  const auto imm = core::run_experiment(mid_config(core::SystemKind::kDrlOnly, 13));
-  auto cfg = mid_config(core::SystemKind::kDrlFixedTimeout, 13);
-  cfg.fixed_timeout_s = 30.0;
-  const auto t30 = core::run_experiment(cfg);
-  cfg.fixed_timeout_s = 90.0;
-  const auto t90 = core::run_experiment(cfg);
+  const auto imm = run(mid_config("drl-only", 13));
+  auto cfg = mid_config("drl-fixed-timeout", 13);
+  cfg.power_opts.set("timeout_s", 30.0);
+  const auto t30 = run(cfg);
+  cfg.power_opts.set("timeout_s", 90.0);
+  const auto t90 = run(cfg);
   EXPECT_GT(imm.final_snapshot.energy_joules, 0.0);
   EXPECT_GT(t30.final_snapshot.energy_joules, 0.0);
   // Longer timeout keeps servers idle longer -> at least as much energy as

@@ -105,22 +105,28 @@ TEST(PolicyRegistryAudit, EveryPowerPolicyRuns) {
 
 TEST(PolicyRegistry, OverrideReplacesHalfOfTheSystemPair) {
   core::ExperimentConfig cfg = tiny_config();
-  cfg.system = core::SystemKind::kRoundRobin;
+  policy::apply_system(cfg, "round-robin");
   cfg.allocator = "tetris";
-  const policy::ResolvedSystem sel = policy::resolve_system(cfg);
-  EXPECT_EQ(sel.allocator, "tetris");
-  EXPECT_EQ(sel.power, "always-on");  // kept from the system enum
 
-  const core::ExperimentResult r = core::run_experiment(cfg);
-  EXPECT_EQ(r.system, "round-robin");  // enum string is unchanged
+  core::Scenario scenario;
+  scenario.name = "override";
+  scenario.config = cfg;
+  const core::ExperimentResult r = core::run_scenario(scenario);
   EXPECT_EQ(r.allocator, "tetris");
-  EXPECT_EQ(r.power, "always-on");
+  EXPECT_EQ(r.power, "always-on");  // kept from the preset
 }
 
-TEST(PolicyRegistry, OptionBlockWithoutPolicyKeyIsRejected) {
-  core::ExperimentConfig cfg = tiny_config();
+TEST(PolicyRegistry, OptionBlockThatDoesNotFitThePolicyIsRejected) {
+  core::ExperimentConfig cfg = tiny_config();  // drl + rl-dpm
   cfg.allocator_opts.set("k", static_cast<std::int64_t>(4));
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  try {
+    cfg.validate();
+    FAIL() << "expected the drl schema to reject option 'k'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("allocator 'drl': unknown option key 'k'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PolicyRegistry, PerPolicyOptionsReachTheFactory) {
@@ -176,7 +182,7 @@ TEST(PolicySuggestions, ConfigFileTypoSuggestsAllocator) {
   expect_throw_containing([&] { core::experiment_config_from(raw); }, "did you mean 'best-fit'");
 }
 
-TEST(PolicySuggestions, UnknownSystemKindSuggestsNearestName) {
+TEST(PolicySuggestions, UnknownSystemSuggestsNearestName) {
   const auto raw = common::Config::from_string("system = hierarchial\n");
   expect_throw_containing([&] { core::experiment_config_from(raw); },
                           "did you mean 'hierarchical'");
@@ -184,7 +190,7 @@ TEST(PolicySuggestions, UnknownSystemKindSuggestsNearestName) {
 
 TEST(PolicySuggestions, UnknownPredictorSuggestsNearestKind) {
   core::ExperimentConfig cfg = tiny_config();
-  cfg.system = core::SystemKind::kHierarchical;
+  policy::apply_system(cfg, "hierarchical");
   cfg.local.predictor = "lsm";
   expect_throw_containing([&] { cfg.validate(); }, "did you mean 'lstm'");
   // The same check guards the per-policy predictor override.

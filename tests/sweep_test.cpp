@@ -125,8 +125,9 @@ TEST_P(ScenarioSweep, BuiltinScenarioCompletesAllJobs) {
   EXPECT_EQ(s.jobs_completed, 300u);
   EXPECT_GT(s.energy_joules, 0.0);
   EXPECT_GE(s.average_latency_s(), 60.0);  // >= the minimum job duration
-  EXPECT_EQ(results[0].system,
-            GetParam().substr(std::string("tiny/").size()));
+  // The result names the pair the scenario's system preset chose.
+  EXPECT_EQ(results[0].allocator, scenario.config.allocator);
+  EXPECT_EQ(results[0].power, scenario.config.power);
 }
 
 INSTANTIATE_TEST_SUITE_P(TinySystems, ScenarioSweep,

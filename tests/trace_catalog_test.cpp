@@ -102,7 +102,8 @@ TEST(CatalogTraceSource, UnknownDatasetFailsAtConstruction) {
 // ---- registry scenarios: the acceptance property ----------------------------
 
 void expect_identical(const core::ExperimentResult& a, const core::ExperimentResult& b) {
-  EXPECT_EQ(a.system, b.system);
+  EXPECT_EQ(a.allocator, b.allocator);
+  EXPECT_EQ(a.power, b.power);
   EXPECT_EQ(a.servers_on_at_end, b.servers_on_at_end);
   EXPECT_EQ(a.final_snapshot.now, b.final_snapshot.now);
   EXPECT_EQ(a.final_snapshot.jobs_completed, b.final_snapshot.jobs_completed);
