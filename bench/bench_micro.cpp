@@ -3,6 +3,8 @@
 // autoencoder encodes + K Sub-Q forwards, i.e. microseconds per job arrival.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "src/core/predictor.hpp"
 #include "src/core/qnetwork.hpp"
 #include "src/core/state.hpp"
@@ -159,8 +161,9 @@ void BM_DqnTrainStepBatchedF32T2(benchmark::State& state) {
 }
 BENCHMARK(BM_DqnTrainStepBatchedF32T2)->UseRealTime();
 
-// Batched LSTM sweep vs running the same windows one at a time — the
-// predictor's multi-window prediction path.
+// Eight 35-step windows through the LSTM cell: one at a time through the
+// per-sample step() wrapper (Arg 1), or stacked as one batch of 8 through
+// step_batch (Arg 8), at the paper's predictor shape.
 void BM_LstmWindowSweep(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   const std::size_t lookback = 35, hidden = 30;  // paper's predictor shape
@@ -191,9 +194,10 @@ void BM_LstmWindowSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_LstmWindowSweep)->Arg(1)->Arg(8);
 
-// Precision x GEMM-thread grid on the batched LSTM sweep (the predictor's
-// multi-window path): `batch` windows through the stacked-gate GEMMs, on
-// the inference path (keep_cache=false) that predict_windows actually runs.
+// Precision x GEMM-thread grid on a batched LSTM sweep: `batch` 35-step
+// windows through the stacked-gate GEMMs on the inference path
+// (keep_cache=false). The predictor itself runs batch 1 (see
+// BM_LstmPredictor*).
 template <class S>
 void run_lstm_sweep_grid(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
@@ -226,6 +230,55 @@ BENCHMARK(BM_LstmSweepF64)->Args({32, 2})->UseRealTime();
 void BM_LstmSweepF32(benchmark::State& state) { run_lstm_sweep_grid<float>(state); }
 BENCHMARK(BM_LstmSweepF32)->Args({8, 1})->Args({32, 1});
 BENCHMARK(BM_LstmSweepF32)->Args({32, 2})->UseRealTime();
+
+// The local tier's per-server predictor at the paper's shape (35-step
+// look-back, 30 hidden units, Adam), warmed up on 256 observed gaps and 64
+// training windows. TrainWindow is one BPTT + Adam step on a window drawn
+// from the history; Predict is one batch-1 sweep over the latest window.
+std::unique_ptr<core::LstmPredictor> warmed_up_predictor(nn::Precision precision) {
+  core::LstmPredictorOptions o;
+  o.precision = precision;
+  o.train_interval = 1u << 30;  // the benches drive training themselves
+  auto p = std::make_unique<core::LstmPredictor>(o);
+  common::Rng rng(12);
+  for (int i = 0; i < 256; ++i) p->observe(rng.exponential(1.0 / 120.0));
+  for (std::size_t end = o.lookback; end < o.lookback + 64; ++end) p->train_window(end);
+  return p;
+}
+
+void run_predictor_train_window(benchmark::State& state, nn::Precision precision) {
+  const auto p = warmed_up_predictor(precision);
+  const std::size_t first = p->options().lookback;
+  const std::size_t span = p->observations() - first;
+  std::size_t w = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(p->train_window(first + w));
+    w = (w + 37) % span;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+void BM_LstmPredictorTrainWindowF64(benchmark::State& state) {
+  run_predictor_train_window(state, nn::Precision::kF64);
+}
+BENCHMARK(BM_LstmPredictorTrainWindowF64);
+void BM_LstmPredictorTrainWindowF32(benchmark::State& state) {
+  run_predictor_train_window(state, nn::Precision::kF32);
+}
+BENCHMARK(BM_LstmPredictorTrainWindowF32);
+
+void run_predictor_predict(benchmark::State& state, nn::Precision precision) {
+  const auto p = warmed_up_predictor(precision);
+  for (auto _ : state) benchmark::DoNotOptimize(p->predict());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+void BM_LstmPredictorPredictF64(benchmark::State& state) {
+  run_predictor_predict(state, nn::Precision::kF64);
+}
+BENCHMARK(BM_LstmPredictorPredictF64);
+void BM_LstmPredictorPredictF32(benchmark::State& state) {
+  run_predictor_predict(state, nn::Precision::kF32);
+}
+BENCHMARK(BM_LstmPredictorPredictF32);
 
 void BM_GroupedQInference(benchmark::State& state) {
   common::Rng rng(1);

@@ -6,10 +6,10 @@
 
 #include "src/common/suggest.hpp"
 #include "src/nn/init.hpp"
-#include "src/nn/loss.hpp"
+#include "src/nn/layer.hpp"
 #include "src/nn/lstm.hpp"
-#include "src/nn/network.hpp"
 #include "src/nn/optimizer.hpp"
+#include "src/telemetry/registry.hpp"
 
 namespace hcrl::core {
 
@@ -136,8 +136,10 @@ void LstmPredictorOptions::validate() const {
   if (lookback == 0 || hidden_units == 0 || input_hidden == 0) {
     throw std::invalid_argument("LstmPredictor: zero-sized layer");
   }
-  if (learning_rate <= 0.0) throw std::invalid_argument("LstmPredictor: bad learning rate");
-  if (norm_scale_s <= 0.0 || prior_s <= 0.0) {
+  // `!(x > 0)` also rejects NaN, which every `<=` comparison lets through.
+  if (!(learning_rate > 0.0)) throw std::invalid_argument("LstmPredictor: bad learning rate");
+  if (!(grad_clip > 0.0)) throw std::invalid_argument("LstmPredictor: grad_clip must be > 0");
+  if (!(norm_scale_s > 0.0) || !(prior_s > 0.0)) {
     throw std::invalid_argument("LstmPredictor: bad scale/prior");
   }
   if (history_capacity <= lookback + 1) {
@@ -153,98 +155,116 @@ namespace detail {
 /// Precision-parameterized NN stack of the LSTM predictor: the input/output
 /// dense layers, the LSTM cell and the optimizer. The facade owns the
 /// (double-typed) normalized history and hands window positions down here.
+/// Every sweep runs at batch 1 on member buffers, through the layers'
+/// cache-free batch API, so a window allocates nothing per step.
 template <class S>
 class LstmNetCore {
  public:
-  LstmNetCore(const LstmPredictorOptions& opts, common::Rng& rng) : opts_(opts) {
+  LstmNetCore(const LstmPredictorOptions& opts, common::Rng& rng)
+      : opts_(opts),
+        in_(std::make_shared<nn::DenseParamsT<S>>(opts.input_hidden, 1)),
+        lstm_(std::make_shared<nn::LstmParamsT<S>>(opts.hidden_units, opts.input_hidden)),
+        out_(std::make_shared<nn::DenseParamsT<S>>(1, opts.hidden_units)),
+        all_params_{in_.params(), lstm_.params(), out_.params()},
+        optimizer_(all_params_, nn::AdamOptions{.lr = opts.learning_rate}),
+        raw_(1, 1),
+        raws_(opts.lookback, 1),
+        dy_(1, 1),
+        dhs_(opts.lookback, nn::MatrixT<S>(1, opts.hidden_units)) {
     // Paper §VI-A: input and output hidden layers initialized N(0, 1) with
     // bias 0.1; the LSTM state starts at zero.
-    auto in_params = std::make_shared<nn::DenseParamsT<S>>(opts_.input_hidden, 1);
-    nn::normal_init(in_params->W, rng, 0.0, 1.0);
-    for (auto& b : in_params->b) b = S(0.1);
-    input_layer_.add_shared_dense(in_params, nn::Activation::kIdentity);
-
-    auto lstm_params = std::make_shared<nn::LstmParamsT<S>>(opts_.hidden_units,
-                                                            opts_.input_hidden);
-    nn::init_lstm(*lstm_params, rng);
-    lstm_ = std::make_unique<nn::LstmT<S>>(lstm_params);
-
-    auto out_params = std::make_shared<nn::DenseParamsT<S>>(1, opts_.hidden_units);
-    nn::normal_init(out_params->W, rng, 0.0, 1.0);
-    for (auto& b : out_params->b) b = S(0.1);
-    output_layer_.add_shared_dense(out_params, nn::Activation::kIdentity);
-
-    all_params_ = {in_params, lstm_params, out_params};
-    optimizer_ = std::make_unique<nn::AdamT<S>>(all_params_,
-                                                nn::AdamOptions{.lr = opts_.learning_rate});
+    nn::normal_init(in_.params()->W, rng, 0.0, 1.0);
+    for (auto& b : in_.params()->b) b = S(0.1);
+    nn::init_lstm(*lstm_.params(), rng);
+    nn::normal_init(out_.params()->W, rng, 0.0, 1.0);
+    for (auto& b : out_.params()->b) b = S(0.1);
   }
 
-  /// Batched multi-window sweep; returns the *normalized* prediction per
-  /// window (the facade denormalizes).
-  std::vector<double> predict_windows(const std::deque<double>& history,
-                                      const std::vector<std::size_t>& ends) {
-    const std::size_t W = ends.size();
-    lstm_->reset_batch(W);
-    nn::MatrixT<S> h;
-    for (std::size_t i = 0; i < opts_.lookback; ++i) {
-      nn::MatrixT<S> raw(W, 1);
-      for (std::size_t w = 0; w < W; ++w) {
-        raw(w, 0) = static_cast<S>(history[ends[w] - opts_.lookback + i]);
-      }
-      h = lstm_->step_batch(input_layer_.predict_batch(std::move(raw)), /*keep_cache=*/false);
-    }
-    const nn::MatrixT<S> y = output_layer_.predict_batch(std::move(h));
-    lstm_->reset();  // back to per-sample state for train_window
-    std::vector<double> out(W);
-    for (std::size_t w = 0; w < W; ++w) out[w] = static_cast<double>(y(w, 0));
-    return out;
+  /// Next-value prediction (normalized) from the window ending at `end`.
+  double predict(const std::deque<double>& history, std::size_t end) {
+    sweep(history, end, /*keep_cache=*/false);
+    return static_cast<double>(y_(0, 0));
   }
 
   /// One supervised BPTT step on the window ending at history position
   /// `end`; returns the squared error in normalized space.
   double train_window(const std::deque<double>& history, std::size_t end) {
-    const std::size_t begin = end - opts_.lookback;
-    // Training forward: per-sample (batch = 1) path, caches kept for BPTT.
-    lstm_->reset();
-    nn::VecT<S> h;
-    for (std::size_t i = 0; i < opts_.lookback; ++i) {
-      nn::VecT<S> x = input_layer_.forward(nn::VecT<S>{static_cast<S>(history[begin + i])});
-      h = lstm_->step(x);
-    }
-    const nn::VecT<S> y = output_layer_.forward(h);
-    const S pred = y[0];
-    const S target = static_cast<S>(history[end]);
+    sweep(history, end, /*keep_cache=*/true);
+    // mse_loss over the single output (its 1/n is 1): value d^2, gradient 2d.
+    const S d = y_(0, 0) - static_cast<S>(history[end]);
+    const double loss = static_cast<double>(d * d);
+    dy_(0, 0) = S(2) * d;
 
-    optimizer_->zero_grad();
-    nn::LossResultT<S> loss = nn::mse_loss(nn::VecT<S>{pred}, nn::VecT<S>{target});
-    // Loss is attached to the last step's output only (next-value
-    // prediction); BPTT carries it back through every cached step.
-    nn::VecT<S> dh = output_layer_.backward(loss.grad);
-    std::vector<nn::VecT<S>> dh_list(opts_.lookback, nn::VecT<S>(opts_.hidden_units, S(0)));
-    dh_list.back() = dh;
-    std::vector<nn::VecT<S>> dx = lstm_->backward(dh_list);
-    for (std::size_t i = dx.size(); i-- > 0;) {
-      // LIFO: reverse order of the forwards; the raw-input gradient is unused.
-      input_layer_.backward(dx[i], /*want_input_grad=*/false);
+    optimizer_.zero_grad();
+    // The loss is attached to the last step's output only (next-value
+    // prediction): dL/dh_{T-1} lands in the last dH slot, every earlier
+    // slot stays zero, and BPTT carries it back through every cached step.
+    // It returns dL/dx of every step, newest first.
+    out_.backward_into(lstm_.hidden_batch(), dy_, &dhs_.back());
+    const nn::MatrixT<S>& dx = lstm_.backward_batch(dhs_);
+    // Input layer over all steps at once, its raw inputs stacked newest
+    // first like dx; the raw-input gradient is unused.
+    for (std::size_t s = 0; s < opts_.lookback; ++s) {
+      raws_(s, 0) = static_cast<S>(history[end - 1 - s]);
     }
+    in_.backward_into(raws_, dx, nullptr);
     nn::clip_grad_norm(all_params_, opts_.grad_clip);
-    optimizer_->step();
-    return loss.value;
+    optimizer_.step();
+    return loss;
   }
 
  private:
+  /// Runs the `lookback` values before `end` through input layer, LSTM and
+  /// output layer at batch 1, leaving the prediction in y_.
+  void sweep(const std::deque<double>& history, std::size_t end, bool keep_cache) {
+    const std::size_t begin = end - opts_.lookback;
+    lstm_.reset();
+    for (std::size_t i = 0; i < opts_.lookback; ++i) {
+      raw_(0, 0) = static_cast<S>(history[begin + i]);
+      in_.forward_into(raw_, x_);
+      lstm_.step_batch(x_, keep_cache);
+    }
+    out_.forward_into(lstm_.hidden_batch(), y_);
+  }
+
   LstmPredictorOptions opts_;
-  nn::NetworkT<S> input_layer_;
-  std::unique_ptr<nn::LstmT<S>> lstm_;
-  nn::NetworkT<S> output_layer_;
-  std::unique_ptr<nn::AdamT<S>> optimizer_;
+  nn::DenseT<S> in_;    // 1 -> input_hidden
+  nn::LstmT<S> lstm_;   // input_hidden -> hidden_units
+  nn::DenseT<S> out_;   // hidden_units -> 1
   std::vector<nn::ParamBlockPtrT<S>> all_params_;
+  nn::AdamT<S> optimizer_;
+  nn::MatrixT<S> raw_, raws_;   // one step's raw input; the window's, newest first
+  nn::MatrixT<S> x_, y_;        // one step's input-layer output; the prediction
+  nn::MatrixT<S> dy_;           // dL/dy
+  std::vector<nn::MatrixT<S>> dhs_;  // dL/dh_t per step: zero but the last
 };
 
 template class LstmNetCore<float>;
 template class LstmNetCore<double>;
 
 }  // namespace detail
+
+namespace {
+
+/// LSTM work counts, so a traced run's local-tier time divides into a cost
+/// per training window and per prediction.
+struct PredictorMetrics {
+  telemetry::MetricId lstm_train_windows;
+  telemetry::MetricId lstm_predictions;
+
+  static const PredictorMetrics& get() {
+    static const PredictorMetrics m = [] {
+      auto& reg = telemetry::global_registry();
+      return PredictorMetrics{
+          .lstm_train_windows = reg.counter("core.predictor.lstm_train_windows"),
+          .lstm_predictions = reg.counter("core.predictor.lstm_predictions"),
+      };
+    }();
+    return m;
+  }
+};
+
+}  // namespace
 
 LstmPredictor::LstmPredictor(const LstmPredictorOptions& opts) : opts_(opts), rng_(opts.seed) {
   opts_.validate();
@@ -277,27 +297,16 @@ void LstmPredictor::observe(double interarrival_s) {
 
 double LstmPredictor::predict() {
   if (history_.size() < opts_.lookback) return opts_.prior_s;
-  // Batch-of-one window through the batched sweep: same kernels, same result.
-  return predict_windows({history_.size()}).front();
-}
-
-std::vector<double> LstmPredictor::predict_windows(const std::vector<std::size_t>& ends) {
-  if (ends.empty()) return {};
-  for (const std::size_t end : ends) {
-    if (end > history_.size() || end < opts_.lookback) {
-      throw std::invalid_argument("LstmPredictor::predict_windows: bad window end");
-    }
-  }
-  std::vector<double> out =
-      f32_ ? f32_->predict_windows(history_, ends) : f64_->predict_windows(history_, ends);
-  for (auto& v : out) v = denormalize(v);
-  return out;
+  if (telemetry::enabled()) telemetry::count(PredictorMetrics::get().lstm_predictions);
+  const std::size_t end = history_.size();
+  return denormalize(f32_ ? f32_->predict(history_, end) : f64_->predict(history_, end));
 }
 
 double LstmPredictor::train_window(std::size_t end) {
   if (end >= history_.size() || end < opts_.lookback) {
     throw std::invalid_argument("LstmPredictor::train_window: bad window end");
   }
+  if (telemetry::enabled()) telemetry::count(PredictorMetrics::get().lstm_train_windows);
   return f32_ ? f32_->train_window(history_, end) : f64_->train_window(history_, end);
 }
 

@@ -143,15 +143,10 @@ class LstmPredictor final : public WorkloadPredictor {
   ~LstmPredictor() override;
 
   void observe(double interarrival_s) override;
+  /// The last `lookback` observations through the network at batch 1; the
+  /// prior until that many have arrived.
   double predict() override;
   std::string name() const override { return "lstm"; }
-
-  /// Batched multi-window prediction: window w feeds the `lookback` history
-  /// values before position ends[w] through one stacked LSTM sweep (batch =
-  /// ends.size(), one GEMM per timestep) and returns the denormalized
-  /// next-value prediction per window. ends[w] = history size predicts the
-  /// live next inter-arrival; smaller ends backtest past positions.
-  std::vector<double> predict_windows(const std::vector<std::size_t>& ends);
 
   /// One supervised BPTT step on a window ending at history position `end`
   /// (predicts history[end] from the `lookback` values before it).

@@ -24,30 +24,40 @@ DenseT<S>::DenseT(DenseParamsPtrT<S> params) : params_(std::move(params)) {
 }
 
 template <class S>
-MatrixT<S> DenseT<S>::forward_batch(MatrixT<S> X, bool keep_cache) {
+void DenseT<S>::forward_into(const MatrixT<S>& X, MatrixT<S>& Y) const {
   assert(X.cols() == params_->in_dim());
   // Seed every row with the bias, then accumulate X W^T on top in one GEMM
   // for the whole batch — one write pass over Y instead of a separate
   // broadcast-add pass (addition commutes, so the rounding is unchanged).
-  MatrixT<S> Y;
   Y.resize_for_overwrite(X.rows(), params_->out_dim());
   for (std::size_t r = 0; r < Y.rows(); ++r) Y.set_row(r, params_->b);
   gemm_nt(X, params_->W, Y, /*accumulate=*/true);
+}
+
+template <class S>
+MatrixT<S> DenseT<S>::forward_batch(MatrixT<S> X, bool keep_cache) {
+  MatrixT<S> Y;
+  forward_into(X, Y);
   if (keep_cache) inputs_.push_back(std::move(X));
   return Y;
 }
 
 template <class S>
-MatrixT<S> DenseT<S>::backward_batch(const MatrixT<S>& dY, bool want_input_grad) {
-  if (inputs_.empty()) throw std::logic_error("Dense::backward without forward");
+void DenseT<S>::backward_into(const MatrixT<S>& X, const MatrixT<S>& dY, MatrixT<S>* dX) {
   assert(dY.cols() == params_->out_dim());
-  const MatrixT<S> X = std::move(inputs_.back());
-  inputs_.pop_back();
   if (dY.rows() != X.rows()) throw std::invalid_argument("Dense::backward: batch mismatch");
   gemm_tn(dY, X, params_->gW, /*accumulate=*/true);  // gW += dY^T X
   dY.add_col_sums_into(params_->gb);                 // gb += per-row dy, in row order
+  if (dX != nullptr) gemm(dY, params_->W, *dX);      // dX = dY W
+}
+
+template <class S>
+MatrixT<S> DenseT<S>::backward_batch(const MatrixT<S>& dY, bool want_input_grad) {
+  if (inputs_.empty()) throw std::logic_error("Dense::backward without forward");
+  const MatrixT<S> X = std::move(inputs_.back());
+  inputs_.pop_back();
   MatrixT<S> dX;
-  if (want_input_grad) gemm(dY, params_->W, dX);  // dX = dY W
+  backward_into(X, dY, want_input_grad ? &dX : nullptr);
   return dX;
 }
 

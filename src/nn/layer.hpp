@@ -71,6 +71,15 @@ class DenseT final : public LayerT<S> {
   void clear_cache() override { inputs_.clear(); }
   void collect_params(std::vector<ParamBlockPtrT<S>>& out) const override;
 
+  /// Cache-free forms of forward_batch / backward_batch, for a caller that
+  /// keeps the layer input itself: the same arithmetic, written into the
+  /// caller's buffers, so a hot loop that reuses them allocates nothing.
+  /// forward_into sets Y = X W^T + b. backward_into adds the gradients of
+  /// the input X for dL/dY to the parameters and, unless dX is null, sets
+  /// *dX = dL/dX. Y and *dX must not alias an input.
+  void forward_into(const MatrixT<S>& X, MatrixT<S>& Y) const;
+  void backward_into(const MatrixT<S>& X, const MatrixT<S>& dY, MatrixT<S>* dX);
+
   const DenseParamsPtrT<S>& params() const noexcept { return params_; }
 
  private:

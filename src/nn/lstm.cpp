@@ -1,5 +1,6 @@
 #include "src/nn/lstm.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -17,6 +18,28 @@ inline S sigmoid(S x) noexcept {
 template <class S>
 inline S cell_tanh(S x) noexcept {
   return fastmath::tanh_s(x);
+}
+
+// The steps' dZ, X and H_prev, stacked newest first for the gradient GEMMs.
+// They live only inside one backward_batch() call, so one set per thread
+// serves every cell (the per-server predictors of a scenario share it).
+template <class S>
+struct StepStacks {
+  MatrixT<S> dz, x, h_prev;
+};
+
+template <class S>
+StepStacks<S>& step_stacks() {
+  thread_local StepStacks<S> stacks;
+  return stacks;
+}
+
+template <class S>
+void transpose_into(const MatrixT<S>& src, MatrixT<S>& dst) {
+  dst.resize_for_overwrite(src.cols(), src.rows());
+  for (std::size_t r = 0; r < src.rows(); ++r) {
+    for (std::size_t c = 0; c < src.cols(); ++c) dst(c, r) = src(r, c);
+  }
 }
 }  // namespace
 
@@ -38,6 +61,8 @@ void LstmT<S>::reset_batch(std::size_t batch) {
   h_.resize(batch, hidden_dim(), S(0));
   c_.resize(batch, hidden_dim(), S(0));
   recycle_cache();
+  transpose_into(params_->Wx, WxT_);
+  transpose_into(params_->Wh, WhT_);
 }
 
 template <class S>
@@ -66,13 +91,15 @@ const MatrixT<S>& LstmT<S>::step_batch(const MatrixT<S>& X, bool keep_cache) {
   const std::size_t H = hidden_dim();
 
   // All four gate pre-activations for the whole batch in one GEMM per
-  // operand: Z = b + X Wx^T + H_prev Wh^T, shape (B x 4H); the bias seeds
-  // the accumulators so no separate broadcast pass is needed.
+  // operand: Z = b + X Wx^T + H_prev Wh^T, shape (B x 4H). The bias seeds
+  // the rows, and each product adds its k-sum (started from 0, increasing
+  // k) on top. Multiplying by the transposed copies puts the 4H gates in
+  // the GEMM's vector lanes.
   MatrixT<S>& Z = z_scratch_;
   Z.resize_for_overwrite(B, 4 * H);
   for (std::size_t b = 0; b < B; ++b) Z.set_row(b, params_->b);
-  gemm_nt(X, params_->Wx, Z, /*accumulate=*/true);
-  gemm_nt(h_, params_->Wh, Z, /*accumulate=*/true);
+  gemm(X, WxT_, Z, /*accumulate=*/true);
+  gemm(h_, WhT_, Z, /*accumulate=*/true);
 
   if (!keep_cache) {
     // Inference: update h/c in place, no per-step cache.
@@ -133,59 +160,69 @@ std::vector<MatrixT<S>> LstmT<S>::forward_batch(const std::vector<MatrixT<S>>& X
 }
 
 template <class S>
-std::vector<MatrixT<S>> LstmT<S>::backward_batch(const std::vector<MatrixT<S>>& dH) {
-  if (dH.size() != cache_.size()) {
-    throw std::invalid_argument("Lstm::backward: dH size != cached steps");
-  }
+const MatrixT<S>& LstmT<S>::backward_batch(const std::vector<MatrixT<S>>& dH) {
   const std::size_t B = batch_;
   const std::size_t H = hidden_dim();
   const std::size_t T = cache_.size();
+  if (dH.size() != T) throw std::invalid_argument("Lstm::backward: dH size != cached steps");
   // Validate every dH shape up front so a mismatch cannot throw after some
   // timesteps already accumulated into the shared parameter gradients.
-  for (std::size_t tt = 0; tt < T; ++tt) {
-    if (dH[tt].rows() != B || dH[tt].cols() != H) {
-      throw std::invalid_argument("Lstm::backward: dH[" + std::to_string(tt) + "] is " +
-                                  dH[tt].shape_string());
+  for (std::size_t t = 0; t < T; ++t) {
+    if (dH[t].rows() != B || dH[t].cols() != H) {
+      throw std::invalid_argument("Lstm::backward: dH[" + std::to_string(t) + "] is " +
+                                  dH[t].shape_string());
     }
   }
-  std::vector<MatrixT<S>> dX(T);
+  if (T == 0) {
+    dxs_.resize_for_overwrite(0, in_dim());
+    return dxs_;
+  }
+  dh_next_.resize(B, H, S(0));  // dL/dh_t flowing from step t+1
+  dc_next_.resize(B, H, S(0));  // dL/dc_t flowing from step t+1
+  dz_.resize_for_overwrite(B, 4 * H);
+  StepStacks<S>& st = step_stacks<S>();
+  st.dz.resize_for_overwrite(T * B, 4 * H);
+  st.x.resize_for_overwrite(T * B, in_dim());
+  st.h_prev.resize_for_overwrite(T * B, H);
+  dxs_.resize_for_overwrite(T * B, in_dim());
 
-  MatrixT<S> dHnext(B, H, S(0));  // dL/dh_t flowing from step t+1
-  MatrixT<S> dCnext(B, H, S(0));  // dL/dc_t flowing from step t+1
-  MatrixT<S> dZ(B, 4 * H);
-
-  for (std::size_t tt = T; tt-- > 0;) {
+  // dL/dh_{t-1} and dL/dX_t are per step (each dL/dX row one k-chain over
+  // the 4H gates, as a batch-1 GEMM runs it); each step's dZ, X and H_prev
+  // are stacked at row block s = T-1-t for the gradient GEMMs after the loop.
+  for (std::size_t s = 0; s < T; ++s) {
+    const std::size_t tt = T - 1 - s;
     const StepCache& sc = cache_[tt];
-    MatrixT<S> dHt = dH[tt];
-    add_in_place(dHt, dHnext);
-
     for (std::size_t b = 0; b < B; ++b) {
       for (std::size_t j = 0; j < H; ++j) {
+        // dL/dh_t: the step's own loss term plus step t+1's.
+        const S dh = dH[tt](b, j) + dh_next_(b, j);
         // h = o * tanh(c)
-        const S do_ = dHt(b, j) * sc.TanhC(b, j);
-        const S dc =
-            dHt(b, j) * sc.O(b, j) * (S(1) - sc.TanhC(b, j) * sc.TanhC(b, j)) + dCnext(b, j);
+        const S do_ = dh * sc.TanhC(b, j);
+        const S dc = dh * sc.O(b, j) * (S(1) - sc.TanhC(b, j) * sc.TanhC(b, j)) + dc_next_(b, j);
         const S di = dc * sc.G(b, j);
         const S df = dc * sc.Cprev(b, j);
         const S dg = dc * sc.I(b, j);
         // gate pre-activations
-        dZ(b, j) = di * sc.I(b, j) * (S(1) - sc.I(b, j));
-        dZ(b, H + j) = df * sc.F(b, j) * (S(1) - sc.F(b, j));
-        dZ(b, 2 * H + j) = dg * (S(1) - sc.G(b, j) * sc.G(b, j));
-        dZ(b, 3 * H + j) = do_ * sc.O(b, j) * (S(1) - sc.O(b, j));
-        dCnext(b, j) = dc * sc.F(b, j);
+        dz_(b, j) = di * sc.I(b, j) * (S(1) - sc.I(b, j));
+        dz_(b, H + j) = df * sc.F(b, j) * (S(1) - sc.F(b, j));
+        dz_(b, 2 * H + j) = dg * (S(1) - sc.G(b, j) * sc.G(b, j));
+        dz_(b, 3 * H + j) = do_ * sc.O(b, j) * (S(1) - sc.O(b, j));
+        dc_next_(b, j) = dc * sc.F(b, j);
       }
     }
-
-    gemm_tn(dZ, sc.X, params_->gWx, /*accumulate=*/true);
-    gemm_tn(dZ, sc.Hprev, params_->gWh, /*accumulate=*/true);
-    dZ.add_col_sums_into(params_->gb);
-
-    gemm(dZ, params_->Wx, dX[tt]);
-    gemm(dZ, params_->Wh, dHnext);
+    gemm_nt(dz_, WxT_, dx_);
+    std::copy_n(dx_.data(), dx_.size(), dxs_.data() + s * dx_.size());
+    std::copy_n(dz_.data(), dz_.size(), st.dz.data() + s * dz_.size());
+    std::copy_n(sc.X.data(), sc.X.size(), st.x.data() + s * sc.X.size());
+    std::copy_n(sc.Hprev.data(), sc.Hprev.size(), st.h_prev.data() + s * sc.Hprev.size());
+    if (tt > 0) gemm(dz_, params_->Wh, dh_next_);
   }
+
+  gemm_tn(st.dz, st.x, params_->gWx, /*accumulate=*/true);
+  gemm_tn(st.dz, st.h_prev, params_->gWh, /*accumulate=*/true);
+  st.dz.add_col_sums_into(params_->gb);
   recycle_cache();
-  return dX;
+  return dxs_;
 }
 
 template <class S>
@@ -210,10 +247,9 @@ std::vector<VecT<S>> LstmT<S>::backward(const std::vector<VecT<S>>& dh) {
   std::vector<MatrixT<S>> dH;
   dH.reserve(dh.size());
   for (const auto& d : dh) dH.push_back(MatrixT<S>::from_row(d));
-  std::vector<MatrixT<S>> dX = backward_batch(dH);
-  std::vector<VecT<S>> dx;
-  dx.reserve(dX.size());
-  for (const auto& d : dX) dx.push_back(d.row(0));
+  const MatrixT<S>& dX = backward_batch(dH);  // newest step first
+  std::vector<VecT<S>> dx(dX.rows());
+  for (std::size_t s = 0; s < dX.rows(); ++s) dx[dX.rows() - 1 - s] = dX.row(s);
   return dx;
 }
 

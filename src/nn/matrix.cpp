@@ -183,12 +183,10 @@ template class MatrixT<double>;
 
 namespace {
 
-// The hot full tile uses GNU vector extensions (16-byte lanes) on gcc/clang:
-// explicit lane-wise multiply-adds keep the accumulator tile in vector
-// registers and sidestep the autovectorizer's shuffle-heavy k-direction
-// gather (measured ~2.4x on the f32 kernel). Elsewhere (and on every edge
-// tile) the plain scalar loops run — identical arithmetic, identical
-// rounding, since lane ops are IEEE scalar ops.
+// The full-width tiles use GNU vector extensions (16-byte lanes) on
+// gcc/clang. Elsewhere (and on every column-edge tile) the plain scalar
+// loops run — identical arithmetic, identical rounding, since lane ops are
+// IEEE scalar ops.
 #if defined(__GNUC__) || defined(__clang__)
 #define HCRL_GEMM_VECTOR_EXT 1
 #else
@@ -267,14 +265,71 @@ void pack_transpose(const S* src, S* dst, std::size_t rows, std::size_t cols) {
   }
 }
 
+#if HCRL_GEMM_VECTOR_EXT
+// MR rows x Tile<S>::kN columns of c (+)= a * bkn with the accumulators held
+// in 16-byte vector registers across the whole k loop: each lane runs its
+// element's products in increasing k order with one mul + one add per k, so
+// the result is bit-identical to the scalar loops (lane ops are IEEE scalar
+// ops). Explicit lane-wise multiply-adds sidestep the autovectorizer's
+// shuffle-heavy k-direction gather (measured ~2.4x on the f32 kernel).
+template <std::size_t MR, bool kOverwrite, class S>
+void vector_tile(const S* a, std::size_t lda, const S* bkn, std::size_t ldb, S* c,
+                 std::size_t ldc, std::size_t kk) {
+  typedef S V __attribute__((vector_size(16)));
+  constexpr std::size_t kLanes = 16 / sizeof(S);
+  constexpr std::size_t kNV = Tile<S>::kN / kLanes;
+  V acc[MR][kNV] = {};
+  for (std::size_t k = 0; k < kk; ++k) {
+    const S* brow = bkn + k * ldb;
+    V bv[kNV];
+    for (std::size_t v = 0; v < kNV; ++v) __builtin_memcpy(&bv[v], brow + v * kLanes, sizeof(V));
+    for (std::size_t ii = 0; ii < MR; ++ii) {
+      const S aik = a[ii * lda + k];
+      V av = {};
+      for (std::size_t l = 0; l < kLanes; ++l) av[l] = aik;
+      for (std::size_t v = 0; v < kNV; ++v) acc[ii][v] += av * bv[v];
+    }
+  }
+  for (std::size_t ii = 0; ii < MR; ++ii) {
+    S* crow = c + ii * ldc;
+    for (std::size_t v = 0; v < kNV; ++v) {
+      if constexpr (kOverwrite) {
+        __builtin_memcpy(crow + v * kLanes, &acc[ii][v], sizeof(V));
+      } else {
+        V cv;
+        __builtin_memcpy(&cv, crow + v * kLanes, sizeof(V));
+        cv += acc[ii][v];
+        __builtin_memcpy(crow + v * kLanes, &cv, sizeof(V));
+      }
+    }
+  }
+}
+
+// vector_tile for a runtime row count mr in [1, Tile<S>::kM]: the row-edge
+// tiles of a short A (every batch-1 call) keep register accumulators too.
+template <bool kOverwrite, class S>
+void vector_tile_rows(std::size_t mr, const S* a, std::size_t lda, const S* bkn, std::size_t ldb,
+                      S* c, std::size_t ldc, std::size_t kk) {
+  static_assert(Tile<S>::kM == 4);
+  switch (mr) {
+    case 1: vector_tile<1, kOverwrite>(a, lda, bkn, ldb, c, ldc, kk); return;
+    case 2: vector_tile<2, kOverwrite>(a, lda, bkn, ldb, c, ldc, kk); return;
+    case 3: vector_tile<3, kOverwrite>(a, lda, bkn, ldb, c, ldc, kk); return;
+    default: vector_tile<4, kOverwrite>(a, lda, bkn, ldb, c, ldc, kk); return;
+  }
+}
+#endif
+
 // Shared blocked micro-kernel: c (m x n) = or += a (m x kk) * bkn (kk x n),
-// all row-major. Main tiles keep a Tile<S>::kM x Tile<S>::kN accumulator
-// block in registers across the whole k loop (the jj loop vectorizes; c sees
-// one store per element instead of one per multiply-accumulate); edge
-// elements fall back to strided dot products. Every output element — tile or
-// edge, any m — accumulates its kk products in increasing k order inside a
-// register and lands on memory with a single store or add, so batch-1
-// wrappers and batched calls produce identical sums.
+// all row-major. Full-width tiles keep a Tile<S>::kM x Tile<S>::kN
+// accumulator block in registers across the whole k loop (c sees one store
+// per element instead of one per multiply-accumulate) — in vector lanes
+// with GNU vector extensions, for the row-edge tiles of a short A (m < kM,
+// every batch-1 call) as well as full tiles. Column-edge elements run the
+// scalar loops. Every output element — any tile, any m — sums its kk
+// products in increasing k order inside a register starting from 0 and
+// lands on memory with a single store or add, so batch-1 calls and batched
+// calls produce identical sums.
 template <bool kOverwrite, class S>
 void tile_mul_add(const S* a, std::size_t lda, const S* bkn, std::size_t ldb, S* c,
                   std::size_t ldc, std::size_t m, std::size_t kk, std::size_t n) {
@@ -284,42 +339,14 @@ void tile_mul_add(const S* a, std::size_t lda, const S* bkn, std::size_t ldb, S*
     const std::size_t mr = std::min(kTileM, m - i0);
     for (std::size_t j0 = 0; j0 < n; j0 += kTileN) {
       const std::size_t nr = std::min(kTileN, n - j0);
-      if (mr == kTileM && nr == kTileN) {
 #if HCRL_GEMM_VECTOR_EXT
-        // Hot full tile, explicit 16-byte vectors: each accumulator lane
-        // runs its element's products in increasing k order with one
-        // mul + one add per k — bit-identical to the scalar loops below.
-        typedef S V __attribute__((vector_size(16)));
-        constexpr std::size_t kLanes = 16 / sizeof(S);
-        constexpr std::size_t kNV = kTileN / kLanes;
-        V acc[kTileM][kNV] = {};
-        for (std::size_t k = 0; k < kk; ++k) {
-          const S* brow = bkn + k * ldb + j0;
-          V bv[kNV];
-          for (std::size_t v = 0; v < kNV; ++v) {
-            __builtin_memcpy(&bv[v], brow + v * kLanes, sizeof(V));
-          }
-          for (std::size_t ii = 0; ii < kTileM; ++ii) {
-            const S aik = a[(i0 + ii) * lda + k];
-            V av = {};
-            for (std::size_t l = 0; l < kLanes; ++l) av[l] = aik;
-            for (std::size_t v = 0; v < kNV; ++v) acc[ii][v] += av * bv[v];
-          }
-        }
-        for (std::size_t ii = 0; ii < kTileM; ++ii) {
-          S* crow = c + (i0 + ii) * ldc + j0;
-          for (std::size_t v = 0; v < kNV; ++v) {
-            if constexpr (kOverwrite) {
-              __builtin_memcpy(crow + v * kLanes, &acc[ii][v], sizeof(V));
-            } else {
-              V cv;
-              __builtin_memcpy(&cv, crow + v * kLanes, sizeof(V));
-              cv += acc[ii][v];
-              __builtin_memcpy(crow + v * kLanes, &cv, sizeof(V));
-            }
-          }
-        }
+      if (nr == kTileN) {
+        vector_tile_rows<kOverwrite>(mr, a + i0 * lda, lda, bkn + j0, ldb, c + i0 * ldc + j0, ldc,
+                                     kk);
+        continue;
+      }
 #else
+      if (mr == kTileM && nr == kTileN) {
         // Hot full tile, portable scalar form: fixed trip counts unroll and
         // keep acc in registers.
         S acc[kTileM][kTileN] = {};
@@ -340,30 +367,42 @@ void tile_mul_add(const S* a, std::size_t lda, const S* bkn, std::size_t ldb, S*
             }
           }
         }
+        continue;
+      }
 #endif
-      } else {
-        // Edge tile: same structure with runtime trip counts — loads stay
-        // contiguous and accumulation order is identical.
-        S acc[kTileM][kTileN] = {};
-        for (std::size_t k = 0; k < kk; ++k) {
-          const S* brow = bkn + k * ldb + j0;
-          for (std::size_t ii = 0; ii < mr; ++ii) {
-            const S aik = a[(i0 + ii) * lda + k];
-            for (std::size_t jj = 0; jj < nr; ++jj) acc[ii][jj] += aik * brow[jj];
-          }
-        }
+      // Edge tile: same structure with runtime trip counts — loads stay
+      // contiguous and accumulation order is identical.
+      S acc[kTileM][kTileN] = {};
+      for (std::size_t k = 0; k < kk; ++k) {
+        const S* brow = bkn + k * ldb + j0;
         for (std::size_t ii = 0; ii < mr; ++ii) {
-          S* crow = c + (i0 + ii) * ldc + j0;
-          for (std::size_t jj = 0; jj < nr; ++jj) {
-            if constexpr (kOverwrite) {
-              crow[jj] = acc[ii][jj];
-            } else {
-              crow[jj] += acc[ii][jj];
-            }
+          const S aik = a[(i0 + ii) * lda + k];
+          for (std::size_t jj = 0; jj < nr; ++jj) acc[ii][jj] += aik * brow[jj];
+        }
+      }
+      for (std::size_t ii = 0; ii < mr; ++ii) {
+        S* crow = c + (i0 + ii) * ldc + j0;
+        for (std::size_t jj = 0; jj < nr; ++jj) {
+          if constexpr (kOverwrite) {
+            crow[jj] = acc[ii][jj];
+          } else {
+            crow[jj] += acc[ii][jj];
           }
         }
       }
     }
+  }
+}
+
+// c (m x n) = or += a (m x kk) * bkn (kk x n), all row-major and densely
+// packed, as one tile_mul_add call: every element's k-chain stays whole.
+template <class S>
+void tile_mul_whole(const S* a, const S* bkn, S* c, std::size_t m, std::size_t kk, std::size_t n,
+                    bool accumulate) {
+  if (accumulate) {
+    tile_mul_add<false>(a, kk, bkn, n, c, n, m, kk, n);
+  } else {
+    tile_mul_add<true>(a, kk, bkn, n, c, n, m, kk, n);
   }
 }
 
@@ -380,11 +419,7 @@ void tile_mul_serial(const S* a, const S* bkn, S* c, std::size_t m, std::size_t 
   constexpr std::size_t kKBlock = Panel<S>::kK;
   constexpr std::size_t kNBlock = Panel<S>::kN;
   if (kk <= kKBlock && n <= kNBlock) {
-    if (accumulate) {
-      tile_mul_add<false>(a, kk, bkn, n, c, n, m, kk, n);
-    } else {
-      tile_mul_add<true>(a, kk, bkn, n, c, n, m, kk, n);
-    }
+    tile_mul_whole(a, bkn, c, m, kk, n, accumulate);
     return;
   }
   for (std::size_t j0 = 0; j0 < n; j0 += kNBlock) {
@@ -525,7 +560,11 @@ struct GemmMetrics {
 // Threading driver: row-block the M dimension into one contiguous chunk per
 // worker (aligned to the micro-tile). Each chunk runs the unmodified serial
 // kernel over its row range and every output row keeps its full k reduction
-// on one thread, so the result is bit-identical to the serial path.
+// on one thread, so the result is bit-identical to the serial path. A short
+// A (m < Tile<S>::kM, every batch-1 call) would reuse no panel of bkn, so
+// it never splits a k-chain: batch-1 sums stay one chain at any depth. The
+// test is on the whole GEMM's m, not a chunk's, so a short last chunk is
+// panelled exactly as the serial call panels it.
 template <class S>
 void tile_mul(const S* a, const S* bkn, S* c, std::size_t m, std::size_t kk, std::size_t n,
               bool accumulate) {
@@ -533,6 +572,10 @@ void tile_mul(const S* a, const S* bkn, S* c, std::size_t m, std::size_t kk, std
     const GemmMetrics& gm = GemmMetrics::get();
     telemetry::count(gm.calls);
     telemetry::count(gm.macs, static_cast<std::uint64_t>(m) * kk * n);
+  }
+  if (m < Tile<S>::kM) {
+    tile_mul_whole(a, bkn, c, m, kk, n, accumulate);
+    return;
   }
   const std::size_t threads = gemm_threads();
   if (threads > 1 && m >= 2 * Tile<S>::kM && m * kk * n >= kMinMacsPerThread * 2) {
@@ -573,29 +616,6 @@ void gemm(const MatrixT<S>& A, const MatrixT<S>& B, MatrixT<S>& C, bool accumula
   }
   const std::size_t m = A.rows(), kk = A.cols(), n = B.cols();
   prepare_output(C, m, n, accumulate, "gemm");
-  // Small-batch path: accumulate rows of B directly into the output row —
-  // contiguous walks; k = 0 seeds the row, so the incremental adds round
-  // exactly like the micro-kernel's register sums (0 + p0 is exact).
-  if (m < Tile<S>::kM && !accumulate) {
-    const S* a = A.data();
-    const S* b = B.data();
-    S* c = C.data();
-    for (std::size_t i = 0; i < m; ++i) {
-      const S* arow = a + i * kk;
-      S* crow = c + i * n;
-      if (kk == 0) {
-        for (std::size_t j = 0; j < n; ++j) crow[j] = S(0);
-        continue;
-      }
-      for (std::size_t j = 0; j < n; ++j) crow[j] = arow[0] * b[j];
-      for (std::size_t k = 1; k < kk; ++k) {
-        const S aik = arow[k];
-        const S* brow = b + k * n;
-        for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-      }
-    }
-    return;
-  }
   // B is already (kk x n) row-major — the micro-kernel's native layout.
   tile_mul(A.data(), B.data(), C.data(), m, kk, n, accumulate);
 }

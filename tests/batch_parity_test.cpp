@@ -195,7 +195,7 @@ TEST(BatchParity, LstmBpttGradientsMatchPerSample) {
     batched.forward_batch(Xs);
     std::vector<Matrix> dH;
     for (std::size_t t = 0; t < steps; ++t) dH.push_back(Matrix::from_rows(dhs[t]));
-    const std::vector<Matrix> dX = batched.backward_batch(dH);
+    const Matrix dX = batched.backward_batch(dH);  // steps newest first
 
     // Per-sample: one cell per sequence, gradients summed into params_b.
     params_b->zero_grad();
@@ -218,7 +218,7 @@ TEST(BatchParity, LstmBpttGradientsMatchPerSample) {
     for (std::size_t t = 0; t < steps; ++t) {
       for (std::size_t b = 0; b < batch; ++b) {
         for (std::size_t j = 0; j < in; ++j) {
-          EXPECT_NEAR(dX[t](b, j), dx_single[b][t * in + j], kTol)
+          EXPECT_NEAR(dX((steps - 1 - t) * batch + b, j), dx_single[b][t * in + j], kTol)
               << "seed " << seed << " t " << t << " row " << b;
         }
       }
@@ -462,8 +462,10 @@ void check_threaded_gemm_bit_identical() {
     std::size_t m, k, n;
   };
   // Includes shapes large enough to engage the pool and to cross the L2
-  // panel blocking thresholds of both precisions.
-  const Shape shapes[] = {{64, 64, 64}, {33, 17, 9}, {96, 300, 40}, {128, 260, 300}};
+  // panel blocking thresholds of both precisions; {33, 300, 40} leaves a
+  // last row chunk shorter than the micro-tile (one row at 7 threads).
+  const Shape shapes[] = {
+      {64, 64, 64}, {33, 17, 9}, {96, 300, 40}, {128, 260, 300}, {33, 300, 40}};
   common::Rng rng(20260729);
   for (const Shape& sh : shapes) {
     const MatrixT<S> A = random_matrix<S>(sh.m, sh.k, rng);

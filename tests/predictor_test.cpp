@@ -3,12 +3,221 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <numbers>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
+
+#include "src/nn/fastmath.hpp"
+#include "src/nn/init.hpp"
+#include "src/nn/optimizer.hpp"
 
 namespace hcrl::core {
 namespace {
+
+// Scalar reference of LstmPredictor's network: input layer (1 -> input_hidden),
+// LSTM cell, output layer (hidden -> 1), Adam. It draws its three parameter
+// blocks exactly as the predictor does and spells out the operation order
+// the predictor's results are pinned to, with no nn::LstmT or GEMM call:
+//  - a dense or gate pre-activation is the bias, plus each input's k-sum
+//    started from 0 and taken in increasing k (x·Wx first, then h·Wh);
+//  - a backward input gradient (dL/dx, dL/dh_{t-1}) is likewise a k-sum
+//    started from 0 in increasing k;
+//  - BPTT walks steps T-1..0; every parameter gradient, the input layer's
+//    included, adds its per-step term (0 + product) in that step order.
+template <class S>
+class ReferenceLstmNet {
+ public:
+  explicit ReferenceLstmNet(const LstmPredictorOptions& o)
+      : L_(o.lookback), H_(o.hidden_units), ih_(o.input_hidden), clip_(o.grad_clip) {
+    common::Rng rng(o.seed);
+    in_ = std::make_shared<nn::DenseParamsT<S>>(ih_, 1);
+    nn::normal_init(in_->W, rng, 0.0, 1.0);
+    for (auto& b : in_->b) b = S(0.1);
+    lstm_ = std::make_shared<nn::LstmParamsT<S>>(H_, ih_);
+    nn::init_lstm(*lstm_, rng);
+    out_ = std::make_shared<nn::DenseParamsT<S>>(1, H_);
+    nn::normal_init(out_->W, rng, 0.0, 1.0);
+    for (auto& b : out_->b) b = S(0.1);
+    params_ = {in_, lstm_, out_};
+    adam_ = std::make_unique<nn::AdamT<S>>(params_, nn::AdamOptions{.lr = o.learning_rate});
+  }
+
+  /// Normalized next-value prediction for the window ending at `end`.
+  double predict(const std::vector<double>& hist, std::size_t end) {
+    forward(hist, end);
+    return static_cast<double>(output());
+  }
+
+  /// One BPTT + Adam step on the window ending at `end`; the squared error.
+  double train_window(const std::vector<double>& hist, std::size_t end) {
+    forward(hist, end);
+    const S d = output() - static_cast<S>(hist[end]);
+    const S inv_n = S(1) / S(1);  // mse_loss over one output
+    const double loss = static_cast<double>(d * d * inv_n);
+    const S gy = S(2) * d * inv_n;
+    adam_->zero_grad();
+
+    // Output layer.
+    const std::vector<S>& h_last = steps_.back().h;
+    std::vector<S> dh(H_);
+    for (std::size_t k = 0; k < H_; ++k) {
+      out_->gW(0, k) += S(0) + gy * h_last[k];
+      dh[k] = S(0) + gy * out_->W(0, k);
+    }
+    out_->gb[0] += gy;
+
+    // LSTM cell, newest step first.
+    std::vector<S> dh_next(H_, S(0)), dc_next(H_, S(0)), dz(4 * H_);
+    std::vector<std::vector<S>> dx(L_, std::vector<S>(ih_));
+    for (std::size_t t = L_; t-- > 0;) {
+      const Step& s = steps_[t];
+      for (std::size_t j = 0; j < H_; ++j) {
+        const S dht = (t + 1 == L_ ? dh[j] : S(0)) + dh_next[j];
+        const S d_o = dht * s.tc[j];
+        const S dc = dht * s.o[j] * (S(1) - s.tc[j] * s.tc[j]) + dc_next[j];
+        const S di = dc * s.g[j];
+        const S df = dc * s.c_prev[j];
+        const S dg = dc * s.i[j];
+        dz[j] = di * s.i[j] * (S(1) - s.i[j]);
+        dz[H_ + j] = df * s.f[j] * (S(1) - s.f[j]);
+        dz[2 * H_ + j] = dg * (S(1) - s.g[j] * s.g[j]);
+        dz[3 * H_ + j] = d_o * s.o[j] * (S(1) - s.o[j]);
+        dc_next[j] = dc * s.f[j];
+      }
+      for (std::size_t r = 0; r < 4 * H_; ++r) {
+        for (std::size_t k = 0; k < ih_; ++k) lstm_->gWx(r, k) += S(0) + dz[r] * s.x[k];
+        for (std::size_t k = 0; k < H_; ++k) lstm_->gWh(r, k) += S(0) + dz[r] * s.h_prev[k];
+        lstm_->gb[r] += dz[r];
+      }
+      for (std::size_t k = 0; k < ih_; ++k) {
+        S acc = S(0);
+        for (std::size_t r = 0; r < 4 * H_; ++r) acc += dz[r] * lstm_->Wx(r, k);
+        dx[t][k] = acc;
+      }
+      for (std::size_t k = 0; k < H_; ++k) {
+        S acc = S(0);
+        for (std::size_t r = 0; r < 4 * H_; ++r) acc += dz[r] * lstm_->Wh(r, k);
+        dh_next[k] = acc;
+      }
+    }
+
+    // Input layer, newest step first.
+    for (std::size_t t = L_; t-- > 0;) {
+      for (std::size_t j = 0; j < ih_; ++j) {
+        in_->gW(j, 0) += S(0) + dx[t][j] * steps_[t].raw;
+        in_->gb[j] += dx[t][j];
+      }
+    }
+    nn::clip_grad_norm(params_, clip_);
+    adam_->step();
+    return loss;
+  }
+
+ private:
+  struct Step {
+    S raw;
+    std::vector<S> x, h_prev, c_prev, i, f, g, o, tc, h;
+  };
+
+  static S sigmoid(S v) { return nn::fastmath::sigmoid_s(v); }
+  static S tanh_(S v) { return nn::fastmath::tanh_s(v); }
+
+  void forward(const std::vector<double>& hist, std::size_t end) {
+    steps_.assign(L_, Step{});
+    std::vector<S> h(H_, S(0)), c(H_, S(0));
+    for (std::size_t t = 0; t < L_; ++t) {
+      Step& s = steps_[t];
+      s.raw = static_cast<S>(hist[end - L_ + t]);
+      s.x.resize(ih_);
+      for (std::size_t j = 0; j < ih_; ++j) s.x[j] = in_->b[j] + (S(0) + s.raw * in_->W(j, 0));
+      s.h_prev = h;
+      s.c_prev = c;
+      for (auto* v : {&s.i, &s.f, &s.g, &s.o, &s.tc}) v->resize(H_);
+      std::vector<S> z(4 * H_);
+      for (std::size_t r = 0; r < 4 * H_; ++r) {
+        S zx = S(0);
+        for (std::size_t k = 0; k < ih_; ++k) zx += s.x[k] * lstm_->Wx(r, k);
+        S zh = S(0);
+        for (std::size_t k = 0; k < H_; ++k) zh += h[k] * lstm_->Wh(r, k);
+        z[r] = (lstm_->b[r] + zx) + zh;
+      }
+      for (std::size_t j = 0; j < H_; ++j) {
+        s.i[j] = sigmoid(z[j]);
+        s.f[j] = sigmoid(z[H_ + j]);
+        s.g[j] = tanh_(z[2 * H_ + j]);
+        s.o[j] = sigmoid(z[3 * H_ + j]);
+        c[j] = s.f[j] * c[j] + s.i[j] * s.g[j];
+        s.tc[j] = tanh_(c[j]);
+        h[j] = s.o[j] * s.tc[j];
+      }
+      s.h = h;
+    }
+  }
+
+  S output() const {
+    const std::vector<S>& h = steps_.back().h;
+    S acc = S(0);
+    for (std::size_t k = 0; k < H_; ++k) acc += h[k] * out_->W(0, k);
+    return out_->b[0] + acc;
+  }
+
+  std::size_t L_, H_, ih_;
+  double clip_;
+  nn::DenseParamsPtrT<S> in_, out_;
+  nn::LstmParamsPtrT<S> lstm_;
+  std::vector<nn::ParamBlockPtrT<S>> params_;
+  std::unique_ptr<nn::AdamT<S>> adam_;
+  std::vector<Step> steps_;
+};
+
+// Drives LstmPredictor and the reference side by side: `windows` rounds of
+// observe one value, train one random window, predict; every loss and every
+// prediction must match bit for bit.
+template <class S>
+void expect_predictor_matches_reference(LstmPredictorOptions o, std::size_t windows) {
+  o.precision = std::is_same_v<S, float> ? nn::Precision::kF32 : nn::Precision::kF64;
+  o.train_interval = std::numeric_limits<std::size_t>::max();  // train only when told to
+  LstmPredictor p(o);
+  ReferenceLstmNet<S> ref(o);
+  std::vector<double> hist;
+  common::Rng data(o.seed * 7 + 1);
+  auto observe = [&] {
+    const double gap = data.exponential(1.0 / 120.0);
+    p.observe(gap);
+    hist.push_back(p.normalize(gap));
+  };
+  for (std::size_t i = 0; i < o.lookback + 16; ++i) observe();
+  for (std::size_t w = 0; w < windows; ++w) {
+    observe();
+    const auto end = static_cast<std::size_t>(data.uniform_int(
+        static_cast<std::int64_t>(o.lookback), static_cast<std::int64_t>(hist.size()) - 1));
+    ASSERT_EQ(p.train_window(end), ref.train_window(hist, end)) << "window " << w;
+    ASSERT_EQ(p.predict(), p.denormalize(ref.predict(hist, hist.size()))) << "window " << w;
+  }
+}
+
+TEST(LstmPredictorOracle, MatchesScalarReferenceF64) {
+  expect_predictor_matches_reference<double>(LstmPredictorOptions{}, 60);
+}
+
+TEST(LstmPredictorOracle, MatchesScalarReferenceF32) {
+  expect_predictor_matches_reference<float>(LstmPredictorOptions{}, 60);
+}
+
+TEST(LstmPredictorOracle, MatchesScalarReferenceOddShape) {
+  // A hidden width that is no multiple of any vector tile and whose 4H = 200
+  // gate sums run past the GEMM's k panel at f64, and an input layer of 3.
+  LstmPredictorOptions o;
+  o.lookback = 6;
+  o.hidden_units = 50;
+  o.input_hidden = 3;
+  o.seed = 5;
+  expect_predictor_matches_reference<double>(o, 50);
+  expect_predictor_matches_reference<float>(o, 50);
+}
 
 TEST(LastValuePredictor, ReturnsPriorThenLast) {
   LastValuePredictor p(600.0);
@@ -53,6 +262,24 @@ TEST(LstmPredictorOptions, Validation) {
   EXPECT_THROW(o.validate(), std::invalid_argument);
   o = LstmPredictorOptions{};
   o.norm_scale_s = 0.0;
+  EXPECT_THROW(o.validate(), std::invalid_argument);
+  // grad_clip <= 0 used to construct and then throw from clip_grad_norm on
+  // the first training round; NaN passed every `<= 0` check.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {0.0, -1.0, nan}) {
+    o = LstmPredictorOptions{};
+    o.grad_clip = bad;
+    EXPECT_THROW(o.validate(), std::invalid_argument) << "grad_clip " << bad;
+    EXPECT_THROW(LstmPredictor{o}, std::invalid_argument) << "grad_clip " << bad;
+  }
+  o = LstmPredictorOptions{};
+  o.learning_rate = nan;
+  EXPECT_THROW(o.validate(), std::invalid_argument);
+  o = LstmPredictorOptions{};
+  o.norm_scale_s = nan;
+  EXPECT_THROW(o.validate(), std::invalid_argument);
+  o = LstmPredictorOptions{};
+  o.prior_s = nan;
   EXPECT_THROW(o.validate(), std::invalid_argument);
 }
 

@@ -426,6 +426,8 @@ TEST(TelemetryBitIdentity, FullExperimentBothPrecisions) {
     EXPECT_GT(snap.find("sim.arrivals")->count, 0u);
     EXPECT_GT(snap.find("nn.gemm.calls")->count, 0u);
     EXPECT_GT(snap.find("runner.scenarios")->count, 0u);
+    EXPECT_GT(snap.find("core.predictor.lstm_train_windows")->count, 0u);
+    EXPECT_GT(snap.find("core.predictor.lstm_predictions")->count, 0u);
   }
 }
 
