@@ -7,10 +7,12 @@
 
 #include "src/core/predictor.hpp"
 #include "src/core/qnetwork.hpp"
+#include "src/core/scenario.hpp"
 #include "src/core/state.hpp"
 #include "src/nn/init.hpp"
 #include "src/nn/lstm.hpp"
 #include "src/rl/dqn.hpp"
+#include "src/rl/replay.hpp"
 #include "src/rl/smdp.hpp"
 #include "src/rl/tabular_q.hpp"
 #include "src/sim/cluster.hpp"
@@ -280,11 +282,20 @@ void BM_LstmPredictorPredictF32(benchmark::State& state) {
 }
 BENCHMARK(BM_LstmPredictorPredictF32);
 
+// The paper shape's Q-network options for M servers, with K chosen as the
+// paper workloads choose it (core::paper_experiment_config: 30 -> 3, 40 -> 4).
+core::GroupedQOptions paper_qnet_options(std::size_t servers, nn::Precision precision) {
+  core::GroupedQOptions o;
+  o.encoder.num_servers = servers;
+  o.encoder.num_groups = core::paper_experiment_config(servers, 0).num_groups;
+  o.precision = precision;
+  return o;
+}
+
 void BM_GroupedQInference(benchmark::State& state) {
   common::Rng rng(1);
-  core::GroupedQOptions o;
-  o.encoder.num_servers = static_cast<std::size_t>(state.range(0));
-  o.encoder.num_groups = o.encoder.num_servers % 3 == 0 ? 3 : 2;
+  const core::GroupedQOptions o =
+      paper_qnet_options(static_cast<std::size_t>(state.range(0)), nn::Precision::kF64);
   core::GroupedQNetwork net(o, rng);
   nn::Vec s(o.encoder.full_state_dim());
   for (auto& v : s) v = rng.uniform();
@@ -294,6 +305,43 @@ void BM_GroupedQInference(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GroupedQInference)->Arg(30)->Arg(40)->Arg(60);
+
+// The global tier's DQN step: one GroupedQNetwork::train_batch of 32
+// transitions sampled from a filled replay, at the two bench_e2e paper
+// shapes (paper-hier-m30: M = 30, K = 3 at f64; paper-drl-m40-f32: M = 40,
+// K = 4 at f32).
+void run_grouped_q_train_step(benchmark::State& state, std::size_t servers,
+                              nn::Precision precision) {
+  common::Rng rng(5);
+  const core::GroupedQOptions o = paper_qnet_options(servers, precision);
+  core::GroupedQNetwork net(o, rng);
+  rl::ReplayBuffer<rl::Transition> replay(4096);
+  common::Rng data(6);
+  for (int i = 0; i < 4096; ++i) {
+    rl::Transition t;
+    t.state.resize(o.encoder.full_state_dim());
+    t.next_state.resize(o.encoder.full_state_dim());
+    for (auto& v : t.state) v = data.uniform();
+    for (auto& v : t.next_state) v = data.uniform();
+    t.action = static_cast<std::size_t>(
+        data.uniform_int(0, static_cast<std::int64_t>(servers) - 1));
+    t.reward_rate = data.uniform(-2.0, 0.0);
+    t.tau = data.exponential(0.2);
+    replay.push(std::move(t));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.train_batch(replay.sample(32, data), 0.05));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32);
+}
+void BM_GroupedQTrainStepF64(benchmark::State& state) {
+  run_grouped_q_train_step(state, 30, nn::Precision::kF64);
+}
+BENCHMARK(BM_GroupedQTrainStepF64);
+void BM_GroupedQTrainStepF32(benchmark::State& state) {
+  run_grouped_q_train_step(state, 40, nn::Precision::kF32);
+}
+BENCHMARK(BM_GroupedQTrainStepF32);
 
 void BM_LstmStep(benchmark::State& state) {
   common::Rng rng(2);

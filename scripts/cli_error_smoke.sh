@@ -81,6 +81,12 @@ expect_error "run_experiment: NaN idle timeout" \
   -- "$RUN_EXPERIMENT" --inline "system = drl-fixed-timeout" "power.timeout_s = nan"
 expect_error "run_experiment: unknown system preset" \
   -- "$RUN_EXPERIMENT" --catalog google2011-sample hierarchial
+expect_error "run_experiment: NaN global-tier learning rate" \
+  -- "$RUN_EXPERIMENT" --inline "system = drl-only" "num_servers = 6" "num_groups = 2" \
+     "trace.num_jobs = 300" "drl.learning_rate = nan"
+expect_error "run_experiment: NaN local-tier reward weight" \
+  -- "$RUN_EXPERIMENT" --inline "num_servers = 6" "num_groups = 2" "trace.num_jobs = 300" \
+     "local.w = nan"
 
 # --- tournament -------------------------------------------------------------
 expect_error "tournament: unknown combo" \

@@ -33,6 +33,10 @@ void ExperimentConfig::validate() const {
     throw std::invalid_argument("ExperimentConfig: negative sla_latency_s");
   }
   faults.validate();
+  // The learning tiers' options, checked here so a bad value fails at
+  // config time, whichever policy pair the config names.
+  drl.validate();
+  local.validate();
   if (!(watchdog_s >= 0.0)) {
     throw std::invalid_argument("ExperimentConfig: watchdog_s must be >= 0");
   }

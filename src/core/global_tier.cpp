@@ -28,9 +28,14 @@ std::size_t live_argmax(const nn::Vec& q, const sim::ClusterView& cluster) {
 
 void DrlAllocatorOptions::validate() const {
   qnet.validate();
-  if (beta <= 0.0) throw std::invalid_argument("DrlAllocator: beta must be > 0");
-  if (w_power < 0.0 || w_vms < 0.0 || w_reliability < 0.0) {
-    throw std::invalid_argument("DrlAllocator: negative reward weight");
+  // Written so that NaN fails each check too.
+  if (!(beta > 0.0)) throw std::invalid_argument("DrlAllocator: beta must be > 0");
+  if (!(w_power >= 0.0) || !(w_vms >= 0.0) || !(w_reliability >= 0.0) ||
+      !(w_chosen_queue >= 0.0)) {
+    throw std::invalid_argument("DrlAllocator: reward weights must be >= 0");
+  }
+  if (!(0.0 <= guide_mix && guide_mix <= 1.0)) {
+    throw std::invalid_argument("DrlAllocator: guide_mix must be in [0, 1]");
   }
   if (batch_size == 0 || train_interval == 0 || target_sync_interval == 0) {
     throw std::invalid_argument("DrlAllocator: batch/train/sync must be > 0");

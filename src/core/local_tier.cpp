@@ -7,11 +7,12 @@ namespace hcrl::core {
 
 void LocalPowerManagerOptions::validate() const {
   if (num_servers == 0) throw std::invalid_argument("RlPowerManager: num_servers == 0");
-  if (w < 0.0 || w > 1.0) throw std::invalid_argument("RlPowerManager: w out of [0,1]");
-  if (power_scale_watts <= 0.0) throw std::invalid_argument("RlPowerManager: bad power scale");
+  // Written so that NaN fails each check too.
+  if (!(0.0 <= w && w <= 1.0)) throw std::invalid_argument("RlPowerManager: w out of [0,1]");
+  if (!(power_scale_watts > 0.0)) throw std::invalid_argument("RlPowerManager: bad power scale");
   if (timeout_actions.empty()) throw std::invalid_argument("RlPowerManager: no timeout actions");
   for (double t : timeout_actions) {
-    if (t < 0.0) throw std::invalid_argument("RlPowerManager: negative timeout action");
+    if (!(t >= 0.0)) throw std::invalid_argument("RlPowerManager: negative timeout action");
   }
   if (std::find(timeout_actions.begin(), timeout_actions.end(), 0.0) == timeout_actions.end()) {
     throw std::invalid_argument("RlPowerManager: action list must include 0 (immediate)");
@@ -20,6 +21,7 @@ void LocalPowerManagerOptions::validate() const {
   if (!std::is_sorted(interarrival_bins.begin(), interarrival_bins.end())) {
     throw std::invalid_argument("RlPowerManager: bins must be sorted");
   }
+  agent.validate();
   lstm.validate();
 }
 

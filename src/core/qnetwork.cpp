@@ -9,6 +9,8 @@
 #include "src/nn/optimizer.hpp"
 #include "src/nn/serialize.hpp"
 #include "src/rl/smdp.hpp"
+#include "src/telemetry/profiler.hpp"
+#include "src/telemetry/registry.hpp"
 
 namespace hcrl::core {
 
@@ -16,9 +18,11 @@ void GroupedQOptions::validate() const {
   encoder.validate();
   if (autoencoder_dims.empty()) throw std::invalid_argument("GroupedQOptions: no AE dims");
   if (subq_hidden == 0) throw std::invalid_argument("GroupedQOptions: subq_hidden == 0");
-  if (learning_rate <= 0.0 || autoencoder_learning_rate <= 0.0) {
+  // Written so that NaN fails each check too.
+  if (!(learning_rate > 0.0) || !(autoencoder_learning_rate > 0.0)) {
     throw std::invalid_argument("GroupedQOptions: learning rates must be > 0");
   }
+  if (!(grad_clip > 0.0)) throw std::invalid_argument("GroupedQOptions: grad_clip must be > 0");
   if (autoencoder_batch == 0 || autoencoder_train_interval == 0 || autoencoder_buffer == 0) {
     throw std::invalid_argument("GroupedQOptions: autoencoder batch/interval/buffer must be > 0");
   }
@@ -230,6 +234,35 @@ template class GroupedQCore<double>;
 
 }  // namespace detail
 
+namespace {
+
+/// Global-tier work counts, plus a span around each DQN step, so a traced
+/// run's global-tier time splits into inference and training.
+struct QNetMetrics {
+  telemetry::MetricId q_value_calls;
+  telemetry::MetricId train_batches;
+  telemetry::MetricId autoencoder_batches;
+
+  static const QNetMetrics& get() {
+    static const QNetMetrics m = [] {
+      auto& reg = telemetry::global_registry();
+      return QNetMetrics{
+          .q_value_calls = reg.counter("core.qnet.q_value_calls"),
+          .train_batches = reg.counter("core.qnet.train_batches"),
+          .autoencoder_batches = reg.counter("core.qnet.autoencoder_batches"),
+      };
+    }();
+    return m;
+  }
+};
+
+const telemetry::SpanDef& train_span() {
+  static const telemetry::SpanDef def("core.qnet.train");
+  return def;
+}
+
+}  // namespace
+
 GroupedQNetwork::GroupedQNetwork(const GroupedQOptions& opts, common::Rng& rng) : opts_(opts) {
   opts_.validate();
   const auto& enc = opts_.encoder;
@@ -269,6 +302,7 @@ nn::Vec GroupedQNetwork::slice_job(const nn::Vec& full_state) const {
 }
 
 nn::Vec GroupedQNetwork::q_values(const nn::Vec& full_state) {
+  if (telemetry::enabled()) telemetry::count(QNetMetrics::get().q_value_calls);
   return f32_ ? f32_->q_values(full_state) : f64_->q_values(full_state);
 }
 
@@ -279,6 +313,8 @@ nn::Vec GroupedQNetwork::q_values_target(const nn::Vec& full_state) {
 double GroupedQNetwork::train_batch(const std::vector<const rl::Transition*>& batch,
                                     double beta) {
   if (batch.empty()) throw std::invalid_argument("GroupedQNetwork::train_batch: empty batch");
+  const telemetry::Span span(train_span());
+  if (telemetry::enabled()) telemetry::count(QNetMetrics::get().train_batches);
   return f32_ ? f32_->train_batch(batch, beta) : f64_->train_batch(batch, beta);
 }
 
@@ -355,6 +391,7 @@ double GroupedQNetwork::observe_state(const nn::Vec& full_state, common::Rng& rn
         rng.uniform_int(0, static_cast<std::int64_t>(ae_buffer_.size()) - 1));
     batch.push_back(&ae_buffer_[idx]);
   }
+  if (telemetry::enabled()) telemetry::count(QNetMetrics::get().autoencoder_batches);
   last_ae_loss_ = f32_ ? f32_->train_autoencoder(batch) : f64_->train_autoencoder(batch);
   return last_ae_loss_;
 }

@@ -13,6 +13,11 @@
 // (measured against double libm over [-20, 20] plus a dense near-zero
 // sweep) — well inside the 1e-4 f32-vs-f64 parity budget of the gates.
 //
+// exp_fast itself has no branch; expm1_fast and tanh_fast branch on
+// |x| < 0.25, so a loop over their scalar forms does not vectorize. The
+// ELU sweep therefore calls the four-lane forms below, which evaluate both
+// arms and select per lane.
+//
 // The double path deliberately stays on libm: f64 is the reference
 // precision and its results must not move. Dispatch is by Scalar type, and
 // every execution path of one Scalar uses the same functions, so batch-1
@@ -69,6 +74,49 @@ inline float expm1_fast(float x) noexcept {
   }
   return exp_fast(x) - 1.0f;
 }
+
+#if defined(__GNUC__) || defined(__clang__)
+// Four-lane forms of exp_fast and expm1_fast (GNU vector extensions, 16-byte
+// lanes): op for op the scalar functions above, with expm1_fast's two arms
+// both evaluated and selected per lane, so every lane's bits equal the
+// scalar call's.
+typedef float F4 __attribute__((vector_size(16)));
+typedef std::int32_t I4 __attribute__((vector_size(16)));
+
+inline constexpr F4 splat(float v) noexcept { return F4{v, v, v, v}; }
+
+/// Per lane, mask ? a : b (mask lanes are all-ones or all-zero).
+inline F4 select(I4 mask, F4 a, F4 b) noexcept {
+  return reinterpret_cast<F4>((mask & reinterpret_cast<I4>(a)) | (~mask & reinterpret_cast<I4>(b)));
+}
+
+inline F4 exp_fast(F4 x) noexcept {
+  x = select(splat(88.37f) < x, splat(88.37f), x);    // std::min(x, 88.37f)
+  x = select(x < splat(-87.33f), splat(-87.33f), x);  // std::max(x, -87.33f)
+  const F4 y = x * 1.44269504088896341f + 12582912.0f;
+  const I4 k = reinterpret_cast<I4>(y) - std::bit_cast<std::int32_t>(12582912.0f);
+  const F4 kf = y - 12582912.0f;
+  F4 r = x - kf * 0.693359375f;
+  r = r - kf * -2.12194440e-4f;
+  F4 p = r * 1.9875691500e-4f + 1.3981999507e-3f;
+  p = p * r + 8.3334519073e-3f;
+  p = p * r + 4.1665795894e-2f;
+  p = p * r + 1.6666665459e-1f;
+  p = p * r + 5.0000001201e-1f;
+  const F4 e = r * r * p + r + 1.0f;
+  const F4 scale = reinterpret_cast<F4>((k + 127) << 23);
+  return e * scale;
+}
+
+inline F4 expm1_fast(F4 x) noexcept {
+  const F4 ax = reinterpret_cast<F4>(reinterpret_cast<I4>(x) & 0x7fffffff);  // std::abs
+  F4 p = x * (1.0f / 120.0f) + 1.0f / 24.0f;
+  p = p * x + 1.0f / 6.0f;
+  p = p * x + 0.5f;
+  p = p * x + 1.0f;
+  return select(ax < splat(0.25f), p * x, exp_fast(x) - 1.0f);
+}
+#endif
 
 inline float sigmoid_fast(float x) noexcept { return 1.0f / (1.0f + exp_fast(-x)); }
 

@@ -183,10 +183,11 @@ template class MatrixT<double>;
 
 namespace {
 
-// The full-width tiles use GNU vector extensions (16-byte lanes) on
-// gcc/clang. Elsewhere (and on every column-edge tile) the plain scalar
-// loops run — identical arithmetic, identical rounding, since lane ops are
-// IEEE scalar ops.
+// The tiles use GNU vector extensions (16-byte lanes) on gcc/clang.
+// Elsewhere the plain scalar loops run — identical arithmetic, identical
+// rounding, since lane ops are IEEE scalar ops. Either form relies on the
+// library's -ffp-contract=off: a fused multiply-add in one path and not in
+// another would round differently.
 #if defined(__GNUC__) || defined(__clang__)
 #define HCRL_GEMM_VECTOR_EXT 1
 #else
@@ -266,33 +267,32 @@ void pack_transpose(const S* src, S* dst, std::size_t rows, std::size_t cols) {
 }
 
 #if HCRL_GEMM_VECTOR_EXT
-// MR rows x Tile<S>::kN columns of c (+)= a * bkn with the accumulators held
-// in 16-byte vector registers across the whole k loop: each lane runs its
-// element's products in increasing k order with one mul + one add per k, so
-// the result is bit-identical to the scalar loops (lane ops are IEEE scalar
-// ops). Explicit lane-wise multiply-adds sidestep the autovectorizer's
-// shuffle-heavy k-direction gather (measured ~2.4x on the f32 kernel).
-template <std::size_t MR, bool kOverwrite, class S>
+// MR rows x NV 16-byte vectors of c (+)= a * bkn with the accumulators held
+// in vector registers across the whole k loop: each lane runs its element's
+// products in increasing k order with one mul + one add per k, so the
+// result is bit-identical to the scalar loops (lane ops are IEEE scalar
+// ops). a[i][k] enters the lanes as one vector-times-scalar multiply, a
+// single splat per row per k. Explicit lane-wise multiply-adds sidestep the
+// autovectorizer's shuffle-heavy k-direction gather (measured ~2.4x on the
+// f32 kernel).
+template <std::size_t MR, std::size_t NV, bool kOverwrite, class S>
 void vector_tile(const S* a, std::size_t lda, const S* bkn, std::size_t ldb, S* c,
                  std::size_t ldc, std::size_t kk) {
   typedef S V __attribute__((vector_size(16)));
   constexpr std::size_t kLanes = 16 / sizeof(S);
-  constexpr std::size_t kNV = Tile<S>::kN / kLanes;
-  V acc[MR][kNV] = {};
+  V acc[MR][NV] = {};
   for (std::size_t k = 0; k < kk; ++k) {
     const S* brow = bkn + k * ldb;
-    V bv[kNV];
-    for (std::size_t v = 0; v < kNV; ++v) __builtin_memcpy(&bv[v], brow + v * kLanes, sizeof(V));
+    V bv[NV];
+    for (std::size_t v = 0; v < NV; ++v) __builtin_memcpy(&bv[v], brow + v * kLanes, sizeof(V));
     for (std::size_t ii = 0; ii < MR; ++ii) {
       const S aik = a[ii * lda + k];
-      V av = {};
-      for (std::size_t l = 0; l < kLanes; ++l) av[l] = aik;
-      for (std::size_t v = 0; v < kNV; ++v) acc[ii][v] += av * bv[v];
+      for (std::size_t v = 0; v < NV; ++v) acc[ii][v] += bv[v] * aik;
     }
   }
   for (std::size_t ii = 0; ii < MR; ++ii) {
     S* crow = c + ii * ldc;
-    for (std::size_t v = 0; v < kNV; ++v) {
+    for (std::size_t v = 0; v < NV; ++v) {
       if constexpr (kOverwrite) {
         __builtin_memcpy(crow + v * kLanes, &acc[ii][v], sizeof(V));
       } else {
@@ -305,31 +305,71 @@ void vector_tile(const S* a, std::size_t lda, const S* bkn, std::size_t ldb, S* 
   }
 }
 
-// vector_tile for a runtime row count mr in [1, Tile<S>::kM]: the row-edge
-// tiles of a short A (every batch-1 call) keep register accumulators too.
-template <bool kOverwrite, class S>
-void vector_tile_rows(std::size_t mr, const S* a, std::size_t lda, const S* bkn, std::size_t ldb,
-                      S* c, std::size_t ldc, std::size_t kk) {
-  static_assert(Tile<S>::kM == 4);
-  switch (mr) {
-    case 1: vector_tile<1, kOverwrite>(a, lda, bkn, ldb, c, ldc, kk); return;
-    case 2: vector_tile<2, kOverwrite>(a, lda, bkn, ldb, c, ldc, kk); return;
-    case 3: vector_tile<3, kOverwrite>(a, lda, bkn, ldb, c, ldc, kk); return;
-    default: vector_tile<4, kOverwrite>(a, lda, bkn, ldb, c, ldc, kk); return;
+// MR rows x NR columns (NR narrower than one vector) in a fixed-width
+// scalar register tile: the remainder of a column-edge tile, same per-element
+// k order as the lanes.
+template <std::size_t MR, std::size_t NR, bool kOverwrite, class S>
+void scalar_tile(const S* a, std::size_t lda, const S* bkn, std::size_t ldb, S* c,
+                 std::size_t ldc, std::size_t kk) {
+  S acc[MR][NR] = {};
+  for (std::size_t k = 0; k < kk; ++k) {
+    const S* brow = bkn + k * ldb;
+    for (std::size_t ii = 0; ii < MR; ++ii) {
+      const S aik = a[ii * lda + k];
+      for (std::size_t jj = 0; jj < NR; ++jj) acc[ii][jj] += aik * brow[jj];
+    }
+  }
+  for (std::size_t ii = 0; ii < MR; ++ii) {
+    S* crow = c + ii * ldc;
+    for (std::size_t jj = 0; jj < NR; ++jj) {
+      if constexpr (kOverwrite) {
+        crow[jj] = acc[ii][jj];
+      } else {
+        crow[jj] += acc[ii][jj];
+      }
+    }
+  }
+}
+
+// One MR-row tile of nr <= Tile<S>::kN columns: its whole vectors in one
+// vector_tile, then the nr % kLanes columns left over in one scalar_tile.
+template <std::size_t MR, bool kOverwrite, class S>
+void row_tile(std::size_t nr, const S* a, std::size_t lda, const S* bkn, std::size_t ldb, S* c,
+              std::size_t ldc, std::size_t kk) {
+  constexpr std::size_t kLanes = 16 / sizeof(S);
+  static_assert(Tile<S>::kN == 4 * kLanes);
+  switch (nr / kLanes) {
+    case 1: vector_tile<MR, 1, kOverwrite>(a, lda, bkn, ldb, c, ldc, kk); break;
+    case 2: vector_tile<MR, 2, kOverwrite>(a, lda, bkn, ldb, c, ldc, kk); break;
+    case 3: vector_tile<MR, 3, kOverwrite>(a, lda, bkn, ldb, c, ldc, kk); break;
+    case 4: vector_tile<MR, 4, kOverwrite>(a, lda, bkn, ldb, c, ldc, kk); return;
+    default: break;
+  }
+  const std::size_t j = nr / kLanes * kLanes;
+  switch (nr - j) {
+    case 1: scalar_tile<MR, 1, kOverwrite>(a, lda, bkn + j, ldb, c + j, ldc, kk); return;
+    case 2:
+      if constexpr (kLanes > 2) scalar_tile<MR, 2, kOverwrite>(a, lda, bkn + j, ldb, c + j, ldc, kk);
+      return;
+    case 3:
+      if constexpr (kLanes > 3) scalar_tile<MR, 3, kOverwrite>(a, lda, bkn + j, ldb, c + j, ldc, kk);
+      return;
+    default: return;
   }
 }
 #endif
 
 // Shared blocked micro-kernel: c (m x n) = or += a (m x kk) * bkn (kk x n),
-// all row-major. Full-width tiles keep a Tile<S>::kM x Tile<S>::kN
-// accumulator block in registers across the whole k loop (c sees one store
-// per element instead of one per multiply-accumulate) — in vector lanes
-// with GNU vector extensions, for the row-edge tiles of a short A (m < kM,
-// every batch-1 call) as well as full tiles. Column-edge elements run the
-// scalar loops. Every output element — any tile, any m — sums its kk
-// products in increasing k order inside a register starting from 0 and
-// lands on memory with a single store or add, so batch-1 calls and batched
-// calls produce identical sums.
+// all row-major. Each tile keeps a Tile<S>::kM x Tile<S>::kN accumulator
+// block in registers across the whole k loop (c sees one store per element
+// instead of one per multiply-accumulate). With GNU vector extensions every
+// tile runs in vector lanes — row-edge tiles of a short A (m < kM, every
+// batch-1 call) and column-edge tiles (n not a multiple of kN) included —
+// and only a column edge's last nr % lanes columns take a scalar register
+// tile. Every output element — any tile, any m — sums its kk products in
+// increasing k order inside a register starting from 0 and lands on memory
+// with a single store or add, so batch-1 calls and batched calls produce
+// identical sums.
 template <bool kOverwrite, class S>
 void tile_mul_add(const S* a, std::size_t lda, const S* bkn, std::size_t ldb, S* c,
                   std::size_t ldc, std::size_t m, std::size_t kk, std::size_t n) {
@@ -340,10 +380,15 @@ void tile_mul_add(const S* a, std::size_t lda, const S* bkn, std::size_t ldb, S*
     for (std::size_t j0 = 0; j0 < n; j0 += kTileN) {
       const std::size_t nr = std::min(kTileN, n - j0);
 #if HCRL_GEMM_VECTOR_EXT
-      if (nr == kTileN) {
-        vector_tile_rows<kOverwrite>(mr, a + i0 * lda, lda, bkn + j0, ldb, c + i0 * ldc + j0, ldc,
-                                     kk);
-        continue;
+      static_assert(kTileM == 4);
+      const S* at = a + i0 * lda;
+      const S* bt = bkn + j0;
+      S* ct = c + i0 * ldc + j0;
+      switch (mr) {
+        case 1: row_tile<1, kOverwrite>(nr, at, lda, bt, ldb, ct, ldc, kk); break;
+        case 2: row_tile<2, kOverwrite>(nr, at, lda, bt, ldb, ct, ldc, kk); break;
+        case 3: row_tile<3, kOverwrite>(nr, at, lda, bt, ldb, ct, ldc, kk); break;
+        default: row_tile<4, kOverwrite>(nr, at, lda, bt, ldb, ct, ldc, kk); break;
       }
 #else
       if (mr == kTileM && nr == kTileN) {
@@ -369,7 +414,6 @@ void tile_mul_add(const S* a, std::size_t lda, const S* bkn, std::size_t ldb, S*
         }
         continue;
       }
-#endif
       // Edge tile: same structure with runtime trip counts — loads stay
       // contiguous and accumulation order is identical.
       S acc[kTileM][kTileN] = {};
@@ -390,6 +434,7 @@ void tile_mul_add(const S* a, std::size_t lda, const S* bkn, std::size_t ldb, S*
           }
         }
       }
+#endif
     }
   }
 }

@@ -15,10 +15,16 @@ TabularQAgent::TabularQAgent(std::size_t n_states, std::size_t n_actions, const 
   if (n_states == 0 || n_actions == 0) {
     throw std::invalid_argument("TabularQAgent: empty state or action space");
   }
-  if (opts.learning_rate <= 0.0 || opts.learning_rate > 1.0) {
+  opts.validate();
+}
+
+void TabularQAgent::Options::validate() const {
+  // Written so that NaN fails each check too: a NaN rate or discount turns
+  // every Q-value NaN, and the greedy pick then silently sticks to action 0.
+  if (!(0.0 < learning_rate && learning_rate <= 1.0)) {
     throw std::invalid_argument("TabularQAgent: learning_rate must be in (0,1]");
   }
-  if (opts.beta <= 0.0) throw std::invalid_argument("TabularQAgent: beta must be > 0");
+  if (!(beta > 0.0)) throw std::invalid_argument("TabularQAgent: beta must be > 0");
 }
 
 std::size_t TabularQAgent::index(std::size_t state, std::size_t action) const {

@@ -20,6 +20,9 @@ class TabularQAgent {
     double beta = 0.5;            // continuous-time discount rate
     EpsilonSchedule epsilon = EpsilonSchedule::exponential(0.3, 0.02, 300);
     double initial_q = 0.0;       // optimistic init when > 0 for max-reward agents
+
+    /// Throws std::invalid_argument unless 0 < learning_rate <= 1 and beta > 0.
+    void validate() const;
   };
 
   TabularQAgent(std::size_t n_states, std::size_t n_actions, const Options& opts);

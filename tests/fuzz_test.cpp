@@ -157,6 +157,19 @@ TEST(ConfigRobustness, OutOfRangeNumericsThrow) {
   expect_rejected("num_servers = twelve\n");
   expect_rejected("watchdog_s = -5\n");
   expect_rejected("watchdog_s = nan\n");
+  // Learning-tier options: NaN and out-of-range values fail at config time,
+  // whichever policy pair the config names.
+  expect_rejected("drl.learning_rate = nan\n");
+  expect_rejected("drl.learning_rate = 0\n");
+  expect_rejected("drl.beta = nan\n");
+  expect_rejected("drl.w_power = nan\n");
+  expect_rejected("drl.w_chosen_queue = -5\n");
+  expect_rejected("drl.guide_mix = 2\n");
+  expect_rejected("drl.guide_mix = nan\n");
+  expect_rejected("local.learning_rate = nan\n");
+  expect_rejected("local.beta = nan\n");
+  expect_rejected("local.w = nan\n");
+  expect_rejected("system = round-robin\nlocal.w = 1.5\n");
 }
 
 TEST(ConfigRobustness, AbsurdFaultValuesThrow) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "src/common/rng.hpp"
 #include "src/nn/init.hpp"
@@ -102,6 +105,57 @@ TEST(ActivationLayer, ForwardBackwardShape) {
   const Vec dx = layer.backward({1.0, 1.0, 1.0});
   EXPECT_DOUBLE_EQ(dx[0], 1.0);  // tanh'(0) = 1
   EXPECT_NEAR(dx[1], 1.0 - std::tanh(1.0) * std::tanh(1.0), 1e-12);
+}
+
+// The batched activation sweep must equal the scalar activate<S>, bit for
+// bit, element by element: the inputs probe both ELU arms, the expm1_fast
+// Taylor switch at |x| = 0.25, the exp_fast clamps, ±0 and NaN, each at
+// every lane offset and in the scalar tail of a size that is not a
+// multiple of 4.
+template <class S>
+void check_activation_sweep_matches_scalar() {
+  std::vector<S> specials = {S(0), -S(0), std::numeric_limits<S>::quiet_NaN(), S(-1e30), S(1e30),
+                             S(-87.33), S(88.37)};
+  for (const S t : {S(0.25), S(-0.25), S(-87.33), S(88.37)}) {
+    specials.push_back(t);
+    specials.push_back(std::nextafter(t, S(-1e30)));
+    specials.push_back(std::nextafter(t, S(1e30)));
+  }
+  common::Rng rng(18);
+  std::vector<S> values;
+  for (int shift = 0; shift < 4; ++shift) {
+    for (int i = 0; i < shift; ++i) values.push_back(static_cast<S>(rng.normal()));
+    values.insert(values.end(), specials.begin(), specials.end());
+  }
+  for (int i = 0; i < 100000; ++i) values.push_back(static_cast<S>(rng.normal(0.0, 3.0)));
+  values.insert(values.end(), specials.begin(), specials.end());
+  constexpr std::size_t kCols = 7;
+  while (values.size() % kCols != 0 || values.size() % 4 == 0) {
+    values.push_back(static_cast<S>(rng.normal()));
+  }
+
+  MatrixT<S> X(values.size() / kCols, kCols);
+  for (std::size_t i = 0; i < values.size(); ++i) X.data()[i] = values[i];
+  for (const Activation kind : {Activation::kIdentity, Activation::kRelu, Activation::kElu,
+                                Activation::kTanh, Activation::kSigmoid}) {
+    ActivationLayerT<S> layer(kind, kCols);
+    const MatrixT<S> Y = layer.forward_batch(X, /*keep_cache=*/false);
+    ASSERT_EQ(Y.size(), values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const S want = activate<S>(kind, values[i]);
+      ASSERT_EQ(std::memcmp(&Y.data()[i], &want, sizeof(S)), 0)
+          << "kind=" << static_cast<int>(kind) << " i=" << i << " x=" << values[i]
+          << " got=" << Y.data()[i] << " want=" << want;
+    }
+  }
+}
+
+TEST(ActivationLayer, SweepBitIdenticalToScalarF64) {
+  check_activation_sweep_matches_scalar<double>();
+}
+
+TEST(ActivationLayer, SweepBitIdenticalToScalarF32) {
+  check_activation_sweep_matches_scalar<float>();
 }
 
 TEST(ActivationLayer, BackwardWithoutForwardThrows) {

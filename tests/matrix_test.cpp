@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <initializer_list>
 #include <stdexcept>
 
@@ -254,6 +255,91 @@ TEST(Gemm, BatchOneMatchesMatrixVectorKernels) {
     for (std::size_t c = 0; c < 3; ++c) EXPECT_DOUBLE_EQ(gW(r, c), gW_ref(r, c));
   }
 }
+
+// --- Bit-identity oracle for the micro-kernel -------------------------------
+
+enum class GemmKind { kNN, kNT, kTN };
+
+// Scalar reference: C (m x n) (+)= op(A) op(B), each element summing its kk
+// products in increasing k from +0 in one register, then landing with one
+// store or add. a(i, k) and b(k, j) read the operands as the GEMM kind sees
+// them.
+template <class S>
+void reference_gemm(GemmKind kind, const MatrixT<S>& A, const MatrixT<S>& B, MatrixT<S>& C,
+                    std::size_t m, std::size_t kk, std::size_t n, bool accumulate) {
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      S acc = S(0);
+      for (std::size_t k = 0; k < kk; ++k) {
+        const S a = kind == GemmKind::kTN ? A(k, i) : A(i, k);
+        const S b = kind == GemmKind::kNT ? B(j, k) : B(k, j);
+        acc += a * b;
+      }
+      if (accumulate) {
+        C(i, j) += acc;
+      } else {
+        C(i, j) = acc;
+      }
+    }
+  }
+}
+
+template <class S>
+MatrixT<S> random_matrix(std::size_t rows, std::size_t cols, common::Rng& rng) {
+  MatrixT<S> M(rows, cols);
+  for (std::size_t i = 0; i < M.size(); ++i) M.data()[i] = static_cast<S>(rng.normal());
+  return M;
+}
+
+// Index of the first element whose bits differ, or -1 when all match.
+template <class S>
+std::ptrdiff_t first_bit_mismatch(const MatrixT<S>& got, const MatrixT<S>& want) {
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (std::memcmp(got.data() + i, want.data() + i, sizeof(S)) != 0) {
+      return static_cast<std::ptrdiff_t>(i);
+    }
+  }
+  return -1;
+}
+
+// Every row-edge height (m = 1..9 crosses the 4-row tile twice), every
+// column-edge width at both lane counts (n = 1..40 covers the 8-wide f64
+// and 16-wide f32 tiles with each whole-vector count and remainder), and
+// depths from one product to a whole paper-shape k-chain.
+template <class S>
+void check_gemm_bit_identical_to_reference() {
+  common::Rng rng(20261018);
+  for (const std::size_t kk : {1u, 7u, 84u, 128u}) {
+    for (std::size_t m = 1; m <= 9; ++m) {
+      for (std::size_t n = 1; n <= 40; ++n) {
+        for (const GemmKind kind : {GemmKind::kNN, GemmKind::kNT, GemmKind::kTN}) {
+          const MatrixT<S> A = kind == GemmKind::kTN ? random_matrix<S>(kk, m, rng)
+                                                      : random_matrix<S>(m, kk, rng);
+          const MatrixT<S> B = kind == GemmKind::kNT ? random_matrix<S>(n, kk, rng)
+                                                      : random_matrix<S>(kk, n, rng);
+          const MatrixT<S> C0 = random_matrix<S>(m, n, rng);
+          for (const bool accumulate : {false, true}) {
+            MatrixT<S> got = accumulate ? C0 : MatrixT<S>();
+            MatrixT<S> want = accumulate ? C0 : MatrixT<S>(m, n);
+            switch (kind) {
+              case GemmKind::kNN: gemm(A, B, got, accumulate); break;
+              case GemmKind::kNT: gemm_nt(A, B, got, accumulate); break;
+              case GemmKind::kTN: gemm_tn(A, B, got, accumulate); break;
+            }
+            reference_gemm(kind, A, B, want, m, kk, n, accumulate);
+            ASSERT_EQ(first_bit_mismatch(got, want), -1)
+                << "kind=" << static_cast<int>(kind) << " m=" << m << " kk=" << kk << " n=" << n
+                << " accumulate=" << accumulate;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Gemm, BitIdenticalToScalarReferenceF64) { check_gemm_bit_identical_to_reference<double>(); }
+
+TEST(Gemm, BitIdenticalToScalarReferenceF32) { check_gemm_bit_identical_to_reference<float>(); }
 
 TEST(MatrixRowHelpers, FromRowsRowSetRowColSums) {
   const Matrix m = Matrix::from_rows({{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}});

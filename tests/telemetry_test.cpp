@@ -407,6 +407,9 @@ TEST(TelemetryBitIdentity, FullExperimentBothPrecisions) {
     SCOPED_TRACE(std::string("precision=") + nn::to_string(precision));
     core::Scenario scenario = core::ScenarioRegistry::builtin().make("tiny/hierarchical", 250);
     scenario.config.precision = precision;
+    // Start DQN training early enough that the global tier's train sites
+    // run inside this short trace too.
+    scenario.config.drl.min_replay_before_training = 32;
 
     ASSERT_FALSE(enabled());
     const core::ExperimentResult off = core::run_scenario(scenario);
@@ -428,6 +431,11 @@ TEST(TelemetryBitIdentity, FullExperimentBothPrecisions) {
     EXPECT_GT(snap.find("runner.scenarios")->count, 0u);
     EXPECT_GT(snap.find("core.predictor.lstm_train_windows")->count, 0u);
     EXPECT_GT(snap.find("core.predictor.lstm_predictions")->count, 0u);
+    EXPECT_GT(snap.find("core.qnet.q_value_calls")->count, 0u);
+    EXPECT_GT(snap.find("core.qnet.train_batches")->count, 0u);
+    EXPECT_GT(snap.find("core.qnet.autoencoder_batches")->count, 0u);
+    ASSERT_NE(snap.find("core.qnet.train.seconds"), nullptr);
+    EXPECT_GT(snap.find("core.qnet.train.seconds")->count, 0u);
   }
 }
 
