@@ -72,44 +72,32 @@ void BM_GemmBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmBatched)->Args({128, 32})->Args({512, 32});
 
-// The precision x GEMM-thread grid of the f32 compute mode: the batched
-// Dense forward kernel at float/double and 1/N intra-GEMM workers. Items
-// processed = multiply-accumulates, directly comparable across all cells.
+// The precision grid of the f32 compute mode: the batched Dense forward
+// kernel at float/double. Items processed = multiply-accumulates, directly
+// comparable across all cells.
 template <class S>
 void run_gemm_grid(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto batch = static_cast<std::size_t>(state.range(1));
-  const auto threads = static_cast<std::size_t>(state.range(2));
   common::Rng rng(3);
   nn::MatrixT<S> w(n, n);
   for (std::size_t i = 0; i < w.size(); ++i) w.data()[i] = static_cast<S>(rng.uniform(-1.0, 1.0));
   nn::MatrixT<S> X(batch, n, S(0.5)), Y;
-  nn::set_gemm_threads(threads);
   for (auto _ : state) {
     nn::gemm_nt(X, w, Y);
     benchmark::DoNotOptimize(Y.data());
   }
-  nn::set_gemm_threads(1);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch * n * n));
 }
-// Cells with GEMM worker threads run on real time: CPU time counts only the
-// main thread, which would overstate items/s.
 void BM_GemmF64(benchmark::State& state) { run_gemm_grid<double>(state); }
-BENCHMARK(BM_GemmF64)->Args({512, 32, 1})->Args({512, 512, 1});
-BENCHMARK(BM_GemmF64)->Args({512, 32, 2})->Args({512, 512, 2})->Args({512, 512, 4})
-    ->UseRealTime();
+BENCHMARK(BM_GemmF64)->Args({512, 32})->Args({512, 512});
 void BM_GemmF32(benchmark::State& state) { run_gemm_grid<float>(state); }
-BENCHMARK(BM_GemmF32)->Args({512, 32, 1})->Args({512, 512, 1});
-BENCHMARK(BM_GemmF32)->Args({512, 32, 2})->Args({512, 512, 2})->Args({512, 512, 4})
-    ->UseRealTime();
+BENCHMARK(BM_GemmF32)->Args({512, 32})->Args({512, 512});
 
-// The acceptance benchmark for the batched path: one DQN SGD step on a
-// 32-transition minibatch, per-sample loop vs batched GEMM path — and the
-// precision/GEMM-thread grid of the f32 compute mode on the batched cell.
-void run_dqn_train_step(benchmark::State& state, bool batched,
-                        nn::Precision precision = nn::Precision::kF64,
-                        std::size_t gemm_threads = 1) {
+// One DQN SGD step on a 32-transition minibatch through the batched GEMM
+// path, at either precision.
+void run_dqn_train_step(benchmark::State& state, nn::Precision precision) {
   common::Rng rng(11);
   rl::DqnAgent::Options o;
   o.hidden_dims = {128};
@@ -117,9 +105,7 @@ void run_dqn_train_step(benchmark::State& state, bool batched,
   o.min_replay_before_training = 64;
   o.train_interval = 1000000;  // train explicitly, not inside observe()
   o.target_sync_interval = 1000000;
-  o.batched_train = batched;
   o.precision = precision;
-  nn::set_gemm_threads(gemm_threads);
   const std::size_t state_dim = 24, n_actions = 30;
   rl::DqnAgent agent(state_dim, n_actions, o, rng);
   common::Rng data(12);
@@ -138,30 +124,18 @@ void run_dqn_train_step(benchmark::State& state, bool batched,
   for (auto _ : state) {
     benchmark::DoNotOptimize(agent.train_step());
   }
-  nn::set_gemm_threads(1);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32);
 }
 
-void BM_DqnTrainStepPerSample(benchmark::State& state) { run_dqn_train_step(state, false); }
-BENCHMARK(BM_DqnTrainStepPerSample);
-
-void BM_DqnTrainStepBatched(benchmark::State& state) { run_dqn_train_step(state, true); }
+void BM_DqnTrainStepBatched(benchmark::State& state) {
+  run_dqn_train_step(state, nn::Precision::kF64);
+}
 BENCHMARK(BM_DqnTrainStepBatched);
 
 void BM_DqnTrainStepBatchedF32(benchmark::State& state) {
-  run_dqn_train_step(state, true, nn::Precision::kF32);
+  run_dqn_train_step(state, nn::Precision::kF32);
 }
 BENCHMARK(BM_DqnTrainStepBatchedF32);
-
-void BM_DqnTrainStepBatchedT2(benchmark::State& state) {
-  run_dqn_train_step(state, true, nn::Precision::kF64, 2);
-}
-BENCHMARK(BM_DqnTrainStepBatchedT2)->UseRealTime();
-
-void BM_DqnTrainStepBatchedF32T2(benchmark::State& state) {
-  run_dqn_train_step(state, true, nn::Precision::kF32, 2);
-}
-BENCHMARK(BM_DqnTrainStepBatchedF32T2)->UseRealTime();
 
 // Eight 35-step windows through the LSTM cell: one at a time through the
 // per-sample step() wrapper (Arg 1), or stacked as one batch of 8 through
@@ -196,14 +170,12 @@ void BM_LstmWindowSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_LstmWindowSweep)->Arg(1)->Arg(8);
 
-// Precision x GEMM-thread grid on a batched LSTM sweep: `batch` 35-step
-// windows through the stacked-gate GEMMs on the inference path
-// (keep_cache=false). The predictor itself runs batch 1 (see
-// BM_LstmPredictor*).
+// Precision grid on a batched LSTM sweep: `batch` 35-step windows through
+// the stacked-gate GEMMs on the inference path (keep_cache=false). The
+// predictor itself runs batch 1 (see BM_LstmPredictor*).
 template <class S>
 void run_lstm_sweep_grid(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
   const std::size_t lookback = 35, hidden = 30;  // paper's predictor shape
   common::Rng rng(4);
   auto params = std::make_shared<nn::LstmParamsT<S>>(hidden, 1);
@@ -215,23 +187,19 @@ void run_lstm_sweep_grid(benchmark::State& state) {
     for (std::size_t b = 0; b < batch; ++b) x(b, 0) = static_cast<S>(rng.uniform());
     xs.push_back(x);
   }
-  nn::set_gemm_threads(threads);
   for (auto _ : state) {
     lstm.reset_batch(batch);
     for (const auto& x : xs) {
       benchmark::DoNotOptimize(lstm.step_batch(x, /*keep_cache=*/false).data());
     }
   }
-  nn::set_gemm_threads(1);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(lookback * batch));
 }
 void BM_LstmSweepF64(benchmark::State& state) { run_lstm_sweep_grid<double>(state); }
-BENCHMARK(BM_LstmSweepF64)->Args({8, 1})->Args({32, 1});
-BENCHMARK(BM_LstmSweepF64)->Args({32, 2})->UseRealTime();
+BENCHMARK(BM_LstmSweepF64)->Arg(8)->Arg(32);
 void BM_LstmSweepF32(benchmark::State& state) { run_lstm_sweep_grid<float>(state); }
-BENCHMARK(BM_LstmSweepF32)->Args({8, 1})->Args({32, 1});
-BENCHMARK(BM_LstmSweepF32)->Args({32, 2})->UseRealTime();
+BENCHMARK(BM_LstmSweepF32)->Arg(8)->Arg(32);
 
 // The local tier's per-server predictor at the paper's shape (35-step
 // look-back, 30 hidden units, Adam), warmed up on 256 observed gaps and 64

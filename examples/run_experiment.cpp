@@ -33,7 +33,6 @@
 #include "src/core/config_binding.hpp"
 #include "src/core/runner.hpp"
 #include "src/core/scenario.hpp"
-#include "src/nn/matrix.hpp"
 #include "src/nn/precision.hpp"
 #include "src/policy/registry.hpp"
 #include "src/telemetry/export.hpp"
@@ -147,8 +146,6 @@ int main(int argc, char** argv) {
       manifest.tool = "run_experiment";
       manifest.scenario = scenario.name;
       manifest.precision = nn::to_string(cfg.precision);
-      manifest.gemm_threads = static_cast<int>(cfg.gemm_threads > 0 ? cfg.gemm_threads
-                                                                    : nn::gemm_threads());
       manifest.wall_seconds = r.wall_seconds;
       manifest.extra["allocator"] = r.allocator;
       manifest.extra["power"] = r.power;

@@ -27,7 +27,6 @@
 #include "src/common/config.hpp"
 #include "src/core/runner.hpp"
 #include "src/core/scenario.hpp"
-#include "src/nn/matrix.hpp"
 #include "src/nn/precision.hpp"
 #include "src/policy/registry.hpp"
 #include "src/policy/tournament.hpp"
@@ -151,7 +150,6 @@ int main(int argc, char** argv) {
                           std::to_string(result.combos.size()) + " combos x " +
                           std::to_string(result.scenarios.size()) + " scenarios)";
       manifest.precision = nn::to_string(nn::default_precision());
-      manifest.gemm_threads = static_cast<int>(nn::gemm_threads());
       double wall = 0.0;
       for (const auto& cell : result.cells) {
         if (cell.ok) wall += cell.result.wall_seconds;

@@ -77,6 +77,8 @@ expect_error "run_experiment: job count with a suffix" \
   -- "$RUN_EXPERIMENT" --scenario tiny/round-robin 12abc
 expect_error "run_experiment: removed fixed_timeout_s key" \
   -- "$RUN_EXPERIMENT" --inline "fixed_timeout_s = 30"
+expect_error "run_experiment: removed gemm_threads key" \
+  -- "$RUN_EXPERIMENT" --inline "gemm_threads = 2"
 expect_error "run_experiment: NaN idle timeout" \
   -- "$RUN_EXPERIMENT" --inline "system = drl-fixed-timeout" "power.timeout_s = nan"
 expect_error "run_experiment: unknown system preset" \
@@ -87,6 +89,13 @@ expect_error "run_experiment: NaN global-tier learning rate" \
 expect_error "run_experiment: NaN local-tier reward weight" \
   -- "$RUN_EXPERIMENT" --inline "num_servers = 6" "num_groups = 2" "trace.num_jobs = 300" \
      "local.w = nan"
+# A NaN trace shape must not spin trace generation, nor a NaN server value
+# reach the energy total; `timeout` turns a hang into a failure.
+for key in trace.horizon_s trace.diurnal_amplitude trace.burst_multiplier server.t_on; do
+  expect_error "run_experiment: NaN $key" \
+    -- timeout 20 "$RUN_EXPERIMENT" --inline "system = round-robin" "num_servers = 6" \
+       "num_groups = 2" "trace.num_jobs = 300" "$key = nan"
+done
 
 # --- tournament -------------------------------------------------------------
 expect_error "tournament: unknown combo" \

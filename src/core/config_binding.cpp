@@ -44,12 +44,6 @@ ExperimentConfig experiment_config_from(const common::Config& config) {
   cfg.checkpoint_every_jobs = non_negative("checkpoint_every_jobs", cfg.checkpoint_every_jobs);
   cfg.precision =
       nn::precision_from_string(config.get_string("precision", nn::to_string(cfg.precision)));
-  const std::int64_t gemm_threads =
-      config.get_int("gemm_threads", static_cast<std::int64_t>(cfg.gemm_threads));
-  if (gemm_threads < 0) {
-    throw std::invalid_argument("experiment_config_from: gemm_threads must be >= 0");
-  }
-  cfg.gemm_threads = static_cast<std::size_t>(gemm_threads);
   cfg.sla_latency_s = config.get_double("sla_latency_s", cfg.sla_latency_s);
 
   // Fault injection & harness robustness (validated by FaultConfig::validate

@@ -29,8 +29,8 @@ void ExperimentConfig::validate() const {
   trace.validate();
   server.validate();
   if (shards != 0) throw std::invalid_argument("ExperimentConfig: shards must be 0");
-  if (sla_latency_s < 0.0) {
-    throw std::invalid_argument("ExperimentConfig: negative sla_latency_s");
+  if (!(sla_latency_s >= 0.0)) {  // +inf stays valid: no latency exceeds it
+    throw std::invalid_argument("ExperimentConfig: sla_latency_s must be >= 0");
   }
   faults.validate();
   // The learning tiers' options, checked here so a bad value fails at

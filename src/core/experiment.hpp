@@ -74,11 +74,7 @@ struct ExperimentConfig {
   /// the drl/local sub-configs; defaults to the process-wide default
   /// (HCRL_PRECISION environment variable, f64 when unset).
   nn::Precision precision = nn::default_precision();
-  /// Intra-GEMM worker count applied (process-globally) when the scenario
-  /// runs; 0 leaves the current setting (HCRL_GEMM_THREADS env, default 1)
-  /// untouched. Thread count never changes results — the threaded GEMM is
-  /// bit-identical to serial — so scenarios with different values may share
-  /// one sweep.
+  /// Vestigial stub, no config key: bench_e2e assigns it; the next benchmark change deletes it.
   std::size_t gemm_threads = 0;
   /// Vestigial stub, no config key: bench_e2e reads it; the next benchmark change deletes it.
   bool batch_decisions = true;

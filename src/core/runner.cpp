@@ -14,7 +14,6 @@
 #include "src/common/log.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/stats.hpp"
-#include "src/nn/matrix.hpp"
 #include "src/core/global_tier.hpp"
 #include "src/core/local_tier.hpp"
 #include "src/policy/registry.hpp"
@@ -124,10 +123,6 @@ class SerializedObserver final : public RunObserver {
 ExperimentResult run_scenario(const Scenario& scenario, RunObserver* observer) {
   scenario.validate();
   const ExperimentConfig cfg = scenario.materialized();
-
-  // Process-global knob (atomic store; bit-identical at any count, so
-  // concurrent scenarios racing on it cannot change any result).
-  if (cfg.gemm_threads > 0) nn::set_gemm_threads(cfg.gemm_threads);
 
   telemetry::Span scenario_guard(scenario_span(), scenario.name);
   if (telemetry::enabled()) telemetry::count(RunnerMetrics::get().scenarios);

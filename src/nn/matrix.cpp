@@ -1,19 +1,12 @@
 #include "src/nn/matrix.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
-#include <condition_variable>
-#include <cstdlib>
-#include <functional>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "src/telemetry/registry.hpp"
-#include "src/telemetry/trace.hpp"
 
 namespace hcrl::nn {
 
@@ -451,19 +444,42 @@ void tile_mul_whole(const S* a, const S* bkn, S* c, std::size_t m, std::size_t k
   }
 }
 
-// Serial driver: c (m x n) = or += a (m x kk) * bkn (kk x n), all row-major
-// and densely packed. Shapes that fit one panel (every NN layer in this
-// project) take the single tile_mul_add call, preserving the exact
-// per-element accumulation order the parity tests pin down; larger shapes
-// are split into panels, which regroups each element's k-chain into
-// per-panel partial sums (same k order, different rounding breaks — well
-// inside the parity budget).
+struct GemmMetrics {
+  telemetry::MetricId calls;
+  telemetry::MetricId macs;
+
+  static const GemmMetrics& get() {
+    static const GemmMetrics m = [] {
+      auto& reg = telemetry::global_registry();
+      return GemmMetrics{
+          .calls = reg.counter("nn.gemm.calls"),
+          .macs = reg.counter("nn.gemm.macs"),
+      };
+    }();
+    return m;
+  }
+};
+
+// c (m x n) = or += a (m x kk) * bkn (kk x n), all row-major and densely
+// packed, on the calling thread. Shapes that fit one panel (every NN
+// layer in this project) take the single tile_mul_add call, preserving the
+// exact per-element accumulation order the parity tests pin down. So does a
+// short A (m < Tile<S>::kM, every batch-1 call), which would reuse no panel
+// of bkn: batch-1 sums stay one chain at any depth. Larger shapes are split
+// into panels, which regroups each element's k-chain into per-panel partial
+// sums (same k order, different rounding breaks — well inside the parity
+// budget).
 template <class S>
-void tile_mul_serial(const S* a, const S* bkn, S* c, std::size_t m, std::size_t kk, std::size_t n,
-                     bool accumulate) {
+void tile_mul(const S* a, const S* bkn, S* c, std::size_t m, std::size_t kk, std::size_t n,
+              bool accumulate) {
+  if (telemetry::enabled()) {
+    const GemmMetrics& gm = GemmMetrics::get();
+    telemetry::count(gm.calls);
+    telemetry::count(gm.macs, static_cast<std::uint64_t>(m) * kk * n);
+  }
   constexpr std::size_t kKBlock = Panel<S>::kK;
   constexpr std::size_t kNBlock = Panel<S>::kN;
-  if (kk <= kKBlock && n <= kNBlock) {
+  if (m < Tile<S>::kM || (kk <= kKBlock && n <= kNBlock)) {
     tile_mul_whole(a, bkn, c, m, kk, n, accumulate);
     return;
   }
@@ -481,177 +497,7 @@ void tile_mul_serial(const S* a, const S* bkn, S* c, std::size_t m, std::size_t 
   }
 }
 
-// --- GEMM worker pool -----------------------------------------------------
-
-constexpr std::size_t kMaxGemmThreads = 64;
-
-std::size_t gemm_threads_from_env() {
-  const char* env = std::getenv("HCRL_GEMM_THREADS");
-  if (env == nullptr || *env == '\0') return 1;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || v < 1) return 1;
-  return std::min<std::size_t>(static_cast<std::size_t>(v), kMaxGemmThreads);
-}
-
-std::atomic<std::size_t>& gemm_thread_setting() {
-  static std::atomic<std::size_t> setting{gemm_threads_from_env()};
-  return setting;
-}
-
-/// Persistent workers for the threaded GEMM path. One job at a time (callers
-/// serialize on run_mutex_, so concurrent scenario threads never interleave
-/// chunks); workers are spawned lazily up to the largest count ever
-/// requested and parked on a condition variable between jobs.
-class GemmPool {
- public:
-  static GemmPool& instance() {
-    static GemmPool pool;
-    return pool;
-  }
-
-  /// Invoke fn(0) .. fn(nchunks - 1), chunk 0 on the calling thread and the
-  /// rest on pool workers; returns after all chunks completed.
-  void run(std::size_t nchunks, const std::function<void(std::size_t)>& fn) {
-    if (nchunks <= 1) {
-      if (nchunks == 1) fn(0);
-      return;
-    }
-    std::lock_guard<std::mutex> run_lock(run_mutex_);
-    ensure_workers(nchunks - 1);
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      job_ = &fn;
-      claim_ = nchunks - 1;      // workers take chunk indexes nchunks-1 .. 1
-      remaining_ = nchunks - 1;
-    }
-    cv_.notify_all();
-    fn(0);
-    std::unique_lock<std::mutex> lk(m_);
-    done_cv_.wait(lk, [&] { return remaining_ == 0; });
-    job_ = nullptr;
-  }
-
- private:
-  GemmPool() = default;
-
-  ~GemmPool() {
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    for (auto& w : workers_) w.join();
-  }
-
-  void ensure_workers(std::size_t count) {
-    while (workers_.size() < count) {
-      const std::size_t index = workers_.size();
-      workers_.emplace_back([this, index] {
-        telemetry::set_thread_name("gemm-worker-" + std::to_string(index));
-        worker_loop();
-      });
-    }
-  }
-
-  void worker_loop() {
-    std::unique_lock<std::mutex> lk(m_);
-    for (;;) {
-      cv_.wait(lk, [&] { return stop_ || claim_ > 0; });
-      if (stop_) return;
-      while (claim_ > 0) {
-        const std::size_t idx = claim_--;
-        const auto* job = job_;
-        lk.unlock();
-        (*job)(idx);
-        lk.lock();
-        if (--remaining_ == 0) done_cv_.notify_one();
-      }
-    }
-  }
-
-  std::mutex run_mutex_;  // one threaded GEMM at a time
-  std::mutex m_;
-  std::condition_variable cv_, done_cv_;
-  std::vector<std::thread> workers_;
-  const std::function<void(std::size_t)>* job_ = nullptr;
-  std::size_t claim_ = 0;      // unclaimed chunk indexes (counts down to 1)
-  std::size_t remaining_ = 0;  // chunks not yet finished by workers
-  bool stop_ = false;
-};
-
-// Minimum multiply-accumulates per worker before fan-out pays for the
-// wake/join handshake (~ a few microseconds of kernel work per thread).
-constexpr std::size_t kMinMacsPerThread = 32 * 1024;
-
-struct GemmMetrics {
-  telemetry::MetricId calls;
-  telemetry::MetricId macs;
-  telemetry::MetricId threaded_dispatches;
-
-  static const GemmMetrics& get() {
-    static const GemmMetrics m = [] {
-      auto& reg = telemetry::global_registry();
-      return GemmMetrics{
-          .calls = reg.counter("nn.gemm.calls"),
-          .macs = reg.counter("nn.gemm.macs"),
-          .threaded_dispatches = reg.counter("nn.gemm.threaded_dispatches"),
-      };
-    }();
-    return m;
-  }
-};
-
-// Threading driver: row-block the M dimension into one contiguous chunk per
-// worker (aligned to the micro-tile). Each chunk runs the unmodified serial
-// kernel over its row range and every output row keeps its full k reduction
-// on one thread, so the result is bit-identical to the serial path. A short
-// A (m < Tile<S>::kM, every batch-1 call) would reuse no panel of bkn, so
-// it never splits a k-chain: batch-1 sums stay one chain at any depth. The
-// test is on the whole GEMM's m, not a chunk's, so a short last chunk is
-// panelled exactly as the serial call panels it.
-template <class S>
-void tile_mul(const S* a, const S* bkn, S* c, std::size_t m, std::size_t kk, std::size_t n,
-              bool accumulate) {
-  if (telemetry::enabled()) {
-    const GemmMetrics& gm = GemmMetrics::get();
-    telemetry::count(gm.calls);
-    telemetry::count(gm.macs, static_cast<std::uint64_t>(m) * kk * n);
-  }
-  if (m < Tile<S>::kM) {
-    tile_mul_whole(a, bkn, c, m, kk, n, accumulate);
-    return;
-  }
-  const std::size_t threads = gemm_threads();
-  if (threads > 1 && m >= 2 * Tile<S>::kM && m * kk * n >= kMinMacsPerThread * 2) {
-    const std::size_t want =
-        std::min(threads, std::max<std::size_t>(1, (m * kk * n) / kMinMacsPerThread));
-    const std::size_t rows_per =
-        ((m + want - 1) / want + Tile<S>::kM - 1) / Tile<S>::kM * Tile<S>::kM;
-    const std::size_t nchunks = (m + rows_per - 1) / rows_per;
-    if (nchunks > 1) {
-      if (telemetry::enabled()) telemetry::count(GemmMetrics::get().threaded_dispatches);
-      GemmPool::instance().run(nchunks, [&](std::size_t chunk) {
-        const std::size_t i0 = chunk * rows_per;
-        const std::size_t i1 = std::min(i0 + rows_per, m);
-        tile_mul_serial(a + i0 * kk, bkn, c + i0 * n, i1 - i0, kk, n, accumulate);
-      });
-      return;
-    }
-  }
-  tile_mul_serial(a, bkn, c, m, kk, n, accumulate);
-}
-
 }  // namespace
-
-void set_gemm_threads(std::size_t n) noexcept {
-  gemm_thread_setting().store(std::clamp<std::size_t>(n, 1, kMaxGemmThreads),
-                              std::memory_order_relaxed);
-}
-
-std::size_t gemm_threads() noexcept {
-  return gemm_thread_setting().load(std::memory_order_relaxed);
-}
 
 template <class S>
 void gemm(const MatrixT<S>& A, const MatrixT<S>& B, MatrixT<S>& C, bool accumulate) {

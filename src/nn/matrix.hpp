@@ -127,21 +127,8 @@ void gemm_tn(const MatrixT<S>& A, const MatrixT<S>& B, MatrixT<S>& C, bool accum
 template <class S>
 void gemm_nt(const MatrixT<S>& A, const MatrixT<S>& B, MatrixT<S>& C, bool accumulate = false);
 
-// --- intra-GEMM threading -------------------------------------------------
-//
-// When the thread count is > 1, large-enough GEMMs row-block the M dimension
-// across a small persistent worker pool. The partition is static and each
-// output element is still computed by exactly the serial code path over its
-// full k range (rows never split), so there are no cross-thread partial
-// reductions to reorder: threaded results are BIT-IDENTICAL to serial at any
-// thread count, at both precisions. The knob is process-global; concurrent
-// GEMMs (e.g. under core::ParallelRunner) serialize on the pool.
-
-/// Set the GEMM worker count (clamped to [1, 64]; 0 behaves as 1 = serial).
-void set_gemm_threads(std::size_t n) noexcept;
-/// Current GEMM worker count; initialized once from the HCRL_GEMM_THREADS
-/// environment variable (default 1).
-std::size_t gemm_threads() noexcept;
+/// No-op stub: bench_e2e still calls it; the next benchmark change deletes it.
+inline void set_gemm_threads(std::size_t /*n*/) noexcept {}
 
 // --- small Vec helpers used throughout the nn/ and core/ code -------------
 

@@ -45,8 +45,7 @@ class DqnCore {
   double train(const std::vector<const Transition*>& batch, const DqnAgent::Options& opts) {
     optimizer_->zero_grad();
     const double inv_n = 1.0 / static_cast<double>(batch.size());
-    const double total_loss = opts.batched_train ? accumulate_grads_batched(batch, inv_n, opts)
-                                                 : accumulate_grads_per_sample(batch, inv_n, opts);
+    const double total_loss = accumulate_grads(batch, inv_n, opts);
     nn::clip_grad_norm(online_params_, opts.grad_clip);
     optimizer_->step();
     return total_loss * inv_n;
@@ -69,34 +68,12 @@ class DqnCore {
     return net;
   }
 
-  /// Accumulate minibatch gradients sample by sample; returns summed loss.
-  double accumulate_grads_per_sample(const std::vector<const Transition*>& batch, double inv_n,
-                                     const DqnAgent::Options& opts) {
-    double total_loss = 0.0;
-    for (const Transition* t : batch) {
-      const nn::VecT<S> next_state = nn::convert_vec<S>(t->next_state);
-      nn::VecT<S> next_q = target_.predict(next_state);
-      S best_next;
-      if (opts.double_q) {
-        best_next = next_q[nn::argmax(online_.predict(next_state))];
-      } else {
-        best_next = next_q[nn::argmax(next_q)];
-      }
-      const double target =
-          smdp_target(t->reward_rate, t->tau, opts.beta, static_cast<double>(best_next));
-
-      nn::VecT<S> pred = online_.forward(nn::convert_vec<S>(t->state));
-      nn::LossResultT<S> loss = nn::masked_mse_loss(pred, t->action, static_cast<S>(target));
-      total_loss += loss.value;
-      nn::scale_in_place(loss.grad, static_cast<S>(inv_n));
-      online_.backward(loss.grad, /*want_input_grad=*/false);
-    }
-    return total_loss;
-  }
-
-  /// Same math through one batched forward/backward pair per network.
-  double accumulate_grads_batched(const std::vector<const Transition*>& batch, double inv_n,
-                                  const DqnAgent::Options& opts) {
+  /// Accumulate minibatch gradients through one batched forward/backward
+  /// pair per network; returns the summed loss. For layer dimensions within
+  /// one GEMM panel (see matrix.cpp's Panel<S>) this matches a per-sample
+  /// loop bit for bit (tests/batch_parity_test.cpp holds that reference).
+  double accumulate_grads(const std::vector<const Transition*>& batch, double inv_n,
+                          const DqnAgent::Options& opts) {
     const std::size_t n = batch.size();
     nn::MatrixT<S> states, next_states;
     states.resize_for_overwrite(n, state_dim_);

@@ -51,14 +51,6 @@ class DqnAgent {
     /// online network, evaluate it with the target network. Reduces the
     /// max-operator overestimation bias of vanilla DQN.
     bool double_q = false;
-    /// Train on the whole minibatch in one batched forward/backward pair
-    /// (GEMM path). The per-sample loop is kept as the reference
-    /// implementation. For layer dimensions within one GEMM panel
-    /// (see matrix.cpp's Panel<S>) the two paths accumulate bit-identical
-    /// gradients (tests/batch_parity_test.cpp); beyond that the panel split
-    /// regroups the reduction chains, and the paths agree only to
-    /// floating-point reassociation error.
-    bool batched_train = true;
     /// Scalar type of the networks/optimizer (f32 halves memory traffic and
     /// doubles SIMD width in the GEMM kernels). Defaults to the process-wide
     /// default (HCRL_PRECISION environment variable, f64 when unset).

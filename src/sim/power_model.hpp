@@ -4,6 +4,7 @@
 // draw more than idle (the paper cites [21, 22]) — we default them to peak.
 #pragma once
 
+#include <cmath>
 #include <stdexcept>
 
 namespace hcrl::sim {
@@ -18,11 +19,12 @@ struct PowerModel {
   double active_power(double utilization) const noexcept;
 
   void validate() const {
-    if (idle_watts < 0.0 || peak_watts < idle_watts) {
-      throw std::invalid_argument("PowerModel: need 0 <= idle <= peak");
+    if (!(idle_watts >= 0.0 && peak_watts >= idle_watts && std::isfinite(peak_watts))) {
+      throw std::invalid_argument("PowerModel: need 0 <= idle <= peak < inf");
     }
-    if (sleep_watts < 0.0 || transition_watts < 0.0) {
-      throw std::invalid_argument("PowerModel: negative power");
+    if (!(sleep_watts >= 0.0 && std::isfinite(sleep_watts)) ||
+        !(transition_watts >= 0.0 && std::isfinite(transition_watts))) {
+      throw std::invalid_argument("PowerModel: sleep and transition power must be finite and >= 0");
     }
   }
 };

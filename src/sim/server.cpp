@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 
 #include "src/sim/policies.hpp"
@@ -23,8 +24,10 @@ const char* to_string(PowerState s) noexcept {
 void ServerConfig::validate() const {
   power.validate();
   if (num_resources == 0) throw std::invalid_argument("ServerConfig: need >= 1 resource");
-  if (t_on < 0.0 || t_off < 0.0) throw std::invalid_argument("ServerConfig: negative transition");
-  if (hotspot_threshold <= 0.0 || hotspot_threshold > 1.0) {
+  if (!(t_on >= 0.0 && std::isfinite(t_on)) || !(t_off >= 0.0 && std::isfinite(t_off))) {
+    throw std::invalid_argument("ServerConfig: t_on and t_off must be finite and >= 0");
+  }
+  if (!(hotspot_threshold > 0.0 && hotspot_threshold <= 1.0)) {
     throw std::invalid_argument("ServerConfig: hotspot_threshold out of (0,1]");
   }
 }

@@ -24,7 +24,6 @@ std::string manifest_body(const RunManifest& m) {
   out += R"("tool":")" + json_escape(m.tool) + R"(",)";
   out += R"("scenario":")" + json_escape(m.scenario) + R"(",)";
   out += R"("precision":")" + json_escape(m.precision) + R"(",)";
-  out += R"("gemm_threads":)" + std::to_string(m.gemm_threads) + ",";
   out += R"("git_describe":")" + json_escape(build_git_describe()) + R"(",)";
   out += R"("wall_seconds":)" + json_number(m.wall_seconds);
   for (const auto& [key, value] : m.extra) {

@@ -13,14 +13,22 @@
 namespace hcrl::workload {
 
 void ArrivalProcessOptions::validate() const {
-  if (base_rate_hz <= 0.0) throw std::invalid_argument("ArrivalProcess: base_rate_hz must be > 0");
-  if (diurnal_amplitude < 0.0 || diurnal_amplitude >= 1.0) {
+  if (!(diurnal_amplitude >= 0.0 && diurnal_amplitude < 1.0)) {
     throw std::invalid_argument("ArrivalProcess: diurnal_amplitude out of [0,1)");
   }
-  if (diurnal_period_s <= 0.0) throw std::invalid_argument("ArrivalProcess: bad period");
-  if (burst_multiplier < 1.0) throw std::invalid_argument("ArrivalProcess: burst_multiplier < 1");
-  if (mean_burst_s <= 0.0 || mean_calm_s <= 0.0) {
-    throw std::invalid_argument("ArrivalProcess: burst/calm means must be > 0");
+  if (!(diurnal_period_s > 0.0 && std::isfinite(diurnal_period_s)) ||
+      !std::isfinite(diurnal_phase)) {
+    throw std::invalid_argument("ArrivalProcess: bad diurnal period or phase");
+  }
+  if (!(burst_multiplier >= 1.0 && std::isfinite(burst_multiplier))) {
+    throw std::invalid_argument("ArrivalProcess: burst_multiplier must be finite and >= 1");
+  }
+  if (!(mean_burst_s > 0.0 && std::isfinite(mean_burst_s)) ||
+      !(mean_calm_s > 0.0 && std::isfinite(mean_calm_s))) {
+    throw std::invalid_argument("ArrivalProcess: burst/calm means must be finite and > 0");
+  }
+  if (!(base_rate_hz > 0.0 && std::isfinite(base_rate_hz))) {
+    throw std::invalid_argument("ArrivalProcess: base_rate_hz must be finite and > 0");
   }
 }
 

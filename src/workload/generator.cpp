@@ -7,24 +7,53 @@
 
 namespace hcrl::workload {
 
+namespace {
+
+/// The arrival process whose long-run effective rate produces num_jobs over
+/// the horizon in expectation.
+ArrivalProcessOptions arrival_options(const GeneratorOptions& opts) {
+  ArrivalProcessOptions ap;
+  ap.diurnal_amplitude = opts.diurnal_amplitude;
+  ap.burst_multiplier = opts.burst_multiplier;
+  ap.mean_burst_s = opts.mean_burst_s;
+  ap.mean_calm_s = opts.mean_calm_s;
+  const double target_rate = static_cast<double>(opts.num_jobs) / opts.horizon_s;
+  ap.base_rate_hz = 1.0;  // placeholder to pass validation
+  const double duty_gain = ap.effective_rate();
+  ap.base_rate_hz = target_rate / duty_gain;
+  return ap;
+}
+
+}  // namespace
+
 void GeneratorOptions::validate() const {
   if (num_jobs == 0) throw std::invalid_argument("GeneratorOptions: num_jobs must be > 0");
-  if (horizon_s <= 0.0) throw std::invalid_argument("GeneratorOptions: horizon must be > 0");
-  if (min_duration_s <= 0.0 || max_duration_s < min_duration_s) {
+  if (!(horizon_s > 0.0 && std::isfinite(horizon_s))) {
+    throw std::invalid_argument("GeneratorOptions: horizon must be finite and > 0");
+  }
+  if (!(min_duration_s > 0.0 && max_duration_s >= min_duration_s && std::isfinite(max_duration_s))) {
     throw std::invalid_argument("GeneratorOptions: bad duration bounds");
   }
-  if (cpu_min <= 0.0 || cpu_max > 1.0 || cpu_max < cpu_min) {
+  if (!std::isfinite(duration_log_mean) ||
+      !(duration_log_sigma >= 0.0 && std::isfinite(duration_log_sigma))) {
+    throw std::invalid_argument("GeneratorOptions: bad lognormal duration parameters");
+  }
+  if (!(cpu_min > 0.0 && cpu_max <= 1.0 && cpu_max >= cpu_min)) {
     throw std::invalid_argument("GeneratorOptions: bad cpu bounds");
   }
-  if (mem_min <= 0.0 || mem_max > 1.0 || mem_max < mem_min) {
+  if (!(cpu_exp_mean > 0.0 && std::isfinite(cpu_exp_mean))) {
+    throw std::invalid_argument("GeneratorOptions: cpu_exp_mean must be finite and > 0");
+  }
+  if (!(mem_min > 0.0 && mem_max <= 1.0 && mem_max >= mem_min)) {
     throw std::invalid_argument("GeneratorOptions: bad memory bounds");
   }
-  if (disk_lo <= 0.0 || disk_hi > 1.0 || disk_hi < disk_lo) {
+  if (!(disk_lo > 0.0 && disk_hi <= 1.0 && disk_hi >= disk_lo)) {
     throw std::invalid_argument("GeneratorOptions: bad disk bounds");
   }
-  if (mem_ratio_lo <= 0.0 || mem_ratio_hi < mem_ratio_lo) {
+  if (!(mem_ratio_lo > 0.0 && mem_ratio_hi >= mem_ratio_lo && std::isfinite(mem_ratio_hi))) {
     throw std::invalid_argument("GeneratorOptions: bad memory ratio");
   }
+  arrival_options(*this).validate();
 }
 
 double TraceStats::cpu_load(std::size_t num_servers) const {
@@ -64,20 +93,7 @@ sim::Job GoogleTraceGenerator::make_job(sim::JobId id, sim::Time arrival,
 
 std::vector<sim::Job> GoogleTraceGenerator::generate() {
   common::Rng rng(opts_.seed);
-
-  ArrivalProcessOptions ap;
-  ap.diurnal_amplitude = opts_.diurnal_amplitude;
-  ap.burst_multiplier = opts_.burst_multiplier;
-  ap.mean_burst_s = opts_.mean_burst_s;
-  ap.mean_calm_s = opts_.mean_calm_s;
-  // Pick the base rate so the long-run effective rate produces num_jobs
-  // over the horizon in expectation.
-  const double target_rate = static_cast<double>(opts_.num_jobs) / opts_.horizon_s;
-  ap.base_rate_hz = 1.0;  // placeholder to pass validation
-  const double duty_gain = ap.effective_rate();
-  ap.base_rate_hz = target_rate / duty_gain;
-
-  ArrivalProcess process(ap, rng.fork());
+  ArrivalProcess process(arrival_options(opts_), rng.fork());
   // The thinning draw count is random; stop at, or extend to, exactly
   // num_jobs so experiments are comparable across seeds (the paper fixes
   // 95,000 jobs). Arrivals are drawn up to the horizon; the first draw past

@@ -7,12 +7,10 @@
 // Also the precision gates of the f32 compute mode: the float instantiation
 // of the substrate must track the double one to 1e-4 relative (forward,
 // backward gradients, LSTM) and a DQN agent trained at f32 must pick the
-// same greedy actions as its f64 twin; and the threaded GEMM path must be
-// BIT-identical to serial at any thread count.
+// same greedy actions as its f64 twin.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -21,8 +19,10 @@
 #include "src/nn/loss.hpp"
 #include "src/nn/lstm.hpp"
 #include "src/nn/network.hpp"
+#include "src/nn/optimizer.hpp"
 #include "src/nn/precision.hpp"
 #include "src/rl/dqn.hpp"
+#include "src/rl/smdp.hpp"
 
 namespace hcrl::nn {
 namespace {
@@ -434,88 +434,6 @@ TEST(PrecisionParity, LstmF32TracksF64ThroughStepsAndBptt) {
   }
 }
 
-// ---- threaded GEMM: bit-identity against serial ---------------------------
-
-template <class S>
-MatrixT<S> random_matrix(std::size_t r, std::size_t c, common::Rng& rng) {
-  MatrixT<S> m(r, c);
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    m.data()[i] = static_cast<S>(rng.uniform(-1.5, 1.5));
-  }
-  return m;
-}
-
-template <class S>
-void expect_bit_identical(const MatrixT<S>& a, const MatrixT<S>& b, const char* what) {
-  ASSERT_TRUE(a.same_shape(b)) << what;
-  ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(S)), 0) << what;
-}
-
-// Row-blocking the M dimension never splits an output element's k reduction
-// across threads, so every element is computed by the identical serial code
-// path: results must match BIT for bit, at any thread count, kernels and
-// precisions alike (this is what keeps ParallelRunner runs reproducible when
-// HCRL_GEMM_THREADS > 1).
-template <class S>
-void check_threaded_gemm_bit_identical() {
-  struct Shape {
-    std::size_t m, k, n;
-  };
-  // Includes shapes large enough to engage the pool and to cross the L2
-  // panel blocking thresholds of both precisions; {33, 300, 40} leaves a
-  // last row chunk shorter than the micro-tile (one row at 7 threads).
-  const Shape shapes[] = {
-      {64, 64, 64}, {33, 17, 9}, {96, 300, 40}, {128, 260, 300}, {33, 300, 40}};
-  common::Rng rng(20260729);
-  for (const Shape& sh : shapes) {
-    const MatrixT<S> A = random_matrix<S>(sh.m, sh.k, rng);
-    const MatrixT<S> B = random_matrix<S>(sh.k, sh.n, rng);
-    const MatrixT<S> At = random_matrix<S>(sh.k, sh.m, rng);
-    const MatrixT<S> Bt = random_matrix<S>(sh.n, sh.k, rng);
-    const MatrixT<S> Acc = random_matrix<S>(sh.m, sh.n, rng);
-
-    set_gemm_threads(1);
-    MatrixT<S> c1, d1, e1, f1 = Acc;
-    gemm(A, B, c1);
-    gemm_tn(At, B, d1);
-    gemm_nt(A, Bt, e1);
-    gemm(A, B, f1, /*accumulate=*/true);
-
-    for (std::size_t threads : {2u, 4u, 7u}) {
-      set_gemm_threads(threads);
-      MatrixT<S> c2, d2, e2, f2 = Acc;
-      gemm(A, B, c2);
-      gemm_tn(At, B, d2);
-      gemm_nt(A, Bt, e2);
-      gemm(A, B, f2, /*accumulate=*/true);
-      expect_bit_identical(c1, c2, "gemm");
-      expect_bit_identical(d1, d2, "gemm_tn");
-      expect_bit_identical(e1, e2, "gemm_nt");
-      expect_bit_identical(f1, f2, "gemm accumulate");
-    }
-    set_gemm_threads(1);
-  }
-}
-
-TEST(GemmThreads, ThreadedBitIdenticalToSerialF64) {
-  check_threaded_gemm_bit_identical<double>();
-}
-
-TEST(GemmThreads, ThreadedBitIdenticalToSerialF32) {
-  check_threaded_gemm_bit_identical<float>();
-}
-
-TEST(GemmThreads, KnobClampsAndReads) {
-  const std::size_t before = gemm_threads();
-  set_gemm_threads(0);
-  EXPECT_EQ(gemm_threads(), 1u);
-  set_gemm_threads(3);
-  EXPECT_EQ(gemm_threads(), 3u);
-  set_gemm_threads(1 << 20);
-  EXPECT_EQ(gemm_threads(), 64u);
-  set_gemm_threads(before > 0 ? before : 1);
-}
-
 }  // namespace
 }  // namespace hcrl::nn
 
@@ -534,54 +452,112 @@ Transition random_transition(std::size_t state_dim, std::size_t n_actions, commo
   return t;
 }
 
-// Same seed + same replay contents => identical parameters after K train
-// steps, whether the minibatch is processed by the batched GEMM path or the
-// per-sample seed loop — at either precision (the accumulation-order
-// argument is Scalar-independent).
-TEST(BatchParity, DqnBatchedTrainStepIsDeterministicallyEquivalent) {
-  for (const nn::Precision precision : {nn::Precision::kF64, nn::Precision::kF32}) {
-    for (const bool double_q : {false, true}) {
-      DqnAgent::Options base;
-      base.hidden_dims = {24, 16};
-      base.batch_size = 32;
-      base.min_replay_before_training = 64;
-      base.train_interval = 1000000;  // never train inside observe()
-      base.target_sync_interval = 1000000;
-      base.double_q = double_q;
-      base.precision = precision;
+// Test-side reference for DqnAgent::train_step: the per-sample loop over the
+// public NN API. It draws its networks and its training stream from the
+// agent's seed in the agent's order (online net, target net, then a fork),
+// so it samples the same minibatches from the agent's replay buffer.
+template <class S>
+class PerSampleDqnReference {
+ public:
+  PerSampleDqnReference(std::size_t state_dim, std::size_t n_actions,
+                        const DqnAgent::Options& opts, common::Rng& rng)
+      : opts_(opts),
+        online_(build_net(state_dim, n_actions, opts, rng)),
+        target_(build_net(state_dim, n_actions, opts, rng)),
+        params_(online_.params()),
+        optimizer_(params_, nn::AdamOptions{.lr = opts.learning_rate}),
+        train_rng_(rng.fork()) {
+    nn::copy_param_values(online_.params(), target_.params());
+  }
 
-      DqnAgent::Options batched = base;
-      batched.batched_train = true;
-      DqnAgent::Options per_sample = base;
-      per_sample.batched_train = false;
-
-      const std::size_t state_dim = 9, n_actions = 5;
-      common::Rng rng_a(4242), rng_b(4242);
-      DqnAgent agent_a(state_dim, n_actions, batched, rng_a);
-      DqnAgent agent_b(state_dim, n_actions, per_sample, rng_b);
-
-      common::Rng data_a(7), data_b(7);
-      for (int i = 0; i < 200; ++i) {
-        agent_a.observe(random_transition(state_dim, n_actions, data_a));
-        agent_b.observe(random_transition(state_dim, n_actions, data_b));
-      }
-
-      for (int k = 0; k < 25; ++k) {
-        const double la = agent_a.train_step();
-        const double lb = agent_b.train_step();
-        EXPECT_NEAR(la, lb, 1e-12) << "precision=" << nn::to_string(precision)
-                                   << " double_q=" << double_q << " step " << k;
-      }
-      // Compare the full online-network parameter vectors element by element
-      // (param_values works at either precision).
-      const std::vector<double> va = agent_a.param_values();
-      const std::vector<double> vb = agent_b.param_values();
-      ASSERT_EQ(va.size(), vb.size());
-      for (std::size_t i = 0; i < va.size(); ++i) {
-        EXPECT_NEAR(va[i], vb[i], 1e-12) << "precision=" << nn::to_string(precision)
-                                         << " double_q=" << double_q << " index " << i;
-      }
+  double train_step(const ReplayBuffer<Transition>& replay) {
+    const auto batch = replay.sample(opts_.batch_size, train_rng_);
+    optimizer_.zero_grad();
+    const double inv_n = 1.0 / static_cast<double>(batch.size());
+    double total_loss = 0.0;
+    for (const Transition* t : batch) {
+      const nn::VecT<S> next_state = nn::convert_vec<S>(t->next_state);
+      const nn::VecT<S> next_q = target_.predict(next_state);
+      const std::size_t best = opts_.double_q ? nn::argmax(online_.predict(next_state))
+                                              : nn::argmax(next_q);
+      const double target = smdp_target(t->reward_rate, t->tau, opts_.beta,
+                                        static_cast<double>(next_q[best]));
+      const nn::VecT<S> pred = online_.forward(nn::convert_vec<S>(t->state));
+      nn::LossResultT<S> loss = nn::masked_mse_loss(pred, t->action, static_cast<S>(target));
+      total_loss += loss.value;
+      nn::scale_in_place(loss.grad, static_cast<S>(inv_n));
+      online_.backward(loss.grad, /*want_input_grad=*/false);
     }
+    nn::clip_grad_norm(params_, opts_.grad_clip);
+    optimizer_.step();
+    return total_loss * inv_n;
+  }
+
+  std::vector<double> param_values() const { return nn::flatten_param_values(params_); }
+
+ private:
+  static nn::NetworkT<S> build_net(std::size_t state_dim, std::size_t n_actions,
+                                   const DqnAgent::Options& opts, common::Rng& rng) {
+    nn::NetworkT<S> net;
+    std::size_t prev = state_dim;
+    for (std::size_t dim : opts.hidden_dims) {
+      net.add_dense(prev, dim, opts.activation, rng);
+      prev = dim;
+    }
+    net.add_dense(prev, n_actions, nn::Activation::kIdentity, rng);
+    return net;
+  }
+
+  DqnAgent::Options opts_;
+  nn::NetworkT<S> online_;
+  nn::NetworkT<S> target_;
+  std::vector<nn::ParamBlockPtrT<S>> params_;
+  nn::AdamT<S> optimizer_;
+  common::Rng train_rng_;
+};
+
+// Same seed + same replay contents => the agent's batched train step matches
+// the per-sample reference in loss and parameters after K steps, at either
+// precision (the accumulation-order argument is Scalar-independent).
+template <class S>
+void expect_train_step_matches_reference(nn::Precision precision, bool double_q) {
+  DqnAgent::Options opts;
+  opts.hidden_dims = {24, 16};
+  opts.batch_size = 32;
+  opts.min_replay_before_training = 64;
+  opts.train_interval = 1000000;  // never train inside observe()
+  opts.target_sync_interval = 1000000;
+  opts.double_q = double_q;
+  opts.precision = precision;
+
+  const std::size_t state_dim = 9, n_actions = 5;
+  common::Rng rng_a(4242), rng_b(4242);
+  DqnAgent agent(state_dim, n_actions, opts, rng_a);
+  PerSampleDqnReference<S> reference(state_dim, n_actions, opts, rng_b);
+
+  common::Rng data(7);
+  for (int i = 0; i < 200; ++i) agent.observe(random_transition(state_dim, n_actions, data));
+
+  for (int k = 0; k < 25; ++k) {
+    const double la = agent.train_step();
+    const double lb = reference.train_step(agent.replay());
+    EXPECT_NEAR(la, lb, 1e-12) << "precision=" << nn::to_string(precision)
+                               << " double_q=" << double_q << " step " << k;
+  }
+  // Compare the full online-network parameter vectors element by element.
+  const std::vector<double> va = agent.param_values();
+  const std::vector<double> vb = reference.param_values();
+  ASSERT_EQ(va.size(), vb.size());
+  for (std::size_t i = 0; i < va.size(); ++i) {
+    EXPECT_NEAR(va[i], vb[i], 1e-12) << "precision=" << nn::to_string(precision)
+                                     << " double_q=" << double_q << " index " << i;
+  }
+}
+
+TEST(BatchParity, DqnBatchedTrainStepIsDeterministicallyEquivalent) {
+  for (const bool double_q : {false, true}) {
+    expect_train_step_matches_reference<double>(nn::Precision::kF64, double_q);
+    expect_train_step_matches_reference<float>(nn::Precision::kF32, double_q);
   }
 }
 

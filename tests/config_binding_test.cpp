@@ -131,6 +131,18 @@ TEST(ExperimentConfigFrom, BatchDecisionsKeyRejectedAsUnknown) {
   }
 }
 
+// Every GEMM runs on the calling thread, so `gemm_threads` is not a config key.
+TEST(ExperimentConfigFrom, GemmThreadsKeyRejectedAsUnknown) {
+  const auto raw = common::Config::from_string("gemm_threads = 2\n");
+  try {
+    experiment_config_from(raw);
+    FAIL() << "expected unknown-key rejection";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown keys: gemm_threads"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ExperimentConfigFrom, NonZeroShardsFailsValidation) {
   ExperimentConfig cfg = experiment_config_from(common::Config{});
   cfg.shards = 1;

@@ -4,6 +4,7 @@
 // UB or silent acceptance.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -170,6 +171,25 @@ TEST(ConfigRobustness, OutOfRangeNumericsThrow) {
   expect_rejected("local.beta = nan\n");
   expect_rejected("local.w = nan\n");
   expect_rejected("system = round-robin\nlocal.w = 1.5\n");
+  // Trace, server and SLA values: NaN must not hang trace generation or
+  // reach the energy integral, and an infinite power or transition time has
+  // no finite energy.
+  for (const char* line :
+       {"trace.horizon_s = nan", "trace.diurnal_amplitude = nan", "trace.burst_multiplier = nan",
+        "trace.cpu_exp_mean = nan", "trace.duration_log_mean = nan",
+        "trace.duration_log_sigma = nan", "server.idle_watts = nan", "server.peak_watts = inf",
+        "server.transition_watts = nan", "server.transition_watts = inf", "server.t_on = nan",
+        "server.t_on = inf", "server.t_off = nan", "server.hotspot_threshold = nan",
+        "sla_latency_s = nan"}) {
+    expect_rejected(std::string(line) + "\n");
+  }
+}
+
+TEST(ConfigRobustness, InfiniteSlaAndWatchdogMeanOff) {
+  const core::ExperimentConfig bound = core::experiment_config_from(
+      common::Config::from_string("sla_latency_s = inf\nwatchdog_s = inf\n"));
+  EXPECT_EQ(bound.sla_latency_s, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(bound.watchdog_s, std::numeric_limits<double>::infinity());
 }
 
 TEST(ConfigRobustness, AbsurdFaultValuesThrow) {
@@ -212,7 +232,7 @@ TEST_P(ConfigSoupFuzz, RandomKeyValueSoupParsesOrThrowsCleanly) {
   // validated config or throws std::invalid_argument. Anything else (crash,
   // sanitizer report, silent wrap-around) fails the suite.
   static const char* kKeys[] = {"num_servers",       "num_groups",        "pretrain_jobs",
-                                "gemm_threads",      "trace.num_jobs",    "faults.mtbf_s",
+                                "sla_latency_s",     "trace.num_jobs",    "faults.mtbf_s",
                                 "faults.mttr_s",     "faults.max_retries", "faults.backoff_jitter",
                                 "watchdog_s",        "system",            "power.timeout_s",
                                 "drl.subq_hidden",   "drl.batch_size"};

@@ -327,16 +327,14 @@ TEST(Runner, ParallelMatchesSerialBitForBitOnTheTinyGrid) {
   }
 }
 
-TEST(Runner, ParallelMatchesSerialAtF32WithThreadedGemm) {
-  // The f32 compute mode and the intra-GEMM thread pool compose with the
-  // scenario-level ParallelRunner: results stay bit-identical to a serial
-  // run at the same precision (threaded GEMM never reorders a reduction).
+TEST(Runner, ParallelMatchesSerialAtF32) {
+  // The f32 compute mode composes with the scenario-level ParallelRunner:
+  // results stay bit-identical to a serial run at the same precision.
   std::vector<Scenario> batch;
   for (const char* name : {"tiny/hierarchical", "tiny/drl-only"}) {
     Scenario s = ScenarioRegistry::builtin().make(name, 250);
     s.name = std::string(name) + "#f32";
     s.config.precision = nn::Precision::kF32;
-    s.config.gemm_threads = 2;
     batch.push_back(std::move(s));
   }
   share_synthetic_traces(batch);
@@ -349,7 +347,6 @@ TEST(Runner, ParallelMatchesSerialAtF32WithThreadedGemm) {
     expect_identical(serial[i], parallel[i]);
     EXPECT_GT(serial[i].final_snapshot.jobs_completed, 0u);
   }
-  nn::set_gemm_threads(1);
 }
 
 TEST(Runner, EmptyBatchAndOversizedPoolAreFine) {
