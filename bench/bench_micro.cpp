@@ -432,7 +432,7 @@ void BM_BestFitSelect(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_BestFitSelect)->Arg(500);
+BENCHMARK(BM_BestFitSelect)->Arg(100)->Arg(500)->Arg(1000);
 
 void BM_TelemetryCounter(benchmark::State& state) {
   // Cost of the telemetry::count hot helper, disabled (arg 0: the tax every

@@ -96,6 +96,14 @@ for key in trace.horizon_s trace.diurnal_amplitude trace.burst_multiplier server
     -- timeout 20 "$RUN_EXPERIMENT" --inline "system = round-robin" "num_servers = 6" \
        "num_groups = 2" "trace.num_jobs = 300" "$key = nan"
 done
+# Finite but absurd values: a 1e12 s horizon would spin trace generation,
+# and huge server values overflow the energy or latency total.
+for setting in "trace.horizon_s = 1e12" "server.t_on = 1e308" "server.peak_watts = 1e308" \
+               "server.transition_watts = 1e308"; do
+  expect_error "run_experiment: $setting" \
+    -- timeout 20 "$RUN_EXPERIMENT" --inline "system = round-robin" "num_servers = 6" \
+       "num_groups = 2" "trace.num_jobs = 300" "$setting"
+done
 
 # --- tournament -------------------------------------------------------------
 expect_error "tournament: unknown combo" \

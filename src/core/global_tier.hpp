@@ -24,8 +24,8 @@ class DecisionService;
 
 struct DrlAllocatorOptions {
   GroupedQOptions qnet;
-  double beta = 0.05;  // discount rate per second (~20 s horizon; paper uses 0.5 in its
-                       // own time units — see EXPERIMENTS.md on this calibration)
+  double beta = 0.05;  // discount rate per second (1/beta = 20 s horizon; the paper
+                       // uses 0.5 in its own time units)
 
   // Reward weights (Eqn. 4). Defaults keep the reward *rate* at O(1) so the
   // Q-scale (~ reward/beta) stays regressable: power is normalized by a

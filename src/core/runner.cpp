@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -210,6 +211,15 @@ ExperimentResult run_scenario(const Scenario& scenario, RunObserver* observer) {
       }
     }
     result.final_snapshot = cluster.snapshot();
+    // Finite but huge wattages or transition times overflow the exact
+    // integrals to inf or NaN; report that instead of printing it.
+    if (!std::isfinite(result.final_snapshot.energy_joules) ||
+        !std::isfinite(result.final_snapshot.accumulated_latency_s)) {
+      throw std::invalid_argument(
+          scenario.name + ": the run's energy or latency total is not finite; check "
+          "server.idle_watts, server.peak_watts, server.transition_watts, server.t_on and "
+          "server.t_off");
+    }
     result.servers_on_at_end = cluster.servers_on();
     fill_tail_metrics(result, completed_latencies(cluster), cfg.sla_latency_s);
   }

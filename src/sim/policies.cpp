@@ -1,5 +1,9 @@
 #include "src/sim/policies.hpp"
 
+#include <array>
+#include <span>
+#include <string>
+
 #include "src/sim/cluster_view.hpp"
 #include "src/sim/server.hpp"
 
@@ -60,118 +64,112 @@ ServerId LeastLoadedAllocator::select_server(const ClusterView& cluster, const J
   return best_awake < cluster.num_servers() ? best_awake : first_live_from(cluster, 0);
 }
 
-ServerId FirstFitPackingAllocator::select_server(const ClusterView& cluster, const Job& job) {
-  // Choose the *busiest* awake server whose free resources fit the job and
-  // whose queue is empty (consolidation without creating waits); fall back
-  // to waking the first sleeping server, then to the shortest queue.
-  ServerId best = cluster.num_servers();
-  double best_util = -1.0;
-  for (ServerId i = 0; i < cluster.num_servers(); ++i) {
-    const Server& s = cluster.server(i);
-    const bool usable = s.is_on() || s.power_state() == PowerState::kWaking;
-    if (!usable || s.queue_length() > 0) continue;
-    if (!s.available().fits(job.demand)) continue;
-    if (s.utilization(0) > best_util) {
-      best_util = s.utilization(0);
-      best = i;
-    }
-  }
-  if (best < cluster.num_servers()) return best;
-  for (ServerId i = 0; i < cluster.num_servers(); ++i) {
-    if (cluster.server(i).power_state() == PowerState::kSleep) return i;
-  }
-  // Everything is busy: shortest combined backlog among live servers.
-  ServerId fallback = cluster.num_servers();
-  std::size_t best_backlog = static_cast<std::size_t>(-1);
-  for (ServerId i = 0; i < cluster.num_servers(); ++i) {
-    if (cluster.server(i).failed()) continue;
-    const std::size_t backlog = cluster.server(i).jobs_on_server();
-    if (backlog < best_backlog) {
-      best_backlog = backlog;
-      fallback = i;
-    }
-  }
-  return fallback < cluster.num_servers() ? fallback : 0;
-}
-
 namespace {
+
+using Lanes = std::array<double, ResourceVector::kMaxDims>;
 
 /// Shared fallback when no awake server can take the job now: wake the first
 /// sleeping server, else join the shortest combined backlog among live
 /// servers (0 as a last resort when the whole cluster is failed — the
 /// engine bounces that placement).
 ServerId wake_or_shortest_backlog(const ClusterView& cluster) {
-  for (ServerId i = 0; i < cluster.num_servers(); ++i) {
-    if (cluster.server(i).power_state() == PowerState::kSleep) return i;
+  const std::span<const Server> servers = cluster.servers();
+  for (ServerId i = 0; i < servers.size(); ++i) {
+    if (servers[i].power_state() == PowerState::kSleep) return i;
   }
-  ServerId fallback = cluster.num_servers();
+  ServerId fallback = servers.size();
   std::size_t best_backlog = static_cast<std::size_t>(-1);
-  for (ServerId i = 0; i < cluster.num_servers(); ++i) {
-    if (cluster.server(i).failed()) continue;
-    const std::size_t backlog = cluster.server(i).jobs_on_server();
+  for (ServerId i = 0; i < servers.size(); ++i) {
+    if (servers[i].failed()) continue;
+    const std::size_t backlog = servers[i].jobs_on_server();
     if (backlog < best_backlog) {
       best_backlog = backlog;
       fallback = i;
     }
   }
-  return fallback < cluster.num_servers() ? fallback : 0;
+  return fallback < servers.size() ? fallback : 0;
 }
 
-/// Scan the awake (or waking), empty-queue servers that fit `job` and return
-/// the one with the best score (strictly-greater wins, so ties keep the
-/// lowest id). Returns num_servers when no server qualifies.
+[[noreturn]] void throw_dims_mismatch(const Job& job, const Server& s) {
+  throw std::invalid_argument("packing allocator: job " + std::to_string(job.id) + " has " +
+                              std::to_string(job.demand.dims()) + " demand dimensions, server " +
+                              std::to_string(s.id()) + " has " +
+                              std::to_string(s.used().dims()));
+}
+
+/// The one scan of the four packing allocators. Among the awake (or waking)
+/// servers with an empty queue whose free capacity fits `job`, pick the one
+/// with the highest `score(server, free)`; strictly-greater wins, so ties
+/// keep the lowest id. When none qualifies, fall back to
+/// wake_or_shortest_backlog. A job whose demand has a different number of
+/// dimensions throws std::invalid_argument at the first such open server.
+///
+/// Each candidate's free capacity is computed once, and the fit test and
+/// the scores read all kMaxDims lanes (see ResourceVector::lanes). The scan
+/// keeps no per-server record between calls, so the engine's event handlers
+/// pay nothing for it; workloads that never pack never run it.
 template <class ScoreFn>
 ServerId best_scoring_fit(const ClusterView& cluster, const Job& job, ScoreFn score) {
-  ServerId best = cluster.num_servers();
+  const std::span<const Server> servers = cluster.servers();
+  const Lanes& demand = job.demand.lanes();
+  ServerId best = servers.size();
   double best_score = -std::numeric_limits<double>::infinity();
-  for (ServerId i = 0; i < cluster.num_servers(); ++i) {
-    const Server& s = cluster.server(i);
+  for (ServerId i = 0; i < servers.size(); ++i) {
+    const Server& s = servers[i];
     const bool usable = s.is_on() || s.power_state() == PowerState::kWaking;
-    if (!usable || s.queue_length() > 0) continue;
-    if (!s.available().fits(job.demand)) continue;
-    const double sc = score(s);
+    if (!usable || !s.queue_empty()) continue;
+    if (s.used().dims() != job.demand.dims()) throw_dims_mismatch(job, s);
+    // Server::available() lane by lane, with no copy and no dimension check.
+    const Lanes& capacity = s.capacity().lanes();
+    const Lanes& used = s.used().lanes();
+    Lanes free{};
+    bool fits = true;
+    for (std::size_t d = 0; d < ResourceVector::kMaxDims; ++d) {
+      free[d] = capacity[d] - used[d];
+      fits &= !(demand[d] > free[d] + ResourceVector::kFitEps);
+    }
+    if (!fits) continue;
+    const double sc = score(s, free);
     if (sc > best_score) {
       best_score = sc;
       best = i;
     }
   }
-  return best;
+  return best < servers.size() ? best : wake_or_shortest_backlog(cluster);
 }
 
-double total_available(const Server& s) {
-  const ResourceVector avail = s.available();
+double lane_sum(const Lanes& free) {
   double sum = 0.0;
-  for (std::size_t d = 0; d < avail.dims(); ++d) sum += avail[d];
+  for (const double x : free) sum += x;
   return sum;
 }
 
 }  // namespace
 
+ServerId FirstFitPackingAllocator::select_server(const ClusterView& cluster, const Job& job) {
+  // The busiest fitting server: consolidation without creating waits.
+  return best_scoring_fit(cluster, job,
+                          [](const Server& s, const Lanes&) { return s.utilization(0); });
+}
+
 ServerId BestFitAllocator::select_server(const ClusterView& cluster, const Job& job) {
-  const ServerId best = best_scoring_fit(cluster, job, [](const Server& s) {
-    return -total_available(s);  // least leftover = tightest bin
+  return best_scoring_fit(cluster, job, [](const Server&, const Lanes& free) {
+    return -lane_sum(free);  // least leftover = tightest bin
   });
-  if (best < cluster.num_servers()) return best;
-  return wake_or_shortest_backlog(cluster);
 }
 
 ServerId WorstFitAllocator::select_server(const ClusterView& cluster, const Job& job) {
-  const ServerId best = best_scoring_fit(cluster, job, &total_available);
-  if (best < cluster.num_servers()) return best;
-  return wake_or_shortest_backlog(cluster);
+  return best_scoring_fit(cluster, job,
+                          [](const Server&, const Lanes& free) { return lane_sum(free); });
 }
 
 ServerId TetrisAllocator::select_server(const ClusterView& cluster, const Job& job) {
-  const ServerId best = best_scoring_fit(cluster, job, [&job](const Server& s) {
-    const ResourceVector avail = s.available();
+  const Lanes& demand = job.demand.lanes();
+  return best_scoring_fit(cluster, job, [&demand](const Server&, const Lanes& free) {
     double dot = 0.0;
-    for (std::size_t d = 0; d < avail.dims() && d < job.demand.dims(); ++d) {
-      dot += avail[d] * job.demand[d];
-    }
+    for (std::size_t d = 0; d < ResourceVector::kMaxDims; ++d) dot += free[d] * demand[d];
     return dot;
   });
-  if (best < cluster.num_servers()) return best;
-  return wake_or_shortest_backlog(cluster);
 }
 
 RandomKAllocator::RandomKAllocator(std::size_t k, common::Rng rng) : k_(k), rng_(rng) {

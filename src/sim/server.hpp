@@ -90,12 +90,16 @@ class Server {
   /// Utilization of one resource dimension (0 = CPU), in [0, 1].
   double utilization(std::size_t resource = 0) const { return used_[resource]; }
   const ResourceVector& used() const noexcept { return used_; }
+  const ResourceVector& capacity() const noexcept { return capacity_; }
   ResourceVector available() const {
     ResourceVector avail = capacity_;
     avail.subtract(used_);
     return avail;
   }
   std::size_t queue_length() const noexcept { return queue_.size(); }
+  /// Cheaper than queue_length() == 0: std::deque::size() is iterator
+  /// arithmetic across its blocks, empty() one pointer compare.
+  bool queue_empty() const noexcept { return queue_.empty(); }
   std::size_t running_count() const noexcept { return running_.size(); }
   std::size_t jobs_on_server() const noexcept { return queue_.size() + running_.size(); }
   double power_watts() const noexcept { return power_.current(); }

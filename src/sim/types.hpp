@@ -26,6 +26,9 @@ class ResourceVector {
  public:
   /// Largest supported dimension; construction beyond it throws.
   static constexpr std::size_t kMaxDims = 4;
+  /// Slack of fits(), so that accumulated floating-point release/acquire
+  /// noise never wedges a job that exactly fills the machine.
+  static constexpr double kFitEps = 1e-9;
 
   ResourceVector() = default;
   explicit ResourceVector(std::size_t dims, double fill = 0.0);
@@ -35,6 +38,11 @@ class ResourceVector {
   /// Checked: an index at or past dims() throws std::out_of_range.
   double operator[](std::size_t i) const { return v_[checked(i)]; }
   double& operator[](std::size_t i) { return v_[checked(i)]; }
+  /// All kMaxDims lanes, read-only. Lanes at or past dims() are 0: every
+  /// constructor zero-fills them, and add, subtract and clamp touch only the
+  /// first dims(). So a sum or a fit test over all lanes equals one over the
+  /// first dims(), and needs no bound that is known only at run time.
+  const std::array<double, kMaxDims>& lanes() const noexcept { return v_; }
 
   void add(const ResourceVector& other) {
     check_same_dims(other, "ResourceVector::add: dim mismatch");
@@ -47,11 +55,8 @@ class ResourceVector {
   /// True when every component of `demand` fits within `*this` capacity.
   bool fits(const ResourceVector& demand) const {
     check_same_dims(demand, "ResourceVector::fits: dim mismatch");
-    // Small epsilon so that accumulated floating-point release/acquire noise
-    // never wedges a job that exactly fills the machine.
-    constexpr double kEps = 1e-9;
     for (std::size_t i = 0; i < dims_; ++i) {
-      if (demand.v_[i] > v_[i] + kEps) return false;
+      if (demand.v_[i] > v_[i] + kFitEps) return false;
     }
     return true;
   }

@@ -28,8 +28,14 @@ ArrivalProcessOptions arrival_options(const GeneratorOptions& opts) {
 
 void GeneratorOptions::validate() const {
   if (num_jobs == 0) throw std::invalid_argument("GeneratorOptions: num_jobs must be > 0");
-  if (!(horizon_s > 0.0 && std::isfinite(horizon_s))) {
-    throw std::invalid_argument("GeneratorOptions: horizon must be finite and > 0");
+  // The arrival process steps through every burst/calm switch (a few
+  // hundred seconds apart at the defaults) up to each arrival, so generation
+  // time grows with the horizon; the cap turns a hang into a config error.
+  constexpr double kMaxHorizonS = 1e10;
+  if (!(horizon_s > 0.0 && horizon_s <= kMaxHorizonS)) {
+    throw std::invalid_argument(
+        "GeneratorOptions: horizon must be > 0 and at most 1e10 s (about 317 years); "
+        "trace generation steps through every burst/calm switch up to the horizon");
   }
   if (!(min_duration_s > 0.0 && max_duration_s >= min_duration_s && std::isfinite(max_duration_s))) {
     throw std::invalid_argument("GeneratorOptions: bad duration bounds");

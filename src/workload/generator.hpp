@@ -28,7 +28,7 @@ namespace hcrl::workload {
 
 struct GeneratorOptions {
   std::size_t num_jobs = 95000;
-  double horizon_s = hcrl::sim::kSecondsPerWeek;
+  double horizon_s = hcrl::sim::kSecondsPerWeek;  // at most 1e10 s (validate)
   std::uint64_t seed = 1;
 
   // Durations (seconds): lognormal(log_mean, log_sigma) clipped.

@@ -11,6 +11,7 @@
 #include "src/common/config.hpp"
 #include "src/common/rng.hpp"
 #include "src/core/config_binding.hpp"
+#include "src/core/runner.hpp"
 #include "src/sim/cluster.hpp"
 #include "src/workload/generator.hpp"
 
@@ -182,6 +183,25 @@ TEST(ConfigRobustness, OutOfRangeNumericsThrow) {
         "server.t_on = inf", "server.t_off = nan", "server.hotspot_threshold = nan",
         "sla_latency_s = nan"}) {
     expect_rejected(std::string(line) + "\n");
+  }
+  // A finite but absurd horizon would spin trace generation for hours.
+  expect_rejected("trace.horizon_s = 1e12\n");
+  expect_rejected("trace.horizon_s = 1e308\n");
+}
+
+TEST(ConfigRobustness, NonFiniteRunTotalsThrow) {
+  // Finite but huge wattages and transition times pass validation, but
+  // overflow the exact energy and latency integrals: the run must fail
+  // instead of reporting inf or NaN.
+  for (const char* line :
+       {"server.t_on = 1e308", "server.peak_watts = 1e308", "server.transition_watts = 1e308"}) {
+    SCOPED_TRACE(line);
+    core::Scenario scenario;
+    scenario.name = "absurd-server";
+    scenario.config = core::experiment_config_from(common::Config::from_string(
+        "system = round-robin\nnum_servers = 6\nnum_groups = 2\ntrace.num_jobs = 300\n" +
+        std::string(line) + "\n"));
+    EXPECT_THROW(core::run_scenario(scenario), std::invalid_argument);
   }
 }
 

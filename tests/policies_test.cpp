@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "src/common/rng.hpp"
 #include "src/sim/cluster.hpp"
+#include "src/sim/fault/fault.hpp"
 
 namespace hcrl::sim {
 namespace {
@@ -134,6 +142,247 @@ TEST(TetrisAllocator, AlignsDemandShapeWithFreeCapacity) {
   EXPECT_EQ(alloc.select_server(c, make_shaped_job(3, 1.0, 0.15, 0.05, 10.0)), 0u);
   // ...and a memory-heavy job with server 1's memory-rich free capacity.
   EXPECT_EQ(alloc.select_server(c, make_shaped_job(4, 2.0, 0.05, 0.15, 10.0)), 1u);
+}
+
+// ---- the packing scan against its Server-based reference ---------------------
+
+// The four packing allocators as they read before the lane scan: a
+// bounds-checked server(i) walk, queue_length(), a ResourceVector from
+// available() for the fit and another for the score, and first-fit-packing's
+// own filter loop and fallback. The production scan must pick the same server
+// at every decision.
+namespace reference {
+
+ServerId wake_or_shortest_backlog(const ClusterView& cluster) {
+  for (ServerId i = 0; i < cluster.num_servers(); ++i) {
+    if (cluster.server(i).power_state() == PowerState::kSleep) return i;
+  }
+  ServerId fallback = cluster.num_servers();
+  std::size_t best_backlog = static_cast<std::size_t>(-1);
+  for (ServerId i = 0; i < cluster.num_servers(); ++i) {
+    if (cluster.server(i).failed()) continue;
+    const std::size_t backlog = cluster.server(i).jobs_on_server();
+    if (backlog < best_backlog) {
+      best_backlog = backlog;
+      fallback = i;
+    }
+  }
+  return fallback < cluster.num_servers() ? fallback : 0;
+}
+
+ServerId best_scoring_fit(const ClusterView& cluster, const Job& job,
+                          const std::function<double(const Server&)>& score) {
+  ServerId best = cluster.num_servers();
+  double best_score = -std::numeric_limits<double>::infinity();
+  for (ServerId i = 0; i < cluster.num_servers(); ++i) {
+    const Server& s = cluster.server(i);
+    const bool usable = s.is_on() || s.power_state() == PowerState::kWaking;
+    if (!usable || s.queue_length() > 0) continue;
+    if (!s.available().fits(job.demand)) continue;
+    const double sc = score(s);
+    if (sc > best_score) {
+      best_score = sc;
+      best = i;
+    }
+  }
+  return best;
+}
+
+double total_available(const Server& s) {
+  const ResourceVector avail = s.available();
+  double sum = 0.0;
+  for (std::size_t d = 0; d < avail.dims(); ++d) sum += avail[d];
+  return sum;
+}
+
+ServerId first_fit_packing(const ClusterView& cluster, const Job& job) {
+  ServerId best = cluster.num_servers();
+  double best_util = -1.0;
+  for (ServerId i = 0; i < cluster.num_servers(); ++i) {
+    const Server& s = cluster.server(i);
+    const bool usable = s.is_on() || s.power_state() == PowerState::kWaking;
+    if (!usable || s.queue_length() > 0) continue;
+    if (!s.available().fits(job.demand)) continue;
+    if (s.utilization(0) > best_util) {
+      best_util = s.utilization(0);
+      best = i;
+    }
+  }
+  return best < cluster.num_servers() ? best : wake_or_shortest_backlog(cluster);
+}
+
+ServerId select(const std::string& name, const ClusterView& cluster, const Job& job) {
+  if (name == "first-fit-packing") return first_fit_packing(cluster, job);
+  std::function<double(const Server&)> score;
+  if (name == "best-fit") {
+    score = [](const Server& s) { return -total_available(s); };
+  } else if (name == "worst-fit") {
+    score = &total_available;
+  } else if (name == "tetris") {
+    score = [&job](const Server& s) {
+      const ResourceVector avail = s.available();
+      double dot = 0.0;
+      for (std::size_t d = 0; d < avail.dims() && d < job.demand.dims(); ++d) {
+        dot += avail[d] * job.demand[d];
+      }
+      return dot;
+    };
+  } else {
+    throw std::invalid_argument("no reference scan for " + name);
+  }
+  const ServerId best = best_scoring_fit(cluster, job, score);
+  return best < cluster.num_servers() ? best : wake_or_shortest_backlog(cluster);
+}
+
+}  // namespace reference
+
+/// Forwards every decision to the production allocator and counts the
+/// decisions at which the reference scan would have picked another server.
+class ReferenceCheckedAllocator final : public AllocationPolicy {
+ public:
+  explicit ReferenceCheckedAllocator(std::unique_ptr<AllocationPolicy> inner)
+      : inner_(std::move(inner)) {}
+
+  ServerId select_server(const ClusterView& cluster, const Job& job) override {
+    const ServerId got = inner_->select_server(cluster, job);
+    const ServerId want = reference::select(inner_->name(), cluster, job);
+    ++decisions_;
+    if (got != want) {
+      if (mismatches_ == 0) {
+        first_mismatch_ = "job " + std::to_string(job.id) + " at t=" +
+                          std::to_string(cluster.now()) + ": got " + std::to_string(got) +
+                          ", reference " + std::to_string(want);
+      }
+      ++mismatches_;
+    }
+    return got;
+  }
+  std::string name() const override { return inner_->name(); }
+
+  std::size_t decisions() const { return decisions_; }
+  std::size_t mismatches() const { return mismatches_; }
+  const std::string& first_mismatch() const { return first_mismatch_; }
+
+ private:
+  std::unique_ptr<AllocationPolicy> inner_;
+  std::size_t decisions_ = 0;
+  std::size_t mismatches_ = 0;
+  std::string first_mismatch_;
+};
+
+std::vector<std::unique_ptr<AllocationPolicy>> packing_allocators() {
+  std::vector<std::unique_ptr<AllocationPolicy>> out;
+  out.push_back(std::make_unique<BestFitAllocator>());
+  out.push_back(std::make_unique<WorstFitAllocator>());
+  out.push_back(std::make_unique<TetrisAllocator>());
+  out.push_back(std::make_unique<FirstFitPackingAllocator>());
+  return out;
+}
+
+/// An overloaded D-dimensional trace. Demands are multiples of 0.1, so sums
+/// of them carry rounding noise and some jobs fill a server exactly: the
+/// fit test's epsilon decides those placements.
+std::vector<Job> grid_trace(std::size_t dims, std::size_t n, std::uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<Job> jobs;
+  Time t = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    t += rng.exponential(1.0 / 8.0);
+    Job j;
+    j.id = static_cast<JobId>(k + 1);
+    j.arrival = t;
+    j.duration = rng.uniform(60.0, 600.0);
+    j.demand = ResourceVector(dims);
+    for (std::size_t d = 0; d < dims; ++d) {
+      j.demand[d] = 0.1 * static_cast<double>(rng.uniform_int(1, 4));
+    }
+    jobs.push_back(j);
+  }
+  return jobs;
+}
+
+TEST(PackingScan, MatchesReferenceAtEveryDecisionOfAFaultyRun) {
+  for (std::size_t dims = 1; dims <= ResourceVector::kMaxDims; ++dims) {
+    for (std::unique_ptr<AllocationPolicy>& inner : packing_allocators()) {
+      const std::string name = inner->name();
+      SCOPED_TRACE(name + " at D=" + std::to_string(dims));
+      ReferenceCheckedAllocator alloc(std::move(inner));
+      FixedTimeoutPolicy power(30.0);
+      ClusterConfig cfg;
+      cfg.num_servers = 12;
+      cfg.server.num_resources = dims;
+      std::vector<Job> jobs = grid_trace(dims, 1500, 100 + dims);
+
+      FaultConfig fc;
+      fc.mtbf_s = 900.0;
+      fc.mttr_s = 120.0;
+      fc.evict_every_s = 1500.0;
+      fc.max_retries = 3;
+      fc.backoff_base_s = 5.0;
+      fc.backoff_cap_s = 60.0;
+      fc.seed = 77;
+      FaultInjector faults(fc, cfg.num_servers, jobs.back().arrival);
+
+      Cluster cluster(cfg, alloc, power);
+      cluster.install_faults(&faults);
+      cluster.load_jobs(std::move(jobs));
+      cluster.run();
+
+      const FaultCounters& f = cluster.snapshot().faults;
+      EXPECT_GT(f.crashes, 0u);
+      EXPECT_GT(f.evictions, 0u);
+      EXPECT_GT(f.retries, 0u);
+      EXPECT_GT(alloc.decisions(), 1500u);  // trace arrivals plus retries
+      EXPECT_EQ(alloc.mismatches(), 0u) << alloc.first_mismatch();
+    }
+  }
+}
+
+/// Sends the i-th placement to targets[i], so a test can set up servers.
+class ScriptedAllocator final : public AllocationPolicy {
+ public:
+  explicit ScriptedAllocator(std::vector<ServerId> targets) : targets_(std::move(targets)) {}
+  ServerId select_server(const ClusterView&, const Job&) override { return targets_.at(next_++); }
+  std::string name() const override { return "scripted"; }
+
+ private:
+  std::vector<ServerId> targets_;
+  std::size_t next_ = 0;
+};
+
+TEST(PackingScan, TiesGoToTheLowestId) {
+  // Servers 1 and 3 hold identical residents, 0 and 2 stay empty: every
+  // score comes in equal pairs, and each allocator must take the lower id.
+  ScriptedAllocator router({1, 3});
+  AlwaysOnPolicy power;
+  Cluster c(awake_cluster(4), router, power);
+  c.load_jobs({make_job(1, 0.0, 10000.0, 0.3), make_job(2, 0.5, 10000.0, 0.3)});
+  c.step();
+  c.step();
+  const Job probe = make_job(3, 1.0, 10.0, 0.2);
+  EXPECT_EQ(BestFitAllocator().select_server(c, probe), 1u);
+  EXPECT_EQ(FirstFitPackingAllocator().select_server(c, probe), 1u);
+  EXPECT_EQ(WorstFitAllocator().select_server(c, probe), 0u);
+  EXPECT_EQ(TetrisAllocator().select_server(c, probe), 0u);
+}
+
+TEST(PackingScan, DemandDimensionMismatchThrowsOnlyWhenAServerIsOpen) {
+  Job two_dims = make_job(1, 0.0);
+  two_dims.demand = ResourceVector{0.2, 0.2};
+  RoundRobinAllocator router;
+  AlwaysOnPolicy power;
+  Cluster awake(awake_cluster(3), router, power);
+  ClusterConfig asleep_cfg;
+  asleep_cfg.num_servers = 3;  // every server asleep: nothing is open
+  Cluster asleep(asleep_cfg, router, power);
+  for (std::unique_ptr<AllocationPolicy>& alloc : packing_allocators()) {
+    SCOPED_TRACE(alloc->name());
+    EXPECT_THROW(alloc->select_server(awake, two_dims), std::invalid_argument);
+    EXPECT_THROW(reference::select(alloc->name(), awake, two_dims), std::invalid_argument);
+    // No open server, no fit test: both fall back to waking server 0.
+    EXPECT_EQ(alloc->select_server(asleep, two_dims), 0u);
+    EXPECT_EQ(reference::select(alloc->name(), asleep, two_dims), 0u);
+  }
 }
 
 TEST(RandomKAllocator, SeededStreamIsDeterministicAndInRange) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -107,6 +108,34 @@ TEST(ResourceVector, CopiesAreIndependent) {
   k.demand.subtract({0.1, 0.1, 0.1});
   EXPECT_DOUBLE_EQ(j.demand[1], 0.4);
   EXPECT_NEAR(k.demand[1], 0.3, 1e-12);
+}
+
+TEST(ResourceVector, LanesPastDimsStayZero) {
+  const auto expect_zero_tail = [](const ResourceVector& v, const char* what) {
+    SCOPED_TRACE(what);
+    for (std::size_t i = v.dims(); i < ResourceVector::kMaxDims; ++i) {
+      EXPECT_EQ(v.lanes()[i], 0.0) << "lane " << i;
+      EXPECT_FALSE(std::signbit(v.lanes()[i])) << "lane " << i;
+    }
+  };
+  for (std::size_t dims = 0; dims <= ResourceVector::kMaxDims; ++dims) {
+    ResourceVector v(dims, 0.7);
+    expect_zero_tail(v, "fill constructor");
+    for (std::size_t i = 0; i < dims; ++i) EXPECT_EQ(v.lanes()[i], 0.7);
+    v.add(ResourceVector(dims, 0.25));
+    expect_zero_tail(v, "add");
+    v.subtract(ResourceVector(dims, 2.0));
+    expect_zero_tail(v, "subtract");
+    v.clamp(0.5, 1.0);  // a lane past dims clamped to [0.5, 1] would read 0.5
+    expect_zero_tail(v, "clamp");
+    const ResourceVector copy = v;
+    expect_zero_tail(copy, "copy");
+    ResourceVector assigned{0.9, 0.9, 0.9, 0.9};
+    assigned = v;
+    expect_zero_tail(assigned, "copy assignment over a wider vector");
+  }
+  expect_zero_tail(ResourceVector{}, "default");
+  expect_zero_tail(ResourceVector{0.3, 0.4}, "initializer list");
 }
 
 TEST(ResourceVector, MaxComponentAndClamp) {
