@@ -11,7 +11,6 @@
 #include "src/core/state.hpp"
 #include "src/nn/init.hpp"
 #include "src/nn/lstm.hpp"
-#include "src/rl/dqn.hpp"
 #include "src/rl/replay.hpp"
 #include "src/rl/smdp.hpp"
 #include "src/rl/tabular_q.hpp"
@@ -94,48 +93,6 @@ void BM_GemmF64(benchmark::State& state) { run_gemm_grid<double>(state); }
 BENCHMARK(BM_GemmF64)->Args({512, 32})->Args({512, 512});
 void BM_GemmF32(benchmark::State& state) { run_gemm_grid<float>(state); }
 BENCHMARK(BM_GemmF32)->Args({512, 32})->Args({512, 512});
-
-// One DQN SGD step on a 32-transition minibatch through the batched GEMM
-// path, at either precision.
-void run_dqn_train_step(benchmark::State& state, nn::Precision precision) {
-  common::Rng rng(11);
-  rl::DqnAgent::Options o;
-  o.hidden_dims = {128};
-  o.batch_size = 32;
-  o.min_replay_before_training = 64;
-  o.train_interval = 1000000;  // train explicitly, not inside observe()
-  o.target_sync_interval = 1000000;
-  o.precision = precision;
-  const std::size_t state_dim = 24, n_actions = 30;
-  rl::DqnAgent agent(state_dim, n_actions, o, rng);
-  common::Rng data(12);
-  for (int i = 0; i < 256; ++i) {
-    rl::Transition t;
-    t.state.resize(state_dim);
-    t.next_state.resize(state_dim);
-    for (auto& v : t.state) v = data.uniform(-1.0, 1.0);
-    for (auto& v : t.next_state) v = data.uniform(-1.0, 1.0);
-    t.action = static_cast<std::size_t>(
-        data.uniform_int(0, static_cast<std::int64_t>(n_actions) - 1));
-    t.reward_rate = -1.0;
-    t.tau = 1.0;
-    agent.observe(std::move(t));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(agent.train_step());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32);
-}
-
-void BM_DqnTrainStepBatched(benchmark::State& state) {
-  run_dqn_train_step(state, nn::Precision::kF64);
-}
-BENCHMARK(BM_DqnTrainStepBatched);
-
-void BM_DqnTrainStepBatchedF32(benchmark::State& state) {
-  run_dqn_train_step(state, nn::Precision::kF32);
-}
-BENCHMARK(BM_DqnTrainStepBatchedF32);
 
 // Eight 35-step windows through the LSTM cell: one at a time through the
 // per-sample step() wrapper (Arg 1), or stacked as one batch of 8 through

@@ -1,6 +1,5 @@
 #include "src/core/qnetwork.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "src/nn/autoencoder.hpp"
@@ -39,12 +38,15 @@ class GroupedQCore {
  public:
   GroupedQCore(const GroupedQOptions& opts, std::size_t head_input_dim, common::Rng& rng)
       : opts_(opts), head_input_dim_(head_input_dim) {
-    nn::AutoencoderOptions ae_opts;
-    ae_opts.encoder_dims = opts_.autoencoder_dims;
-    ae_opts.learning_rate = opts_.autoencoder_learning_rate;
-    ae_opts.grad_clip = opts_.grad_clip;
-    autoencoder_ = std::make_unique<nn::AutoencoderT<S>>(opts_.encoder.group_state_dim(), ae_opts,
-                                                         rng);
+    // At K = 1 the one head reads no code, so there is no autoencoder.
+    if (opts_.encoder.num_groups > 1) {
+      nn::AutoencoderOptions ae_opts;
+      ae_opts.encoder_dims = opts_.autoencoder_dims;
+      ae_opts.learning_rate = opts_.autoencoder_learning_rate;
+      ae_opts.grad_clip = opts_.grad_clip;
+      autoencoder_ = std::make_unique<nn::AutoencoderT<S>>(opts_.encoder.group_state_dim(),
+                                                           ae_opts, rng);
+    }
     online_subq_ = std::make_unique<nn::NetworkT<S>>(build_subq(rng));
     target_subq_ = std::make_unique<nn::NetworkT<S>>(build_subq(rng));
     sync_target();
@@ -66,12 +68,9 @@ class GroupedQCore {
 
     // Bootstrap-target sweep, batched across the whole minibatch: all n*K
     // next-state group encodes in one autoencoder pass, then all n*K Sub-Q
-    // head forwards in one target-network pass (two when double Q-learning
-    // also needs the online network's argmax).
-    nn::MatrixT<S> next_groups;
-    next_groups.resize_for_overwrite(n * K, enc.group_state_dim());
-    for (std::size_t b = 0; b < n; ++b) fill_group_rows(next_groups, b * K, batch[b]->next_state);
-    const nn::MatrixT<S> next_codes = autoencoder_->encode_batch(std::move(next_groups));
+    // head forwards in one target-network pass.
+    const nn::MatrixT<S> next_codes =
+        encode_groups(n, [&](std::size_t b) -> const nn::Vec& { return batch[b]->next_state; });
     nn::MatrixT<S> next_heads;
     next_heads.resize_for_overwrite(n * K, head_input_dim_);
     for (std::size_t b = 0; b < n; ++b) {
@@ -79,43 +78,27 @@ class GroupedQCore {
         fill_head_row(next_heads, b * K + k, batch[b]->next_state, k, next_codes, b * K);
       }
     }
-    nn::MatrixT<S> next_q_online;
-    if (opts_.double_q) next_q_online = online_subq_->predict_batch(next_heads);
     const nn::MatrixT<S> next_q = target_subq_->predict_batch(std::move(next_heads));
 
     nn::VecT<S> targets(n);
     std::vector<std::size_t> locals(n);
-    nn::VecT<S> q_next, q_online;
     for (std::size_t b = 0; b < n; ++b) {
-      // Reassemble this transition's K*group_size Q-vector from its K rows.
-      q_next.clear();
-      for (std::size_t k = 0; k < K; ++k) {
-        for (std::size_t a = 0; a < enc.group_size(); ++a) q_next.push_back(next_q(b * K + k, a));
-      }
-      S best_next;
-      if (opts_.double_q) {
-        q_online.clear();
-        for (std::size_t k = 0; k < K; ++k) {
-          for (std::size_t a = 0; a < enc.group_size(); ++a) {
-            q_online.push_back(next_q_online(b * K + k, a));
-          }
-        }
-        best_next = q_next[nn::argmax(q_online)];
-      } else {
-        best_next = q_next[nn::argmax(q_next)];
+      // This transition's K rows are its M = K * group_size Q-values, in order.
+      const S* q_next = next_q.data() + b * enc.num_servers;
+      std::size_t best = 0;
+      for (std::size_t a = 1; a < enc.num_servers; ++a) {
+        if (q_next[a] > q_next[best]) best = a;
       }
       targets[b] = static_cast<S>(rl::smdp_target(batch[b]->reward_rate, batch[b]->tau, beta,
-                                                  static_cast<double>(best_next)));
+                                                  static_cast<double>(q_next[best])));
       locals[b] = batch[b]->action % enc.group_size();
     }
 
     // Online pass: only the head owning each chosen action receives gradient;
     // weight sharing means the n rows still train the one physical Sub-Q
     // network, and the per-sample gradient sum folds into the backward GEMMs.
-    nn::MatrixT<S> state_groups;
-    state_groups.resize_for_overwrite(n * K, enc.group_state_dim());
-    for (std::size_t b = 0; b < n; ++b) fill_group_rows(state_groups, b * K, batch[b]->state);
-    const nn::MatrixT<S> state_codes = autoencoder_->encode_batch(std::move(state_groups));
+    const nn::MatrixT<S> state_codes =
+        encode_groups(n, [&](std::size_t b) -> const nn::Vec& { return batch[b]->state; });
     nn::MatrixT<S> pred_heads;
     pred_heads.resize_for_overwrite(n, head_input_dim_);
     for (std::size_t b = 0; b < n; ++b) {
@@ -143,12 +126,16 @@ class GroupedQCore {
   }
 
   std::size_t subq_param_count() const { return online_subq_->param_count(); }
-  std::size_t autoencoder_param_count() const { return autoencoder_->param_count(); }
+  std::size_t autoencoder_param_count() const {
+    return autoencoder_ ? autoencoder_->param_count() : 0;
+  }
 
   std::vector<nn::ParamBlockPtrT<S>> trainable_params_typed() const {
     auto out = online_subq_->params();
-    auto ae = autoencoder_->params();
-    out.insert(out.end(), ae.begin(), ae.end());
+    if (autoencoder_) {
+      auto ae = autoencoder_->params();
+      out.insert(out.end(), ae.begin(), ae.end());
+    }
     return out;
   }
 
@@ -162,18 +149,22 @@ class GroupedQCore {
     return net;
   }
 
-  /// Rows row0..row0+K-1 of `dst` = the K group slices of `full_state`.
-  void fill_group_rows(nn::MatrixT<S>& dst, std::size_t row0, const nn::Vec& full_state) const {
+  /// Codes of the K groups of `n` states through ONE autoencoder sweep: row
+  /// b * K + k is group k of `state_of(b)`. Empty at K = 1, where no head
+  /// reads a code.
+  template <class StateOf>
+  nn::MatrixT<S> encode_groups(std::size_t n, StateOf state_of) const {
+    if (!autoencoder_) return {};
     const auto& enc = opts_.encoder;
-    if (full_state.size() != enc.full_state_dim()) {
-      throw std::invalid_argument("GroupedQNetwork: bad state size");
-    }
     const std::size_t g = enc.group_state_dim();
-    for (std::size_t k = 0; k < enc.num_groups; ++k) {
-      S* out = dst.data() + (row0 + k) * dst.cols();
-      const double* src = full_state.data() + k * g;
-      for (std::size_t i = 0; i < g; ++i) out[i] = static_cast<S>(src[i]);
+    nn::MatrixT<S> groups;
+    groups.resize_for_overwrite(n * enc.num_groups, g);
+    S* out = groups.data();
+    for (std::size_t b = 0; b < n; ++b) {
+      const nn::Vec& full_state = state_of(b);
+      for (std::size_t i = 0; i < enc.num_groups * g; ++i) *out++ = static_cast<S>(full_state[i]);
     }
+    return autoencoder_->encode_batch(std::move(groups));
   }
 
   /// Row `row` of `dst` = head input of `group`: [g_k, s_j, codes of other
@@ -204,10 +195,8 @@ class GroupedQCore {
   nn::Vec q_values_with(nn::NetworkT<S>& subq, const nn::Vec& full_state) {
     const auto& enc = opts_.encoder;
     const std::size_t K = enc.num_groups;
-    nn::MatrixT<S> groups;
-    groups.resize_for_overwrite(K, enc.group_state_dim());
-    fill_group_rows(groups, 0, full_state);
-    const nn::MatrixT<S> codes = autoencoder_->encode_batch(std::move(groups));
+    const nn::MatrixT<S> codes =
+        encode_groups(1, [&](std::size_t) -> const nn::Vec& { return full_state; });
     nn::MatrixT<S> heads;
     heads.resize_for_overwrite(K, head_input_dim_);
     for (std::size_t k = 0; k < K; ++k) fill_head_row(heads, k, full_state, k, codes, 0);
@@ -261,6 +250,10 @@ const telemetry::SpanDef& train_span() {
   return def;
 }
 
+void check_state_size(const nn::Vec& full_state, std::size_t dim) {
+  if (full_state.size() != dim) throw std::invalid_argument("GroupedQNetwork: bad state size");
+}
+
 }  // namespace
 
 GroupedQNetwork::GroupedQNetwork(const GroupedQOptions& opts, common::Rng& rng) : opts_(opts) {
@@ -274,7 +267,7 @@ GroupedQNetwork::GroupedQNetwork(const GroupedQOptions& opts, common::Rng& rng) 
   } else {
     f64_ = std::make_unique<detail::GroupedQCore<double>>(opts_, head_input_dim_, rng);
   }
-  ae_buffer_.reserve(opts_.autoencoder_buffer);
+  if (enc.num_groups > 1) ae_buffer_.reserve(opts_.autoencoder_buffer);
 }
 
 GroupedQNetwork::~GroupedQNetwork() = default;
@@ -302,17 +295,26 @@ nn::Vec GroupedQNetwork::slice_job(const nn::Vec& full_state) const {
 }
 
 nn::Vec GroupedQNetwork::q_values(const nn::Vec& full_state) {
+  check_state_size(full_state, state_dim());
   if (telemetry::enabled()) telemetry::count(QNetMetrics::get().q_value_calls);
   return f32_ ? f32_->q_values(full_state) : f64_->q_values(full_state);
 }
 
 nn::Vec GroupedQNetwork::q_values_target(const nn::Vec& full_state) {
+  check_state_size(full_state, state_dim());
   return f32_ ? f32_->q_values_target(full_state) : f64_->q_values_target(full_state);
 }
 
 double GroupedQNetwork::train_batch(const std::vector<const rl::Transition*>& batch,
                                     double beta) {
   if (batch.empty()) throw std::invalid_argument("GroupedQNetwork::train_batch: empty batch");
+  for (const rl::Transition* t : batch) {
+    check_state_size(t->state, state_dim());
+    check_state_size(t->next_state, state_dim());
+    if (t->action >= num_actions()) {
+      throw std::invalid_argument("GroupedQNetwork::train_batch: action out of range");
+    }
+  }
   const telemetry::Span span(train_span());
   if (telemetry::enabled()) telemetry::count(QNetMetrics::get().train_batches);
   return f32_ ? f32_->train_batch(batch, beta) : f64_->train_batch(batch, beta);
@@ -367,6 +369,9 @@ void GroupedQNetwork::load_params(std::istream& in) {
 
 double GroupedQNetwork::observe_state(const nn::Vec& full_state, common::Rng& rng) {
   const auto& enc = opts_.encoder;
+  check_state_size(full_state, state_dim());
+  // At K = 1 there is no autoencoder: nothing to buffer, sample or train.
+  if (enc.num_groups == 1) return -1.0;
   for (std::size_t k = 0; k < enc.num_groups; ++k) {
     nn::Vec g = slice_group(full_state, k);
     if (ae_buffer_.size() < opts_.autoencoder_buffer) {

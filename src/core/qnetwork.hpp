@@ -15,6 +15,12 @@
 // Q-targets move. A separately-parameterized target copy of the Sub-Q head
 // provides the bootstrap targets.
 //
+// At K = 1 the one head reads all M servers' state plus the job state and
+// outputs M Q-values: the "conventional feed-forward neural network that
+// directly outputs Q value estimates" of §V-A, the monolithic baseline. No
+// head reads a code there, so the network builds, runs and trains no
+// autoencoder.
+//
 // The network is precision-parameterized (GroupedQOptions::precision): the
 // Sub-Q/autoencoder stacks, optimizer state and GEMM sweeps run at float or
 // double while the public API stays double-typed, so the experiment layer is
@@ -45,8 +51,6 @@ struct GroupedQOptions {
   std::size_t autoencoder_batch = 32;
   std::size_t autoencoder_train_interval = 64;  // one AE batch per N observed states
   std::size_t autoencoder_buffer = 4096;
-  /// Double Q-learning for the bootstrap target (see rl::DqnAgent::Options).
-  bool double_q = false;
   /// Scalar type of the Sub-Q/autoencoder stacks (see nn/precision.hpp).
   nn::Precision precision = nn::default_precision();
 
@@ -77,6 +81,8 @@ class GroupedQNetwork {
   nn::Vec q_values_target(const nn::Vec& full_state);
 
   /// One SGD step on a minibatch of SMDP transitions; returns mean loss.
+  /// Throws std::invalid_argument on an empty batch, a state of the wrong
+  /// size or an action >= num_actions().
   double train_batch(const std::vector<const rl::Transition*>& batch, double beta);
 
   /// Copy online Sub-Q parameters into the target copy.
@@ -85,9 +91,11 @@ class GroupedQNetwork {
   /// Feed one observed state into the autoencoder's training buffer;
   /// trains a reconstruction batch every `autoencoder_train_interval` calls.
   /// Returns the reconstruction loss when a batch ran, negative otherwise.
+  /// At K = 1 (no autoencoder) it returns negative and draws nothing.
   double observe_state(const nn::Vec& full_state, common::Rng& rng);
 
   std::size_t subq_param_count() const;
+  /// 0 at K = 1.
   std::size_t autoencoder_param_count() const;
   /// All learned parameters (online Sub-Q + autoencoder) as double-typed
   /// blocks. Only valid for f64 networks; throws std::logic_error at f32 —

@@ -46,7 +46,7 @@ class StateEncoder {
   nn::Vec group_state(const sim::ClusterView& cluster, std::size_t group) const;
   /// Job feature vector s_j.
   nn::Vec job_state(const sim::Job& job) const;
-  /// Full flat state [g_1, ..., g_K, s_j] (used by the monolithic baseline).
+  /// Full flat state [g_1, ..., g_K, s_j]: the global tier's DQN state.
   nn::Vec full_state(const sim::ClusterView& cluster, const sim::Job& job) const;
 
   /// Group that server `m` belongs to, and its index within the group.

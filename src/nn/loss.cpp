@@ -43,17 +43,6 @@ LossResultT<S> huber_loss(const VecT<S>& pred, const VecT<S>& target, S delta) {
 }
 
 template <class S>
-LossResultT<S> masked_mse_loss(const VecT<S>& pred, std::size_t index, S target) {
-  if (index >= pred.size()) throw std::invalid_argument("masked_mse_loss: index out of range");
-  LossResultT<S> out;
-  out.grad.assign(pred.size(), S(0));
-  const S d = pred[index] - target;
-  out.value = static_cast<double>(d * d);
-  out.grad[index] = S(2) * d;
-  return out;
-}
-
-template <class S>
 LossResultT<S> masked_huber_loss(const VecT<S>& pred, std::size_t index, S target, S delta) {
   if (index >= pred.size()) throw std::invalid_argument("masked_huber_loss: index out of range");
   if (delta <= S(0)) throw std::invalid_argument("masked_huber_loss: delta must be > 0");
@@ -93,43 +82,18 @@ BatchLossResultT<S> mse_loss_batch(const MatrixT<S>& pred, const MatrixT<S>& tar
   return out;
 }
 
-namespace {
-
-template <class S>
-void check_masked_batch(const MatrixT<S>& pred, const std::vector<std::size_t>& index,
-                        const VecT<S>& target, const char* who) {
-  if (index.size() != pred.rows() || target.size() != pred.rows()) {
-    throw std::invalid_argument(std::string(who) + ": need one index and target per row");
-  }
-  for (std::size_t b = 0; b < pred.rows(); ++b) {
-    if (index[b] >= pred.cols()) {
-      throw std::invalid_argument(std::string(who) + ": index out of range");
-    }
-  }
-}
-
-}  // namespace
-
-template <class S>
-BatchLossResultT<S> masked_mse_loss_batch(const MatrixT<S>& pred,
-                                          const std::vector<std::size_t>& index,
-                                          const VecT<S>& target, S grad_scale) {
-  check_masked_batch(pred, index, target, "masked_mse_loss_batch");
-  BatchLossResultT<S> out;
-  out.grad.resize(pred.rows(), pred.cols(), S(0));
-  for (std::size_t b = 0; b < pred.rows(); ++b) {
-    const S d = pred(b, index[b]) - target[b];
-    out.value += static_cast<double>(d * d);
-    out.grad(b, index[b]) = S(2) * d * grad_scale;
-  }
-  return out;
-}
-
 template <class S>
 BatchLossResultT<S> masked_huber_loss_batch(const MatrixT<S>& pred,
                                             const std::vector<std::size_t>& index,
                                             const VecT<S>& target, S delta, S grad_scale) {
-  check_masked_batch(pred, index, target, "masked_huber_loss_batch");
+  if (index.size() != pred.rows() || target.size() != pred.rows()) {
+    throw std::invalid_argument("masked_huber_loss_batch: need one index and target per row");
+  }
+  for (std::size_t b = 0; b < pred.rows(); ++b) {
+    if (index[b] >= pred.cols()) {
+      throw std::invalid_argument("masked_huber_loss_batch: index out of range");
+    }
+  }
   if (delta <= S(0)) throw std::invalid_argument("masked_huber_loss_batch: delta must be > 0");
   BatchLossResultT<S> out;
   out.grad.resize(pred.rows(), pred.cols(), S(0));
@@ -149,11 +113,8 @@ BatchLossResultT<S> masked_huber_loss_batch(const MatrixT<S>& pred,
 #define HCRL_NN_INSTANTIATE_LOSS(S)                                                          \
   template LossResultT<S> mse_loss<S>(const VecT<S>&, const VecT<S>&);                       \
   template LossResultT<S> huber_loss<S>(const VecT<S>&, const VecT<S>&, S);                  \
-  template LossResultT<S> masked_mse_loss<S>(const VecT<S>&, std::size_t, S);                \
   template LossResultT<S> masked_huber_loss<S>(const VecT<S>&, std::size_t, S, S);           \
   template BatchLossResultT<S> mse_loss_batch<S>(const MatrixT<S>&, const MatrixT<S>&, S);   \
-  template BatchLossResultT<S> masked_mse_loss_batch<S>(                                     \
-      const MatrixT<S>&, const std::vector<std::size_t>&, const VecT<S>&, S);                \
   template BatchLossResultT<S> masked_huber_loss_batch<S>(                                   \
       const MatrixT<S>&, const std::vector<std::size_t>&, const VecT<S>&, S, S);
 

@@ -26,11 +26,6 @@ LossResultT<S> mse_loss(const VecT<S>& pred, const VecT<S>& target);
 template <class S>
 LossResultT<S> huber_loss(const VecT<S>& pred, const VecT<S>& target, S delta = S(1));
 
-/// MSE on a single output component, leaving other gradients zero.
-/// Used when only the Q-value of the taken action receives a target.
-template <class S>
-LossResultT<S> masked_mse_loss(const VecT<S>& pred, std::size_t index, S target);
-
 /// Huber loss on a single output component (gradient magnitude capped at
 /// delta) — the robust choice for Q-regression with bootstrapped targets.
 template <class S>
@@ -58,12 +53,6 @@ using BatchLossResult = BatchLossResultT<double>;
 template <class S>
 BatchLossResultT<S> mse_loss_batch(const MatrixT<S>& pred, const MatrixT<S>& target,
                                    S grad_scale = S(1));
-
-/// Row b contributes (pred(b, index[b]) - target[b])^2; other grads zero.
-template <class S>
-BatchLossResultT<S> masked_mse_loss_batch(const MatrixT<S>& pred,
-                                          const std::vector<std::size_t>& index,
-                                          const VecT<S>& target, S grad_scale = S(1));
 
 /// Huber per row on component index[b] (gradient capped at delta).
 template <class S>

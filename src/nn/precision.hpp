@@ -2,8 +2,8 @@
 //
 // Every class in src/nn is templated on a Scalar type and instantiated for
 // float and double; Precision is the runtime-facing selector that the agent
-// boundary (rl::DqnAgent, core::GroupedQNetwork, core::LstmPredictor) and
-// the experiment config use to pick an instantiation. The f32 mode halves
+// boundary (core::GroupedQNetwork, core::LstmPredictor) and the experiment
+// config use to pick an instantiation. The f32 mode halves
 // cache/bandwidth pressure and doubles SIMD lanes in the GEMM-bound paths;
 // Q-learning is noise-tolerant, and the f32-vs-f64 parity gates in
 // tests/batch_parity_test.cpp pin the numerical agreement.

@@ -69,25 +69,14 @@ void ClusterConfig::validate() const {
 }
 
 Cluster::Cluster(const ClusterConfig& cfg, AllocationPolicy& allocation, PowerPolicy& power)
-    : Cluster(cfg, std::vector<ServerConfig>(cfg.num_servers, cfg.server), allocation, power) {}
-
-Cluster::Cluster(const ClusterConfig& cfg, std::vector<ServerConfig> per_server,
-                 AllocationPolicy& allocation, PowerPolicy& power)
     : cfg_(cfg),
       allocation_(allocation),
       power_policy_(power),
       metrics_(cfg.num_servers, cfg.keep_job_records) {
   cfg_.validate();
-  if (per_server.size() != cfg_.num_servers) {
-    throw std::invalid_argument("Cluster: per-server config count != num_servers");
-  }
   servers_.reserve(cfg_.num_servers);
   for (std::size_t i = 0; i < cfg_.num_servers; ++i) {
-    if (per_server[i].num_resources != cfg_.server.num_resources) {
-      throw std::invalid_argument("Cluster: all servers must share num_resources");
-    }
-    per_server[i].validate();
-    servers_.emplace_back(i, per_server[i], &metrics_);
+    servers_.emplace_back(i, cfg_.server, &metrics_);
   }
   set_server_view({servers_.data(), servers_.size()});
 }

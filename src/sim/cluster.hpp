@@ -33,14 +33,6 @@ class Cluster final : public ClusterView {
   /// Policies are borrowed and must outlive the cluster.
   Cluster(const ClusterConfig& cfg, AllocationPolicy& allocation, PowerPolicy& power);
 
-  /// Heterogeneous variant: one ServerConfig per server (size must equal
-  /// cfg.num_servers; all must share cfg.server.num_resources). The paper
-  /// assumes a homogeneous cluster "without loss of generality" — this
-  /// constructor removes that restriction (mixed power models, transition
-  /// times, hot-spot thresholds).
-  Cluster(const ClusterConfig& cfg, std::vector<ServerConfig> per_server,
-          AllocationPolicy& allocation, PowerPolicy& power);
-
   /// Install deterministic fault injection (borrowed; must outlive the
   /// cluster). Must be called before load_jobs, which materializes the
   /// fault plan into the event queue.

@@ -1,19 +1,23 @@
 // Property tests pinning the batched GEMM execution path to the per-sample
 // path: Network::forward_batch on N stacked inputs must match N per-sample
 // forward() calls (and likewise for backward gradients, LSTM steps/BPTT, the
-// autoencoder training step, the grouped Q-network sweep, and the batched
-// DQN train step) to 1e-12, across random shapes, activations and seeds.
+// autoencoder training step, and the global tier's DQN step,
+// core::GroupedQNetwork::train_batch, at K = 1 and K = 3) to 1e-12, across
+// random shapes, activations and seeds.
 //
 // Also the precision gates of the f32 compute mode: the float instantiation
 // of the substrate must track the double one to 1e-4 relative (forward,
-// backward gradients, LSTM) and a DQN agent trained at f32 must pick the
-// same greedy actions as its f64 twin.
+// backward gradients, LSTM) and a GroupedQNetwork trained at f32 must pick
+// the same greedy actions as its f64 twin.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "src/common/rng.hpp"
+#include "src/core/qnetwork.hpp"
 #include "src/nn/autoencoder.hpp"
 #include "src/nn/init.hpp"
 #include "src/nn/loss.hpp"
@@ -21,7 +25,6 @@
 #include "src/nn/network.hpp"
 #include "src/nn/optimizer.hpp"
 #include "src/nn/precision.hpp"
-#include "src/rl/dqn.hpp"
 #include "src/rl/smdp.hpp"
 
 namespace hcrl::nn {
@@ -437,53 +440,89 @@ TEST(PrecisionParity, LstmF32TracksF64ThroughStepsAndBptt) {
 }  // namespace
 }  // namespace hcrl::nn
 
-namespace hcrl::rl {
+namespace hcrl::core {
 namespace {
 
-Transition random_transition(std::size_t state_dim, std::size_t n_actions, common::Rng& rng) {
-  Transition t;
-  t.state.resize(state_dim);
-  t.next_state.resize(state_dim);
-  for (auto& v : t.state) v = rng.uniform(-1.0, 1.0);
-  for (auto& v : t.next_state) v = rng.uniform(-1.0, 1.0);
-  t.action = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n_actions) - 1));
-  t.reward_rate = rng.uniform(-2.0, 0.0);
-  t.tau = rng.uniform(0.1, 5.0);
-  return t;
+// M = 6 divides into K = 1 (the monolithic network, no autoencoder) and
+// K = 3 (three heads of two servers, each reading the other two codes).
+GroupedQOptions parity_opts(std::size_t groups, nn::Precision precision) {
+  GroupedQOptions o;
+  o.encoder.num_servers = 6;
+  o.encoder.num_groups = groups;
+  o.encoder.num_resources = 2;
+  o.autoencoder_dims = {8, 4};
+  o.subq_hidden = 16;
+  o.precision = precision;
+  return o;
 }
 
-// Test-side reference for DqnAgent::train_step: the per-sample loop over the
-// public NN API. It draws its networks and its training stream from the
-// agent's seed in the agent's order (online net, target net, then a fork),
-// so it samples the same minibatches from the agent's replay buffer.
+nn::Vec random_state(const GroupedQOptions& o, common::Rng& rng) {
+  nn::Vec s(o.encoder.full_state_dim());
+  for (auto& v : s) v = rng.uniform();
+  return s;
+}
+
+std::vector<rl::Transition> random_transitions(const GroupedQOptions& o, std::size_t n,
+                                               common::Rng& rng) {
+  std::vector<rl::Transition> out(n);
+  for (auto& t : out) {
+    t.state = random_state(o, rng);
+    t.next_state = random_state(o, rng);
+    t.action = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(o.encoder.num_servers) - 1));
+    t.reward_rate = rng.uniform(-2.0, 0.0);
+    t.tau = rng.uniform(0.1, 5.0);
+  }
+  return out;
+}
+
+std::vector<const rl::Transition*> sample_batch(const std::vector<rl::Transition>& pool,
+                                                std::size_t n, common::Rng& rng) {
+  std::vector<const rl::Transition*> batch(n);
+  for (auto& t : batch) {
+    t = &pool[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
+  }
+  return batch;
+}
+
+// Test-side reference for GroupedQNetwork::train_batch: the per-sample loop
+// over the public NN API. It draws its networks from the network's seed in
+// the core's order (autoencoder if K > 1, online Sub-Q, target Sub-Q). Per
+// transition it encodes the groups, runs the K target heads, takes the
+// argmax over all M, and applies a masked Huber loss and a per-sample
+// backward; one clip and one Adam step follow the batch.
 template <class S>
-class PerSampleDqnReference {
+class PerSampleGroupedQReference {
  public:
-  PerSampleDqnReference(std::size_t state_dim, std::size_t n_actions,
-                        const DqnAgent::Options& opts, common::Rng& rng)
+  PerSampleGroupedQReference(const GroupedQOptions& opts, common::Rng& rng)
       : opts_(opts),
-        online_(build_net(state_dim, n_actions, opts, rng)),
-        target_(build_net(state_dim, n_actions, opts, rng)),
+        autoencoder_(make_autoencoder(opts, rng)),
+        online_(build_subq(opts, rng)),
+        target_(build_subq(opts, rng)),
         params_(online_.params()),
-        optimizer_(params_, nn::AdamOptions{.lr = opts.learning_rate}),
-        train_rng_(rng.fork()) {
+        optimizer_(params_, nn::AdamOptions{.lr = opts.learning_rate}) {
     nn::copy_param_values(online_.params(), target_.params());
   }
 
-  double train_step(const ReplayBuffer<Transition>& replay) {
-    const auto batch = replay.sample(opts_.batch_size, train_rng_);
+  double train_batch(const std::vector<const rl::Transition*>& batch, double beta) {
+    const auto& enc = opts_.encoder;
     optimizer_.zero_grad();
     const double inv_n = 1.0 / static_cast<double>(batch.size());
     double total_loss = 0.0;
-    for (const Transition* t : batch) {
-      const nn::VecT<S> next_state = nn::convert_vec<S>(t->next_state);
-      const nn::VecT<S> next_q = target_.predict(next_state);
-      const std::size_t best = opts_.double_q ? nn::argmax(online_.predict(next_state))
-                                              : nn::argmax(next_q);
-      const double target = smdp_target(t->reward_rate, t->tau, opts_.beta,
-                                        static_cast<double>(next_q[best]));
-      const nn::VecT<S> pred = online_.forward(nn::convert_vec<S>(t->state));
-      nn::LossResultT<S> loss = nn::masked_mse_loss(pred, t->action, static_cast<S>(target));
+    for (const rl::Transition* t : batch) {
+      const std::vector<nn::VecT<S>> next_codes = encode(t->next_state);
+      nn::VecT<S> q_next;
+      for (std::size_t k = 0; k < enc.num_groups; ++k) {
+        const nn::VecT<S> q = target_.predict(head_input(t->next_state, k, next_codes));
+        q_next.insert(q_next.end(), q.begin(), q.end());
+      }
+      const double target = rl::smdp_target(t->reward_rate, t->tau, beta,
+                                            static_cast<double>(q_next[nn::argmax(q_next)]));
+      const std::size_t group = t->action / enc.group_size();
+      const nn::VecT<S> pred = online_.forward(head_input(t->state, group, encode(t->state)));
+      nn::LossResultT<S> loss =
+          nn::masked_huber_loss(pred, t->action % enc.group_size(), static_cast<S>(target));
       total_loss += loss.value;
       nn::scale_in_place(loss.grad, static_cast<S>(inv_n));
       online_.backward(loss.grad, /*want_input_grad=*/false);
@@ -493,120 +532,149 @@ class PerSampleDqnReference {
     return total_loss * inv_n;
   }
 
-  std::vector<double> param_values() const { return nn::flatten_param_values(params_); }
+  /// Online Sub-Q then autoencoder, the order of GroupedQNetwork::param_values.
+  std::vector<double> param_values() const {
+    auto all = params_;
+    if (autoencoder_) {
+      const auto ae = autoencoder_->params();
+      all.insert(all.end(), ae.begin(), ae.end());
+    }
+    return nn::flatten_param_values(all);
+  }
 
  private:
-  static nn::NetworkT<S> build_net(std::size_t state_dim, std::size_t n_actions,
-                                   const DqnAgent::Options& opts, common::Rng& rng) {
+  static std::unique_ptr<nn::AutoencoderT<S>> make_autoencoder(const GroupedQOptions& opts,
+                                                               common::Rng& rng) {
+    if (opts.encoder.num_groups == 1) return nullptr;
+    nn::AutoencoderOptions ae;
+    ae.encoder_dims = opts.autoencoder_dims;
+    ae.learning_rate = opts.autoencoder_learning_rate;
+    ae.grad_clip = opts.grad_clip;
+    return std::make_unique<nn::AutoencoderT<S>>(opts.encoder.group_state_dim(), ae, rng);
+  }
+
+  static nn::NetworkT<S> build_subq(const GroupedQOptions& opts, common::Rng& rng) {
+    const auto& enc = opts.encoder;
+    const std::size_t in = enc.group_state_dim() + enc.job_state_dim() +
+                           (enc.num_groups - 1) * opts.autoencoder_dims.back();
     nn::NetworkT<S> net;
-    std::size_t prev = state_dim;
-    for (std::size_t dim : opts.hidden_dims) {
-      net.add_dense(prev, dim, opts.activation, rng);
-      prev = dim;
-    }
-    net.add_dense(prev, n_actions, nn::Activation::kIdentity, rng);
+    net.add_dense(in, opts.subq_hidden, nn::Activation::kElu, rng);
+    net.add_dense(opts.subq_hidden, enc.group_size(), nn::Activation::kIdentity, rng);
     return net;
   }
 
-  DqnAgent::Options opts_;
+  nn::VecT<S> slice(const nn::Vec& full_state, std::size_t begin, std::size_t n) const {
+    nn::VecT<S> out(n);
+    for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<S>(full_state[begin + i]);
+    return out;
+  }
+
+  /// One code per group, each encoded on its own (none at K = 1).
+  std::vector<nn::VecT<S>> encode(const nn::Vec& full_state) const {
+    std::vector<nn::VecT<S>> codes;
+    if (!autoencoder_) return codes;
+    const std::size_t g = opts_.encoder.group_state_dim();
+    for (std::size_t k = 0; k < opts_.encoder.num_groups; ++k) {
+      codes.push_back(autoencoder_->encode(slice(full_state, k * g, g)));
+    }
+    return codes;
+  }
+
+  /// [g_group, s_j, codes of the other groups in group order].
+  nn::VecT<S> head_input(const nn::Vec& full_state, std::size_t group,
+                         const std::vector<nn::VecT<S>>& codes) const {
+    const auto& enc = opts_.encoder;
+    const std::size_t g = enc.group_state_dim();
+    const std::size_t j = enc.job_state_dim();
+    nn::VecT<S> in = slice(full_state, group * g, g);
+    const nn::VecT<S> job = slice(full_state, full_state.size() - j, j);
+    in.insert(in.end(), job.begin(), job.end());
+    for (std::size_t k = 0; k < codes.size(); ++k) {
+      if (k != group) in.insert(in.end(), codes[k].begin(), codes[k].end());
+    }
+    return in;
+  }
+
+  GroupedQOptions opts_;
+  std::unique_ptr<nn::AutoencoderT<S>> autoencoder_;
   nn::NetworkT<S> online_;
   nn::NetworkT<S> target_;
   std::vector<nn::ParamBlockPtrT<S>> params_;
   nn::AdamT<S> optimizer_;
-  common::Rng train_rng_;
 };
 
-// Same seed + same replay contents => the agent's batched train step matches
-// the per-sample reference in loss and parameters after K steps, at either
-// precision (the accumulation-order argument is Scalar-independent).
+// Same seed + same minibatches => GroupedQNetwork::train_batch matches the
+// per-sample reference in the loss of every step and in every parameter
+// after 25 steps, at either precision (the accumulation-order argument is
+// Scalar-independent). No target sync runs, so from the second step on the
+// bootstrap targets come from a target copy that differs from the online one.
 template <class S>
-void expect_train_step_matches_reference(nn::Precision precision, bool double_q) {
-  DqnAgent::Options opts;
-  opts.hidden_dims = {24, 16};
-  opts.batch_size = 32;
-  opts.min_replay_before_training = 64;
-  opts.train_interval = 1000000;  // never train inside observe()
-  opts.target_sync_interval = 1000000;
-  opts.double_q = double_q;
-  opts.precision = precision;
-
-  const std::size_t state_dim = 9, n_actions = 5;
+void expect_train_batch_matches_reference(std::size_t groups, nn::Precision precision) {
+  const GroupedQOptions opts = parity_opts(groups, precision);
   common::Rng rng_a(4242), rng_b(4242);
-  DqnAgent agent(state_dim, n_actions, opts, rng_a);
-  PerSampleDqnReference<S> reference(state_dim, n_actions, opts, rng_b);
+  GroupedQNetwork net(opts, rng_a);
+  PerSampleGroupedQReference<S> reference(opts, rng_b);
 
   common::Rng data(7);
-  for (int i = 0; i < 200; ++i) agent.observe(random_transition(state_dim, n_actions, data));
-
-  for (int k = 0; k < 25; ++k) {
-    const double la = agent.train_step();
-    const double lb = reference.train_step(agent.replay());
-    EXPECT_NEAR(la, lb, 1e-12) << "precision=" << nn::to_string(precision)
-                               << " double_q=" << double_q << " step " << k;
+  const std::vector<rl::Transition> pool = random_transitions(opts, 200, data);
+  const double beta = 0.5;
+  for (int step = 0; step < 25; ++step) {
+    const auto batch = sample_batch(pool, 32, data);
+    const double la = net.train_batch(batch, beta);
+    const double lb = reference.train_batch(batch, beta);
+    EXPECT_NEAR(la, lb, 1e-12) << "precision=" << nn::to_string(precision) << " K=" << groups
+                               << " step " << step;
   }
-  // Compare the full online-network parameter vectors element by element.
-  const std::vector<double> va = agent.param_values();
+  const std::vector<double> va = net.param_values();
   const std::vector<double> vb = reference.param_values();
   ASSERT_EQ(va.size(), vb.size());
   for (std::size_t i = 0; i < va.size(); ++i) {
-    EXPECT_NEAR(va[i], vb[i], 1e-12) << "precision=" << nn::to_string(precision)
-                                     << " double_q=" << double_q << " index " << i;
+    EXPECT_NEAR(va[i], vb[i], 1e-12) << "precision=" << nn::to_string(precision) << " K="
+                                     << groups << " index " << i;
   }
 }
 
-TEST(BatchParity, DqnBatchedTrainStepIsDeterministicallyEquivalent) {
-  for (const bool double_q : {false, true}) {
-    expect_train_step_matches_reference<double>(nn::Precision::kF64, double_q);
-    expect_train_step_matches_reference<float>(nn::Precision::kF32, double_q);
+TEST(BatchParity, GroupedQTrainBatchMatchesPerSampleReference) {
+  for (const std::size_t groups : {1u, 3u}) {
+    expect_train_batch_matches_reference<double>(groups, nn::Precision::kF64);
+    expect_train_batch_matches_reference<float>(groups, nn::Precision::kF32);
   }
 }
 
-// f32-vs-f64 gate on the full training loop: two agents fed the identical
-// transition stream and minibatch schedule, differing only in Scalar type,
-// must agree on (almost all) greedy actions after a 25-step training run —
-// the decision-level statement of "Q-learning is noise-tolerant".
-TEST(PrecisionParity, DqnGreedyActionsAgreeAcrossPrecisionsAfterTraining) {
-  DqnAgent::Options base;
-  base.hidden_dims = {32};
-  base.batch_size = 32;
-  base.min_replay_before_training = 64;
-  base.train_interval = 1000000;
-  base.target_sync_interval = 1000000;
+// f32-vs-f64 gate on the global tier's train step: two networks fed the
+// identical minibatches, differing only in Scalar type, must agree on
+// (almost all) greedy actions after a 25-step training run — the
+// decision-level statement of "Q-learning is noise-tolerant".
+TEST(PrecisionParity, GroupedQGreedyActionsAgreeAcrossPrecisionsAfterTraining) {
+  for (const std::size_t groups : {1u, 3u}) {
+    common::Rng rng_a(90210), rng_b(90210);
+    GroupedQNetwork net64(parity_opts(groups, nn::Precision::kF64), rng_a);
+    GroupedQNetwork net32(parity_opts(groups, nn::Precision::kF32), rng_b);
 
-  DqnAgent::Options f64 = base;
-  f64.precision = nn::Precision::kF64;
-  DqnAgent::Options f32 = base;
-  f32.precision = nn::Precision::kF32;
+    const GroupedQOptions opts = parity_opts(groups, nn::Precision::kF64);
+    common::Rng data(31);
+    const std::vector<rl::Transition> pool = random_transitions(opts, 256, data);
+    for (int step = 0; step < 25; ++step) {
+      const auto batch = sample_batch(pool, 32, data);
+      const double l64 = net64.train_batch(batch, 0.5);
+      const double l32 = net32.train_batch(batch, 0.5);
+      EXPECT_LE(std::abs(l64 - l32), 1e-3 * std::max(1.0, std::abs(l64)))
+          << "K=" << groups << " step " << step;
+    }
 
-  const std::size_t state_dim = 12, n_actions = 6;
-  common::Rng rng_a(90210), rng_b(90210);
-  DqnAgent agent64(state_dim, n_actions, f64, rng_a);
-  DqnAgent agent32(state_dim, n_actions, f32, rng_b);
-
-  common::Rng data_a(31), data_b(31);
-  for (int i = 0; i < 256; ++i) {
-    agent64.observe(random_transition(state_dim, n_actions, data_a));
-    agent32.observe(random_transition(state_dim, n_actions, data_b));
+    common::Rng probe(777);
+    int agree = 0;
+    const int probes = 200;
+    for (int i = 0; i < probes; ++i) {
+      const nn::Vec s = random_state(opts, probe);
+      agree += nn::argmax(net64.q_values(s)) == nn::argmax(net32.q_values(s)) ? 1 : 0;
+    }
+    // Ties between near-equal Q-values may flip under f32 rounding; anything
+    // beyond a stray handful of states means the precisions diverged.
+    EXPECT_GE(agree, probes * 95 / 100) << "K=" << groups << " agreement " << agree << "/"
+                                        << probes;
   }
-  for (int k = 0; k < 25; ++k) {
-    const double l64 = agent64.train_step();
-    const double l32 = agent32.train_step();
-    // Same minibatch schedule (same fork seed), so the losses track closely.
-    EXPECT_LE(std::abs(l64 - l32), 1e-3 * std::max(1.0, std::abs(l64))) << "step " << k;
-  }
-
-  common::Rng probe(777);
-  int agree = 0;
-  const int probes = 200;
-  for (int i = 0; i < probes; ++i) {
-    nn::Vec s(state_dim);
-    for (auto& v : s) v = probe.uniform(-1.0, 1.0);
-    agree += agent64.act_greedy(s) == agent32.act_greedy(s) ? 1 : 0;
-  }
-  // Ties between near-equal Q-values may flip under f32 rounding; anything
-  // beyond a stray handful of states means the precisions diverged.
-  EXPECT_GE(agree, probes * 95 / 100) << "agreement " << agree << "/" << probes;
 }
 
 }  // namespace
-}  // namespace hcrl::rl
+}  // namespace hcrl::core

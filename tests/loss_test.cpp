@@ -49,18 +49,6 @@ TEST(HuberLoss, InvalidDeltaThrows) {
   EXPECT_THROW(huber_loss(Vec{1.0}, Vec{0.0}, -1.0), std::invalid_argument);
 }
 
-TEST(MaskedMse, OnlySelectedIndexGetsGradient) {
-  const LossResult r = masked_mse_loss(Vec{1.0, 5.0, -2.0}, 1, 3.0);
-  EXPECT_DOUBLE_EQ(r.value, 4.0);
-  EXPECT_DOUBLE_EQ(r.grad[0], 0.0);
-  EXPECT_DOUBLE_EQ(r.grad[1], 4.0);
-  EXPECT_DOUBLE_EQ(r.grad[2], 0.0);
-}
-
-TEST(MaskedMse, IndexOutOfRangeThrows) {
-  EXPECT_THROW(masked_mse_loss(Vec{1.0}, 1, 0.0), std::invalid_argument);
-}
-
 TEST(MaskedHuber, GradientIsCapped) {
   const LossResult r = masked_huber_loss(Vec{0.0, 100.0}, 1, 0.0, 1.0);
   EXPECT_DOUBLE_EQ(r.grad[1], 1.0);

@@ -99,6 +99,28 @@ TEST(ClusterMetrics, JobRecordsKeptWhenEnabled) {
   EXPECT_EQ(drop.jobs_completed(), 1u);  // counters still work
 }
 
+TEST(LatencyPercentile, MatchesKnownDistribution) {
+  ClusterMetrics m(1);
+  for (JobId i = 1; i <= 100; ++i) m.on_arrival(job_at(i, 0.0), 0.0);
+  for (JobId i = 1; i <= 100; ++i) {
+    const auto finish = static_cast<Time>(i);  // latencies 1..100
+    m.on_completion(record(i, 0.0, 0.0, finish), finish);
+  }
+  EXPECT_NEAR(m.latency_percentile(0.5), 50.0, 1.0);
+  EXPECT_NEAR(m.latency_percentile(0.95), 95.0, 1.0);
+  EXPECT_DOUBLE_EQ(m.latency_percentile(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(m.latency_percentile(1.0), 100.0);
+  EXPECT_THROW(m.latency_percentile(1.5), std::invalid_argument);
+}
+
+TEST(LatencyPercentile, RequiresRecords) {
+  ClusterMetrics no_records(1, false);
+  no_records.on_completion(record(1, 0.0, 0.0, 1.0), 1.0);
+  EXPECT_THROW(no_records.latency_percentile(0.5), std::logic_error);
+  ClusterMetrics empty(1, true);
+  EXPECT_THROW(empty.latency_percentile(0.5), std::logic_error);
+}
+
 TEST(MetricsSnapshot, SafeOnEmpty) {
   const MetricsSnapshot s;
   EXPECT_DOUBLE_EQ(s.average_latency_s(), 0.0);

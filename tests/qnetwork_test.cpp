@@ -114,6 +114,52 @@ TEST(GroupedQNetwork, TrainBatchRejectsEmpty) {
   EXPECT_THROW(net.train_batch({}, 0.5), std::invalid_argument);
 }
 
+TEST(GroupedQNetwork, TrainBatchRejectsOutOfRangeActionAndBadStates) {
+  GroupedQOptions o;
+  o.encoder.num_servers = 4;
+  o.encoder.num_groups = 2;
+  common::Rng rng(16);
+  GroupedQNetwork net(o, rng);
+  common::Rng srng(17);
+  rl::Transition t;
+  t.state = random_state(o, srng);
+  t.next_state = random_state(o, srng);
+  t.reward_rate = -1.0;
+  t.tau = 1.0;
+  t.action = 3;
+  EXPECT_NO_THROW(net.train_batch({&t}, 0.5));
+  // Action 4 would pick group 2 of 2 and read past the end of the state.
+  t.action = 4;
+  EXPECT_THROW(net.train_batch({&t}, 0.5), std::invalid_argument);
+  t.action = 0;
+  t.next_state.pop_back();
+  EXPECT_THROW(net.train_batch({&t}, 0.5), std::invalid_argument);
+  EXPECT_THROW(net.q_values(t.next_state), std::invalid_argument);
+}
+
+TEST(GroupedQNetwork, OneGroupIsTheMonolithicNetworkWithoutAutoencoder) {
+  GroupedQOptions o;
+  o.encoder.num_servers = 30;
+  o.encoder.num_groups = 1;
+  common::Rng rng(18);
+  GroupedQNetwork net(o, rng);
+  EXPECT_EQ(net.autoencoder_param_count(), 0u);
+  // One 128-unit ELU head over 30 servers x 5 features + 4 job features,
+  // with 30 outputs: (154 * 128 + 128) + (128 * 30 + 30).
+  EXPECT_EQ(net.subq_param_count(), 23710u);
+  EXPECT_EQ(net.param_values().size(), 23710u);
+
+  common::Rng srng(19);
+  common::Rng train_rng(20), untouched(20);
+  for (int i = 0; i < 3 * static_cast<int>(o.autoencoder_train_interval); ++i) {
+    EXPECT_LT(net.observe_state(random_state(o, srng), train_rng), 0.0);
+  }
+  EXPECT_LT(net.last_autoencoder_loss(), 0.0);
+  // Nothing was buffered or sampled: the caller's stream is where it started.
+  EXPECT_EQ(train_rng.uniform_int(0, 1 << 30), untouched.uniform_int(0, 1 << 30));
+  EXPECT_EQ(net.q_values(random_state(o, srng)).size(), 30u);
+}
+
 TEST(GroupedQNetwork, ObserveStateTrainsAutoencoderEventually) {
   common::Rng rng(9);
   auto o = small_opts();
