@@ -18,11 +18,17 @@ WORKLOAD_PREDICTION="$BUILD_DIR/examples/workload_prediction"
 
 failures=0
 
-# expect_error <description> -- <command...>
-# Passes when the command exits 1 AND prints "error:" on stderr.
+# expect_error <description> [<pattern>] -- <command...>
+# Passes when the command exits 1 AND prints "error:" on stderr, followed on
+# the same line by <pattern> (an extended regex) when one is given.
 expect_error() {
-  local desc=$1
-  shift 2
+  local desc=$1 pattern=""
+  shift
+  if [ "$1" != "--" ]; then
+    pattern=$1
+    shift
+  fi
+  shift
   local stderr_file
   stderr_file=$(mktemp)
   "$@" >/dev/null 2>"$stderr_file"
@@ -30,8 +36,8 @@ expect_error() {
   if [ "$code" -ne 1 ]; then
     echo "FAIL: $desc — expected exit 1, got $code" >&2
     failures=$((failures + 1))
-  elif ! grep -q "error:" "$stderr_file"; then
-    echo "FAIL: $desc — stderr lacks 'error:':" >&2
+  elif ! grep -qE "error:.*$pattern" "$stderr_file"; then
+    echo "FAIL: $desc — stderr lacks 'error:'${pattern:+ followed by /$pattern/}:" >&2
     sed 's/^/    /' "$stderr_file" >&2
     failures=$((failures + 1))
   else
@@ -83,12 +89,26 @@ expect_error "run_experiment: NaN idle timeout" \
   -- "$RUN_EXPERIMENT" --inline "system = drl-fixed-timeout" "power.timeout_s = nan"
 expect_error "run_experiment: unknown system preset" \
   -- "$RUN_EXPERIMENT" --catalog google2011-sample hierarchial
-expect_error "run_experiment: NaN global-tier learning rate" \
+# The learning tiers' options are their entries' option blocks; a bad value
+# must reach the tier's own check, not the unknown-key path.
+expect_error "run_experiment: NaN global-tier learning rate" "learning rates must be > 0" \
   -- "$RUN_EXPERIMENT" --inline "system = drl-only" "num_servers = 6" "num_groups = 2" \
-     "trace.num_jobs = 300" "drl.learning_rate = nan"
-expect_error "run_experiment: NaN local-tier reward weight" \
+     "trace.num_jobs = 300" "allocator.learning_rate = nan"
+expect_error "run_experiment: NaN local-tier reward weight" "w out of \[0,1\]" \
+  -- "$RUN_EXPERIMENT" --inline "system = hierarchical" "num_servers = 6" "num_groups = 2" \
+     "trace.num_jobs = 300" "power.w = nan"
+# `drl.*` / `local.*` are not keys, and a tier option under a policy that
+# does not take it is an unknown option key.
+expect_error "run_experiment: removed drl.* / local.* keys" "unknown keys: drl.beta local.w" \
+  -- "$RUN_EXPERIMENT" --inline "system = round-robin" "num_servers = 6" "num_groups = 2" \
+     "trace.num_jobs = 300" "drl.beta = 0.3" "local.w = 0.2"
+expect_error "run_experiment: removed local.predictor key" "unknown keys: local.predictor" \
   -- "$RUN_EXPERIMENT" --inline "num_servers = 6" "num_groups = 2" "trace.num_jobs = 300" \
-     "local.w = nan"
+     "local.predictor = window"
+expect_error "run_experiment: drl option under round-robin" \
+  "allocator 'round-robin': unknown option key 'beta'" \
+  -- "$RUN_EXPERIMENT" --inline "system = round-robin" "num_servers = 6" "num_groups = 2" \
+     "trace.num_jobs = 300" "allocator.beta = 0.3"
 # A NaN trace shape must not spin trace generation, nor a NaN server value
 # reach the energy total; `timeout` turns a hang into a failure.
 for key in trace.horizon_s trace.diurnal_amplitude trace.burst_multiplier server.t_on; do

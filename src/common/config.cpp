@@ -73,7 +73,7 @@ std::optional<std::string> Config::raw(const std::string& key) const {
 
 std::string Config::get_string(const std::string& key) const {
   auto v = raw(key);
-  if (!v) throw std::invalid_argument("Config: missing key '" + key + "'");
+  if (!v) throw std::invalid_argument("Config: missing key '" + written(key) + "'");
   return *v;
 }
 
@@ -90,7 +90,7 @@ double Config::get_double(const std::string& key) const {
     if (pos != v.size()) throw std::invalid_argument("trailing chars");
     return d;
   } catch (const std::exception&) {
-    throw std::invalid_argument("Config: key '" + key + "' is not a double: " + v);
+    throw std::invalid_argument("Config: key '" + written(key) + "' is not a double: " + v);
   }
 }
 
@@ -106,7 +106,7 @@ std::int64_t Config::get_int(const std::string& key) const {
     if (pos != v.size()) throw std::invalid_argument("trailing chars");
     return i;
   } catch (const std::exception&) {
-    throw std::invalid_argument("Config: key '" + key + "' is not an int: " + v);
+    throw std::invalid_argument("Config: key '" + written(key) + "' is not an int: " + v);
   }
 }
 
@@ -119,11 +119,21 @@ bool Config::get_bool(const std::string& key) const {
   std::transform(v.begin(), v.end(), v.begin(), [](unsigned char c) { return std::tolower(c); });
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  throw std::invalid_argument("Config: key '" + key + "' is not a bool: " + v);
+  throw std::invalid_argument("Config: key '" + written(key) + "' is not a bool: " + v);
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {
   return has(key) ? get_bool(key) : fallback;
+}
+
+std::size_t Config::get_count(const std::string& key, std::size_t fallback) const {
+  if (!has(key)) return fallback;
+  const std::int64_t v = get_int(key);
+  if (v < 0) {
+    throw std::invalid_argument("Config: key '" + written(key) + "' must be >= 0: " +
+                                std::to_string(v));
+  }
+  return static_cast<std::size_t>(v);
 }
 
 std::vector<std::string> Config::unused_keys() const {

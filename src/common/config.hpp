@@ -9,6 +9,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace hcrl::common {
@@ -40,6 +41,13 @@ class Config {
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   bool get_bool(const std::string& key) const;
   bool get_bool(const std::string& key, bool fallback) const;
+  /// A count: an int that must be >= 0, rejected before a size_t cast could
+  /// wrap it.
+  std::size_t get_count(const std::string& key, std::size_t fallback) const;
+
+  /// Error messages name a key as `prefix + key`, so a block read under
+  /// bare keys (`k`) reports the key as the user wrote it (`allocator.k`).
+  void set_key_prefix(std::string prefix) { key_prefix_ = std::move(prefix); }
 
   /// Keys present in the config but never read through a getter.
   std::vector<std::string> unused_keys() const;
@@ -49,9 +57,12 @@ class Config {
 
  private:
   std::optional<std::string> raw(const std::string& key) const;
+  /// The key as the user wrote it, for error messages.
+  std::string written(const std::string& key) const { return key_prefix_ + key; }
 
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> read_;
+  std::string key_prefix_;
 };
 
 /// Parses a count argument strictly: the whole of `text` must be decimal

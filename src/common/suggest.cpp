@@ -46,6 +46,7 @@ std::string unknown_key_message(const std::string& what, const std::string& name
   }
   msg += "valid:";
   for (const std::string& c : candidates) msg += " " + c;
+  if (candidates.empty()) msg += " none";
   msg += ")";
   return msg;
 }

@@ -26,22 +26,12 @@ common::Config option_block(const common::Config& config, const std::string& pre
 ExperimentConfig experiment_config_from(const common::Config& config) {
   ExperimentConfig cfg;
 
-  // Counts bound for size_t fields reject negatives here, where the offending
-  // key name is still known, instead of wrapping to huge values in the cast.
-  const auto non_negative = [&config](const char* key, std::size_t fallback) {
-    const std::int64_t v = config.get_int(key, static_cast<std::int64_t>(fallback));
-    if (v < 0) {
-      throw std::invalid_argument(std::string("experiment_config_from: ") + key +
-                                  " must be >= 0");
-    }
-    return static_cast<std::size_t>(v);
-  };
-
-  cfg.num_servers = non_negative("num_servers", 30);
-  cfg.num_groups = non_negative("num_groups", 3);
-  cfg.pretrain_jobs = non_negative("pretrain_jobs", cfg.pretrain_jobs);
+  cfg.num_servers = config.get_count("num_servers", 30);
+  cfg.num_groups = config.get_count("num_groups", 3);
+  cfg.pretrain_jobs = config.get_count("pretrain_jobs", cfg.pretrain_jobs);
   cfg.learn_during_run = config.get_bool("learn_during_run", cfg.learn_during_run);
-  cfg.checkpoint_every_jobs = non_negative("checkpoint_every_jobs", cfg.checkpoint_every_jobs);
+  cfg.checkpoint_every_jobs =
+      config.get_count("checkpoint_every_jobs", cfg.checkpoint_every_jobs);
   cfg.precision =
       nn::precision_from_string(config.get_string("precision", nn::to_string(cfg.precision)));
   cfg.sla_latency_s = config.get_double("sla_latency_s", cfg.sla_latency_s);
@@ -51,7 +41,7 @@ ExperimentConfig experiment_config_from(const common::Config& config) {
   cfg.faults.mtbf_s = config.get_double("faults.mtbf_s", cfg.faults.mtbf_s);
   cfg.faults.mttr_s = config.get_double("faults.mttr_s", cfg.faults.mttr_s);
   cfg.faults.evict_every_s = config.get_double("faults.evict_every_s", cfg.faults.evict_every_s);
-  cfg.faults.max_retries = non_negative("faults.max_retries", cfg.faults.max_retries);
+  cfg.faults.max_retries = config.get_count("faults.max_retries", cfg.faults.max_retries);
   cfg.faults.backoff_base_s = config.get_double("faults.backoff_base_s", cfg.faults.backoff_base_s);
   cfg.faults.backoff_cap_s = config.get_double("faults.backoff_cap_s", cfg.faults.backoff_cap_s);
   cfg.faults.backoff_jitter = config.get_double("faults.backoff_jitter", cfg.faults.backoff_jitter);
@@ -61,9 +51,10 @@ ExperimentConfig experiment_config_from(const common::Config& config) {
       static_cast<std::uint64_t>(config.get_int("faults.seed", static_cast<std::int64_t>(cfg.faults.seed)));
   cfg.watchdog_s = config.get_double("watchdog_s", cfg.watchdog_s);
 
-  // Registry-backed policy selection (validated in ExperimentConfig::validate
-  // against src/policy/registry.hpp, with did-you-mean diagnostics): a
-  // `system` preset names the pair, `allocator` / `power` override a half.
+  // Registry-backed policy selection: a `system` preset names the pair,
+  // `allocator` / `power` override a half, and each option block belongs to
+  // the policy that results (ExperimentConfig::validate builds the pair, so
+  // its factories check every key and value).
   if (config.has("system")) policy::apply_system(cfg, config.get_string("system"));
   cfg.allocator = config.get_string("allocator", cfg.allocator);
   cfg.power = config.get_string("power", cfg.power);
@@ -71,7 +62,7 @@ ExperimentConfig experiment_config_from(const common::Config& config) {
   cfg.power_opts = option_block(config, "power");
 
   // Trace.
-  cfg.trace.num_jobs = non_negative("trace.num_jobs", cfg.trace.num_jobs);
+  cfg.trace.num_jobs = config.get_count("trace.num_jobs", cfg.trace.num_jobs);
   cfg.trace.horizon_s = config.get_double(
       "trace.horizon_s",
       sim::kSecondsPerWeek * static_cast<double>(cfg.trace.num_jobs) / 95000.0);
@@ -91,27 +82,6 @@ ExperimentConfig experiment_config_from(const common::Config& config) {
   cfg.server.t_off = config.get_double("server.t_off", cfg.server.t_off);
   cfg.server.hotspot_threshold =
       config.get_double("server.hotspot_threshold", cfg.server.hotspot_threshold);
-
-  // Global tier.
-  cfg.drl.beta = config.get_double("drl.beta", cfg.drl.beta);
-  cfg.drl.w_power = config.get_double("drl.w_power", cfg.drl.w_power);
-  cfg.drl.w_vms = config.get_double("drl.w_vms", cfg.drl.w_vms);
-  cfg.drl.w_reliability = config.get_double("drl.w_reliability", cfg.drl.w_reliability);
-  cfg.drl.w_chosen_queue = config.get_double("drl.w_chosen_queue", cfg.drl.w_chosen_queue);
-  cfg.drl.guide_mix = config.get_double("drl.guide_mix", cfg.drl.guide_mix);
-  cfg.drl.qnet.learning_rate = config.get_double("drl.learning_rate", cfg.drl.qnet.learning_rate);
-  cfg.drl.qnet.subq_hidden = non_negative("drl.subq_hidden", cfg.drl.qnet.subq_hidden);
-  cfg.drl.batch_size = non_negative("drl.batch_size", cfg.drl.batch_size);
-  cfg.drl.seed = static_cast<std::uint64_t>(config.get_int("drl.seed", 7));
-
-  // Local tier.
-  cfg.local.w = config.get_double("local.w", cfg.local.w);
-  cfg.local.predictor = config.get_string("local.predictor", cfg.local.predictor);
-  cfg.local.shared_table = config.get_bool("local.shared_table", cfg.local.shared_table);
-  cfg.local.agent.learning_rate =
-      config.get_double("local.learning_rate", cfg.local.agent.learning_rate);
-  cfg.local.agent.beta = config.get_double("local.beta", cfg.local.agent.beta);
-  cfg.local.seed = static_cast<std::uint64_t>(config.get_int("local.seed", 13));
 
   if (config.has("fixed_timeout_s")) {
     throw std::invalid_argument(

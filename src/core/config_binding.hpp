@@ -8,12 +8,13 @@
 //   num_servers = 30
 //   num_groups = 3
 //   trace.num_jobs = 95000
-//   drl.w_vms = 0.01
-//   local.w = 0.5
+//   allocator.w_vms = 0.01
+//   power.w = 0.5
 //
 // `system` names a paper preset of the policy pair (policy::apply_system);
 // `allocator` / `power` override either half of it, and the
-// `allocator.<key>` / `power.<key>` blocks configure the resulting pair.
+// `allocator.<key>` / `power.<key>` blocks configure the resulting pair:
+// the binder names no policy's keys, each registry entry owns its own.
 // Unknown keys are reported as errors so config files never rot silently.
 #pragma once
 

@@ -33,16 +33,13 @@ void ExperimentConfig::validate() const {
     throw std::invalid_argument("ExperimentConfig: sla_latency_s must be >= 0");
   }
   faults.validate();
-  // The learning tiers' options, checked here so a bad value fails at
-  // config time, whichever policy pair the config names.
-  drl.validate();
-  local.validate();
   if (!(watchdog_s >= 0.0)) {
     throw std::invalid_argument("ExperimentConfig: watchdog_s must be >= 0");
   }
-  // Registry-backed selection: unknown allocator/power/predictor names and
-  // unknown per-policy option keys fail here with did-you-mean diagnostics.
-  policy::validate_system_selection(*this);
+  // The selected pair's factories are the only check on policy names, option
+  // keys and option values: build the pair and drop it, so a bad one fails
+  // here, before any simulation state exists.
+  (void)policy::build_system(*this);
 }
 
 }  // namespace hcrl::core

@@ -56,7 +56,11 @@ struct ExperimentConfig {
   /// it count into ExperimentResult::sla_violations. 0 disables the count.
   double sla_latency_s = 0.0;
 
-  DrlAllocatorOptions drl;     // encoder dims are overwritten from the fields above
+  /// Typed defaults of the two learning tiers. The `drl` and `rl-dpm`
+  /// factories start from them and apply their option blocks on top
+  /// (`allocator.beta`, `power.w`); scenarios and sweeps write them in code.
+  /// finalize() overwrites the sizes from the fields above.
+  DrlAllocatorOptions drl;
   LocalPowerManagerOptions local;
 
   /// Offline construction phase: replay this many jobs from the head of the
@@ -102,6 +106,8 @@ struct ExperimentConfig {
   double watchdog_s = 0.0;
 
   void finalize();  // propagate sizes into drl/local sub-configs
+  /// Checks the config's own fields, then builds the selected policy pair
+  /// and discards it, so the registry's factories check every option.
   void validate() const;
 };
 

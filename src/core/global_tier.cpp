@@ -1,7 +1,6 @@
 #include "src/core/global_tier.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <stdexcept>
 
 #include "src/sim/cluster_view.hpp"
@@ -149,21 +148,6 @@ void DrlAllocator::on_simulation_end(const sim::ClusterView& cluster, sim::Time 
 void DrlAllocator::end_episode() {
   has_prev_ = false;
   prev_state_.clear();
-}
-
-void DrlAllocator::save_model(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("DrlAllocator::save_model: cannot open " + path);
-  qnet_->save_params(out);
-  if (!out) throw std::runtime_error("DrlAllocator::save_model: write failed on " + path);
-}
-
-void DrlAllocator::load_model(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("DrlAllocator::load_model: cannot open " + path);
-  // Precision-agnostic: GroupedQNetwork routes the text checkpoint into
-  // whichever Scalar instantiation it runs, and re-syncs the target copy.
-  qnet_->load_params(in);
 }
 
 }  // namespace hcrl::core

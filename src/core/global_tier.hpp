@@ -80,12 +80,6 @@ class DrlAllocator final : public sim::AllocationPolicy {
   /// No-op stub: bench_e2e still calls it; the next benchmark change deletes it.
   void set_decision_service(DecisionService*) noexcept {}
 
-  /// Persist / restore the learned network parameters (Sub-Q online copy +
-  /// autoencoder). The loading allocator must be built with identical
-  /// GroupedQOptions. Restoring also syncs the target network.
-  void save_model(const std::string& path) const;
-  void load_model(const std::string& path);
-
   GroupedQNetwork& network() noexcept { return *qnet_; }
   const StateEncoder& encoder() const noexcept { return encoder_; }
   std::int64_t decision_epochs() const noexcept { return epochs_; }

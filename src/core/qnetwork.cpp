@@ -6,7 +6,6 @@
 #include "src/nn/loss.hpp"
 #include "src/nn/network.hpp"
 #include "src/nn/optimizer.hpp"
-#include "src/nn/serialize.hpp"
 #include "src/rl/smdp.hpp"
 #include "src/telemetry/profiler.hpp"
 #include "src/telemetry/registry.hpp"
@@ -347,24 +346,6 @@ std::vector<nn::ParamBlockPtr> GroupedQNetwork::trainable_params() const {
 std::vector<double> GroupedQNetwork::param_values() const {
   return f32_ ? nn::flatten_param_values(f32_->trainable_params_typed())
               : nn::flatten_param_values(f64_->trainable_params_typed());
-}
-
-void GroupedQNetwork::save_params(std::ostream& out) const {
-  if (f32_) {
-    nn::save_params(out, f32_->trainable_params_typed());
-  } else {
-    nn::save_params(out, f64_->trainable_params_typed());
-  }
-}
-
-void GroupedQNetwork::load_params(std::istream& in) {
-  if (f32_) {
-    nn::load_params(in, f32_->trainable_params_typed());
-    f32_->sync_target();
-  } else {
-    nn::load_params(in, f64_->trainable_params_typed());
-    f64_->sync_target();
-  }
 }
 
 double GroupedQNetwork::observe_state(const nn::Vec& full_state, common::Rng& rng) {

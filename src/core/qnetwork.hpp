@@ -27,7 +27,6 @@
 // precision-agnostic.
 #pragma once
 
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -99,14 +98,10 @@ class GroupedQNetwork {
   std::size_t autoencoder_param_count() const;
   /// All learned parameters (online Sub-Q + autoencoder) as double-typed
   /// blocks. Only valid for f64 networks; throws std::logic_error at f32 —
-  /// use param_values() or save/load for precision-agnostic access.
+  /// use param_values() for precision-agnostic access.
   std::vector<nn::ParamBlockPtr> trainable_params() const;
   /// Flattened copy of every learned parameter as double, at any precision.
   std::vector<double> param_values() const;
-  /// Persist / restore online Sub-Q + autoencoder (nn/serialize.hpp text
-  /// format, precision-agnostic). Loading also syncs the target network.
-  void save_params(std::ostream& out) const;
-  void load_params(std::istream& in);
   double last_autoencoder_loss() const noexcept { return last_ae_loss_; }
 
   // -- state slicing helpers (public for tests) ------------------------------

@@ -64,15 +64,14 @@ Scenario trace_scenario(std::shared_ptr<const TraceSource> source, const std::st
   s.config.num_groups = 2;
   s.config.checkpoint_every_jobs = 100;
   // Sizing the pretrain prefix costs one produce() here; pass a caching
-  // source (CatalogTraceSource caches; wrap others in make_cached) so the
-  // runner reuses it.
+  // source (make_cached) so the runner reuses it.
   s.config.pretrain_jobs = source->produce().jobs.size() / 4;
   s.trace = std::move(source);
   return s;
 }
 
 Scenario catalog_scenario(const std::string& dataset, const std::string& system) {
-  return trace_scenario(std::make_shared<CatalogTraceSource>(dataset), system);
+  return trace_scenario(make_cached(std::make_shared<CatalogTraceSource>(dataset)), system);
 }
 
 Scenario calibrated_scenario(const std::string& dataset, const std::string& system,

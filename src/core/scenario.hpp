@@ -60,7 +60,7 @@ ExperimentConfig paper_experiment_config(std::size_t servers, std::size_t jobs);
 Scenario trace_scenario(std::shared_ptr<const TraceSource> source, const std::string& system);
 
 /// trace_scenario over a workload::trace::TraceCatalog dataset
-/// (CatalogTraceSource). The same recipe backs the registry's
+/// (a cached CatalogTraceSource). The same recipe backs the registry's
 /// "<dataset>-sample" entries and `run_experiment --catalog`.
 Scenario catalog_scenario(const std::string& dataset, const std::string& system);
 

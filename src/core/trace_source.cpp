@@ -146,19 +146,15 @@ CatalogTraceSource::CatalogTraceSource(std::string dataset) : dataset_(std::move
 }
 
 Trace CatalogTraceSource::produce() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!cache_.has_value()) {
-    Trace t;
-    workload::trace::AdapterReport adapter_report;
-    workload::trace::NormalizeReport normalize_report;
-    t.jobs = workload::trace::TraceCatalog::builtin().load(dataset_, &adapter_report,
-                                                          &normalize_report);
-    publish_reports(adapter_report, normalize_report);
-    t.horizon_s = infer_horizon_s(t.jobs);
-    t.stats = workload::compute_stats(t.jobs, t.horizon_s);
-    cache_ = std::move(t);
-  }
-  return *cache_;
+  Trace t;
+  workload::trace::AdapterReport adapter_report;
+  workload::trace::NormalizeReport normalize_report;
+  t.jobs = workload::trace::TraceCatalog::builtin().load(dataset_, &adapter_report,
+                                                        &normalize_report);
+  publish_reports(adapter_report, normalize_report);
+  t.horizon_s = infer_horizon_s(t.jobs);
+  t.stats = workload::compute_stats(t.jobs, t.horizon_s);
+  return t;
 }
 
 std::string CatalogTraceSource::describe() const { return "catalog(" + dataset_ + ")"; }

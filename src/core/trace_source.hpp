@@ -91,9 +91,9 @@ class InMemoryTraceSource final : public TraceSource {
 
 /// A named dataset from workload::trace::TraceCatalog::builtin() — bundled
 /// fixture slices of real cluster traces (Google 2011, Alibaba 2018, Azure
-/// 2017), parsed and normalized on first produce() and cached after. The
-/// dataset name is validated at construction; the fixture file is only
-/// touched by produce().
+/// 2017), parsed and normalized on every produce(); wrap it in make_cached
+/// to parse once. The dataset name is validated at construction; the
+/// fixture file is only touched by produce().
 class CatalogTraceSource final : public TraceSource {
  public:
   explicit CatalogTraceSource(std::string dataset);
@@ -105,8 +105,6 @@ class CatalogTraceSource final : public TraceSource {
 
  private:
   std::string dataset_;
-  mutable std::mutex mutex_;
-  mutable std::optional<Trace> cache_;
 };
 
 /// Decorator: produce the inner trace exactly once, then serve copies.

@@ -26,33 +26,6 @@ double clip_grad_norm(const std::vector<ParamBlockPtrT<S>>& params, double max_n
 }
 
 template <class S>
-SgdT<S>::SgdT(std::vector<ParamBlockPtrT<S>> params, double lr, double momentum)
-    : params_(std::move(params)), lr_(lr), momentum_(momentum) {
-  segments_ = gather_segments(params_);
-  velocity_.reserve(segments_.size());
-  for (const auto& s : segments_) velocity_.emplace_back(s.n, S(0));
-}
-
-template <class S>
-void SgdT<S>::step() {
-  const S lr = static_cast<S>(lr_);
-  const S momentum = static_cast<S>(momentum_);
-  for (std::size_t k = 0; k < segments_.size(); ++k) {
-    auto& s = segments_[k];
-    auto& vel = velocity_[k];
-    for (std::size_t i = 0; i < s.n; ++i) {
-      vel[i] = momentum * vel[i] + s.grad[i];
-      s.value[i] -= lr * vel[i];
-    }
-  }
-}
-
-template <class S>
-void SgdT<S>::zero_grad() {
-  for (const auto& p : params_) p->zero_grad();
-}
-
-template <class S>
 AdamT<S>::AdamT(std::vector<ParamBlockPtrT<S>> params) : AdamT(std::move(params), Options{}) {}
 
 template <class S>
@@ -84,8 +57,6 @@ void AdamT<S>::step() {
   const S one_minus_beta2 = S(1) - beta2;
   const S lr = static_cast<S>(opts_.lr);
   const S epsilon = static_cast<S>(opts_.epsilon);
-  const S lr_decay = static_cast<S>(opts_.lr * opts_.weight_decay);
-  const bool decay = opts_.weight_decay > 0.0;
   for (std::size_t k = 0; k < segments_.size(); ++k) {
     auto& s = segments_[k];
     S* m = m_[k].data();
@@ -96,9 +67,7 @@ void AdamT<S>::step() {
       v[i] = beta2 * v[i] + one_minus_beta2 * g * g;
       const S m_hat = m[i] * inv_bc1;
       const S v_hat = v[i] * inv_bc2;
-      S update = lr * m_hat / (std::sqrt(v_hat) + epsilon);
-      if (decay) update += lr_decay * s.value[i];
-      s.value[i] -= update;
+      s.value[i] -= lr * m_hat / (std::sqrt(v_hat) + epsilon);
     }
   }
 }
@@ -110,8 +79,6 @@ void AdamT<S>::zero_grad() {
 
 template double clip_grad_norm<float>(const std::vector<ParamBlockPtrT<float>>&, double);
 template double clip_grad_norm<double>(const std::vector<ParamBlockPtrT<double>>&, double);
-template class SgdT<float>;
-template class SgdT<double>;
 template class AdamT<float>;
 template class AdamT<double>;
 

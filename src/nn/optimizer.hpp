@@ -1,4 +1,4 @@
-// Optimizers over parameter blocks, plus global-norm gradient clipping.
+// Adam over parameter blocks, plus global-norm gradient clipping.
 //
 // The paper trains the global-tier DNN and the LSTM predictor with Adam
 // (Kingma & Ba) and clips gradients to a global norm of 10. Templated on
@@ -21,33 +21,6 @@ namespace hcrl::nn {
 template <class S>
 double clip_grad_norm(const std::vector<ParamBlockPtrT<S>>& params, double max_norm);
 
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-  /// Apply one update using the currently-accumulated gradients,
-  /// then leave gradients untouched (caller decides when to zero).
-  virtual void step() = 0;
-  virtual void zero_grad() = 0;
-};
-
-template <class S>
-class SgdT final : public Optimizer {
- public:
-  SgdT(std::vector<ParamBlockPtrT<S>> params, double lr, double momentum = 0.0);
-
-  void step() override;
-  void zero_grad() override;
-  void set_lr(double lr) noexcept { lr_ = lr; }
-  double lr() const noexcept { return lr_; }
-
- private:
-  std::vector<ParamBlockPtrT<S>> params_;
-  double lr_;
-  double momentum_;
-  std::vector<std::vector<S>> velocity_;  // one per segment
-  std::vector<ParamSegmentT<S>> segments_;
-};
-
 /// Adam with bias correction; epsilon in the denominator as in the paper's
 /// reference [27] (Kingma & Ba 2014).
 struct AdamOptions {
@@ -55,19 +28,20 @@ struct AdamOptions {
   double beta1 = 0.9;
   double beta2 = 0.999;
   double epsilon = 1e-8;
-  double weight_decay = 0.0;  // decoupled (AdamW-style) when > 0
 };
 
 template <class S>
-class AdamT final : public Optimizer {
+class AdamT final {
  public:
   using Options = AdamOptions;
 
   explicit AdamT(std::vector<ParamBlockPtrT<S>> params);
   AdamT(std::vector<ParamBlockPtrT<S>> params, Options opts);
 
-  void step() override;
-  void zero_grad() override;
+  /// Apply one update using the currently-accumulated gradients, then leave
+  /// gradients untouched (the caller decides when to zero).
+  void step();
+  void zero_grad();
   void set_lr(double lr) noexcept { opts_.lr = lr; }
   double lr() const noexcept { return opts_.lr; }
   std::int64_t steps_taken() const noexcept { return t_; }
@@ -81,11 +55,8 @@ class AdamT final : public Optimizer {
   std::vector<ParamSegmentT<S>> segments_;
 };
 
-using Sgd = SgdT<double>;
 using Adam = AdamT<double>;
 
-extern template class SgdT<float>;
-extern template class SgdT<double>;
 extern template class AdamT<float>;
 extern template class AdamT<double>;
 

@@ -1,8 +1,10 @@
 #include "src/policy/registry.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <ostream>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "src/common/rng.hpp"
@@ -17,6 +19,37 @@ namespace {
 
 /// fixed-timeout's idle timeout when its option block sets none.
 constexpr double kDefaultIdleTimeoutS = 60.0;
+
+/// " (default <v>)" for an option's doc line, printed from the typed default
+/// the factory falls back to, so --list-policies cannot drift from the code.
+/// No iostreams: building the registry must not pull in locale state, which
+/// adds to every run's resident memory.
+template <class T>
+std::string default_is(const T& value) {
+  std::string text;
+  if constexpr (std::is_same_v<T, bool>) {
+    text = value ? "true" : "false";
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    text = value;
+  } else if constexpr (std::is_floating_point_v<T>) {
+    char buf[32];
+    const auto end = std::to_chars(buf, buf + sizeof buf, value, std::chars_format::general, 6);
+    text.assign(buf, end.ptr);
+  } else {
+    text = std::to_string(value);
+  }
+  return " (default " + text + ")";
+}
+
+/// The `seed` option: falls back to the tier's typed seed, which a nonzero
+/// Scenario::seed re-derives; an explicit option beats both.
+std::uint64_t seed_option(const common::Config& opts, std::uint64_t fallback) {
+  return static_cast<std::uint64_t>(opts.get_int("seed", static_cast<std::int64_t>(fallback)));
+}
+
+std::string seed_doc(std::uint64_t fallback) {
+  return "RNG seed" + default_is(fallback) + ", re-derived by a nonzero scenario seed";
+}
 
 std::vector<std::string> schema_keys(const std::vector<OptionSpec>& options) {
   std::vector<std::string> keys;
@@ -102,21 +135,13 @@ std::vector<std::string> PolicyRegistry::power_names() const {
   return names;
 }
 
-void PolicyRegistry::validate_options(const AllocatorInfo& info,
-                                      const common::Config& opts) const {
-  check_block("allocator", info.name, info.options, opts);
-}
-
-void PolicyRegistry::validate_options(const PowerInfo& info, const common::Config& opts) const {
-  check_block("power policy", info.name, info.options, opts);
-}
-
 BuiltAllocator PolicyRegistry::make_allocator(const std::string& name,
                                               const core::ExperimentConfig& cfg,
                                               const common::Config& opts) const {
   const AllocatorInfo& info = allocator_info(name);
-  validate_options(info, opts);
+  check_block("allocator", info.name, info.options, opts);
   common::Config block = opts;  // factory marks reads on the copy
+  block.set_key_prefix("allocator.");
   BuiltAllocator built = info.factory(cfg, block);
   if (built.policy == nullptr) {
     throw std::logic_error("PolicyRegistry: allocator '" + name + "' factory returned null");
@@ -133,8 +158,9 @@ BuiltAllocator PolicyRegistry::make_allocator(const std::string& name,
 BuiltPower PolicyRegistry::make_power(const std::string& name, const core::ExperimentConfig& cfg,
                                       const common::Config& opts) const {
   const PowerInfo& info = power_info(name);
-  validate_options(info, opts);
+  check_block("power policy", info.name, info.options, opts);
   common::Config block = opts;
+  block.set_key_prefix("power.");
   BuiltPower built = info.factory(cfg, block);
   if (built.policy == nullptr) {
     throw std::logic_error("PolicyRegistry: power policy '" + name + "' factory returned null");
@@ -154,6 +180,8 @@ namespace {
 
 PolicyRegistry build_builtin() {
   PolicyRegistry r;
+  const core::DrlAllocatorOptions drl_default;
+  const core::LocalPowerManagerOptions local_default;
 
   // -- allocation (global tier) ----------------------------------------------
   r.add_allocator({.name = "round-robin",
@@ -164,12 +192,10 @@ PolicyRegistry build_builtin() {
                    }});
   r.add_allocator({.name = "random",
                    .description = "uniformly random dispatch (diagnostic)",
-                   .options = {{"seed", "RNG seed (default: drl.seed)"}},
+                   .options = {{"seed", seed_doc(drl_default.seed)}},
                    .factory = [](const core::ExperimentConfig& cfg, common::Config& opts) {
-                     const auto seed = static_cast<std::uint64_t>(
-                         opts.get_int("seed", static_cast<std::int64_t>(cfg.drl.seed)));
-                     return BuiltAllocator{
-                         std::make_unique<sim::RandomAllocator>(common::Rng(seed))};
+                     return BuiltAllocator{std::make_unique<sim::RandomAllocator>(
+                         common::Rng(seed_option(opts, cfg.drl.seed)))};
                    }});
   r.add_allocator({.name = "least-loaded",
                    .description = "least-utilized awake server; wakes only when saturated",
@@ -204,36 +230,65 @@ PolicyRegistry build_builtin() {
   r.add_allocator({.name = "random-k",
                    .description = "power-of-k-choices: best of k sampled servers",
                    .options = {{"k", "servers sampled per decision (default 3)"},
-                               {"seed", "RNG seed (default: drl.seed)"}},
+                               {"seed", seed_doc(drl_default.seed)}},
                    .factory = [](const core::ExperimentConfig& cfg, common::Config& opts) {
                      const std::int64_t k = opts.get_int("k", 3);
                      if (k <= 0) {
                        throw std::invalid_argument("allocator 'random-k': k must be >= 1");
                      }
-                     const auto seed = static_cast<std::uint64_t>(
-                         opts.get_int("seed", static_cast<std::int64_t>(cfg.drl.seed)));
-                     return BuiltAllocator{std::make_unique<sim::RandomKAllocator>(
-                         static_cast<std::size_t>(k), common::Rng(seed))};
+                     const common::Rng rng(seed_option(opts, cfg.drl.seed));
+                     return BuiltAllocator{
+                         std::make_unique<sim::RandomKAllocator>(static_cast<std::size_t>(k), rng)};
                    }});
-  r.add_allocator({.name = "drl",
-                   .description = "the paper's DRL global tier (grouped Q-network)",
-                   .options = {{"guide", "exploration guide allocator (default "
-                                         "first-fit-packing; must be non-learning)"}},
-                   .learning = true,
-                   .factory = [&r](const core::ExperimentConfig& cfg, common::Config& opts) {
-                     const std::string guide = opts.get_string("guide", "first-fit-packing");
-                     const AllocatorInfo& guide_info = r.allocator_info(guide);
-                     if (guide_info.learning) {
-                       throw std::invalid_argument(
-                           "allocator 'drl': guide '" + guide + "' must be non-learning");
-                     }
-                     auto drl = std::make_unique<core::DrlAllocator>(cfg.drl);
-                     drl->set_guide(std::move(r.make_allocator(guide, cfg).policy));
-                     BuiltAllocator built;
-                     built.drl = drl.get();
-                     built.policy = std::move(drl);
-                     return built;
-                   }});
+  r.add_allocator(
+      {.name = "drl",
+       .description = "the paper's DRL global tier (grouped Q-network)",
+       .options = {{"guide", "exploration guide allocator, must be non-learning "
+                             "(default first-fit-packing)"},
+                   {"beta", "SMDP discount rate per second" + default_is(drl_default.beta)},
+                   {"w_power", "Eqn. 4 reward weight on power" + default_is(drl_default.w_power)},
+                   {"w_vms", "Eqn. 4 reward weight on jobs in the system" +
+                                 default_is(drl_default.w_vms)},
+                   {"w_reliability", "Eqn. 4 reward weight on the hot-spot penalty" +
+                                         default_is(drl_default.w_reliability)},
+                   {"w_chosen_queue", "shaping weight on the chosen server's queue" +
+                                          default_is(drl_default.w_chosen_queue)},
+                   {"guide_mix", "share of exploratory actions the guide picks" +
+                                     default_is(drl_default.guide_mix)},
+                   {"learning_rate",
+                    "Sub-Q Adam learning rate" + default_is(drl_default.qnet.learning_rate)},
+                   {"subq_hidden", "Sub-Q hidden units" + default_is(drl_default.qnet.subq_hidden)},
+                   {"batch_size", "DQN minibatch size" + default_is(drl_default.batch_size)},
+                   {"seed", seed_doc(drl_default.seed)}},
+       .learning = true,
+       .factory = [&r](const core::ExperimentConfig& cfg, common::Config& opts) {
+         // Start from the typed defaults (which scenarios and sweeps write) and
+         // let the option block override them; a seeded guide (random,
+         // random-k) draws from the same seed.
+         core::ExperimentConfig tier = cfg;
+         core::DrlAllocatorOptions& drl = tier.drl;
+         drl.beta = opts.get_double("beta", drl.beta);
+         drl.w_power = opts.get_double("w_power", drl.w_power);
+         drl.w_vms = opts.get_double("w_vms", drl.w_vms);
+         drl.w_reliability = opts.get_double("w_reliability", drl.w_reliability);
+         drl.w_chosen_queue = opts.get_double("w_chosen_queue", drl.w_chosen_queue);
+         drl.guide_mix = opts.get_double("guide_mix", drl.guide_mix);
+         drl.qnet.learning_rate = opts.get_double("learning_rate", drl.qnet.learning_rate);
+         drl.qnet.subq_hidden = opts.get_count("subq_hidden", drl.qnet.subq_hidden);
+         drl.batch_size = opts.get_count("batch_size", drl.batch_size);
+         drl.seed = seed_option(opts, drl.seed);
+         const std::string guide = opts.get_string("guide", "first-fit-packing");
+         if (r.allocator_info(guide).learning) {
+           throw std::invalid_argument("allocator 'drl': guide '" + guide +
+                                       "' must be non-learning");
+         }
+         auto allocator = std::make_unique<core::DrlAllocator>(drl);
+         allocator->set_guide(r.make_allocator(guide, tier).policy);
+         BuiltAllocator built;
+         built.drl = allocator.get();
+         built.policy = std::move(allocator);
+         return built;
+       }});
 
   // -- power (local tier) ----------------------------------------------------
   r.add_power({.name = "always-on",
@@ -250,25 +305,44 @@ PolicyRegistry build_builtin() {
                }});
   r.add_power({.name = "fixed-timeout",
                .description = "sleep after a fixed idle timeout",
-               .options = {{"timeout_s", "idle timeout in seconds (default 60; inf never sleeps)"}},
+               .options = {{"timeout_s", "idle timeout in seconds, inf never sleeps" +
+                                             default_is(kDefaultIdleTimeoutS)}},
                .factory = [](const core::ExperimentConfig&, common::Config& opts) {
                  const double t = opts.get_double("timeout_s", kDefaultIdleTimeoutS);
                  return BuiltPower{std::make_unique<sim::FixedTimeoutPolicy>(t)};
                }});
-  r.add_power({.name = "rl-dpm",
-               .description = "the paper's RL local tier (tabular SMDP + predictor)",
-               .options = {{"predictor", "workload predictor kind (default: local.predictor; "
-                                         "lstm|last-value|sliding-mean|window|ar)"}},
-               .learning = true,
-               .factory = [](const core::ExperimentConfig& cfg, common::Config& opts) {
-                 core::LocalPowerManagerOptions local = cfg.local;
-                 local.predictor = opts.get_string("predictor", cfg.local.predictor);
-                 auto rl = std::make_unique<core::RlPowerManager>(local);
-                 BuiltPower built;
-                 built.rl = rl.get();
-                 built.policy = std::move(rl);
-                 return built;
-               }});
+  std::string kinds;
+  for (const std::string& kind : core::predictor_kinds()) {
+    kinds += (kinds.empty() ? "" : "|") + kind;
+  }
+  r.add_power(
+      {.name = "rl-dpm",
+       .description = "the paper's RL local tier (tabular SMDP + predictor)",
+       .options = {{"predictor",
+                    "workload predictor, " + kinds + default_is(local_default.predictor)},
+                   {"w", "Eqn. 5 reward weight on power; 1 - w weighs the queue" +
+                             default_is(local_default.w)},
+                   {"shared_table", "sub-managers learn into one Q-table" +
+                                        default_is(local_default.shared_table)},
+                   {"learning_rate", "Q-learning rate" +
+                                         default_is(local_default.agent.learning_rate)},
+                   {"beta", "SMDP discount rate per second" + default_is(local_default.agent.beta)},
+                   {"seed", seed_doc(local_default.seed)}},
+       .learning = true,
+       .factory = [](const core::ExperimentConfig& cfg, common::Config& opts) {
+         core::LocalPowerManagerOptions local = cfg.local;
+         local.predictor = opts.get_string("predictor", local.predictor);
+         local.w = opts.get_double("w", local.w);
+         local.shared_table = opts.get_bool("shared_table", local.shared_table);
+         local.agent.learning_rate = opts.get_double("learning_rate", local.agent.learning_rate);
+         local.agent.beta = opts.get_double("beta", local.agent.beta);
+         local.seed = seed_option(opts, local.seed);
+         auto rl = std::make_unique<core::RlPowerManager>(local);
+         BuiltPower built;
+         built.rl = rl.get();
+         built.policy = std::move(rl);
+         return built;
+       }});
 
   return r;
 }
@@ -319,31 +393,13 @@ SystemBundle build_system(const core::ExperimentConfig& cfg) {
   return bundle;
 }
 
-void validate_system_selection(const core::ExperimentConfig& cfg) {
-  const PolicyRegistry& reg = PolicyRegistry::builtin();
-  reg.validate_options(reg.allocator_info(cfg.allocator), cfg.allocator_opts);
-  reg.validate_options(reg.power_info(cfg.power), cfg.power_opts);
-  common::Config opts = cfg.power_opts;
-  if (cfg.power == "rl-dpm") {
-    const std::string kind = opts.get_string("predictor", cfg.local.predictor);
-    const std::vector<std::string> kinds = core::predictor_kinds();
-    if (std::find(kinds.begin(), kinds.end(), kind) == kinds.end()) {
-      throw std::invalid_argument("ExperimentConfig: " +
-                                  common::unknown_key_message("predictor", kind, kinds));
-    }
-  } else if (cfg.power == "fixed-timeout" &&
-             !(opts.get_double("timeout_s", kDefaultIdleTimeoutS) >= 0.0)) {
-    throw std::invalid_argument("ExperimentConfig: power.timeout_s must be >= 0");
-  }
-}
-
 // ---- listing ---------------------------------------------------------------
 
 namespace {
 
 void print_padded(std::ostream& out, const std::string& name, const std::string& rest) {
   out << "  " << name;
-  for (std::size_t i = name.size(); i < 20; ++i) out << ' ';
+  for (std::size_t i = name.size(); i < 26; ++i) out << ' ';
   out << ' ' << rest << '\n';
 }
 

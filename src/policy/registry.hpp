@@ -15,11 +15,14 @@
 //    artifacts reference it.
 //  * `options` lists every key the factory reads from its option block;
 //    make_allocator/make_power reject unknown keys with a did-you-mean
-//    diagnostic, so the schema IS the validation.
+//    diagnostic, so the schema IS the validation. The factory is the only
+//    check on option values (ExperimentConfig::validate runs it).
 //  * `learning` must match what the factory builds (a non-null learner
 //    view) — the registry audit test instantiates every entry and checks.
 //  * Factories must be deterministic: everything stochastic seeds from the
-//    ExperimentConfig (or an option key), never from global state.
+//    ExperimentConfig (or an option key), never from global state. A
+//    learning tier's factory starts from its typed options (cfg.drl,
+//    cfg.local) and overrides them from its block.
 //
 // Layering note: policy/ sits beside core/ rather than below it. Factories
 // consume core's option structs (DrlAllocatorOptions, LocalPowerManagerOptions)
@@ -97,13 +100,10 @@ class PolicyRegistry {
   std::vector<std::string> allocator_names() const;
   std::vector<std::string> power_names() const;
 
-  /// Validate an option block against an entry's schema without building:
-  /// throws on any key the schema does not name (did-you-mean included).
-  void validate_options(const AllocatorInfo& info, const common::Config& opts) const;
-  void validate_options(const PowerInfo& info, const common::Config& opts) const;
-
   /// Construct a policy. Option blocks are validated against the schema;
   /// keys the factory leaves unread are also rejected (schema drift guard).
+  /// A value that does not parse is reported under the option as the
+  /// config writes it (`allocator.k`).
   BuiltAllocator make_allocator(const std::string& name, const core::ExperimentConfig& cfg,
                                 const common::Config& opts = {}) const;
   BuiltPower make_power(const std::string& name, const core::ExperimentConfig& cfg,
@@ -146,14 +146,10 @@ struct SystemBundle {
 
 /// The registry construction path used by core::run_scenario: build the
 /// config's allocator and power policies from the builtin registry.
+/// ExperimentConfig::validate builds (and discards) the same pair, so a bad
+/// policy name, option key or option value fails at config time, with a
+/// did-you-mean for names and keys.
 SystemBundle build_system(const core::ExperimentConfig& cfg);
-
-/// Config-time diagnostics (called from ExperimentConfig::validate): check
-/// the policy names and option keys against the registry, the predictor
-/// kind when the local tier is the RL manager, and the idle timeout when it
-/// is fixed-timeout. All failures are std::invalid_argument, with
-/// did-you-mean suggestions for names and keys.
-void validate_system_selection(const core::ExperimentConfig& cfg);
 
 /// The shared --list-policies body: every registered allocator and power
 /// policy with descriptions, option schemas and parallel-safety flags.

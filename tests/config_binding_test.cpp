@@ -6,6 +6,7 @@
 #include <string>
 
 #include "src/core/runner.hpp"
+#include "src/policy/registry.hpp"
 
 namespace hcrl::core {
 namespace {
@@ -24,10 +25,7 @@ TEST(ExperimentConfigFrom, OverridesApply) {
       "num_servers = 12\n"
       "num_groups = 4\n"
       "trace.num_jobs = 2000\n"
-      "server.peak_watts = 200\n"
-      "drl.w_vms = 0.25\n"
-      "local.w = 0.9\n"
-      "local.predictor = sliding-mean\n");
+      "server.peak_watts = 200\n");
   const auto cfg = experiment_config_from(raw);
   EXPECT_EQ(cfg.allocator, "drl");
   EXPECT_EQ(cfg.power, "immediate-sleep");
@@ -35,11 +33,88 @@ TEST(ExperimentConfigFrom, OverridesApply) {
   EXPECT_EQ(cfg.num_groups, 4u);
   EXPECT_EQ(cfg.trace.num_jobs, 2000u);
   EXPECT_DOUBLE_EQ(cfg.server.power.peak_watts, 200.0);
-  EXPECT_DOUBLE_EQ(cfg.drl.w_vms, 0.25);
-  EXPECT_DOUBLE_EQ(cfg.local.w, 0.9);
-  EXPECT_EQ(cfg.local.predictor, "sliding-mean");
   // finalize() propagated the power scale.
   EXPECT_DOUBLE_EQ(cfg.local.power_scale_watts, 200.0);
+}
+
+// The learning tiers' options live in their entries' blocks: the binder
+// passes them through, and the factories apply them over the typed defaults.
+TEST(ExperimentConfigFrom, LearningTierOptionsReachTheirFactories) {
+  const auto cfg = experiment_config_from(common::Config::from_string(
+      "num_servers = 6\n"
+      "num_groups = 2\n"
+      "allocator.w_vms = 0.25\n"
+      "allocator.subq_hidden = 16\n"
+      "allocator.seed = 5\n"
+      "power.w = 0.9\n"
+      "power.predictor = sliding-mean\n"
+      "power.shared_table = false\n"));
+  EXPECT_EQ(cfg.allocator_opts.get_string("w_vms"), "0.25");
+  EXPECT_DOUBLE_EQ(cfg.drl.w_vms, DrlAllocatorOptions{}.w_vms);  // typed default untouched
+  const policy::SystemBundle bundle = policy::build_system(cfg);
+  ASSERT_NE(bundle.drl, nullptr);
+  EXPECT_DOUBLE_EQ(bundle.drl->options().w_vms, 0.25);
+  EXPECT_EQ(bundle.drl->options().qnet.subq_hidden, 16u);
+  EXPECT_EQ(bundle.drl->options().seed, 5u);
+  EXPECT_DOUBLE_EQ(bundle.drl->options().beta, cfg.drl.beta);
+  ASSERT_NE(bundle.local_rl, nullptr);
+  EXPECT_EQ(bundle.power->name(), "rl-dpm(sliding-mean)");
+  EXPECT_EQ(bundle.local_rl->options().predictor, "sliding-mean");
+  EXPECT_DOUBLE_EQ(bundle.local_rl->options().w, 0.9);
+  EXPECT_FALSE(bundle.local_rl->options().shared_table);
+}
+
+// `drl.*` and `local.*` are not keys: each is rejected as unknown, whichever
+// policy pair the config names.
+TEST(ExperimentConfigFrom, OldTierKeysRejectedAsUnknown) {
+  for (const char* line : {"drl.beta = 0.3", "local.w = 0.2", "local.predictor = window"}) {
+    SCOPED_TRACE(line);
+    for (const char* system : {"round-robin", "hierarchical"}) {
+      try {
+        experiment_config_from(common::Config::from_string(
+            std::string("system = ") + system + "\nnum_servers = 6\nnum_groups = 2\n" + line));
+        FAIL() << "expected unknown-key rejection";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("unknown keys"), std::string::npos) << e.what();
+      }
+    }
+  }
+  // A moved key under a policy that does not take it fails in the registry.
+  try {
+    experiment_config_from(common::Config::from_string(
+        "system = round-robin\nnum_servers = 6\nnum_groups = 2\nallocator.beta = 0.3\n"));
+    FAIL() << "expected unknown-option rejection";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "allocator 'round-robin': unknown option key 'beta' (valid: none)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// An option-block error names the key as the config wrote it.
+TEST(ExperimentConfigFrom, OptionErrorsNameTheWrittenKey) {
+  const struct {
+    const char* text;
+    const char* key;
+  } cases[] = {
+      {"power = fixed-timeout\npower.timeout_s = abc\n", "'power.timeout_s'"},
+      {"allocator = random-k\nallocator.k = x\n", "'allocator.k'"},
+      {"allocator.beta = abc\n", "'allocator.beta'"},
+      {"allocator.batch_size = -1\n", "'allocator.batch_size'"},
+      {"power.w = abc\n", "'power.w'"},
+      {"power.shared_table = maybe\n", "'power.shared_table'"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.text);
+    try {
+      experiment_config_from(common::Config::from_string(
+          std::string("num_servers = 6\nnum_groups = 2\n") + c.text));
+      FAIL() << "expected rejection";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.key), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(ExperimentConfigFrom, HorizonDefaultsToPaperRate) {

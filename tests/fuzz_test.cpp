@@ -153,25 +153,25 @@ TEST(ConfigRobustness, OutOfRangeNumericsThrow) {
   expect_rejected("trace.num_jobs = -1\n");
   expect_rejected("pretrain_jobs = -2\n");
   expect_rejected("checkpoint_every_jobs = -1\n");
-  expect_rejected("drl.subq_hidden = -1\n");
-  expect_rejected("drl.batch_size = -1\n");
+  expect_rejected("allocator.subq_hidden = -1\n");
+  expect_rejected("allocator.batch_size = -1\n");
   expect_rejected("num_servers = 99999999999999999999999\n");  // overflows int64
   expect_rejected("num_servers = twelve\n");
   expect_rejected("watchdog_s = -5\n");
   expect_rejected("watchdog_s = nan\n");
-  // Learning-tier options: NaN and out-of-range values fail at config time,
-  // whichever policy pair the config names.
-  expect_rejected("drl.learning_rate = nan\n");
-  expect_rejected("drl.learning_rate = 0\n");
-  expect_rejected("drl.beta = nan\n");
-  expect_rejected("drl.w_power = nan\n");
-  expect_rejected("drl.w_chosen_queue = -5\n");
-  expect_rejected("drl.guide_mix = 2\n");
-  expect_rejected("drl.guide_mix = nan\n");
-  expect_rejected("local.learning_rate = nan\n");
-  expect_rejected("local.beta = nan\n");
-  expect_rejected("local.w = nan\n");
-  expect_rejected("system = round-robin\nlocal.w = 1.5\n");
+  // Learning-tier options (the default pair is drl + rl-dpm): NaN and
+  // out-of-range values fail at config time, in the tier's factory.
+  expect_rejected("allocator.learning_rate = nan\n");
+  expect_rejected("allocator.learning_rate = 0\n");
+  expect_rejected("allocator.beta = nan\n");
+  expect_rejected("allocator.w_power = nan\n");
+  expect_rejected("allocator.w_chosen_queue = -5\n");
+  expect_rejected("allocator.guide_mix = 2\n");
+  expect_rejected("allocator.guide_mix = nan\n");
+  expect_rejected("power.learning_rate = nan\n");
+  expect_rejected("power.beta = nan\n");
+  expect_rejected("power.w = nan\n");
+  expect_rejected("system = round-robin\npower = rl-dpm\npower.w = 1.5\n");
   // Trace, server and SLA values: NaN must not hang trace generation or
   // reach the energy integral, and an infinite power or transition time has
   // no finite energy.
@@ -255,7 +255,7 @@ TEST_P(ConfigSoupFuzz, RandomKeyValueSoupParsesOrThrowsCleanly) {
                                 "sla_latency_s",     "trace.num_jobs",    "faults.mtbf_s",
                                 "faults.mttr_s",     "faults.max_retries", "faults.backoff_jitter",
                                 "watchdog_s",        "system",            "power.timeout_s",
-                                "drl.subq_hidden",   "drl.batch_size"};
+                                "allocator.subq_hidden", "allocator.batch_size"};
   static const char* kValues[] = {"0",    "1",        "-1",  "4",     "3.5",  "-3.5",
                                   "nan",  "inf",      "1e#", "",      "true", "hierarchical",
                                   "1e308", "99999999999999999999999", "0.25", "x",

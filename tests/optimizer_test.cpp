@@ -36,29 +36,6 @@ TEST(ClipGradNorm, InvalidMaxNormThrows) {
   EXPECT_THROW(clip_grad_norm(std::vector<ParamBlockPtr>{p}, 0.0), std::invalid_argument);
 }
 
-TEST(Sgd, PlainStep) {
-  auto p = single_param(1.0, 0.5);
-  Sgd opt({p}, 0.1);
-  opt.step();
-  EXPECT_DOUBLE_EQ(p->W(0, 0), 1.0 - 0.1 * 0.5);
-}
-
-TEST(Sgd, MomentumAccumulates) {
-  auto p = single_param(0.0, 1.0);
-  Sgd opt({p}, 1.0, 0.9);
-  opt.step();  // v=1, w=-1
-  EXPECT_DOUBLE_EQ(p->W(0, 0), -1.0);
-  opt.step();  // v=1.9, w=-2.9
-  EXPECT_DOUBLE_EQ(p->W(0, 0), -2.9);
-}
-
-TEST(Sgd, ZeroGradClears) {
-  auto p = single_param(0.0, 1.0);
-  Sgd opt({p}, 0.1);
-  opt.zero_grad();
-  EXPECT_DOUBLE_EQ(p->gW(0, 0), 0.0);
-}
-
 TEST(Adam, FirstStepMovesByLr) {
   // With bias correction, the very first Adam step is ~lr * sign(grad).
   auto p = single_param(1.0, 0.3);
@@ -94,23 +71,6 @@ TEST(Adam, ConvergesOnQuadratic) {
     opt.step();
   }
   EXPECT_NEAR(p->W(0, 0), 3.0, 1e-3);
-}
-
-TEST(Adam, WeightDecayShrinksWeights) {
-  auto p = single_param(10.0, 0.0);
-  Adam opt({p}, Adam::Options{.lr = 0.1, .weight_decay = 0.1});
-  for (int i = 0; i < 100; ++i) opt.step();  // zero grads; only decay acts
-  EXPECT_LT(p->W(0, 0), 10.0);
-}
-
-TEST(Sgd, ConvergesOnQuadratic) {
-  auto p = single_param(8.0, 0.0);
-  Sgd opt({p}, 0.1, 0.0);
-  for (int i = 0; i < 500; ++i) {
-    p->gW(0, 0) = 2.0 * (p->W(0, 0) - 1.0);
-    opt.step();
-  }
-  EXPECT_NEAR(p->W(0, 0), 1.0, 1e-6);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // names and option keys.
 #include <algorithm>
 #include <functional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -138,6 +139,30 @@ TEST(PolicyRegistry, PerPolicyOptionsReachTheFactory) {
   policy::SystemBundle bundle = policy::build_system(cfg);
   EXPECT_EQ(bundle.allocation->name(), "random-2");
   EXPECT_EQ(bundle.power->name(), "fixed-timeout-45.000000");
+}
+
+// The learning tiers' options are entries' options like any other, and the
+// listing prints each with the typed default its factory falls back to.
+TEST(PolicyRegistry, ListingShowsEveryLearningTierOptionWithItsDefault) {
+  std::ostringstream out;
+  policy::print_policy_listing(out);
+  const std::string listing = out.str();
+  for (const char* key :
+       {"allocator.beta", "allocator.w_power", "allocator.w_vms", "allocator.w_reliability",
+        "allocator.w_chosen_queue", "allocator.guide_mix", "allocator.learning_rate",
+        "allocator.subq_hidden", "allocator.batch_size", "allocator.seed", "allocator.guide",
+        "power.predictor", "power.w", "power.shared_table", "power.learning_rate", "power.beta",
+        "power.seed"}) {
+    SCOPED_TRACE(key);
+    const std::size_t at = listing.find(std::string("    ") + key + " ");
+    ASSERT_NE(at, std::string::npos) << listing;
+    const std::string line = listing.substr(at, listing.find('\n', at) - at);
+    EXPECT_NE(line.find("(default "), std::string::npos) << line;
+  }
+  EXPECT_NE(listing.find("power.w  "), std::string::npos);
+  EXPECT_NE(listing.find("(default 0.5)"), std::string::npos);
+  EXPECT_EQ(listing.find("drl."), std::string::npos);
+  EXPECT_EQ(listing.find("local."), std::string::npos);
 }
 
 // ---- did-you-mean diagnostics ----------------------------------------------

@@ -235,6 +235,35 @@ TEST(Runner, ValidationNamesTheBadScenarioBeforeAnythingRuns) {
   }
 }
 
+// An option value is checked up front too: its factory runs at validation,
+// so a bad cell fails the batch before the good cell's trace is produced.
+TEST(Runner, OptionValuesAreValidatedBeforeAnythingRuns) {
+  Scenario good = ScenarioRegistry::builtin().make("tiny/round-robin", 200);
+  auto trace = std::make_shared<CountingSource>(good.config.trace);
+  good.trace = trace;
+
+  Scenario bad_guide = ScenarioRegistry::builtin().make("tiny/drl-only", 200);
+  bad_guide.name = "bad-guide";
+  bad_guide.config.allocator_opts.set("guide", "bestfit");
+  Scenario bad_k = ScenarioRegistry::builtin().make("tiny/round-robin", 200);
+  bad_k.name = "bad-k";
+  bad_k.config.allocator = "random-k";
+  bad_k.config.allocator_opts.set("k", static_cast<std::int64_t>(0));
+
+  for (const Scenario& bad : {bad_guide, bad_k}) {
+    SCOPED_TRACE(bad.name);
+    bool rejected = false;
+    try {
+      SerialRunner().run_outcomes({good, bad});
+    } catch (const std::invalid_argument& e) {
+      rejected = true;
+      EXPECT_NE(std::string(e.what()).find(bad.name), std::string::npos) << e.what();
+    }
+    EXPECT_TRUE(rejected) << "expected std::invalid_argument";
+    EXPECT_EQ(trace->productions.load(), 0) << "the good cell ran";
+  }
+}
+
 // ---- observers -------------------------------------------------------------
 
 class CollectingObserver final : public RunObserver {

@@ -84,7 +84,7 @@ TEST(TraceCatalog, LoadIsDeterministic) {
 
 // ---- CatalogTraceSource -----------------------------------------------------
 
-TEST(CatalogTraceSource, ProducesCachedTraceWithStats) {
+TEST(CatalogTraceSource, ProducesTraceWithStats) {
   const core::CatalogTraceSource source("alibaba2018-sample");
   EXPECT_EQ(source.describe(), "catalog(alibaba2018-sample)");
   const core::Trace t = source.produce();
@@ -97,6 +97,17 @@ TEST(CatalogTraceSource, ProducesCachedTraceWithStats) {
 
 TEST(CatalogTraceSource, UnknownDatasetFailsAtConstruction) {
   EXPECT_THROW(core::CatalogTraceSource("not-a-dataset"), std::invalid_argument);
+}
+
+// The pretrain sizing in trace_scenario and the run share one parse.
+TEST(CatalogTraceSource, CatalogScenarioParsesTheFixtureOnce) {
+  const core::Scenario s = core::catalog_scenario("alibaba2018-sample", "round-robin");
+  const auto* cached = dynamic_cast<const core::CachedTraceSource*>(s.trace.get());
+  ASSERT_NE(cached, nullptr);
+  EXPECT_EQ(cached->inner_productions(), 1u);
+  const core::ExperimentResult r = core::run_scenario(s);
+  EXPECT_EQ(r.final_snapshot.jobs_completed, r.trace_stats.num_jobs);
+  EXPECT_EQ(cached->inner_productions(), 1u);
 }
 
 // ---- registry scenarios: the acceptance property ----------------------------
