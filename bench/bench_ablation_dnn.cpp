@@ -3,14 +3,14 @@
 // that directly outputs Q value estimates". At K = 1 the grouped network is
 // that network: one head reads all M servers' state plus the job state and
 // outputs M Q-values, with no autoencoder. This bench trains the global tier
-// at the paper's K = 3 and at K = 1 on the same trace, both as a
-// core::DrlAllocator built from one cfg.drl (same reward, exploration guide,
+// at the paper's K = 3 and at K = 1 on the same trace, both as the registry's
+// `drl` allocator built from one config (same reward, exploration guide,
 // ε schedule, target sync and loss), and reports parameter counts and the
 // achieved energy and latency.
 #include <cstdio>
-#include <memory>
 
 #include "bench/bench_util.hpp"
+#include "src/policy/registry.hpp"
 #include "src/sim/cluster.hpp"
 #include "src/workload/generator.hpp"
 
@@ -23,18 +23,18 @@ struct AblationRow {
   sim::MetricsSnapshot snap;
 };
 
-AblationRow run_drl(core::DrlAllocatorOptions opts, std::size_t groups,
-                    const std::vector<sim::Job>& jobs, std::size_t servers) {
-  opts.qnet.encoder.num_groups = groups;
-  core::DrlAllocator alloc(opts);
-  alloc.set_guide(std::make_unique<sim::FirstFitPackingAllocator>());
+AblationRow run_drl(core::ExperimentConfig cfg, std::size_t groups,
+                    const std::vector<sim::Job>& jobs) {
+  cfg.num_groups = groups;
+  const policy::BuiltAllocator alloc = policy::PolicyRegistry::builtin().make_allocator("drl", cfg);
   sim::ImmediateSleepPolicy power;
-  sim::ClusterConfig cfg;
-  cfg.num_servers = servers;
-  sim::Cluster cluster(cfg, alloc, power);
+  sim::ClusterConfig cc;
+  cc.num_servers = cfg.num_servers;
+  cc.server = cfg.server;
+  sim::Cluster cluster(cc, *alloc.policy, power);
   cluster.load_jobs(jobs);
   cluster.run();
-  return {alloc.network().subq_param_count() + alloc.network().autoencoder_param_count(),
+  return {alloc.drl->network().subq_param_count() + alloc.drl->network().autoencoder_param_count(),
           cluster.snapshot()};
 }
 
@@ -47,19 +47,18 @@ void print_row(const char* name, const AblationRow& row) {
 
 int main() {
   const std::size_t jobs = hcrl::bench::env_jobs(20000);
-  auto cfg = hcrl::core::paper_experiment_config(30, jobs);
-  cfg.finalize();
+  const auto cfg = hcrl::core::paper_experiment_config(30, jobs);
 
   workload::GoogleTraceGenerator gen(cfg.trace);
   const auto trace = gen.generate();
 
   std::printf("=== Ablation A1: grouped+autoencoder+weight-sharing vs monolithic DQN ===\n");
-  std::printf("(%zu jobs, M = 30; both drl at one cfg.drl, trained online from scratch on the "
+  std::printf("(%zu jobs, M = 30; both drl from one config, trained online from scratch on the "
               "same trace)\n\n",
               jobs);
 
-  const AblationRow grouped = run_drl(cfg.drl, cfg.num_groups, trace, cfg.num_servers);
-  const AblationRow mono = run_drl(cfg.drl, 1, trace, cfg.num_servers);
+  const AblationRow grouped = run_drl(cfg, cfg.num_groups, trace);
+  const AblationRow mono = run_drl(cfg, 1, trace);
 
   std::printf("%-28s %14s %14s %14s %12s\n", "architecture", "params(Q-net)", "energy(kWh)",
               "latency(1e6s)", "power(W)");

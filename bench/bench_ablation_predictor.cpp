@@ -1,5 +1,5 @@
 // Ablation A2 (§VI-A design choice): LSTM workload predictor versus the
-// linear-combination predictors of prior work (last-value, sliding-mean).
+// linear-combination predictors of prior work (last-value, window).
 // Part 1 measures next-inter-arrival prediction error on a per-server
 // arrival stream recorded from a real simulation; part 2 runs the full
 // hierarchical framework with each predictor and compares energy/latency.
@@ -59,8 +59,7 @@ double eval_predictor(core::WorkloadPredictor& p, const std::vector<double>& gap
 
 int main() {
   const std::size_t jobs = hcrl::bench::env_jobs(20000);
-  auto cfg = hcrl::core::paper_experiment_config(30, jobs);
-  cfg.finalize();
+  const auto cfg = hcrl::core::paper_experiment_config(30, jobs);
 
   workload::GoogleTraceGenerator gen(cfg.trace);
   const auto trace = gen.generate();
@@ -70,18 +69,20 @@ int main() {
   const auto gaps = record_server_gaps(trace, 30, /*watch=*/0);
   std::printf("  stream: %zu gaps on server 0\n", gaps.size());
   std::printf("  %-16s %22s\n", "predictor", "mean |log error|");
-  for (const char* kind : {"lstm", "last-value", "sliding-mean"}) {
-    auto p = core::make_predictor(kind, cfg.local.lstm);
+  core::LstmPredictorOptions lstm;  // the local tier's predictor settings
+  lstm.precision = cfg.precision;
+  for (const char* kind : {"lstm", "last-value", "window"}) {
+    auto p = core::make_predictor(kind, lstm);
     std::printf("  %-16s %22.4f\n", kind, eval_predictor(*p, gaps));
   }
 
   std::printf("\nPart 2: full hierarchical framework with each predictor\n");
   hcrl::bench::print_result_header();
-  for (const char* kind : {"lstm", "last-value", "sliding-mean"}) {
+  for (const char* kind : {"lstm", "last-value", "window"}) {
     core::Scenario scenario;
     scenario.name = std::string("hierarchical/") + kind;
     scenario.config = cfg;
-    scenario.config.local.predictor = kind;
+    scenario.config.power_opts.set("predictor", kind);
     hcrl::bench::print_result_row(scenario.name, core::run_scenario(scenario));
   }
   std::printf("\n(paper's argument: linear predictors are ruined by a single long "

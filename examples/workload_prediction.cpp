@@ -45,35 +45,35 @@ int run(int argc, char** argv) {
   core::LstmPredictorOptions lstm_opts;  // the paper's 35-step / 30-unit LSTM
   auto lstm = core::make_predictor("lstm", lstm_opts);
   auto last = core::make_predictor("last-value", lstm_opts);
-  auto mean = core::make_predictor("sliding-mean", lstm_opts);
+  auto window = core::make_predictor("window", lstm_opts);
 
   const std::size_t warmup = gaps.size() / 2;
   const std::size_t sample_every = std::max<std::size_t>(1, gaps.size() / 16);
-  double err_lstm = 0.0, err_last = 0.0, err_mean = 0.0;
+  double err_lstm = 0.0, err_last = 0.0, err_window = 0.0;
   std::size_t scored = 0;
   std::printf("online training on %zu inter-arrivals (first %zu warm-up)...\n", n, warmup);
   std::printf("\nsample predictions in the scored half:\n");
-  std::printf("%8s %10s %10s %10s %10s\n", "i", "actual", "lstm", "last", "mean");
+  std::printf("%8s %10s %10s %10s %10s\n", "i", "actual", "lstm", "last", "window");
   for (std::size_t i = 0; i < gaps.size(); ++i) {
     if (i >= warmup) {
-      const double pl = lstm->predict(), pv = last->predict(), pm = mean->predict();
+      const double pl = lstm->predict(), pv = last->predict(), pw = window->predict();
       err_lstm += std::abs(std::log1p(pl) - std::log1p(gaps[i]));
       err_last += std::abs(std::log1p(pv) - std::log1p(gaps[i]));
-      err_mean += std::abs(std::log1p(pm) - std::log1p(gaps[i]));
+      err_window += std::abs(std::log1p(pw) - std::log1p(gaps[i]));
       ++scored;
       if (i % sample_every == 0) {
-        std::printf("%8zu %10.1f %10.1f %10.1f %10.1f\n", i, gaps[i], pl, pv, pm);
+        std::printf("%8zu %10.1f %10.1f %10.1f %10.1f\n", i, gaps[i], pl, pv, pw);
       }
     }
     lstm->observe(gaps[i]);
     last->observe(gaps[i]);
-    mean->observe(gaps[i]);
+    window->observe(gaps[i]);
   }
 
   std::printf("\nmean |log1p error| over %zu scored predictions:\n", scored);
   std::printf("  %-14s %8.4f\n", "lstm", err_lstm / scored);
   std::printf("  %-14s %8.4f\n", "last-value", err_last / scored);
-  std::printf("  %-14s %8.4f\n", "sliding-mean", err_mean / scored);
+  std::printf("  %-14s %8.4f\n", "window", err_window / scored);
   return 0;
 }
 

@@ -109,6 +109,18 @@ expect_error "run_experiment: drl option under round-robin" \
   "allocator 'round-robin': unknown option key 'beta'" \
   -- "$RUN_EXPERIMENT" --inline "system = round-robin" "num_servers = 6" "num_groups = 2" \
      "trace.num_jobs = 300" "allocator.beta = 0.3"
+# A range error names the key as written, and a huge random-k `k` fails at
+# config time instead of spinning every decision; `timeout` turns a hang
+# into a failure.
+expect_error "run_experiment: random-k k beyond the cluster" "allocator\.k" \
+  -- timeout 20 "$RUN_EXPERIMENT" --inline "allocator = random-k" "allocator.k = 1000000000000" \
+     "power = always-on" "num_servers = 6" "num_groups = 2" "trace.num_jobs = 300"
+expect_error "run_experiment: negative idle timeout" "power\.timeout_s" \
+  -- timeout 20 "$RUN_EXPERIMENT" --inline "system = drl-fixed-timeout" "num_servers = 6" \
+     "num_groups = 2" "trace.num_jobs = 300" "power.timeout_s = -5"
+expect_error "run_experiment: removed sliding-mean predictor" "did you mean" \
+  -- timeout 20 "$RUN_EXPERIMENT" --inline "num_servers = 6" "num_groups = 2" \
+     "trace.num_jobs = 300" "power.predictor = sliding-mean"
 # A NaN trace shape must not spin trace generation, nor a NaN server value
 # reach the energy total; `timeout` turns a hang into a failure.
 for key in trace.horizon_s trace.diurnal_amplitude trace.burst_multiplier server.t_on; do

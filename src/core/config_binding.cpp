@@ -94,7 +94,6 @@ ExperimentConfig experiment_config_from(const common::Config& config) {
     throw std::invalid_argument(msg);
   }
 
-  cfg.finalize();
   cfg.validate();
   return cfg;
 }

@@ -24,7 +24,7 @@
 namespace hcrl::core {
 
 /// Build an ExperimentConfig from a flat config. Starts from defaults,
-/// overrides any provided key, then finalizes. Throws std::invalid_argument
+/// overrides any provided key, then validates. Throws std::invalid_argument
 /// on unknown keys or invalid values.
 ExperimentConfig experiment_config_from(const common::Config& config);
 

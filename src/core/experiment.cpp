@@ -1,5 +1,4 @@
-// ExperimentConfig's derived fields and validation; the driver that runs a
-// config lives in runner.cpp.
+// ExperimentConfig validation; runner.cpp runs a config.
 #include "src/core/experiment.hpp"
 
 #include <stdexcept>
@@ -7,19 +6,6 @@
 #include "src/policy/registry.hpp"
 
 namespace hcrl::core {
-
-void ExperimentConfig::finalize() {
-  drl.qnet.encoder.num_servers = num_servers;
-  drl.qnet.encoder.num_groups = num_groups;
-  drl.qnet.encoder.num_resources = server.num_resources;
-  drl.qnet.precision = precision;
-  local.num_servers = num_servers;
-  local.power_scale_watts = server.power.peak_watts;
-  local.t_on_s = server.t_on;
-  local.t_off_s = server.t_off;
-  local.transition_watts = server.power.transition_watts;
-  local.lstm.precision = precision;
-}
 
 void ExperimentConfig::validate() const {
   if (num_servers == 0) throw std::invalid_argument("ExperimentConfig: num_servers == 0");

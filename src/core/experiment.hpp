@@ -18,13 +18,12 @@
 // here the pretraining jobs are also part of the measured run.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/common/config.hpp"
-#include "src/core/global_tier.hpp"
-#include "src/core/local_tier.hpp"
 #include "src/nn/precision.hpp"
 #include "src/sim/cluster.hpp"
 #include "src/sim/fault/fault.hpp"
@@ -56,12 +55,11 @@ struct ExperimentConfig {
   /// it count into ExperimentResult::sla_violations. 0 disables the count.
   double sla_latency_s = 0.0;
 
-  /// Typed defaults of the two learning tiers. The `drl` and `rl-dpm`
-  /// factories start from them and apply their option blocks on top
-  /// (`allocator.beta`, `power.w`); scenarios and sweeps write them in code.
-  /// finalize() overwrites the sizes from the fields above.
-  DrlAllocatorOptions drl;
-  LocalPowerManagerOptions local;
+  /// Seeds the allocator's and the power policy's `seed` options fall back
+  /// to (`drl`, `random` and `random-k`; `rl-dpm`). No config key: a nonzero
+  /// Scenario::seed re-derives them, and an explicit option beats both.
+  std::uint64_t allocator_seed = 7;
+  std::uint64_t power_seed = 13;
 
   /// Offline construction phase: replay this many jobs from the head of the
   /// trace (with learning on) before the measured run; 0 disables.
@@ -74,9 +72,9 @@ struct ExperimentConfig {
   std::size_t checkpoint_every_jobs = 5000;
 
   /// Scalar type of every NN in the experiment (global-tier Sub-Q +
-  /// autoencoder, local-tier LSTM predictors). finalize() propagates it into
-  /// the drl/local sub-configs; defaults to the process-wide default
-  /// (HCRL_PRECISION environment variable, f64 when unset).
+  /// autoencoder, local-tier LSTM predictors), which the `drl` and `rl-dpm`
+  /// factories read; defaults to the process-wide default (HCRL_PRECISION
+  /// environment variable, f64 when unset).
   nn::Precision precision = nn::default_precision();
   /// Vestigial stub, no config key: bench_e2e assigns it; the next benchmark change deletes it.
   std::size_t gemm_threads = 0;
@@ -105,7 +103,6 @@ struct ExperimentConfig {
   /// simulation results, only bounds how long a cell may take.
   double watchdog_s = 0.0;
 
-  void finalize();  // propagate sizes into drl/local sub-configs
   /// Checks the config's own fields, then builds the selected policy pair
   /// and discards it, so the registry's factories check every option.
   void validate() const;

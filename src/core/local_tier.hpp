@@ -50,8 +50,8 @@ struct LocalPowerManagerOptions {
   /// seconds to hours, so the default horizon is a few minutes.
   rl::TabularQAgent::Options agent = {.learning_rate = 0.1, .beta = 0.005};
   std::uint64_t seed = 13;
-  /// Server transition times used to estimate wake costs (kept in sync with
-  /// the simulated ServerConfig by ExperimentConfig::finalize()).
+  /// Server transition times used to estimate wake costs (the `rl-dpm`
+  /// factory copies them from the simulated ServerConfig).
   double t_on_s = 30.0;
   double t_off_s = 30.0;
   double transition_watts = 145.0;

@@ -13,25 +13,6 @@
 
 namespace hcrl::core {
 
-SlidingMeanPredictor::SlidingMeanPredictor(std::size_t window, double prior_s)
-    : window_(window), prior_(prior_s) {
-  if (window == 0) throw std::invalid_argument("SlidingMeanPredictor: window must be > 0");
-}
-
-void SlidingMeanPredictor::observe(double interarrival_s) {
-  values_.push_back(interarrival_s);
-  sum_ += interarrival_s;
-  if (values_.size() > window_) {
-    sum_ -= values_.front();
-    values_.pop_front();
-  }
-}
-
-double SlidingMeanPredictor::predict() {
-  if (values_.empty()) return prior_;
-  return sum_ / static_cast<double>(values_.size());
-}
-
 WindowPredictor::WindowPredictor(std::size_t window, double prior_s) {
   if (window == 0) throw std::invalid_argument("WindowPredictor: window must be > 0");
   if (prior_s <= 0.0) throw std::invalid_argument("WindowPredictor: prior must be > 0");
@@ -325,21 +306,22 @@ std::unique_ptr<WorkloadPredictor> make_predictor(const std::string& kind,
                                                   const LstmPredictorOptions& lstm_opts) {
   if (kind == "lstm") return std::make_unique<LstmPredictor>(lstm_opts);
   if (kind == "last-value") return std::make_unique<LastValuePredictor>(lstm_opts.prior_s);
-  if (kind == "sliding-mean") {
-    return std::make_unique<SlidingMeanPredictor>(lstm_opts.lookback, lstm_opts.prior_s);
-  }
   if (kind == "window") {
     return std::make_unique<WindowPredictor>(lstm_opts.lookback, lstm_opts.prior_s);
   }
   if (kind == "ar") {
     return std::make_unique<ArPredictor>(/*order=*/4, lstm_opts.prior_s);
   }
+  if (kind == "sliding-mean") {  // a removed kind: `window` is the same mean
+    throw std::invalid_argument(
+        "make_predictor: unknown predictor 'sliding-mean' (did you mean 'window'?)");
+  }
   throw std::invalid_argument(
       "make_predictor: " + common::unknown_key_message("predictor", kind, predictor_kinds()));
 }
 
 std::vector<std::string> predictor_kinds() {
-  return {"lstm", "last-value", "sliding-mean", "window", "ar"};
+  return {"lstm", "last-value", "window", "ar"};
 }
 
 }  // namespace hcrl::core

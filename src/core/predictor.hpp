@@ -4,7 +4,7 @@
 // its (discretized) output is the state of the RL power manager. The paper
 // uses a three-layer LSTM network (input hidden layer, LSTM cell layer with
 // 30 hidden units over a 35-step look-back window, output hidden layer)
-// trained with Adam. LastValue and SlidingMean reproduce the linear-
+// trained with Adam. LastValue, Window and Ar reproduce the linear-
 // combination predictors of prior work [30, 31] that the paper argues
 // against — they are the ablation baselines.
 #pragma once
@@ -45,26 +45,10 @@ class LastValuePredictor final : public WorkloadPredictor {
 
 /// Mean of the last `window` observations — the linear predictor whose
 /// weakness ("one very long inter-arrival time can ruin a set of subsequent
-/// predictions") motivates the LSTM.
-class SlidingMeanPredictor final : public WorkloadPredictor {
- public:
-  explicit SlidingMeanPredictor(std::size_t window = 35, double prior_s = 600.0);
-  void observe(double interarrival_s) override;
-  double predict() override;
-  std::string name() const override { return "sliding-mean"; }
-
- private:
-  std::size_t window_;
-  double prior_;
-  std::deque<double> values_;
-  double sum_ = 0.0;
-};
-
-/// Fixed-window rolling-sum mean over a power-of-two ring buffer — the O(1)
-/// "length predictor" idiom of production log/replication code (SNIPPETS.md
-/// #2/#3). Unlike SlidingMeanPredictor the ring is pre-filled with the
-/// prior, so early predictions blend the prior out sample by sample instead
-/// of jumping to the mean of a short partial window, and observe()/predict()
+/// predictions") motivates the LSTM. A rolling sum over a power-of-two ring
+/// buffer, the O(1) "length predictor" idiom of production log/replication
+/// code (SNIPPETS.md #2/#3). The ring is pre-filled with the prior, so early
+/// predictions blend the prior out sample by sample, and observe()/predict()
 /// never allocate. Config name: predictor = "window".
 class WindowPredictor final : public WorkloadPredictor {
  public:
@@ -175,9 +159,8 @@ class LstmPredictor final : public WorkloadPredictor {
   double last_loss_ = -1.0;
 };
 
-/// Factory used by configs ("lstm", "last-value", "sliding-mean", "window",
-/// "ar"). Unknown kinds throw with a did-you-mean suggestion over
-/// predictor_kinds().
+/// Factory used by configs ("lstm", "last-value", "window", "ar"). Unknown
+/// kinds throw with a did-you-mean suggestion over predictor_kinds().
 std::unique_ptr<WorkloadPredictor> make_predictor(const std::string& kind,
                                                   const LstmPredictorOptions& lstm_opts);
 

@@ -16,15 +16,14 @@ namespace hcrl::core {
 ExperimentConfig Scenario::materialized() const {
   ExperimentConfig cfg = config;
   if (seed != 0) {
-    // One SplitMix64 stream per scenario: trace, global tier and local tier
-    // get independent seeds, all reproducible from the single scenario seed.
+    // One SplitMix64 stream per scenario: trace, allocator, power policy and
+    // faults get independent seeds, all reproducible from the scenario seed.
     common::SplitMix64 sm(seed);
     cfg.trace.seed = sm.next();  // only reaches the workload when trace == null
-    cfg.drl.seed = sm.next();
-    cfg.local.seed = sm.next();
+    cfg.allocator_seed = sm.next();
+    cfg.power_seed = sm.next();
     cfg.faults.seed = sm.next();  // ignored by the runner when faults are off
   }
-  cfg.finalize();
   return cfg;
 }
 

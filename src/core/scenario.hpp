@@ -34,10 +34,11 @@ struct Scenario {
   std::shared_ptr<const TraceSource> trace;
   /// Scenario seed. 0 keeps the seeds already in `config`; nonzero
   /// deterministically re-derives the trace seed (only when `trace` is
-  /// null) and the global/local agent seeds via SplitMix64.
+  /// null), config.allocator_seed, config.power_seed and the fault seed via
+  /// SplitMix64.
   std::uint64_t seed = 0;
 
-  /// Config with the scenario seed applied and dimensions finalized.
+  /// Config with the scenario seed applied.
   ExperimentConfig materialized() const;
   /// `trace` if set, else a SyntheticTraceSource over the materialized
   /// config's generator options.

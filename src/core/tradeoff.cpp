@@ -49,7 +49,7 @@ TradeoffResult explore_tradeoff(const TradeoffOptions& options) {
     s.name = "hierarchical/w=" + std::to_string(w);
     s.config = options.base;
     policy::apply_system(s.config, "hierarchical");
-    s.config.local.w = w;
+    s.config.power_opts.set("w", w);
     scenarios.push_back(std::move(s));
     cells.push_back({"hierarchical", w});
   }
@@ -61,7 +61,7 @@ TradeoffResult explore_tradeoff(const TradeoffOptions& options) {
       s.config = options.base;
       policy::apply_system(s.config, "drl-fixed-timeout");
       s.config.power_opts.set("timeout_s", timeout);
-      s.config.drl.w_vms = w_vms;
+      s.config.allocator_opts.set("w_vms", w_vms);
       scenarios.push_back(std::move(s));
       cells.push_back({label, w_vms});
     }

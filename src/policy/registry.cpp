@@ -41,8 +41,9 @@ std::string default_is(const T& value) {
   return " (default " + text + ")";
 }
 
-/// The `seed` option: falls back to the tier's typed seed, which a nonzero
-/// Scenario::seed re-derives; an explicit option beats both.
+/// The `seed` option: falls back to the config's allocator_seed or
+/// power_seed, which a nonzero Scenario::seed re-derives; an explicit option
+/// beats both.
 std::uint64_t seed_option(const common::Config& opts, std::uint64_t fallback) {
   return static_cast<std::uint64_t>(opts.get_int("seed", static_cast<std::int64_t>(fallback)));
 }
@@ -68,6 +69,51 @@ void check_block(const std::string& kind, const std::string& name,
           common::unknown_key_message("option key", key, valid));
     }
   }
+}
+
+/// The entry and its block as the config wrote it, for a factory's error:
+/// `power policy 'fixed-timeout' (power.timeout_s = -5)`.
+std::string entry_as_written(const std::string& kind, const std::string& name,
+                             const std::string& prefix, const common::Config& block) {
+  std::string keys;
+  for (const std::string& key : block.keys()) {
+    keys += (keys.empty() ? "" : ", ") + prefix + key + " = " + block.get_string(key);
+  }
+  return kind + " '" + name + "'" + (keys.empty() ? "" : " (" + keys + ")");
+}
+
+/// Checks `opts` against the entry's schema and runs its factory on a copy
+/// whose errors name keys as `prefix + key`. A std::invalid_argument the
+/// factory throws gets the entry and its block as written, unless it already
+/// names one of the block's keys (a value that does not parse).
+template <class Info>
+auto build_entry(const std::string& kind, const std::string& prefix, const Info& info,
+                 const core::ExperimentConfig& cfg, const common::Config& opts) {
+  check_block(kind, info.name, info.options, opts);
+  common::Config block = opts;  // factory marks reads on the copy
+  block.set_key_prefix(prefix);
+  auto built = [&] {
+    try {
+      return info.factory(cfg, block);
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      for (const std::string& key : block.keys()) {
+        if (what.find("'" + prefix + key + "'") != std::string::npos) throw;
+      }
+      throw std::invalid_argument(entry_as_written(kind, info.name, prefix, block) + ": " + what);
+    }
+  }();
+  if (built.policy == nullptr) {
+    throw std::logic_error("PolicyRegistry: " + kind + " '" + info.name +
+                           "' factory returned null");
+  }
+  const auto unread = block.unused_keys();
+  if (!unread.empty()) {
+    throw std::logic_error("PolicyRegistry: " + kind + " '" + info.name +
+                           "' schema names option '" + unread.front() +
+                           "' but the factory never read it");
+  }
+  return built;
 }
 
 }  // namespace
@@ -138,40 +184,12 @@ std::vector<std::string> PolicyRegistry::power_names() const {
 BuiltAllocator PolicyRegistry::make_allocator(const std::string& name,
                                               const core::ExperimentConfig& cfg,
                                               const common::Config& opts) const {
-  const AllocatorInfo& info = allocator_info(name);
-  check_block("allocator", info.name, info.options, opts);
-  common::Config block = opts;  // factory marks reads on the copy
-  block.set_key_prefix("allocator.");
-  BuiltAllocator built = info.factory(cfg, block);
-  if (built.policy == nullptr) {
-    throw std::logic_error("PolicyRegistry: allocator '" + name + "' factory returned null");
-  }
-  const auto unread = block.unused_keys();
-  if (!unread.empty()) {
-    throw std::logic_error("PolicyRegistry: allocator '" + name +
-                           "' schema names option '" + unread.front() +
-                           "' but the factory never read it");
-  }
-  return built;
+  return build_entry("allocator", "allocator.", allocator_info(name), cfg, opts);
 }
 
 BuiltPower PolicyRegistry::make_power(const std::string& name, const core::ExperimentConfig& cfg,
                                       const common::Config& opts) const {
-  const PowerInfo& info = power_info(name);
-  check_block("power policy", info.name, info.options, opts);
-  common::Config block = opts;
-  block.set_key_prefix("power.");
-  BuiltPower built = info.factory(cfg, block);
-  if (built.policy == nullptr) {
-    throw std::logic_error("PolicyRegistry: power policy '" + name + "' factory returned null");
-  }
-  const auto unread = block.unused_keys();
-  if (!unread.empty()) {
-    throw std::logic_error("PolicyRegistry: power policy '" + name +
-                           "' schema names option '" + unread.front() +
-                           "' but the factory never read it");
-  }
-  return built;
+  return build_entry("power policy", "power.", power_info(name), cfg, opts);
 }
 
 // ---- builtin entries -------------------------------------------------------
@@ -180,6 +198,7 @@ namespace {
 
 PolicyRegistry build_builtin() {
   PolicyRegistry r;
+  const core::ExperimentConfig cfg_default;
   const core::DrlAllocatorOptions drl_default;
   const core::LocalPowerManagerOptions local_default;
 
@@ -192,10 +211,10 @@ PolicyRegistry build_builtin() {
                    }});
   r.add_allocator({.name = "random",
                    .description = "uniformly random dispatch (diagnostic)",
-                   .options = {{"seed", seed_doc(drl_default.seed)}},
+                   .options = {{"seed", seed_doc(cfg_default.allocator_seed)}},
                    .factory = [](const core::ExperimentConfig& cfg, common::Config& opts) {
                      return BuiltAllocator{std::make_unique<sim::RandomAllocator>(
-                         common::Rng(seed_option(opts, cfg.drl.seed)))};
+                         common::Rng(seed_option(opts, cfg.allocator_seed)))};
                    }});
   r.add_allocator({.name = "least-loaded",
                    .description = "least-utilized awake server; wakes only when saturated",
@@ -230,13 +249,15 @@ PolicyRegistry build_builtin() {
   r.add_allocator({.name = "random-k",
                    .description = "power-of-k-choices: best of k sampled servers",
                    .options = {{"k", "servers sampled per decision (default 3)"},
-                               {"seed", seed_doc(drl_default.seed)}},
+                               {"seed", seed_doc(cfg_default.allocator_seed)}},
                    .factory = [](const core::ExperimentConfig& cfg, common::Config& opts) {
+                     // k draws per decision, so k is bounded by the cluster.
                      const std::int64_t k = opts.get_int("k", 3);
-                     if (k <= 0) {
-                       throw std::invalid_argument("allocator 'random-k': k must be >= 1");
+                     if (k <= 0 || static_cast<std::uint64_t>(k) > cfg.num_servers) {
+                       throw std::invalid_argument("k must be in [1, num_servers = " +
+                                                   std::to_string(cfg.num_servers) + "]");
                      }
-                     const common::Rng rng(seed_option(opts, cfg.drl.seed));
+                     const common::Rng rng(seed_option(opts, cfg.allocator_seed));
                      return BuiltAllocator{
                          std::make_unique<sim::RandomKAllocator>(static_cast<std::size_t>(k), rng)};
                    }});
@@ -259,14 +280,16 @@ PolicyRegistry build_builtin() {
                     "Sub-Q Adam learning rate" + default_is(drl_default.qnet.learning_rate)},
                    {"subq_hidden", "Sub-Q hidden units" + default_is(drl_default.qnet.subq_hidden)},
                    {"batch_size", "DQN minibatch size" + default_is(drl_default.batch_size)},
-                   {"seed", seed_doc(drl_default.seed)}},
+                   {"seed", seed_doc(cfg_default.allocator_seed)}},
        .learning = true,
        .factory = [&r](const core::ExperimentConfig& cfg, common::Config& opts) {
-         // Start from the typed defaults (which scenarios and sweeps write) and
-         // let the option block override them; a seeded guide (random,
-         // random-k) draws from the same seed.
-         core::ExperimentConfig tier = cfg;
-         core::DrlAllocatorOptions& drl = tier.drl;
+         // The cluster sizes the state, the Sub-Q heads and the autoencoders
+         // (§V-A); the option block sets the rest.
+         core::DrlAllocatorOptions drl;
+         drl.qnet.encoder.num_servers = cfg.num_servers;
+         drl.qnet.encoder.num_groups = cfg.num_groups;
+         drl.qnet.encoder.num_resources = cfg.server.num_resources;
+         drl.qnet.precision = cfg.precision;
          drl.beta = opts.get_double("beta", drl.beta);
          drl.w_power = opts.get_double("w_power", drl.w_power);
          drl.w_vms = opts.get_double("w_vms", drl.w_vms);
@@ -276,14 +299,16 @@ PolicyRegistry build_builtin() {
          drl.qnet.learning_rate = opts.get_double("learning_rate", drl.qnet.learning_rate);
          drl.qnet.subq_hidden = opts.get_count("subq_hidden", drl.qnet.subq_hidden);
          drl.batch_size = opts.get_count("batch_size", drl.batch_size);
-         drl.seed = seed_option(opts, drl.seed);
+         drl.seed = seed_option(opts, cfg.allocator_seed);
          const std::string guide = opts.get_string("guide", "first-fit-packing");
          if (r.allocator_info(guide).learning) {
-           throw std::invalid_argument("allocator 'drl': guide '" + guide +
-                                       "' must be non-learning");
+           throw std::invalid_argument("guide '" + guide + "' must be non-learning");
          }
          auto allocator = std::make_unique<core::DrlAllocator>(drl);
-         allocator->set_guide(r.make_allocator(guide, tier).policy);
+         // A seeded guide (random, random-k) draws from the resolved seed.
+         core::ExperimentConfig guide_cfg = cfg;
+         guide_cfg.allocator_seed = drl.seed;
+         allocator->set_guide(r.make_allocator(guide, guide_cfg).policy);
          BuiltAllocator built;
          built.drl = allocator.get();
          built.policy = std::move(allocator);
@@ -327,16 +352,24 @@ PolicyRegistry build_builtin() {
                    {"learning_rate", "Q-learning rate" +
                                          default_is(local_default.agent.learning_rate)},
                    {"beta", "SMDP discount rate per second" + default_is(local_default.agent.beta)},
-                   {"seed", seed_doc(local_default.seed)}},
+                   {"seed", seed_doc(cfg_default.power_seed)}},
        .learning = true,
        .factory = [](const core::ExperimentConfig& cfg, common::Config& opts) {
-         core::LocalPowerManagerOptions local = cfg.local;
+         // Each server's power and wake costs scale the Eqn. 5 reward (§VI);
+         // the option block sets the rest.
+         core::LocalPowerManagerOptions local;
+         local.num_servers = cfg.num_servers;
+         local.power_scale_watts = cfg.server.power.peak_watts;
+         local.t_on_s = cfg.server.t_on;
+         local.t_off_s = cfg.server.t_off;
+         local.transition_watts = cfg.server.power.transition_watts;
+         local.lstm.precision = cfg.precision;
          local.predictor = opts.get_string("predictor", local.predictor);
          local.w = opts.get_double("w", local.w);
          local.shared_table = opts.get_bool("shared_table", local.shared_table);
          local.agent.learning_rate = opts.get_double("learning_rate", local.agent.learning_rate);
          local.agent.beta = opts.get_double("beta", local.agent.beta);
-         local.seed = seed_option(opts, local.seed);
+         local.seed = seed_option(opts, cfg.power_seed);
          auto rl = std::make_unique<core::RlPowerManager>(local);
          BuiltPower built;
          built.rl = rl.get();

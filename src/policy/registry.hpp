@@ -21,8 +21,8 @@
 //    view) — the registry audit test instantiates every entry and checks.
 //  * Factories must be deterministic: everything stochastic seeds from the
 //    ExperimentConfig (or an option key), never from global state. A
-//    learning tier's factory starts from its typed options (cfg.drl,
-//    cfg.local) and overrides them from its block.
+//    learning tier's factory sizes its options from the cluster the config
+//    describes and overrides the rest from its block.
 //
 // Layering note: policy/ sits beside core/ rather than below it. Factories
 // consume core's option structs (DrlAllocatorOptions, LocalPowerManagerOptions)
@@ -39,6 +39,8 @@
 
 #include "src/common/config.hpp"
 #include "src/core/experiment.hpp"
+#include "src/core/global_tier.hpp"
+#include "src/core/local_tier.hpp"
 #include "src/sim/policies.hpp"
 
 namespace hcrl::policy {
@@ -103,7 +105,9 @@ class PolicyRegistry {
   /// Construct a policy. Option blocks are validated against the schema;
   /// keys the factory leaves unread are also rejected (schema drift guard).
   /// A value that does not parse is reported under the option as the
-  /// config writes it (`allocator.k`).
+  /// config writes it (`allocator.k`), and any other std::invalid_argument
+  /// the factory throws is prefixed with the entry and its block as written
+  /// (`power policy 'fixed-timeout' (power.timeout_s = -5): ...`).
   BuiltAllocator make_allocator(const std::string& name, const core::ExperimentConfig& cfg,
                                 const common::Config& opts = {}) const;
   BuiltPower make_power(const std::string& name, const core::ExperimentConfig& cfg,

@@ -16,7 +16,6 @@ TEST(ExperimentConfigFrom, DefaultsWhenEmpty) {
   EXPECT_EQ(cfg.allocator, "drl");  // the hierarchical system
   EXPECT_EQ(cfg.power, "rl-dpm");
   EXPECT_EQ(cfg.num_servers, 30u);
-  EXPECT_EQ(cfg.drl.qnet.encoder.num_servers, 30u);  // finalize() ran
 }
 
 TEST(ExperimentConfigFrom, OverridesApply) {
@@ -33,12 +32,10 @@ TEST(ExperimentConfigFrom, OverridesApply) {
   EXPECT_EQ(cfg.num_groups, 4u);
   EXPECT_EQ(cfg.trace.num_jobs, 2000u);
   EXPECT_DOUBLE_EQ(cfg.server.power.peak_watts, 200.0);
-  // finalize() propagated the power scale.
-  EXPECT_DOUBLE_EQ(cfg.local.power_scale_watts, 200.0);
 }
 
 // The learning tiers' options live in their entries' blocks: the binder
-// passes them through, and the factories apply them over the typed defaults.
+// passes them through, and the factories apply them over their defaults.
 TEST(ExperimentConfigFrom, LearningTierOptionsReachTheirFactories) {
   const auto cfg = experiment_config_from(common::Config::from_string(
       "num_servers = 6\n"
@@ -47,19 +44,18 @@ TEST(ExperimentConfigFrom, LearningTierOptionsReachTheirFactories) {
       "allocator.subq_hidden = 16\n"
       "allocator.seed = 5\n"
       "power.w = 0.9\n"
-      "power.predictor = sliding-mean\n"
+      "power.predictor = window\n"
       "power.shared_table = false\n"));
   EXPECT_EQ(cfg.allocator_opts.get_string("w_vms"), "0.25");
-  EXPECT_DOUBLE_EQ(cfg.drl.w_vms, DrlAllocatorOptions{}.w_vms);  // typed default untouched
   const policy::SystemBundle bundle = policy::build_system(cfg);
   ASSERT_NE(bundle.drl, nullptr);
   EXPECT_DOUBLE_EQ(bundle.drl->options().w_vms, 0.25);
   EXPECT_EQ(bundle.drl->options().qnet.subq_hidden, 16u);
   EXPECT_EQ(bundle.drl->options().seed, 5u);
-  EXPECT_DOUBLE_EQ(bundle.drl->options().beta, cfg.drl.beta);
+  EXPECT_DOUBLE_EQ(bundle.drl->options().beta, DrlAllocatorOptions{}.beta);
   ASSERT_NE(bundle.local_rl, nullptr);
-  EXPECT_EQ(bundle.power->name(), "rl-dpm(sliding-mean)");
-  EXPECT_EQ(bundle.local_rl->options().predictor, "sliding-mean");
+  EXPECT_EQ(bundle.power->name(), "rl-dpm(window)");
+  EXPECT_EQ(bundle.local_rl->options().predictor, "window");
   EXPECT_DOUBLE_EQ(bundle.local_rl->options().w, 0.9);
   EXPECT_FALSE(bundle.local_rl->options().shared_table);
 }
@@ -92,7 +88,9 @@ TEST(ExperimentConfigFrom, OldTierKeysRejectedAsUnknown) {
   }
 }
 
-// An option-block error names the key as the config wrote it.
+// An option-block error names the key as the config wrote it: a value that
+// does not parse in the parser's message, a value out of range in the
+// entry-and-block prefix of the factory's.
 TEST(ExperimentConfigFrom, OptionErrorsNameTheWrittenKey) {
   const struct {
     const char* text;
@@ -104,6 +102,11 @@ TEST(ExperimentConfigFrom, OptionErrorsNameTheWrittenKey) {
       {"allocator.batch_size = -1\n", "'allocator.batch_size'"},
       {"power.w = abc\n", "'power.w'"},
       {"power.shared_table = maybe\n", "'power.shared_table'"},
+      {"power = fixed-timeout\npower.timeout_s = -5\n",
+       "power policy 'fixed-timeout' (power.timeout_s = -5): FixedTimeoutPolicy: timeout must be"},
+      {"allocator.beta = -1\n", "allocator 'drl' (allocator.beta = -1): DrlAllocator: beta must"},
+      {"power.w = 2\n", "power policy 'rl-dpm' (power.w = 2): RlPowerManager: w out of [0,1]"},
+      {"allocator = random-k\nallocator.k = 7\n", "allocator 'random-k' (allocator.k = 7): k must"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.text);
@@ -226,9 +229,7 @@ TEST(ExperimentConfigFrom, NonZeroShardsFailsValidation) {
 
 TEST(ExperimentConfigFrom, InvalidValuesRejectedByValidation) {
   const auto raw = common::Config::from_string("num_servers = 10\nnum_groups = 3\n");
-  // 3 does not divide 10 -> StateEncoderOptions::validate fails in finalize
-  // path via ExperimentConfig::validate + DrlAllocator construction later;
-  // the encoder check fires when the config is validated.
+  // 3 does not divide 10, which ExperimentConfig::validate rejects.
   EXPECT_THROW(experiment_config_from(raw), std::invalid_argument);
 }
 

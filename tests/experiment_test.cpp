@@ -38,27 +38,42 @@ ExperimentResult run(const ExperimentConfig& cfg) {
   return run_scenario(scenario);
 }
 
-TEST(ExperimentConfig, FinalizePropagatesDimensions) {
-  ExperimentConfig cfg = tiny_config("hierarchical");
+// The learning tiers size themselves from the cluster the config describes,
+// with no step between assigning the fields and building the pair.
+TEST(ExperimentConfig, BuildSystemSizesBothTiersFromTheCluster) {
+  ExperimentConfig cfg;
+  cfg.num_servers = 6;
+  cfg.num_groups = 2;
   cfg.server.t_on = 25.0;
-  cfg.finalize();
-  EXPECT_EQ(cfg.drl.qnet.encoder.num_servers, 6u);
-  EXPECT_EQ(cfg.drl.qnet.encoder.num_groups, 2u);
-  EXPECT_EQ(cfg.local.num_servers, 6u);
-  EXPECT_DOUBLE_EQ(cfg.local.t_on_s, 25.0);
+  cfg.precision = nn::Precision::kF32;
+  const policy::SystemBundle bundle = policy::build_system(cfg);
+
+  ASSERT_NE(bundle.drl, nullptr);
+  EXPECT_EQ(bundle.drl->network().num_actions(), 6u);
+  EXPECT_EQ(bundle.drl->encoder().options().num_groups, 2u);
+  EXPECT_EQ(bundle.drl->network().precision(), nn::Precision::kF32);
+
+  ASSERT_NE(bundle.local_rl, nullptr);
+  EXPECT_EQ(bundle.local_rl->options().num_servers, 6u);
+  EXPECT_NO_THROW(bundle.local_rl->predictor(5));
+  EXPECT_THROW(bundle.local_rl->predictor(6), std::out_of_range);
+  EXPECT_DOUBLE_EQ(bundle.local_rl->options().t_on_s, 25.0);
+  for (sim::ServerId id = 0; id < 6; ++id) {
+    const auto* lstm = dynamic_cast<const LstmPredictor*>(&bundle.local_rl->predictor(id));
+    ASSERT_NE(lstm, nullptr) << id;
+    EXPECT_EQ(lstm->options().precision, nn::Precision::kF32) << id;
+  }
 }
 
 TEST(ExperimentConfig, ValidationCatchesBadSetups) {
   for (const double timeout : {-5.0, std::numeric_limits<double>::quiet_NaN()}) {
     ExperimentConfig cfg = tiny_config("drl-fixed-timeout");
     cfg.power_opts.set("timeout_s", timeout);
-    cfg.finalize();
     EXPECT_THROW(cfg.validate(), std::invalid_argument) << timeout;
   }
   // An infinite timeout is valid: the server never sleeps.
   ExperimentConfig never = tiny_config("drl-fixed-timeout");
   never.power_opts.set("timeout_s", std::numeric_limits<double>::infinity());
-  never.finalize();
   EXPECT_NO_THROW(never.validate());
 }
 

@@ -29,11 +29,16 @@ core::ExperimentConfig tiny_config() {
   cfg.trace.num_jobs = 120;
   cfg.trace.horizon_s = 4000.0;
   cfg.trace.seed = 21;
-  cfg.local.predictor = "window";  // keep the rl-dpm audit cells cheap
   cfg.pretrain_jobs = 0;
   cfg.checkpoint_every_jobs = 0;
-  cfg.finalize();
   return cfg;
+}
+
+/// The audit cells' option block: `rl-dpm` runs the cheap window predictor.
+common::Config audit_opts(const std::string& power) {
+  common::Config opts;
+  if (power == "rl-dpm") opts.set("predictor", "window");
+  return opts;
 }
 
 // ---- metadata audit --------------------------------------------------------
@@ -58,7 +63,7 @@ TEST(PolicyRegistryAudit, PowerMetadataMatchesInstances) {
   for (const std::string& name : reg.power_names()) {
     SCOPED_TRACE(name);
     const policy::PowerInfo& info = reg.power_info(name);
-    policy::BuiltPower built = reg.make_power(name, cfg);
+    policy::BuiltPower built = reg.make_power(name, cfg, audit_opts(name));
     ASSERT_NE(built.policy, nullptr);
     EXPECT_EQ(built.rl != nullptr, info.learning);
   }
@@ -95,6 +100,7 @@ TEST(PolicyRegistryAudit, EveryPowerPolicyRuns) {
     scenario.config = tiny_config();
     scenario.config.allocator = "round-robin";
     scenario.config.power = name;
+    scenario.config.power_opts = audit_opts(name);
 
     const core::ExperimentResult r = core::run_scenario(scenario);
     EXPECT_EQ(r.power, name);
@@ -139,6 +145,18 @@ TEST(PolicyRegistry, PerPolicyOptionsReachTheFactory) {
   policy::SystemBundle bundle = policy::build_system(cfg);
   EXPECT_EQ(bundle.allocation->name(), "random-2");
   EXPECT_EQ(bundle.power->name(), "fixed-timeout-45.000000");
+}
+
+// random-k draws k servers per decision, so its factory bounds k by the
+// cluster instead of letting a huge k stall every decision.
+TEST(PolicyRegistry, RandomKRejectsMoreDrawsThanServers) {
+  const auto& reg = policy::PolicyRegistry::builtin();
+  const core::ExperimentConfig cfg = tiny_config();
+  common::Config opts;
+  opts.set("k", static_cast<std::int64_t>(cfg.num_servers));
+  EXPECT_EQ(reg.make_allocator("random-k", cfg, opts).policy->name(), "random-6");
+  opts.set("k", static_cast<std::int64_t>(cfg.num_servers + 1));
+  EXPECT_THROW(reg.make_allocator("random-k", cfg, opts), std::invalid_argument);
 }
 
 // The learning tiers' options are entries' options like any other, and the
@@ -215,20 +233,18 @@ TEST(PolicySuggestions, UnknownSystemSuggestsNearestName) {
 
 TEST(PolicySuggestions, UnknownPredictorSuggestsNearestKind) {
   core::ExperimentConfig cfg = tiny_config();
-  policy::apply_system(cfg, "hierarchical");
-  cfg.local.predictor = "lsm";
-  expect_throw_containing([&] { cfg.validate(); }, "did you mean 'lstm'");
-  // The same check guards the per-policy predictor override.
-  core::ExperimentConfig cfg2 = tiny_config();
-  cfg2.power = "rl-dpm";
-  cfg2.power_opts.set("predictor", "windwo");
-  expect_throw_containing([&] { cfg2.validate(); }, "did you mean 'window'");
+  cfg.power = "rl-dpm";
+  cfg.power_opts.set("predictor", "windwo");
+  expect_throw_containing([&] { cfg.validate(); }, "did you mean 'window'");
+  // The removed sliding-mean kind points at the window mean.
+  cfg.power_opts.set("predictor", "sliding-mean");
+  expect_throw_containing([&] { cfg.validate(); }, "did you mean 'window'");
 }
 
 TEST(PolicySuggestions, MakePredictorUsesSharedDiagnostic) {
   core::LstmPredictorOptions lstm;
-  expect_throw_containing([&] { core::make_predictor("sliding-meen", lstm); },
-                          "did you mean 'sliding-mean'");
+  expect_throw_containing([&] { core::make_predictor("last-valeu", lstm); },
+                          "did you mean 'last-value'");
 }
 
 // ---- suggest helper --------------------------------------------------------

@@ -228,28 +228,13 @@ TEST(LastValuePredictor, ReturnsPriorThenLast) {
   EXPECT_DOUBLE_EQ(p.predict(), 7.0);
 }
 
-TEST(SlidingMeanPredictor, WindowedAverage) {
-  SlidingMeanPredictor p(3, 100.0);
-  EXPECT_DOUBLE_EQ(p.predict(), 100.0);
-  p.observe(10.0);
-  p.observe(20.0);
-  EXPECT_DOUBLE_EQ(p.predict(), 15.0);
-  p.observe(30.0);
-  p.observe(40.0);  // evicts 10
-  EXPECT_DOUBLE_EQ(p.predict(), 30.0);
-}
-
-TEST(SlidingMeanPredictor, OutlierSensitivityMotivatesLstm) {
+TEST(WindowPredictor, OutlierSensitivityMotivatesLstm) {
   // The paper's §VI-A argument: one very long inter-arrival ruins a set of
   // subsequent linear predictions.
-  SlidingMeanPredictor p(5, 10.0);
+  WindowPredictor p(5, 10.0);
   for (int i = 0; i < 5; ++i) p.observe(10.0);
   p.observe(10000.0);
   EXPECT_GT(p.predict(), 1000.0);  // wildly off for the next few predictions
-}
-
-TEST(SlidingMeanPredictor, ZeroWindowThrows) {
-  EXPECT_THROW(SlidingMeanPredictor(0), std::invalid_argument);
 }
 
 TEST(LstmPredictorOptions, Validation) {
@@ -350,7 +335,7 @@ TEST(LstmPredictor, LearnsAlternatingPattern) {
   EXPECT_LT(late_loss / late_count, 0.5 * early_loss / early_count);
 }
 
-TEST(LstmPredictor, AccuracyBeatsSlidingMeanOnPeriodicSignal) {
+TEST(LstmPredictor, AccuracyBeatsWindowMeanOnPeriodicSignal) {
   // Downstream ablation (paper argument): LSTM vs the linear baseline on a
   // deterministic periodic inter-arrival pattern.
   LstmPredictorOptions o;
@@ -360,7 +345,7 @@ TEST(LstmPredictor, AccuracyBeatsSlidingMeanOnPeriodicSignal) {
   o.train_windows = 3;
   o.learning_rate = 5e-3;
   LstmPredictor lstm(o);
-  SlidingMeanPredictor mean(12, 100.0);
+  WindowPredictor mean(12, 100.0);
 
   auto signal = [](int i) { return i % 3 == 2 ? 600.0 : 60.0; };
   // Warm up both predictors.
@@ -393,7 +378,7 @@ TEST(MakePredictor, FactoryDispatch) {
   LstmPredictorOptions o;
   EXPECT_EQ(make_predictor("lstm", o)->name(), "lstm");
   EXPECT_EQ(make_predictor("last-value", o)->name(), "last-value");
-  EXPECT_EQ(make_predictor("sliding-mean", o)->name(), "sliding-mean");
+  EXPECT_EQ(make_predictor("window", o)->name(), "window");
   EXPECT_EQ(make_predictor("ar", o)->name(), "ar");
   EXPECT_THROW(make_predictor("nope", o), std::invalid_argument);
 }
@@ -431,9 +416,9 @@ TEST(ArPredictor, RecoversExactArOneProcess) {
 
 TEST(ArPredictor, LearnsAlternatingPattern) {
   // 30, 300, 30, 300...: an AR(2) model captures this exactly
-  // (x_t = x_{t-2}), unlike the sliding mean.
+  // (x_t = x_{t-2}), unlike the window mean.
   ArPredictor ar(2, 100.0, 8);
-  SlidingMeanPredictor mean(8, 100.0);
+  WindowPredictor mean(8, 100.0);
   for (int i = 0; i < 300; ++i) {
     const double v = i % 2 == 0 ? 30.0 : 300.0;
     ar.observe(v);

@@ -7,14 +7,17 @@
 #include <atomic>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/runner.hpp"
 #include "src/core/scenario.hpp"
 #include "src/core/trace_source.hpp"
+#include "src/policy/registry.hpp"
 #include "src/workload/trace_io.hpp"
 
 namespace hcrl::core {
@@ -141,18 +144,61 @@ TEST(TraceSource, ScenarioRunsOnFileTrace) {
 
 // ---- scenarios and the registry --------------------------------------------
 
+/// Energy and latency totals of `allocator` on `jobs` under immediate-sleep.
+std::pair<double, double> allocator_totals(sim::AllocationPolicy& allocator,
+                                           const ExperimentConfig& cfg,
+                                           const std::vector<sim::Job>& jobs) {
+  sim::ImmediateSleepPolicy power;
+  sim::ClusterConfig cc;
+  cc.num_servers = cfg.num_servers;
+  cc.server = cfg.server;
+  sim::Cluster cluster(cc, allocator, power);
+  cluster.load_jobs(jobs);
+  cluster.run();
+  const sim::MetricsSnapshot snap = cluster.snapshot();
+  return {snap.energy_joules, snap.accumulated_latency_s};
+}
+
 TEST(Scenario, SeedDerivesAllStochasticStreams) {
   Scenario s = ScenarioRegistry::builtin().make("tiny/hierarchical", 200);
   s.seed = 99;
   const ExperimentConfig cfg = s.materialized();
   EXPECT_NE(cfg.trace.seed, s.config.trace.seed);
-  EXPECT_NE(cfg.drl.seed, s.config.drl.seed);
-  EXPECT_NE(cfg.local.seed, s.config.local.seed);
+  const policy::SystemBundle unseeded = policy::build_system(s.config);
+  const policy::SystemBundle seeded = policy::build_system(cfg);
+  EXPECT_NE(seeded.drl->options().seed, unseeded.drl->options().seed);
+  EXPECT_NE(seeded.local_rl->options().seed, unseeded.local_rl->options().seed);
   // Deterministic: materializing twice gives the same derived seeds.
   const ExperimentConfig cfg2 = s.materialized();
   EXPECT_EQ(cfg.trace.seed, cfg2.trace.seed);
-  EXPECT_EQ(cfg.drl.seed, cfg2.drl.seed);
-  EXPECT_EQ(cfg.local.seed, cfg2.local.seed);
+  const policy::SystemBundle again = policy::build_system(cfg2);
+  EXPECT_EQ(again.drl->options().seed, seeded.drl->options().seed);
+  EXPECT_EQ(again.local_rl->options().seed, seeded.local_rl->options().seed);
+
+  // An explicit seed option beats the scenario seed.
+  Scenario pinned = s;
+  pinned.config.allocator_opts.set("seed", std::int64_t{5});
+  pinned.config.power_opts.set("seed", std::int64_t{6});
+  const policy::SystemBundle explicit_seeds = policy::build_system(pinned.materialized());
+  EXPECT_EQ(explicit_seeds.drl->options().seed, 5u);
+  EXPECT_EQ(explicit_seeds.local_rl->options().seed, 6u);
+
+  // A seeded guide draws from the DRL tier's resolved seed (here the explicit
+  // 5, not the scenario-derived allocator_seed): the built allocator decides
+  // exactly as a DrlAllocator whose random guide is seeded with 5.
+  pinned.config.allocator_opts.set("guide", "random");
+  const ExperimentConfig guided_cfg = pinned.materialized();
+  ASSERT_NE(guided_cfg.allocator_seed, 5u);
+  const std::vector<sim::Job> jobs = pinned.effective_trace()->produce().jobs;
+  const policy::SystemBundle guided = policy::build_system(guided_cfg);
+  const auto totals_with_guide_seed = [&](std::uint64_t guide_seed) {
+    DrlAllocator reference(guided.drl->options());
+    reference.set_guide(std::make_unique<sim::RandomAllocator>(common::Rng(guide_seed)));
+    return allocator_totals(reference, guided_cfg, jobs);
+  };
+  const auto built = allocator_totals(*guided.allocation, guided_cfg, jobs);
+  EXPECT_EQ(built, totals_with_guide_seed(5));
+  EXPECT_NE(built, totals_with_guide_seed(guided_cfg.allocator_seed));
 }
 
 TEST(Scenario, ZeroSeedKeepsConfigSeeds) {

@@ -404,11 +404,10 @@ void expect_results_identical(const core::ExperimentResult& a, const core::Exper
 TEST(TelemetryBitIdentity, FullExperimentBothPrecisions) {
   for (const nn::Precision precision : {nn::Precision::kF64, nn::Precision::kF32}) {
     SCOPED_TRACE(std::string("precision=") + nn::to_string(precision));
-    core::Scenario scenario = core::ScenarioRegistry::builtin().make("tiny/hierarchical", 250);
+    // 600 jobs plus the 150-job pretraining prefix fill the DQN's default
+    // 512-sample warm-up, so the global tier's train sites run here too.
+    core::Scenario scenario = core::ScenarioRegistry::builtin().make("tiny/hierarchical", 600);
     scenario.config.precision = precision;
-    // Start DQN training early enough that the global tier's train sites
-    // run inside this short trace too.
-    scenario.config.drl.min_replay_before_training = 32;
 
     ASSERT_FALSE(enabled());
     const core::ExperimentResult off = core::run_scenario(scenario);
