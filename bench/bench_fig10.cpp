@@ -11,8 +11,8 @@
 int main() {
   // The sweep runs 5 + 3*3 = 14 full simulations; default to a reduced
   // trace so the whole figure regenerates in minutes. The cells run as one
-  // scenario batch on a ParallelRunner (HCRL_BENCH_THREADS overrides the
-  // worker count), so wall time shrinks toward the slowest single cell.
+  // scenario batch (HCRL_BENCH_THREADS overrides the worker count), so wall
+  // time shrinks toward the slowest single cell.
   const std::size_t jobs = hcrl::bench::env_jobs(20000);
 
   hcrl::core::TradeoffOptions opts;

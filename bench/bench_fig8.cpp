@@ -7,50 +7,18 @@
 // is the lowest throughout; its latency lies between the other two.
 //
 // The three systems are the "fig8/*" scenarios of the builtin registry,
-// share one cached trace, and run concurrently on a ParallelRunner.
+// share one cached trace, and run concurrently as one batch.
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
-
-namespace {
-
-void print_series(const std::vector<hcrl::core::Scenario>& scenarios,
-                  const std::vector<hcrl::core::ExperimentResult>& results) {
-  std::printf("\nFig. 8(a): accumulated latency (1e6 s) vs jobs completed\n");
-  std::printf("%10s", "jobs");
-  for (const auto& sc : scenarios) std::printf(" %20s", sc.name.c_str());
-  std::printf("\n");
-  const std::size_t rows = results[0].series.size();
-  for (std::size_t i = 0; i < rows; ++i) {
-    std::printf("%10zu", results[0].series[i].jobs_completed);
-    for (const auto& r : results) {
-      std::printf(" %20.3f", i < r.series.size() ? r.series[i].accumulated_latency_s / 1e6 : 0.0);
-    }
-    std::printf("\n");
-  }
-
-  std::printf("\nFig. 8(b): energy usage (kWh) vs jobs completed\n");
-  std::printf("%10s", "jobs");
-  for (const auto& sc : scenarios) std::printf(" %20s", sc.name.c_str());
-  std::printf("\n");
-  for (std::size_t i = 0; i < rows; ++i) {
-    std::printf("%10zu", results[0].series[i].jobs_completed);
-    for (const auto& r : results) {
-      std::printf(" %20.2f", i < r.series.size() ? r.series[i].energy_kwh : 0.0);
-    }
-    std::printf("\n");
-  }
-}
-
-}  // namespace
 
 int main() {
   const std::size_t jobs = hcrl::bench::env_jobs(95000);
 
   std::printf("=== Fig. 8: M = 30, %zu jobs ===\n", jobs);
   const auto scenarios = hcrl::core::ScenarioRegistry::builtin().make_group("fig8/", jobs);
-  const auto results = hcrl::bench::run_parallel_sweep(scenarios);
-  print_series(scenarios, results);
+  const auto results = hcrl::bench::run_sweep(scenarios);
+  hcrl::bench::print_figure_series(8, scenarios, results);
 
   hcrl::bench::print_result_header();
   for (std::size_t i = 0; i < results.size(); ++i) {

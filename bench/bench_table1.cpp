@@ -4,9 +4,9 @@
 //
 // Every "table1/*" cell of the builtin registry (the three systems at each
 // of M = 30 and M = 40, plus table1/m30/hierarchical-faulty) runs as one
-// ParallelRunner batch; each cluster size shares one cached trace. Rows are
-// looked up by scenario name, never by position in the batch, and the
-// fault-injected cell prints in its own table.
+// batch, and all seven share one cached trace. Rows are looked up by
+// scenario name, never by position in the batch, and the fault-injected
+// cell prints in its own table.
 #include <cstdio>
 #include <map>
 #include <stdexcept>
@@ -113,7 +113,7 @@ void report_real_trace_cells() {
     std::printf("\n=== real-trace cells skipped: %s ===\n", e.what());
     return;
   }
-  const auto results = hcrl::bench::run_parallel_sweep(scenarios);
+  const auto results = hcrl::bench::run_sweep(scenarios);
   std::printf("\n=== real-trace cells (bundled fixture slices, 6 servers) ===\n");
   hcrl::bench::print_result_header();
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -125,7 +125,7 @@ int main() {
   const std::size_t jobs = hcrl::bench::env_jobs(95000);
 
   const auto scenarios = hcrl::core::ScenarioRegistry::builtin().make_group("table1/", jobs);
-  const auto results = hcrl::bench::run_parallel_sweep(scenarios);
+  const auto results = hcrl::bench::run_sweep(scenarios);
   ResultsByName by_name;
   for (std::size_t i = 0; i < scenarios.size(); ++i) by_name[scenarios[i].name] = &results[i];
 

@@ -1,16 +1,18 @@
 // Shared helpers for the reproduction benchmarks.
 //
 // Each bench binary regenerates one table or figure of the paper via the
-// Scenario/Runner API (src/core/scenario.hpp, src/core/runner.hpp). Scale
+// Scenario / batch API (src/core/scenario.hpp, src/core/runner.hpp). Scale
 // and parallelism can be overridden for quick runs:
 //   HCRL_BENCH_JOBS=5000 ./bench_table1     (default: the paper's 95,000)
 //   HCRL_BENCH_THREADS=4 ./bench_fig9       (default: one per hardware thread)
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/runner.hpp"
@@ -26,14 +28,14 @@ inline std::size_t env_jobs(std::size_t fallback) {
   return fallback;
 }
 
-/// Worker count for the paper-figure sweeps; 0 = one per hardware thread
-/// (the ParallelRunner default).
-inline std::size_t env_threads(std::size_t fallback = 0) {
+/// Worker count for the paper-figure sweeps: HCRL_BENCH_THREADS, else one
+/// per hardware thread.
+inline std::size_t env_threads() {
   if (const char* v = std::getenv("HCRL_BENCH_THREADS")) {
     const long long n = std::atoll(v);
     if (n > 0) return static_cast<std::size_t>(n);
   }
-  return fallback;
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 inline void print_result_row(const std::string& label, const core::ExperimentResult& r) {
@@ -47,14 +49,36 @@ inline void print_result_header(const char* label = "scenario") {
               "power(W)", "wall(s)");
 }
 
-/// Run a scenario batch on a ParallelRunner and report how the sweep scaled:
-/// sum of per-scenario walls (the serial-equivalent cost) versus the sweep's
-/// actual elapsed wall clock.
-inline std::vector<core::ExperimentResult> run_parallel_sweep(
-    const std::vector<core::Scenario>& scenarios) {
-  core::ParallelRunner runner(env_threads());
+/// The two panels of Figs. 8 and 9: (a) accumulated latency and (b) energy
+/// against jobs completed, one column per scenario, one row per checkpoint.
+inline void print_figure_series(int figure, const std::vector<core::Scenario>& scenarios,
+                                const std::vector<core::ExperimentResult>& results) {
+  const auto panel = [&](const char* title, int decimals, auto value) {
+    std::printf("\nFig. %d%s vs jobs completed\n", figure, title);
+    std::printf("%10s", "jobs");
+    for (const auto& sc : scenarios) std::printf(" %20s", sc.name.c_str());
+    std::printf("\n");
+    for (std::size_t i = 0; i < results[0].series.size(); ++i) {
+      std::printf("%10zu", results[0].series[i].jobs_completed);
+      for (const auto& r : results) {
+        std::printf(" %20.*f", decimals, i < r.series.size() ? value(r.series[i]) : 0.0);
+      }
+      std::printf("\n");
+    }
+  };
+  panel("(a): accumulated latency (1e6 s)", 3,
+        [](const core::CheckpointRow& row) { return row.accumulated_latency_s / 1e6; });
+  panel("(b): energy usage (kWh)", 2,
+        [](const core::CheckpointRow& row) { return row.energy_kwh; });
+}
+
+/// Run a scenario batch on env_threads() workers and report how the sweep
+/// scaled: sum of per-scenario walls (the serial-equivalent cost) versus the
+/// sweep's actual elapsed wall clock.
+inline std::vector<core::ExperimentResult> run_sweep(const std::vector<core::Scenario>& scenarios) {
+  const std::size_t workers = env_threads();
   const auto t0 = std::chrono::steady_clock::now();
-  auto results = runner.run(scenarios);
+  auto results = core::run_batch(scenarios, workers);
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   double serial_equiv = 0.0;
@@ -65,7 +89,7 @@ inline std::vector<core::ExperimentResult> run_parallel_sweep(
   // bound there.
   std::printf("\nsweep: %zu scenarios on %zu workers: %.1f s elapsed; per-scenario walls "
               "sum to %.1f s (~%.2fx vs serial on dedicated cores)\n",
-              scenarios.size(), runner.num_workers(), elapsed, serial_equiv,
+              scenarios.size(), workers, elapsed, serial_equiv,
               elapsed > 0.0 ? serial_equiv / elapsed : 0.0);
   return results;
 }

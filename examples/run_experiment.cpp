@@ -1,4 +1,4 @@
-// Example: declarative experiment runner on the Scenario/Runner API.
+// Example: declarative experiment runner on the Scenario / batch API.
 //
 //   ./run_experiment path/to/experiment.conf
 //   ./run_experiment --inline "system = drl-only" "trace.num_jobs = 5000"
@@ -122,23 +122,22 @@ int main(int argc, char** argv) {
       scenario.config = core::experiment_config_from(raw);
       scenario.name = scenario.config.allocator + "+" + scenario.config.power;
     }
-    scenario.validate();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
 
-  // Everything past argument handling runs under one catch: a runtime
-  // failure (trace I/O, simulation invariant, telemetry write) prints
-  // `error: <what>` and exits 1 instead of std::terminate'ing.
+  // Everything past argument handling runs under one catch: a bad scenario
+  // (the run's policy build is its check) or a runtime failure (trace I/O,
+  // simulation invariant, telemetry write) prints `error: <what>` and exits
+  // 1 instead of std::terminate'ing.
   try {
     telemetry::CliSession telemetry_session(metrics_path, trace_path);
 
     std::optional<core::CsvCheckpointObserver> csv;
     if (scenario.materialized().checkpoint_every_jobs > 0) csv.emplace(std::cout);
-    core::SerialRunner runner;
-    const auto results = runner.run({scenario}, csv.has_value() ? &*csv : nullptr);
-    const core::ExperimentResult& r = results.front();
+    const core::ExperimentResult r =
+        core::run_scenario(scenario, csv.has_value() ? &*csv : nullptr);
 
     if (telemetry_session.active()) {
       const core::ExperimentConfig cfg = scenario.materialized();

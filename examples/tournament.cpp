@@ -6,7 +6,7 @@
 //   ./tournament --scenarios tiny/round-robin,google2011-sample
 //   ./tournament --jobs 1000 --sla 120 --workers 4
 //   ./tournament --out-dir artifacts/              # leaderboard.csv + cells.csv
-//   ./tournament --serial                          # SerialRunner (default: parallel)
+//   ./tournament --workers 1                       # cells in order, one thread
 //   ./tournament --no-timing                       # drop wall-clock columns
 //   ./tournament --metrics-json m.json --chrome-trace t.json  # telemetry
 //   ./tournament --list-policies | --list-scenarios
@@ -15,8 +15,8 @@
 // `fixed-timeout-<seconds>`, `rl-<predictor>`. The leaderboard is printed to
 // stdout; --out-dir additionally writes leaderboard.csv and the per-cell
 // cells.csv for CI artifact upload. Every column except wall_seconds /
-// decisions_per_sec is bit-identical between --serial and the parallel
-// default (the runner determinism contract).
+// decisions_per_sec is bit-identical at every --workers count (the batch
+// runner's determinism contract).
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "src/common/config.hpp"
-#include "src/core/runner.hpp"
 #include "src/core/scenario.hpp"
 #include "src/nn/precision.hpp"
 #include "src/policy/registry.hpp"
@@ -43,8 +42,8 @@ int usage(const char* argv0) {
                "  --scenarios n1,n2    scenario registry names (default: built-in set)\n"
                "  --jobs N             trace scale per cell (default 2000)\n"
                "  --sla SECONDS        SLA latency threshold (default 300; 0 disables)\n"
-               "  --workers N          parallel workers (default: hardware)\n"
-               "  --serial             run cells serially\n"
+               "  --workers N          worker threads (default 0: one per hardware\n"
+               "                       thread; 1 runs the cells serially)\n"
                "  --out-dir DIR        write leaderboard.csv and cells.csv into DIR\n"
                "  --no-timing          omit wall-clock/decisions-per-sec columns\n"
                "  --watchdog SECONDS   per-cell wall-clock deadline (0 disables); a cell\n"
@@ -73,7 +72,6 @@ std::vector<std::string> split_csv(const std::string& text) {
 
 int main(int argc, char** argv) {
   policy::TournamentOptions opts;
-  bool serial = false;
   bool timing = true;
   std::size_t workers = 0;
   std::string out_dir;
@@ -114,8 +112,6 @@ int main(int argc, char** argv) {
         opts.journal_path = next();
       } else if (arg == "--workers") {
         workers = common::parse_count(next(), "--workers");
-      } else if (arg == "--serial") {
-        serial = true;
       } else if (arg == "--out-dir") {
         out_dir = next();
       } else if (arg == "--no-timing") {
@@ -137,11 +133,7 @@ int main(int argc, char** argv) {
                               : policy::LeaderboardColumns::kDeterministic;
   try {
     telemetry::CliSession telemetry_session(metrics_path, trace_path);
-    core::SerialRunner serial_runner;
-    core::ParallelRunner parallel_runner(workers);
-    core::Runner& runner =
-        serial ? static_cast<core::Runner&>(serial_runner) : parallel_runner;
-    const policy::TournamentResult result = policy::run_tournament(opts, runner);
+    const policy::TournamentResult result = policy::run_tournament(opts, workers);
 
     if (telemetry_session.active()) {
       telemetry::RunManifest manifest;
@@ -156,7 +148,7 @@ int main(int argc, char** argv) {
       }
       manifest.wall_seconds = wall;
       manifest.extra["jobs_per_cell"] = std::to_string(opts.jobs);
-      manifest.extra["runner"] = serial ? "serial" : "parallel";
+      manifest.extra["runner"] = workers == 1 ? "serial" : "parallel";
       telemetry_session.finish(manifest);
     }
 

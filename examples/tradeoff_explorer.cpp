@@ -1,7 +1,7 @@
 // Example: explore the power/latency trade-off (the Fig. 10 experiment) at
 // laptop scale. Sweeps the local-tier reward weight w of Eqn. (5) and prints
 // a Pareto table, plus the fixed-timeout baselines for contrast. The sweep
-// cells run as one scenario batch on a ParallelRunner worker pool.
+// cells run as one scenario batch (core::run_batch) on `threads` workers.
 //
 //   ./tradeoff_explorer [num_jobs] [threads]   (threads 0 = one per core)
 #include <cstdio>

@@ -115,6 +115,14 @@ expect_error "run_experiment: drl option under round-robin" \
 expect_error "run_experiment: random-k k beyond the cluster" "allocator\.k" \
   -- timeout 20 "$RUN_EXPERIMENT" --inline "allocator = random-k" "allocator.k = 1000000000000" \
      "power = always-on" "num_servers = 6" "num_groups = 2" "trace.num_jobs = 300"
+# random-k's default k is min(3, num_servers), so it fits a two-server
+# cluster, as the allocator and as the DRL tier's exploration guide.
+expect_ok "run_experiment: random-k default k on two servers" \
+  -- timeout 20 "$RUN_EXPERIMENT" --inline "allocator = random-k" "power = always-on" \
+     "num_servers = 2" "num_groups = 1" "trace.num_jobs = 100"
+expect_ok "run_experiment: random-k guide on two servers" \
+  -- timeout 20 "$RUN_EXPERIMENT" --inline "allocator.guide = random-k" "power = always-on" \
+     "num_servers = 2" "num_groups = 1" "trace.num_jobs = 100"
 expect_error "run_experiment: negative idle timeout" "power\.timeout_s" \
   -- timeout 20 "$RUN_EXPERIMENT" --inline "system = drl-fixed-timeout" "num_servers = 6" \
      "num_groups = 2" "trace.num_jobs = 300" "power.timeout_s = -5"
@@ -139,9 +147,9 @@ done
 
 # --- tournament -------------------------------------------------------------
 expect_error "tournament: unknown combo" \
-  -- "$TOURNAMENT" --combos definitely-not-a-policy+always-on --serial
+  -- "$TOURNAMENT" --combos definitely-not-a-policy+always-on --workers 1
 expect_error "tournament: unknown scenario" \
-  -- "$TOURNAMENT" --scenarios nope/nothing --serial --jobs 50
+  -- "$TOURNAMENT" --scenarios nope/nothing --workers 1 --jobs 50
 expect_error "tournament: non-numeric --jobs" \
   -- "$TOURNAMENT" --jobs banana
 expect_error "tournament: --jobs with a suffix" \
@@ -152,7 +160,7 @@ expect_error "tournament: negative --workers" \
   -- "$TOURNAMENT" --workers -1
 expect_error "tournament: unwritable --out-dir" \
   -- "$TOURNAMENT" --combos round-robin+always-on --scenarios tiny/round-robin \
-     --jobs 50 --serial --out-dir /nonexistent/deep/dir
+     --jobs 50 --workers 1 --out-dir /nonexistent/deep/dir
 
 # --- trace_tools ------------------------------------------------------------
 expect_error "trace_tools: missing trace file" \

@@ -20,7 +20,7 @@ trap 'rm -rf "$WORK"' EXIT
 # deterministic, so byte-for-byte diffs are the pass criterion.
 ARGS=(--combos "round-robin+always-on,least-loaded+immediate-sleep,first-fit-packing+fixed-timeout-60"
       --scenarios "tiny/least-loaded-faulty,tiny/round-robin-faulty"
-      --jobs 60000 --serial --no-timing)
+      --jobs 60000 --workers 1 --no-timing)
 JOURNAL="$WORK/journal.csv"
 mkdir -p "$WORK/ref" "$WORK/killed" "$WORK/resumed" "$WORK/resumed2"
 

@@ -106,6 +106,9 @@ struct ExperimentConfig {
   /// Checks the config's own fields, then builds the selected policy pair
   /// and discards it, so the registry's factories check every option.
   void validate() const;
+  /// validate() without the policy pair: policy::build_system runs it before
+  /// any factory, so every build is a full check.
+  void validate_fields() const;
 };
 
 struct CheckpointRow {

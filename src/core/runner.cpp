@@ -7,6 +7,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
@@ -34,10 +35,6 @@ sim::ClusterConfig cluster_config(const ExperimentConfig& cfg) {
   cc.num_servers = cfg.num_servers;
   cc.server = cfg.server;
   return cc;
-}
-
-void validate_all(const std::vector<Scenario>& scenarios) {
-  for (const Scenario& s : scenarios) s.validate();
 }
 
 // ---- tail latency / SLA ----------------------------------------------------
@@ -117,12 +114,12 @@ class SerializedObserver final : public RunObserver {
   std::mutex mutex_;
 };
 
-}  // namespace
+// ---- one cell --------------------------------------------------------------
 
-// ---- run_scenario ----------------------------------------------------------
-
-ExperimentResult run_scenario(const Scenario& scenario, RunObserver* observer) {
-  scenario.validate();
+/// run_scenario after the build: `policies` is the pair
+/// Scenario::build_policies built for `scenario`.
+ExperimentResult run_cell(const Scenario& scenario, policy::SystemBundle policies,
+                          RunObserver* observer) {
   const ExperimentConfig cfg = scenario.materialized();
 
   telemetry::Span scenario_guard(scenario_span(), scenario.name);
@@ -149,10 +146,6 @@ ExperimentResult run_scenario(const Scenario& scenario, RunObserver* observer) {
     telemetry::Span span(trace_load_span(), scenario.name);
     return scenario.effective_trace()->produce();
   }();
-
-  // Both tiers come from the policy registry: the config's allocator and
-  // power keys name registered entries.
-  policy::SystemBundle policies = policy::build_system(cfg);
 
   // ---- offline construction phase (DRL systems only) -----------------------
   if (policies.drl != nullptr && cfg.pretrain_jobs > 0) {
@@ -231,11 +224,66 @@ ExperimentResult run_scenario(const Scenario& scenario, RunObserver* observer) {
   return result;
 }
 
-// ---- Runner ----------------------------------------------------------------
+}  // namespace
 
-std::vector<ExperimentResult> Runner::run(const std::vector<Scenario>& scenarios,
-                                          RunObserver* observer) {
-  std::vector<ScenarioOutcome> outcomes = run_outcomes(scenarios, observer);
+ExperimentResult run_scenario(const Scenario& scenario, RunObserver* observer) {
+  return run_cell(scenario, scenario.build_policies(), observer);
+}
+
+// ---- the batch -------------------------------------------------------------
+
+std::vector<ScenarioOutcome> run_outcomes(const std::vector<Scenario>& scenarios,
+                                          std::size_t workers, RunObserver* observer) {
+  std::vector<Scenario> cells = scenarios;
+  share_synthetic_traces(cells);
+  // Every pair is built before any cell runs: the build is the check, so a
+  // bad cell fails the batch before any trace is produced.
+  std::vector<policy::SystemBundle> pairs;
+  pairs.reserve(cells.size());
+  for (const Scenario& cell : cells) pairs.push_back(cell.build_policies());
+
+  std::vector<ScenarioOutcome> outcomes(cells.size());
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&](RunObserver* cell_observer) {
+    while (true) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= cells.size()) return;
+      try {
+        outcomes[i].result = run_cell(cells[i], std::move(pairs[i]), cell_observer);
+      } catch (...) {
+        outcomes[i].error = std::current_exception();
+      }
+    }
+  };
+
+  if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
+  workers = std::min(workers, cells.size());
+  if (workers <= 1) {
+    drain(observer);
+    return outcomes;
+  }
+
+  std::optional<SerializedObserver> serialized;
+  if (observer != nullptr) serialized.emplace(*observer);
+  RunObserver* worker_observer = serialized.has_value() ? &*serialized : nullptr;
+  // jthread joins on destruction, so a failed thread start joins the
+  // workers already running before the exception leaves.
+  std::vector<std::jthread> pool;
+  pool.reserve(workers);
+  for (std::size_t t = 0; t < workers; ++t) {
+    pool.emplace_back([&, t] {
+      telemetry::set_thread_name("runner-worker-" + std::to_string(t));
+      telemetry::ShardScope scope(telemetry::global_registry().acquire_shard());
+      drain(worker_observer);
+    });
+  }
+  for (std::jthread& t : pool) t.join();
+  return outcomes;
+}
+
+std::vector<ExperimentResult> run_batch(const std::vector<Scenario>& scenarios,
+                                        std::size_t workers, RunObserver* observer) {
+  std::vector<ScenarioOutcome> outcomes = run_outcomes(scenarios, workers, observer);
   std::vector<ExperimentResult> results;
   results.reserve(outcomes.size());
   for (ScenarioOutcome& o : outcomes) {
@@ -243,65 +291,6 @@ std::vector<ExperimentResult> Runner::run(const std::vector<Scenario>& scenarios
     results.push_back(std::move(o.result));
   }
   return results;
-}
-
-// ---- SerialRunner ----------------------------------------------------------
-
-std::vector<ScenarioOutcome> SerialRunner::run_outcomes(const std::vector<Scenario>& scenarios,
-                                                        RunObserver* observer) {
-  validate_all(scenarios);
-  std::vector<ScenarioOutcome> outcomes(scenarios.size());
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    try {
-      outcomes[i].result = run_scenario(scenarios[i], observer);
-    } catch (...) {
-      outcomes[i].error = std::current_exception();
-    }
-  }
-  return outcomes;
-}
-
-// ---- ParallelRunner --------------------------------------------------------
-
-ParallelRunner::ParallelRunner(std::size_t num_workers) : num_workers_(num_workers) {
-  if (num_workers_ == 0) {
-    num_workers_ = std::max(1u, std::thread::hardware_concurrency());
-  }
-}
-
-std::vector<ScenarioOutcome> ParallelRunner::run_outcomes(const std::vector<Scenario>& scenarios,
-                                                          RunObserver* observer) {
-  validate_all(scenarios);
-  const std::size_t n = scenarios.size();
-  if (n == 0) return {};
-
-  std::unique_ptr<SerializedObserver> serialized;
-  if (observer != nullptr) serialized = std::make_unique<SerializedObserver>(*observer);
-  RunObserver* worker_observer = serialized.get();
-
-  std::vector<ScenarioOutcome> outcomes(n);
-  std::atomic<std::size_t> next{0};
-
-  auto worker = [&](std::size_t worker_index) {
-    telemetry::set_thread_name("runner-worker-" + std::to_string(worker_index));
-    telemetry::ShardScope scope(telemetry::global_registry().acquire_shard());
-    while (true) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      try {
-        outcomes[i].result = run_scenario(scenarios[i], worker_observer);
-      } catch (...) {
-        outcomes[i].error = std::current_exception();
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(std::min(num_workers_, n));
-  for (std::size_t t = 0; t < std::min(num_workers_, n); ++t) pool.emplace_back(worker, t);
-  for (std::thread& t : pool) t.join();
-
-  return outcomes;
 }
 
 // ---- stock observers -------------------------------------------------------

@@ -1,23 +1,30 @@
-// Runner: execute a batch of Scenarios, serially or on a worker pool.
+// Batch runner: execute a batch of Scenarios on a worker count.
 //
-// Contracts shared by every Runner:
+// run_outcomes (and its rethrowing twin run_batch) is the one batch entry
+// point. `workers` = 1 runs the cells in order on the calling thread, N > 1
+// on a pool of N threads (never more than the batch has cells), and 0 on one
+// thread per hardware thread. Contracts at every worker count:
 //
-//   * Validation is up front: every scenario is validated (with its name in
-//     the error message) before any simulation starts, so a bad cell fails
-//     the whole sweep fast.
-//   * Results are order-stable: results[i] always belongs to scenarios[i],
+//   * The check is up front: every cell's policy pair is built (with the
+//     scenario name in the error message) before any cell runs, so a bad
+//     cell fails the whole sweep fast. Each cell then runs with the pair
+//     built for it.
+//   * Cells with no trace source and equal generator options run on one
+//     cached trace (share_synthetic_traces), so a figure's systems see the
+//     same workload and generate it once.
+//   * Results are order-stable: outcomes[i] always belongs to scenarios[i],
 //     regardless of worker count or completion order.
 //   * Determinism: a scenario's result depends only on the scenario (all
-//     stochastic streams are seeded from its config), so SerialRunner and
-//     ParallelRunner produce identical results — only wall_seconds, which
-//     measures this process, may differ.
+//     stochastic streams are seeded from its config), so every worker count
+//     produces identical results — only wall_seconds, which measures this
+//     process, may differ.
 //
-// RunObserver is the pluggable seam that replaces the old baked-in
-// checkpoint accumulation: the driver streams every checkpoint and completed
-// result through it, so CSV streaming and progress reporting are observer
-// implementations rather than driver features. Runners serialize observer
-// calls (one at a time, from any worker thread); checkpoints of one scenario
-// arrive in order, but checkpoints of different scenarios may interleave.
+// RunObserver is the pluggable seam for checkpoint streaming: the batch
+// streams every checkpoint and completed result through it, so CSV
+// streaming and progress reporting are observer implementations rather
+// than runner features. Observer calls are serialized (one at a time, from
+// any worker thread); checkpoints of one scenario arrive in order, but
+// checkpoints of different scenarios may interleave.
 #pragma once
 
 #include <cstddef>
@@ -38,9 +45,10 @@ class RunObserver {
   virtual void on_complete(const Scenario& scenario, const ExperimentResult& result);
 };
 
-/// Run one scenario start to finish: produce the trace, run the offline
-/// construction phase (DRL systems), then the measured simulation, streaming
-/// checkpoints through `observer`. The building block under every Runner.
+/// Run one scenario start to finish: build its policy pair (the check, as
+/// Scenario::build_policies), produce the trace, run the offline
+/// construction phase (DRL systems), then the measured simulation,
+/// streaming checkpoints through `observer`.
 ExperimentResult run_scenario(const Scenario& scenario, RunObserver* observer = nullptr);
 
 /// Per-scenario outcome: either a result or the exception that killed the
@@ -51,47 +59,25 @@ struct ScenarioOutcome {
   bool ok() const noexcept { return error == nullptr; }
 };
 
-class Runner {
- public:
-  virtual ~Runner() = default;
-  /// Validate every scenario, then run them all; a runtime failure in any
-  /// cell is captured into that cell's outcome instead of aborting the batch
-  /// (validation errors still throw up front). The tournament harness runs a
-  /// whole policy × scenario grid through this.
-  virtual std::vector<ScenarioOutcome> run_outcomes(const std::vector<Scenario>& scenarios,
-                                                    RunObserver* observer = nullptr) = 0;
-  /// run_outcomes with the original throwing contract: rethrows the first
-  /// failed cell (in scenario order) after the batch finishes.
-  std::vector<ExperimentResult> run(const std::vector<Scenario>& scenarios,
-                                    RunObserver* observer = nullptr);
-};
+/// Build every cell's policy pair, then run the cells on `workers` threads
+/// (1 = serial on the calling thread, 0 = one per hardware thread). A bad
+/// cell's build throws std::invalid_argument before any cell runs; a runtime
+/// failure in a cell is captured into that cell's outcome instead of
+/// aborting the batch. The tournament harness runs a whole policy ×
+/// scenario grid through this.
+std::vector<ScenarioOutcome> run_outcomes(const std::vector<Scenario>& scenarios,
+                                          std::size_t workers, RunObserver* observer = nullptr);
 
-class SerialRunner final : public Runner {
- public:
-  std::vector<ScenarioOutcome> run_outcomes(const std::vector<Scenario>& scenarios,
-                                            RunObserver* observer = nullptr) override;
-};
-
-/// Worker pool over a shared scenario queue. `num_workers` = 0 uses the
-/// hardware concurrency; the pool never exceeds the scenario count.
-class ParallelRunner final : public Runner {
- public:
-  explicit ParallelRunner(std::size_t num_workers = 0);
-
-  std::vector<ScenarioOutcome> run_outcomes(const std::vector<Scenario>& scenarios,
-                                            RunObserver* observer = nullptr) override;
-
-  std::size_t num_workers() const noexcept { return num_workers_; }
-
- private:
-  std::size_t num_workers_;
-};
+/// run_outcomes for callers that want plain results: rethrows the first
+/// failed cell (in scenario order) after the batch finishes.
+std::vector<ExperimentResult> run_batch(const std::vector<Scenario>& scenarios,
+                                        std::size_t workers, RunObserver* observer = nullptr);
 
 // ---- stock observers -------------------------------------------------------
 
 /// Streams checkpoints as CSV rows
 /// (`scenario,jobs,sim_time_s,acc_latency_s,energy_kwh,avg_power_w`).
-/// The header is written on construction. Relies on the runner's observer
+/// The header is written on construction. Relies on the batch's observer
 /// serialization for thread safety.
 class CsvCheckpointObserver final : public RunObserver {
  public:

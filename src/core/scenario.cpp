@@ -32,13 +32,15 @@ std::shared_ptr<const TraceSource> Scenario::effective_trace() const {
   return std::make_shared<SyntheticTraceSource>(materialized().trace);
 }
 
-void Scenario::validate() const {
+policy::SystemBundle Scenario::build_policies() const {
   try {
-    materialized().validate();
+    return policy::build_system(materialized());
   } catch (const std::exception& e) {
     throw std::invalid_argument("scenario '" + name + "': " + e.what());
   }
 }
+
+void Scenario::validate() const { (void)build_policies(); }
 
 // ---- helpers ---------------------------------------------------------------
 
@@ -55,16 +57,26 @@ ExperimentConfig paper_experiment_config(std::size_t servers, std::size_t jobs) 
   return cfg;
 }
 
+namespace {
+
+/// The tiny test-scale recipe: 6 servers in 2 groups, a checkpoint every
+/// 100 jobs, and pretraining on the first quarter of a `jobs`-job trace.
+void apply_tiny_scale(ExperimentConfig& cfg, std::size_t jobs) {
+  cfg.num_servers = 6;
+  cfg.num_groups = 2;
+  cfg.pretrain_jobs = jobs / 4;
+  cfg.checkpoint_every_jobs = 100;
+}
+
+}  // namespace
+
 Scenario trace_scenario(std::shared_ptr<const TraceSource> source, const std::string& system) {
   if (source == nullptr) throw std::invalid_argument("trace_scenario: null source");
   Scenario s;
   policy::apply_system(s.config, system);
-  s.config.num_servers = 6;
-  s.config.num_groups = 2;
-  s.config.checkpoint_every_jobs = 100;
   // Sizing the pretrain prefix costs one produce() here; pass a caching
-  // source (make_cached) so the runner reuses it.
-  s.config.pretrain_jobs = source->produce().jobs.size() / 4;
+  // source (make_cached) so the run reuses it.
+  apply_tiny_scale(s.config, source->produce().jobs.size());
   s.trace = std::move(source);
   return s;
 }
@@ -85,11 +97,8 @@ Scenario calibrated_scenario(const std::string& dataset, const std::string& syst
   }
   Scenario s;
   policy::apply_system(s.config, system);
-  s.config.num_servers = 6;
-  s.config.num_groups = 2;
+  apply_tiny_scale(s.config, fitted.num_jobs);
   s.config.trace = fitted;
-  s.config.pretrain_jobs = fitted.num_jobs / 4;
-  s.config.checkpoint_every_jobs = 100;
   return s;
 }
 
@@ -146,7 +155,6 @@ std::vector<Scenario> ScenarioRegistry::make_group(const std::string& prefix,
   if (group.empty()) {
     throw std::invalid_argument("ScenarioRegistry: no scenario matches prefix '" + prefix + "'");
   }
-  share_synthetic_traces(group);
   return group;
 }
 
@@ -169,13 +177,10 @@ Scenario paper_scenario(std::size_t servers, const std::string& system, std::siz
 Scenario tiny_scenario(const std::string& system, std::size_t jobs) {
   Scenario s;
   policy::apply_system(s.config, system);
-  s.config.num_servers = 6;
-  s.config.num_groups = 2;
+  apply_tiny_scale(s.config, jobs);
   s.config.trace.num_jobs = jobs;
   s.config.trace.horizon_s = static_cast<double>(jobs) * 6.4;  // paper-like rate
   s.config.trace.seed = 21;
-  s.config.pretrain_jobs = jobs / 4;
-  s.config.checkpoint_every_jobs = 100;
   return s;
 }
 

@@ -23,6 +23,10 @@
 #include "src/core/experiment.hpp"
 #include "src/core/trace_source.hpp"
 
+namespace hcrl::policy {
+struct SystemBundle;
+}  // namespace hcrl::policy
+
 namespace hcrl::core {
 
 struct Scenario {
@@ -43,8 +47,12 @@ struct Scenario {
   /// `trace` if set, else a SyntheticTraceSource over the materialized
   /// config's generator options.
   std::shared_ptr<const TraceSource> effective_trace() const;
-  /// Validate the materialized config; errors are prefixed with the
-  /// scenario name so a failing cell of a sweep is identifiable.
+  /// Build the materialized config's policy pair (policy::build_system,
+  /// which checks the config's own fields first); errors are prefixed with
+  /// the scenario name so a failing cell of a sweep is identifiable. A run
+  /// uses the pair built here, so this build is its check.
+  policy::SystemBundle build_policies() const;
+  /// build_policies, discarding the pair.
   void validate() const;
 };
 
@@ -86,10 +94,9 @@ class ScenarioRegistry {
   /// Build one scenario; throws std::invalid_argument on unknown names
   /// (the message lists the known ones).
   Scenario make(const std::string& name, std::size_t jobs) const;
-  /// Build every scenario whose name starts with `prefix` (in registration
-  /// order), then share one cached trace source per group of scenarios
-  /// with identical effective generator options — so a figure's systems
-  /// run on one materialized trace. Throws if nothing matches.
+  /// Build every scenario whose name starts with `prefix`, in registration
+  /// order. Throws if nothing matches. A batch (run_outcomes) runs the
+  /// group's cells with equal generator options on one cached trace.
   std::vector<Scenario> make_group(const std::string& prefix, std::size_t jobs) const;
   /// All registered names, registration order.
   std::vector<std::string> names() const;
@@ -113,7 +120,8 @@ class ScenarioRegistry {
 
 /// Share trace materialization across `scenarios`: every group of
 /// scenarios that (a) has no explicit source and (b) resolves to identical
-/// generator options gets one shared CachedTraceSource. In-place.
+/// generator options gets one shared CachedTraceSource. In-place;
+/// run_outcomes calls it on every batch.
 void share_synthetic_traces(std::vector<Scenario>& scenarios);
 
 }  // namespace hcrl::core

@@ -9,7 +9,7 @@
 //                             and hands out copies; sharing one cached
 //                             source across scenarios is how a comparison
 //                             runs several systems on the *same* trace,
-//                             explicitly. Thread-safe, so a ParallelRunner
+//                             explicitly. Thread-safe, so a batch's workers
 //                             can race several scenarios onto one source.
 #pragma once
 

@@ -36,7 +36,7 @@ TradeoffResult explore_tradeoff(const TradeoffOptions& options) {
 
   // The whole grid as one scenario batch: the hierarchical curve first, then
   // one fixed-timeout curve per timeout. Every cell runs on the same trace
-  // (one shared cached source), and the batch order is the result order.
+  // (the batch caches it once), and the batch order is the result order.
   struct Cell {
     std::string curve_label;
     double sweep = 0.0;
@@ -66,14 +66,7 @@ TradeoffResult explore_tradeoff(const TradeoffOptions& options) {
       cells.push_back({label, w_vms});
     }
   }
-  share_synthetic_traces(scenarios);
-
-  std::vector<ExperimentResult> results;
-  if (options.threads == 1) {
-    results = SerialRunner().run(scenarios);
-  } else {
-    results = ParallelRunner(options.threads).run(scenarios);
-  }
+  const std::vector<ExperimentResult> results = run_batch(scenarios, options.threads);
 
   TradeoffResult result;
   std::size_t i = 0;

@@ -30,8 +30,8 @@ struct TradeoffOptions {
   /// Global w_vms values swept for the fixed-timeout baselines (w_power is
   /// held at the base value so the ratio varies).
   std::vector<double> global_vm_weights = {0.01, 0.05, 0.2};
-  /// Worker threads for the sweep (ParallelRunner). 1 = serial; 0 = one per
-  /// hardware thread. Results are identical for every setting.
+  /// Worker count for the sweep's batch (run_batch): 1 = serial, 0 = one
+  /// per hardware thread. Results are identical for every setting.
   std::size_t threads = 1;
 };
 

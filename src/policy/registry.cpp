@@ -248,11 +248,14 @@ PolicyRegistry build_builtin() {
                    }});
   r.add_allocator({.name = "random-k",
                    .description = "power-of-k-choices: best of k sampled servers",
-                   .options = {{"k", "servers sampled per decision (default 3)"},
+                   .options = {{"k", "servers sampled per decision "
+                                     "(default min(3, num_servers))"},
                                {"seed", seed_doc(cfg_default.allocator_seed)}},
                    .factory = [](const core::ExperimentConfig& cfg, common::Config& opts) {
-                     // k draws per decision, so k is bounded by the cluster.
-                     const std::int64_t k = opts.get_int("k", 3);
+                     // k draws per decision, so k is bounded by the cluster;
+                     // the default fits any cluster, an explicit k is checked.
+                     const std::int64_t k = opts.get_int(
+                         "k", std::min<std::int64_t>(3, static_cast<std::int64_t>(cfg.num_servers)));
                      if (k <= 0 || static_cast<std::uint64_t>(k) > cfg.num_servers) {
                        throw std::invalid_argument("k must be in [1, num_servers = " +
                                                    std::to_string(cfg.num_servers) + "]");
@@ -415,6 +418,7 @@ void apply_system(core::ExperimentConfig& cfg, const std::string& name) {
 }
 
 SystemBundle build_system(const core::ExperimentConfig& cfg) {
+  cfg.validate_fields();
   const PolicyRegistry& reg = PolicyRegistry::builtin();
   BuiltAllocator a = reg.make_allocator(cfg.allocator, cfg, cfg.allocator_opts);
   BuiltPower p = reg.make_power(cfg.power, cfg, cfg.power_opts);

@@ -26,9 +26,10 @@
 //
 // Layering note: policy/ sits beside core/ rather than below it. Factories
 // consume core's option structs (DrlAllocatorOptions, LocalPowerManagerOptions)
-// to build the learning tiers, and core's driver (runner.cpp) builds systems
-// through build_system() below — a mutual .cpp-level dependency inside the
-// single hcrl library, with no header cycle.
+// to build the learning tiers, and core's Scenario::build_policies
+// (scenario.cpp) builds systems through build_system() below — a mutual
+// .cpp-level dependency inside the single hcrl library, with no header cycle
+// (scenario.hpp only forward-declares SystemBundle).
 #pragma once
 
 #include <functional>
@@ -148,11 +149,13 @@ struct SystemBundle {
   core::RlPowerManager* local_rl = nullptr;
 };
 
-/// The registry construction path used by core::run_scenario: build the
-/// config's allocator and power policies from the builtin registry.
-/// ExperimentConfig::validate builds (and discards) the same pair, so a bad
-/// policy name, option key or option value fails at config time, with a
-/// did-you-mean for names and keys.
+/// Check the config's own fields (ExperimentConfig::validate_fields), then
+/// build its allocator and power policies from the builtin registry. Every
+/// run builds its pair here exactly once (Scenario::build_policies, before
+/// the trace is produced), and ExperimentConfig::validate builds and
+/// discards the same pair, so a bad policy name, option key or option value
+/// fails before any simulation state exists, with a did-you-mean for names
+/// and keys.
 SystemBundle build_system(const core::ExperimentConfig& cfg);
 
 /// The shared --list-policies body: every registered allocator and power

@@ -13,6 +13,7 @@
 #include "src/common/csv.hpp"
 #include "src/common/suggest.hpp"
 #include "src/core/predictor.hpp"
+#include "src/core/runner.hpp"
 #include "src/policy/registry.hpp"
 #include "src/telemetry/profiler.hpp"
 
@@ -265,7 +266,7 @@ std::vector<std::string> default_scenario_names() {
   return {"tiny/round-robin", "google2011-sample", "alibaba2018-sample", "alibaba2018-calibrated"};
 }
 
-TournamentResult run_tournament(const TournamentOptions& opts, core::Runner& runner) {
+TournamentResult run_tournament(const TournamentOptions& opts, std::size_t workers) {
   TournamentResult result;
   result.combos = opts.combos.empty() ? default_combos() : opts.combos;
 
@@ -298,10 +299,8 @@ TournamentResult run_tournament(const TournamentOptions& opts, core::Runner& run
       cells.push_back(std::move(cell));
     }
   }
-  // Synthetic cells over identical generator options share one cached trace.
-  core::share_synthetic_traces(cells);
 
-  // Per-cell timing comes from run_scenario's "runner.scenario" span (each
+  // Per-cell timing comes from the batch's "runner.scenario" span (each
   // cell name embeds the combo label); this span wraps the whole grid.
   static const telemetry::SpanDef kGridSpan("tournament.grid");
   if (telemetry::enabled()) {
@@ -309,11 +308,11 @@ TournamentResult run_tournament(const TournamentOptions& opts, core::Runner& run
   }
   std::vector<core::ScenarioOutcome> outcomes = [&] {
     telemetry::Span span(kGridSpan, std::to_string(cells.size()) + " cells");
-    if (opts.journal_path.empty()) return runner.run_outcomes(cells);
+    if (opts.journal_path.empty()) return core::run_outcomes(cells, workers);
 
     // Crash-safe resume: journaled cells are reconstructed without running;
-    // only the remainder goes through the runner (with a journaling
-    // observer), and its outcomes merge back into grid order.
+    // only the remainder runs as a batch (with a journaling observer), and
+    // its outcomes merge back into grid order.
     const JournalContents done = load_journal(opts.journal_path);
     std::vector<core::ScenarioOutcome> merged(cells.size());
     std::vector<core::Scenario> todo;
@@ -346,7 +345,7 @@ TournamentResult run_tournament(const TournamentOptions& opts, core::Runner& run
       // empty — a journal whose every record was truncated away still has
       // its magic and must not get a second one.
       JournalWriter journal(opts.journal_path, !done.has_magic);
-      std::vector<core::ScenarioOutcome> ran = runner.run_outcomes(todo, &journal);
+      std::vector<core::ScenarioOutcome> ran = core::run_outcomes(todo, workers, &journal);
       for (std::size_t j = 0; j < ran.size(); ++j) merged[todo_index[j]] = std::move(ran[j]);
     }
     return merged;

@@ -2,12 +2,12 @@
 //
 // A tournament expands every entered PolicyCombo against every scenario into
 // a grid of Scenario cells (each cell = one scenario recipe with the combo's
-// allocator/power overrides applied), runs the grid through any core::Runner
-// via run_outcomes() — so one failing cell is captured per-cell instead of
-// killing the run — and aggregates per-combo leaderboard rows.
+// allocator/power overrides applied), runs the grid as one
+// core::run_outcomes batch — so one failing cell is captured per-cell
+// instead of killing the run — and aggregates per-combo leaderboard rows.
 //
 // Determinism contract (pinned by tests): cell results depend only on the
-// cell's scenario, so SerialRunner and ParallelRunner produce bit-identical
+// cell's scenario, so every worker count produces bit-identical
 // leaderboards at any precision — except the timing columns (wall-clock,
 // decisions/sec), which measure this process. write_*_csv therefore take a
 // LeaderboardColumns switch; CI artifacts use kWithTiming, the parity tests
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "src/common/config.hpp"
-#include "src/core/runner.hpp"
 #include "src/core/scenario.hpp"
 
 namespace hcrl::policy {
@@ -100,11 +99,12 @@ struct TournamentResult {
   std::vector<TournamentCell> cells;
 };
 
-/// Expand the grid and run it through `runner`. Scenario recipes are built
-/// once per name and share trace materialization across combos. Invalid
-/// combos/scenarios throw up front (did-you-mean); runtime failures land in
-/// the affected cells.
-TournamentResult run_tournament(const TournamentOptions& opts, core::Runner& runner);
+/// Expand the grid and run it as one batch on `workers` threads (1 =
+/// serial, 0 = one per hardware thread; core::run_outcomes). Scenario
+/// recipes are built once per name, and the batch shares trace
+/// materialization across combos. Invalid combos/scenarios throw up front
+/// (did-you-mean); runtime failures land in the affected cells.
+TournamentResult run_tournament(const TournamentOptions& opts, std::size_t workers);
 
 /// One leaderboard row: a combo aggregated over its scenario cells.
 struct LeaderboardRow {

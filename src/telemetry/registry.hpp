@@ -10,7 +10,8 @@
 //    BENCH_micro.json).
 //  - Shard-local accumulation: writers bind a shard slab (ShardScope) and
 //    increment plain relaxed atomics in it, so concurrent writers — the
-//    ParallelRunner workers — never contend on one cache line. Sharing a slab is still safe (cells are atomic), just slower.
+//    batch runner's worker threads — never contend on one cache line.
+//    Sharing a slab is still safe (cells are atomic), just slower.
 //  - Deterministic merge: snapshot() folds the shard slabs in shard-index
 //    order. Counter values and histogram bin counts are integer sums, so the
 //    merged snapshot is invariant to how increments were distributed across

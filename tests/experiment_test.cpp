@@ -194,7 +194,7 @@ TEST(Experiment, SharedTraceSourceFeedsEverySystem) {
     s.trace = trace;
     scenarios.push_back(std::move(s));
   }
-  const auto results = SerialRunner().run(scenarios);
+  const auto results = run_batch(scenarios, 1);
   ASSERT_EQ(results.size(), 2u);
   // Same trace: both saw identical job populations.
   EXPECT_EQ(results[0].final_snapshot.jobs_completed, 400u);

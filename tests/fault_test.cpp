@@ -415,8 +415,7 @@ TEST(Watchdog, HungCellBecomesPerCellErrorWhileRestOfGridCompletes) {
   hung.config.watchdog_s = 1e-6;  // trips at the first 64-event check
   Scenario fine = ScenarioRegistry::builtin().make("tiny/least-loaded", 200);
 
-  core::SerialRunner runner;
-  const auto outcomes = runner.run_outcomes({hung, fine});
+  const auto outcomes = core::run_outcomes({hung, fine}, 1);
   ASSERT_EQ(outcomes.size(), 2u);
   ASSERT_FALSE(outcomes[0].ok());
   EXPECT_TRUE(outcomes[1].ok());
@@ -471,8 +470,7 @@ TEST(TournamentJournal, ResumeSkipsFinishedCellsByteIdentically) {
   const std::string path = testing::TempDir() + "fault_test_journal.csv";
   std::remove(path.c_str());
 
-  core::SerialRunner runner;
-  const auto first = policy::run_tournament(journal_grid(path), runner);
+  const auto first = policy::run_tournament(journal_grid(path), 1);
   const std::string journal_after_first = slurp(path);
   // magic line + one record per (ok) cell
   ASSERT_EQ(static_cast<std::size_t>(
@@ -482,7 +480,7 @@ TEST(TournamentJournal, ResumeSkipsFinishedCellsByteIdentically) {
   // Rerunning the same grid against the same journal recomputes nothing:
   // even the timing columns (wall_seconds) come back byte-identical, which
   // only happens when results are reconstructed from the journal.
-  const auto resumed = policy::run_tournament(journal_grid(path), runner);
+  const auto resumed = policy::run_tournament(journal_grid(path), 1);
   EXPECT_EQ(leaderboard_csv(resumed, policy::LeaderboardColumns::kWithTiming),
             leaderboard_csv(first, policy::LeaderboardColumns::kWithTiming));
   EXPECT_EQ(cells_csv(resumed, policy::LeaderboardColumns::kWithTiming),
@@ -493,7 +491,7 @@ TEST(TournamentJournal, ResumeSkipsFinishedCellsByteIdentically) {
   // And the journaled results match a journal-free run on the deterministic
   // columns (the journal changes provenance, never values).
   auto fresh_opts = journal_grid("");
-  const auto fresh = policy::run_tournament(fresh_opts, runner);
+  const auto fresh = policy::run_tournament(fresh_opts, 1);
   EXPECT_EQ(leaderboard_csv(resumed, policy::LeaderboardColumns::kDeterministic),
             leaderboard_csv(fresh, policy::LeaderboardColumns::kDeterministic));
 
@@ -504,8 +502,7 @@ TEST(TournamentJournal, TruncatedTrailingRecordIsIgnoredAndRepaired) {
   const std::string path = testing::TempDir() + "fault_test_journal_trunc.csv";
   std::remove(path.c_str());
 
-  core::SerialRunner runner;
-  const auto full = policy::run_tournament(journal_grid(path), runner);
+  const auto full = policy::run_tournament(journal_grid(path), 1);
   const std::string intact = slurp(path);
 
   // Chop the journal mid-way through its final record: the run was killed
@@ -515,13 +512,13 @@ TEST(TournamentJournal, TruncatedTrailingRecordIsIgnoredAndRepaired) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << intact.substr(0, intact.size() - 25);
   }
-  const auto resumed = policy::run_tournament(journal_grid(path), runner);
+  const auto resumed = policy::run_tournament(journal_grid(path), 1);
   EXPECT_EQ(leaderboard_csv(resumed, policy::LeaderboardColumns::kDeterministic),
             leaderboard_csv(full, policy::LeaderboardColumns::kDeterministic));
   // The repaired journal ends complete again: a second resume recomputes
   // nothing and appends nothing.
   const std::string repaired = slurp(path);
-  const auto again = policy::run_tournament(journal_grid(path), runner);
+  const auto again = policy::run_tournament(journal_grid(path), 1);
   EXPECT_EQ(slurp(path), repaired);
   EXPECT_EQ(cells_csv(again, policy::LeaderboardColumns::kWithTiming),
             cells_csv(resumed, policy::LeaderboardColumns::kWithTiming));
@@ -535,8 +532,7 @@ TEST(TournamentJournal, ForeignFileIsRejectedNotSilentlyOverwritten) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << "scenario,combo,energy\n";  // some other CSV
   }
-  core::SerialRunner runner;
-  EXPECT_THROW(policy::run_tournament(journal_grid(path), runner), std::invalid_argument);
+  EXPECT_THROW(policy::run_tournament(journal_grid(path), 1), std::invalid_argument);
   std::remove(path.c_str());
 }
 

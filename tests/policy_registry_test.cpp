@@ -159,6 +159,35 @@ TEST(PolicyRegistry, RandomKRejectsMoreDrawsThanServers) {
   EXPECT_THROW(reg.make_allocator("random-k", cfg, opts), std::invalid_argument);
 }
 
+// The default k is min(3, num_servers), so random-k with no `k` (and a DRL
+// tier guided by it) builds on a one- or two-server cluster; an explicit k
+// keeps the range check.
+TEST(PolicyRegistry, RandomKDefaultFitsSmallClusters) {
+  const auto& reg = policy::PolicyRegistry::builtin();
+  for (const std::size_t servers : {1u, 2u, 3u, 6u}) {
+    SCOPED_TRACE(servers);
+    core::ExperimentConfig cfg = tiny_config();
+    cfg.num_servers = servers;
+    cfg.num_groups = 1;
+    EXPECT_EQ(reg.make_allocator("random-k", cfg).policy->name(),
+              "random-" + std::to_string(std::min<std::size_t>(3, servers)));
+    cfg.allocator = "drl";
+    cfg.allocator_opts.set("guide", "random-k");
+    cfg.power = "always-on";
+    EXPECT_NO_THROW(policy::build_system(cfg));
+  }
+  core::ExperimentConfig cfg = tiny_config();
+  cfg.num_servers = 2;
+  cfg.num_groups = 1;
+  common::Config opts;
+  opts.set("k", static_cast<std::int64_t>(3));
+  EXPECT_THROW(reg.make_allocator("random-k", cfg, opts), std::invalid_argument);
+
+  std::ostringstream listing;
+  policy::print_policy_listing(listing);
+  EXPECT_NE(listing.str().find("(default min(3, num_servers))"), std::string::npos);
+}
+
 // The learning tiers' options are entries' options like any other, and the
 // listing prints each with the typed default its factory falls back to.
 TEST(PolicyRegistry, ListingShowsEveryLearningTierOptionWithItsDefault) {

@@ -1,7 +1,7 @@
-// The Scenario/Runner experiment API: trace sources, the scenario registry,
-// up-front validation, observers, and — the load-bearing property — that a
-// ParallelRunner produces bit-identical results to a SerialRunner for the
-// same scenario batch, regardless of worker count and completion order.
+// The Scenario / batch experiment API: trace sources, the scenario registry,
+// the up-front policy build, observers, and — the load-bearing property —
+// that a batch produces bit-identical results at every worker count,
+// regardless of completion order.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -229,23 +229,24 @@ TEST(ScenarioRegistry, UnknownNameThrowsWithKnownNames) {
   }
 }
 
-TEST(ScenarioRegistry, MakeGroupSharesOneTraceSource) {
+TEST(ScenarioRegistry, MakeGroupBuildsEveryMatchInRegistrationOrder) {
   const auto group = ScenarioRegistry::builtin().make_group("fig8/", 500);
   ASSERT_EQ(group.size(), 3u);
-  ASSERT_NE(group[0].trace, nullptr);
-  EXPECT_EQ(group[0].trace.get(), group[1].trace.get());
-  EXPECT_EQ(group[0].trace.get(), group[2].trace.get());
   EXPECT_EQ(group[0].name, "fig8/round-robin");
   EXPECT_EQ(group[2].config.num_servers, 30u);
+  // Trace sharing is the batch's job: the group leaves every source unset.
+  for (const Scenario& s : group) EXPECT_EQ(s.trace, nullptr) << s.name;
 }
 
-TEST(ScenarioRegistry, MakeGroupKeepsDistinctTracesApart) {
+TEST(ShareSyntheticTraces, EqualGeneratorOptionsShareOneCachedSource) {
   // table1 spans M=30 and M=40 — same generator options, so ONE trace is
   // correct across both cluster sizes (the paper runs both sizes on the
   // same workload segment). The -faulty rider perturbs servers, not the
   // workload, so it shares that trace too.
-  const auto group = ScenarioRegistry::builtin().make_group("table1/", 400);
+  std::vector<Scenario> group = ScenarioRegistry::builtin().make_group("table1/", 400);
   ASSERT_EQ(group.size(), 7u);
+  share_synthetic_traces(group);
+  ASSERT_NE(dynamic_cast<const CachedTraceSource*>(group[0].trace.get()), nullptr);
   EXPECT_EQ(group[0].trace.get(), group[5].trace.get());
   EXPECT_EQ(group[0].trace.get(), group[6].trace.get());
   EXPECT_EQ(group[6].name, "table1/m30/hierarchical-faulty");
@@ -258,7 +259,7 @@ TEST(ScenarioRegistry, MakeGroupKeepsDistinctTracesApart) {
   EXPECT_NE(mixed[0].trace.get(), mixed[1].trace.get());
 }
 
-// ---- validation fails fast with the scenario name --------------------------
+// ---- the policy build fails fast with the scenario name --------------------
 
 TEST(Runner, ValidationNamesTheBadScenarioBeforeAnythingRuns) {
   std::vector<Scenario> batch = ScenarioRegistry::builtin().make_group("tiny/", 200);
@@ -267,11 +268,10 @@ TEST(Runner, ValidationNamesTheBadScenarioBeforeAnythingRuns) {
   bad.config.num_groups = 5;  // does not divide 6 servers
   batch.insert(batch.begin() + 2, bad);
 
-  SerialRunner serial;
-  ParallelRunner parallel(4);
-  for (Runner* runner : {static_cast<Runner*>(&serial), static_cast<Runner*>(&parallel)}) {
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
     try {
-      runner->run(batch);
+      run_batch(batch, workers);
       FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument& e) {
       const std::string msg = e.what();
@@ -281,8 +281,9 @@ TEST(Runner, ValidationNamesTheBadScenarioBeforeAnythingRuns) {
   }
 }
 
-// An option value is checked up front too: its factory runs at validation,
-// so a bad cell fails the batch before the good cell's trace is produced.
+// An option value is checked up front too: every cell's pair is built before
+// any cell runs, so a bad cell fails the batch before the good cell's trace
+// is produced.
 TEST(Runner, OptionValuesAreValidatedBeforeAnythingRuns) {
   Scenario good = ScenarioRegistry::builtin().make("tiny/round-robin", 200);
   auto trace = std::make_shared<CountingSource>(good.config.trace);
@@ -296,17 +297,45 @@ TEST(Runner, OptionValuesAreValidatedBeforeAnythingRuns) {
   bad_k.config.allocator = "random-k";
   bad_k.config.allocator_opts.set("k", static_cast<std::int64_t>(0));
 
-  for (const Scenario& bad : {bad_guide, bad_k}) {
-    SCOPED_TRACE(bad.name);
-    bool rejected = false;
-    try {
-      SerialRunner().run_outcomes({good, bad});
-    } catch (const std::invalid_argument& e) {
-      rejected = true;
-      EXPECT_NE(std::string(e.what()).find(bad.name), std::string::npos) << e.what();
+  for (const std::size_t workers : {1u, 4u}) {
+    for (const Scenario& bad : {bad_guide, bad_k}) {
+      SCOPED_TRACE(bad.name + " at " + std::to_string(workers) + " workers");
+      bool rejected = false;
+      try {
+        run_outcomes({good, bad}, workers);
+      } catch (const std::invalid_argument& e) {
+        rejected = true;
+        EXPECT_NE(std::string(e.what()).find(bad.name), std::string::npos) << e.what();
+      }
+      EXPECT_TRUE(rejected) << "expected std::invalid_argument";
+      EXPECT_EQ(trace->productions.load(), 0) << "the good cell ran";
     }
-    EXPECT_TRUE(rejected) << "expected std::invalid_argument";
-    EXPECT_EQ(trace->productions.load(), 0) << "the good cell ran";
+  }
+}
+
+// run_scenario's own build is the same check, and it runs before the
+// scenario's trace is produced.
+TEST(Runner, RunScenarioChecksBeforeProducingTheTrace) {
+  Scenario groups = ScenarioRegistry::builtin().make("tiny/round-robin", 200);
+  groups.config.num_groups = 5;  // does not divide 6 servers
+  Scenario k = ScenarioRegistry::builtin().make("tiny/round-robin", 200);
+  k.config.allocator = "random-k";
+  k.config.allocator_opts.set("k", static_cast<std::int64_t>(0));
+
+  for (auto [bad, key] : {std::pair{groups, "num_groups"}, std::pair{k, "allocator.k"}}) {
+    SCOPED_TRACE(key);
+    bad.name = "bad";
+    auto trace = std::make_shared<CountingSource>(bad.config.trace);
+    bad.trace = trace;
+    try {
+      run_scenario(bad);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("scenario 'bad'"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(key), std::string::npos) << msg;
+    }
+    EXPECT_EQ(trace->productions.load(), 0) << "the trace was produced";
   }
 }
 
@@ -330,7 +359,7 @@ class CollectingObserver final : public RunObserver {
 TEST(Runner, ObserverStreamsCheckpointsAndCompletions) {
   const auto batch = ScenarioRegistry::builtin().make_group("tiny/", 300);
   CollectingObserver obs;
-  const auto results = ParallelRunner(4).run(batch, &obs);
+  const auto results = run_batch(batch, 4, &obs);
 
   ASSERT_EQ(results.size(), batch.size());
   EXPECT_EQ(obs.completed.size(), batch.size());
@@ -350,7 +379,7 @@ TEST(Runner, CsvObserverWritesHeaderAndOneRowPerCheckpoint) {
   Scenario s = ScenarioRegistry::builtin().make("tiny/round-robin", 300);
   std::ostringstream out;
   CsvCheckpointObserver csv(out);
-  const auto results = SerialRunner().run({s}, &csv);
+  const auto results = run_batch({s}, 1, &csv);
 
   std::istringstream in(out.str());
   std::string line;
@@ -364,7 +393,29 @@ TEST(Runner, CsvObserverWritesHeaderAndOneRowPerCheckpoint) {
   EXPECT_EQ(rows, results[0].series.size());
 }
 
-// ---- the headline property: parallel == serial, bit for bit ----------------
+// The batch gives cells with equal generator options one cached trace; the
+// observer sees the cell the batch ran, source included.
+TEST(Runner, BatchSharesOneCachedTracePerGeneratorOptions) {
+  const std::vector<Scenario> batch = {
+      ScenarioRegistry::builtin().make("tiny/round-robin", 200),
+      ScenarioRegistry::builtin().make("tiny/least-loaded", 200),
+      ScenarioRegistry::builtin().make("tiny/first-fit-packing", 150)};
+  class SourceObserver final : public RunObserver {
+   public:
+    void on_complete(const Scenario& scenario, const ExperimentResult&) override {
+      sources[scenario.name] = scenario.trace;  // keeps the source alive past the batch
+    }
+    std::map<std::string, std::shared_ptr<const TraceSource>> sources;
+  } obs;
+  run_batch(batch, 1, &obs);
+  const std::shared_ptr<const TraceSource> shared = obs.sources.at("tiny/round-robin");
+  ASSERT_NE(dynamic_cast<const CachedTraceSource*>(shared.get()), nullptr);
+  EXPECT_EQ(obs.sources.at("tiny/least-loaded"), shared);
+  EXPECT_NE(obs.sources.at("tiny/first-fit-packing"), shared);  // another trace scale
+  for (const Scenario& s : batch) EXPECT_EQ(s.trace, nullptr) << "the caller's batch changed";
+}
+
+// ---- the headline property: every worker count, bit for bit ----------------
 
 TEST(Runner, ParallelMatchesSerialBitForBitOnTheTinyGrid) {
   // >= 6 scenarios spanning all six systems, sharing one cached trace —
@@ -381,8 +432,8 @@ TEST(Runner, ParallelMatchesSerialBitForBitOnTheTinyGrid) {
   batch.push_back(rep2);
   ASSERT_GE(batch.size(), 6u);
 
-  const auto serial = SerialRunner().run(batch);
-  const auto parallel4 = ParallelRunner(4).run(batch);
+  const auto serial = run_batch(batch, 1);
+  const auto parallel4 = run_batch(batch, 4);
   ASSERT_EQ(serial.size(), batch.size());
   ASSERT_EQ(parallel4.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -395,7 +446,7 @@ TEST(Runner, ParallelMatchesSerialBitForBitOnTheTinyGrid) {
   EXPECT_NE(serial[h1].final_snapshot.energy_joules, serial[h2].final_snapshot.energy_joules);
 
   // And a second worker count completes the thread-count independence claim.
-  const auto parallel2 = ParallelRunner(2).run(batch);
+  const auto parallel2 = run_batch(batch, 2);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     SCOPED_TRACE(batch[i].name);
     expect_identical(serial[i], parallel2[i]);
@@ -403,7 +454,7 @@ TEST(Runner, ParallelMatchesSerialBitForBitOnTheTinyGrid) {
 }
 
 TEST(Runner, ParallelMatchesSerialAtF32) {
-  // The f32 compute mode composes with the scenario-level ParallelRunner:
+  // The f32 compute mode composes with the scenario-level worker pool:
   // results stay bit-identical to a serial run at the same precision.
   std::vector<Scenario> batch;
   for (const char* name : {"tiny/hierarchical", "tiny/drl-only"}) {
@@ -412,10 +463,9 @@ TEST(Runner, ParallelMatchesSerialAtF32) {
     s.config.precision = nn::Precision::kF32;
     batch.push_back(std::move(s));
   }
-  share_synthetic_traces(batch);
 
-  const auto serial = SerialRunner().run(batch);
-  const auto parallel = ParallelRunner(2).run(batch);
+  const auto serial = run_batch(batch, 1);
+  const auto parallel = run_batch(batch, 2);
   ASSERT_EQ(serial.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     SCOPED_TRACE(batch[i].name);
@@ -425,15 +475,16 @@ TEST(Runner, ParallelMatchesSerialAtF32) {
 }
 
 TEST(Runner, EmptyBatchAndOversizedPoolAreFine) {
-  EXPECT_TRUE(ParallelRunner(8).run({}).empty());
-  const auto one = ParallelRunner(8).run({ScenarioRegistry::builtin().make("tiny/least-loaded", 200)});
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_EQ(one[0].final_snapshot.jobs_completed, 200u);
-}
-
-TEST(Runner, DefaultWorkerCountUsesHardware) {
-  EXPECT_GE(ParallelRunner().num_workers(), 1u);
-  EXPECT_EQ(ParallelRunner(3).num_workers(), 3u);
+  // 0 workers means one per hardware thread; any count handles an empty
+  // batch and a pool larger than the batch.
+  for (const std::size_t workers : {0u, 1u, 8u}) {
+    SCOPED_TRACE(workers);
+    EXPECT_TRUE(run_batch({}, workers).empty());
+    const auto one =
+        run_batch({ScenarioRegistry::builtin().make("tiny/least-loaded", 200)}, workers);
+    ASSERT_EQ(one.size(), 1u);
+    EXPECT_EQ(one[0].final_snapshot.jobs_completed, 200u);
+  }
 }
 
 }  // namespace

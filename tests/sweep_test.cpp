@@ -110,15 +110,14 @@ INSTANTIATE_TEST_SUITE_P(Shapes, EncoderShapeSweep,
                                          std::make_tuple(30u, 3u), std::make_tuple(40u, 4u),
                                          std::make_tuple(60u, 2u), std::make_tuple(8u, 8u)));
 
-// ---- every registered tiny scenario runs to completion via a Runner -------
+// ---- every registered tiny scenario runs to completion via a batch --------
 
 class ScenarioSweep : public testing::TestWithParam<std::string> {};
 
 TEST_P(ScenarioSweep, BuiltinScenarioCompletesAllJobs) {
   const core::Scenario scenario =
       core::ScenarioRegistry::builtin().make(GetParam(), 300);
-  core::SerialRunner runner;
-  const auto results = runner.run({scenario});
+  const auto results = core::run_batch({scenario}, 1);
   ASSERT_EQ(results.size(), 1u);
   const auto& s = results[0].final_snapshot;
   EXPECT_EQ(s.jobs_arrived, 300u);

@@ -1,7 +1,6 @@
-// Tournament harness contracts: the leaderboard is bit-identical between
-// SerialRunner and ParallelRunner (at f64 and f32), row order is
-// deterministic, and a mid-grid scenario failure lands in its cells without
-// killing the run.
+// Tournament harness contracts: the leaderboard is bit-identical at every
+// worker count (at f64 and f32), row order is deterministic, and a mid-grid
+// scenario failure lands in its cells without killing the run.
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -58,14 +57,14 @@ class ThrowingTraceSource final : public core::TraceSource {
 
 TEST(Tournament, LeaderboardBitIdenticalSerialVsParallel) {
   const policy::TournamentOptions opts = small_grid();
-  core::SerialRunner serial;
-  core::ParallelRunner parallel(4);
-  const policy::TournamentResult a = policy::run_tournament(opts, serial);
-  const policy::TournamentResult b = policy::run_tournament(opts, parallel);
-
+  const policy::TournamentResult a = policy::run_tournament(opts, 1);
   const auto columns = policy::LeaderboardColumns::kDeterministic;
-  EXPECT_EQ(leaderboard_csv(a, columns), leaderboard_csv(b, columns));
-  EXPECT_EQ(cells_csv(a, columns), cells_csv(b, columns));
+  for (const std::size_t workers : {2u, 4u}) {
+    SCOPED_TRACE(workers);
+    const policy::TournamentResult b = policy::run_tournament(opts, workers);
+    EXPECT_EQ(leaderboard_csv(a, columns), leaderboard_csv(b, columns));
+    EXPECT_EQ(cells_csv(a, columns), cells_csv(b, columns));
+  }
 
   // Sanity: the grid actually ran.
   ASSERT_EQ(a.cells.size(), 10u);
@@ -74,7 +73,7 @@ TEST(Tournament, LeaderboardBitIdenticalSerialVsParallel) {
 
 // Forced-precision parity: the same grid at explicit f64 and f32 (via
 // extra_scenarios so the cell precision is pinned regardless of the
-// HCRL_PRECISION environment), each bit-identical across runners. The DRL
+// HCRL_PRECISION environment), each bit-identical at 1 and 2 workers. The DRL
 // combo makes the NN stack part of the grid, so precision is load-bearing.
 TEST(Tournament, LeaderboardBitIdenticalAtBothPrecisions) {
   for (const nn::Precision precision : {nn::Precision::kF64, nn::Precision::kF32}) {
@@ -89,10 +88,8 @@ TEST(Tournament, LeaderboardBitIdenticalAtBothPrecisions) {
     scenario.config.pretrain_jobs = 25;
     opts.extra_scenarios.push_back(scenario);
 
-    core::SerialRunner serial;
-    core::ParallelRunner parallel(2);
-    const policy::TournamentResult a = policy::run_tournament(opts, serial);
-    const policy::TournamentResult b = policy::run_tournament(opts, parallel);
+    const policy::TournamentResult a = policy::run_tournament(opts, 1);
+    const policy::TournamentResult b = policy::run_tournament(opts, 2);
     const auto columns = policy::LeaderboardColumns::kDeterministic;
     EXPECT_EQ(leaderboard_csv(a, columns), leaderboard_csv(b, columns));
     EXPECT_EQ(cells_csv(a, columns), cells_csv(b, columns));
@@ -104,9 +101,8 @@ TEST(Tournament, LeaderboardBitIdenticalAtBothPrecisions) {
 
 TEST(Tournament, RowOrderIsDeterministicAcrossRuns) {
   const policy::TournamentOptions opts = small_grid();
-  core::SerialRunner runner;
-  const policy::TournamentResult a = policy::run_tournament(opts, runner);
-  const policy::TournamentResult b = policy::run_tournament(opts, runner);
+  const policy::TournamentResult a = policy::run_tournament(opts, 1);
+  const policy::TournamentResult b = policy::run_tournament(opts, 1);
   EXPECT_EQ(leaderboard_csv(a, policy::LeaderboardColumns::kDeterministic),
             leaderboard_csv(b, policy::LeaderboardColumns::kDeterministic));
 
@@ -126,8 +122,7 @@ TEST(Tournament, RowOrderIsDeterministicAcrossRuns) {
 
 TEST(Tournament, CellsCsvIsGridOrderedWithHeader) {
   const policy::TournamentOptions opts = small_grid();
-  core::SerialRunner runner;
-  const policy::TournamentResult result = policy::run_tournament(opts, runner);
+  const policy::TournamentResult result = policy::run_tournament(opts, 1);
   const std::string csv = cells_csv(result, policy::LeaderboardColumns::kWithTiming);
   std::istringstream in(csv);
   std::string line;
@@ -157,8 +152,7 @@ TEST(Tournament, MidGridFailureIsCapturedPerCell) {
   bad.trace = std::make_shared<ThrowingTraceSource>();
   opts.extra_scenarios.push_back(bad);
 
-  core::ParallelRunner runner(2);
-  const policy::TournamentResult result = policy::run_tournament(opts, runner);
+  const policy::TournamentResult result = policy::run_tournament(opts, 2);
   ASSERT_EQ(result.cells.size(), 4u);
   for (const auto& cell : result.cells) {
     if (cell.scenario == "outage") {
@@ -179,9 +173,9 @@ TEST(Tournament, MidGridFailureIsCapturedPerCell) {
   const std::string csv = cells_csv(result, policy::LeaderboardColumns::kDeterministic);
   EXPECT_NE(csv.find("synthetic trace outage"), std::string::npos);
 
-  // The strict Runner::run wrapper still rethrows for non-tournament callers.
+  // The strict run_batch still rethrows for non-tournament callers.
   std::vector<core::Scenario> cells = {bad};
-  EXPECT_THROW(runner.run(cells), std::runtime_error);
+  EXPECT_THROW(core::run_batch(cells, 2), std::runtime_error);
 }
 
 // ---- combo parsing ---------------------------------------------------------

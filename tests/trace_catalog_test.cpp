@@ -1,6 +1,6 @@
 // TraceCatalog + the real-trace scenario registry entries: bundled fixture
 // slices load, normalize, and run end-to-end — and the acceptance property
-// that ParallelRunner output is bit-identical to SerialRunner on the
+// that a batch's output is bit-identical at every worker count on the
 // real-trace scenarios, exactly as runner_test pins for synthetic ones.
 #include "src/workload/trace/catalog.hpp"
 
@@ -146,8 +146,8 @@ TEST(TraceScenarios, ParallelMatchesSerialBitForBitOnRealTraces) {
     batch.push_back(registry.make(name, 0));
   }
 
-  const auto serial = core::SerialRunner().run(batch);
-  const auto parallel = core::ParallelRunner(4).run(batch);
+  const auto serial = core::run_batch(batch, 1);
+  const auto parallel = core::run_batch(batch, 4);
   ASSERT_EQ(serial.size(), batch.size());
   ASSERT_EQ(parallel.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
