@@ -21,40 +21,6 @@
 namespace {
 using namespace hcrl;
 
-void BM_MatrixVectorMultiply(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  nn::Matrix m(n, n, 0.5);
-  nn::Vec x(n, 1.0), y;
-  for (auto _ : state) {
-    m.multiply(x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * n));
-}
-BENCHMARK(BM_MatrixVectorMultiply)->Arg(32)->Arg(128)->Arg(512);
-
-// Single-sample loop vs one GEMM over the stacked batch: the core of the
-// batched NN path. Items processed = multiply-accumulates, so the two
-// counters are directly comparable.
-void BM_MatrixVectorLoop_vs_Gemm(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto batch = static_cast<std::size_t>(state.range(1));
-  common::Rng rng(3);
-  nn::Matrix w(n, n);
-  for (std::size_t i = 0; i < w.size(); ++i) w.data()[i] = rng.uniform(-1.0, 1.0);
-  nn::Vec x(n, 0.5), y;
-  for (auto _ : state) {
-    for (std::size_t b = 0; b < batch; ++b) {
-      w.multiply(x, y);
-      benchmark::DoNotOptimize(y.data());
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch * n * n));
-}
-BENCHMARK(BM_MatrixVectorLoop_vs_Gemm)->Args({128, 32})->Args({512, 32});
-
 void BM_GemmBatched(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto batch = static_cast<std::size_t>(state.range(1));
@@ -93,39 +59,6 @@ void BM_GemmF64(benchmark::State& state) { run_gemm_grid<double>(state); }
 BENCHMARK(BM_GemmF64)->Args({512, 32})->Args({512, 512});
 void BM_GemmF32(benchmark::State& state) { run_gemm_grid<float>(state); }
 BENCHMARK(BM_GemmF32)->Args({512, 32})->Args({512, 512});
-
-// Eight 35-step windows through the LSTM cell: one at a time through the
-// per-sample step() wrapper (Arg 1), or stacked as one batch of 8 through
-// step_batch (Arg 8), at the paper's predictor shape.
-void BM_LstmWindowSweep(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  const std::size_t lookback = 35, hidden = 30;  // paper's predictor shape
-  common::Rng rng(4);
-  auto params = std::make_shared<nn::LstmParams>(hidden, 1);
-  nn::init_lstm(*params, rng);
-  nn::Lstm lstm(params);
-  std::vector<nn::Matrix> xs;
-  for (std::size_t t = 0; t < lookback; ++t) {
-    nn::Matrix x(batch, 1);
-    for (std::size_t b = 0; b < batch; ++b) x(b, 0) = rng.uniform();
-    xs.push_back(x);
-  }
-  for (auto _ : state) {
-    if (batch == 1) {
-      // per-sample: each window walked separately
-      for (std::size_t w = 0; w < 8; ++w) {
-        lstm.reset();
-        for (const auto& x : xs) benchmark::DoNotOptimize(lstm.step({x(0, 0)}).data());
-      }
-    } else {
-      lstm.reset_batch(batch);
-      for (const auto& x : xs) benchmark::DoNotOptimize(lstm.step_batch(x).data());
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(lookback * (batch == 1 ? 8 : batch)));
-}
-BENCHMARK(BM_LstmWindowSweep)->Arg(1)->Arg(8);
 
 // Precision grid on a batched LSTM sweep: `batch` 35-step windows through
 // the stacked-gate GEMMs on the inference path (keep_cache=false). The
@@ -267,20 +200,6 @@ void BM_GroupedQTrainStepF32(benchmark::State& state) {
   run_grouped_q_train_step(state, 40, nn::Precision::kF32);
 }
 BENCHMARK(BM_GroupedQTrainStepF32);
-
-void BM_LstmStep(benchmark::State& state) {
-  common::Rng rng(2);
-  auto params = std::make_shared<nn::LstmParams>(30, 1);  // paper's 30 hidden units
-  nn::init_lstm(*params, rng);
-  nn::Lstm lstm(params);
-  const nn::Vec x = {0.5};
-  for (auto _ : state) {
-    auto h = lstm.step(x);
-    benchmark::DoNotOptimize(h.data());
-    if (lstm.cached_steps() > 64) lstm.reset();
-  }
-}
-BENCHMARK(BM_LstmStep);
 
 void BM_SmdpUpdate(benchmark::State& state) {
   rl::TabularQAgent::Options o;

@@ -4,38 +4,49 @@
 // Scenario / batch API (src/core/scenario.hpp, src/core/runner.hpp). Scale
 // and parallelism can be overridden for quick runs:
 //   HCRL_BENCH_JOBS=5000 ./bench_table1     (default: the paper's 95,000)
-//   HCRL_BENCH_THREADS=4 ./bench_fig9       (default: one per hardware thread)
+//   HCRL_BENCH_THREADS=4 ./bench_fig9       (default, or 0: one per hardware thread)
+// Both take digits only (common::parse_count); any other value prints an
+// error naming the variable and exits 1.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/config.hpp"
 #include "src/core/runner.hpp"
 #include "src/core/scenario.hpp"
 
 namespace hcrl::bench {
 
-inline std::size_t env_jobs(std::size_t fallback) {
-  if (const char* v = std::getenv("HCRL_BENCH_JOBS")) {
-    const long long n = std::atoll(v);
-    if (n > 0) return static_cast<std::size_t>(n);
+/// The count in environment variable `name` (at least `min`), or nullopt
+/// when it is unset. A malformed or too-small value exits the process.
+inline std::optional<std::size_t> env_count(const char* name, std::size_t min) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) return std::nullopt;
+  try {
+    return common::parse_count(v, name, min);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(1);
   }
-  return fallback;
 }
 
-/// Worker count for the paper-figure sweeps: HCRL_BENCH_THREADS, else one
-/// per hardware thread.
+inline std::size_t env_jobs(std::size_t fallback) {
+  return env_count("HCRL_BENCH_JOBS", 1).value_or(fallback);
+}
+
+/// Worker count for the paper-figure sweeps: HCRL_BENCH_THREADS, else (or
+/// at 0) one per hardware thread.
 inline std::size_t env_threads() {
-  if (const char* v = std::getenv("HCRL_BENCH_THREADS")) {
-    const long long n = std::atoll(v);
-    if (n > 0) return static_cast<std::size_t>(n);
-  }
-  return std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t n = env_count("HCRL_BENCH_THREADS", 0).value_or(0);
+  return n > 0 ? n : std::max(1u, std::thread::hardware_concurrency());
 }
 
 inline void print_result_row(const std::string& label, const core::ExperimentResult& r) {
@@ -76,9 +87,11 @@ inline void print_figure_series(int figure, const std::vector<core::Scenario>& s
 /// scaled: sum of per-scenario walls (the serial-equivalent cost) versus the
 /// sweep's actual elapsed wall clock.
 inline std::vector<core::ExperimentResult> run_sweep(const std::vector<core::Scenario>& scenarios) {
-  const std::size_t workers = env_threads();
+  const std::size_t requested = env_threads();
   const auto t0 = std::chrono::steady_clock::now();
-  auto results = core::run_batch(scenarios, workers);
+  auto results = core::run_batch(scenarios, requested);
+  // run_batch starts no more workers than the batch has cells.
+  const std::size_t workers = std::min(requested, scenarios.size());
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   double serial_equiv = 0.0;

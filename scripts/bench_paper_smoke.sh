@@ -2,6 +2,7 @@
 # Paper-figure driver smoke: run every bench that regenerates a figure, a
 # table or an ablation of the paper at a toy scale (300 jobs, two workers)
 # and fail on any nonzero exit, so the drivers cannot rot between full runs.
+# A malformed HCRL_BENCH_JOBS must fail with exit 1 and name the variable.
 #
 # Usage: bench_paper_smoke.sh <bench-build-dir>
 set -u
@@ -24,6 +25,19 @@ for bench in bench_fig8 bench_fig9 bench_fig10 bench_table1 bench_ablation_dnn \
   fi
   rm -f "$output_file"
 done
+
+# Expect-failure probe: a count with a suffix is an error, not 3 jobs.
+output_file=$(mktemp)
+HCRL_BENCH_JOBS=3x00 "$BENCH_DIR/bench_table1" >"$output_file" 2>&1
+code=$?
+if [ "$code" -ne 1 ] || ! grep -q "HCRL_BENCH_JOBS" "$output_file"; then
+  echo "FAIL: bench_table1 with HCRL_BENCH_JOBS=3x00 exited $code (want 1, naming the variable):" >&2
+  sed 's/^/    /' "$output_file" >&2
+  failures=$((failures + 1))
+else
+  echo "ok: bench_table1 rejects HCRL_BENCH_JOBS=3x00"
+fi
+rm -f "$output_file"
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures paper-figure driver(s) failed" >&2

@@ -65,7 +65,11 @@ struct ExperimentConfig {
   /// trace (with learning on) before the measured run; 0 disables.
   std::size_t pretrain_jobs = 20000;
   /// Keep learning enabled during the measured run (the paper's online
-  /// deep Q-learning phase); false freezes the policy after pretraining.
+  /// deep Q-learning phase); false freezes the policy after pretraining:
+  /// the global tier's DQN and the local tier's Q-tables. It does not
+  /// freeze the local tier's workload predictors: an `lstm` predictor keeps
+  /// training on the gaps it observes, so frozen cells still pay for LSTM
+  /// training (pinned by RlPowerManager.LearningOffStillTrainsLstmPredictor).
   bool learn_during_run = true;
 
   /// Record a metrics checkpoint every N completed jobs (0 disables).

@@ -171,7 +171,7 @@ class LstmNetCore {
   /// `end`; returns the squared error in normalized space.
   double train_window(const std::deque<double>& history, std::size_t end) {
     sweep(history, end, /*keep_cache=*/true);
-    // mse_loss over the single output (its 1/n is 1): value d^2, gradient 2d.
+    // The MSE over the single output (its 1/n is 1): value d^2, gradient 2d.
     const S d = y_(0, 0) - static_cast<S>(history[end]);
     const double loss = static_cast<double>(d * d);
     dy_(0, 0) = S(2) * d;

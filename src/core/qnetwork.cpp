@@ -335,14 +335,6 @@ std::size_t GroupedQNetwork::autoencoder_param_count() const {
   return f32_ ? f32_->autoencoder_param_count() : f64_->autoencoder_param_count();
 }
 
-std::vector<nn::ParamBlockPtr> GroupedQNetwork::trainable_params() const {
-  if (!f64_) {
-    throw std::logic_error(
-        "GroupedQNetwork::trainable_params: network is f32; use param_values()");
-  }
-  return f64_->trainable_params_typed();
-}
-
 std::vector<double> GroupedQNetwork::param_values() const {
   return f32_ ? nn::flatten_param_values(f32_->trainable_params_typed())
               : nn::flatten_param_values(f64_->trainable_params_typed());

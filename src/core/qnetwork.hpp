@@ -96,10 +96,6 @@ class GroupedQNetwork {
   std::size_t subq_param_count() const;
   /// 0 at K = 1.
   std::size_t autoencoder_param_count() const;
-  /// All learned parameters (online Sub-Q + autoencoder) as double-typed
-  /// blocks. Only valid for f64 networks; throws std::logic_error at f32 —
-  /// use param_values() for precision-agnostic access.
-  std::vector<nn::ParamBlockPtr> trainable_params() const;
   /// Flattened copy of every learned parameter as double, at any precision.
   std::vector<double> param_values() const;
   double last_autoencoder_loss() const noexcept { return last_ae_loss_; }

@@ -33,43 +33,11 @@ AutoencoderT<S>::AutoencoderT(std::size_t input_dim, const Options& opts, common
 }
 
 template <class S>
-VecT<S> AutoencoderT<S>::encode(const VecT<S>& x) {
-  return encoder_.predict(x);
-}
-
-template <class S>
 MatrixT<S> AutoencoderT<S>::encode_batch(MatrixT<S> X) {
   if (X.cols() != input_dim_) {
     throw std::invalid_argument("Autoencoder::encode_batch: input is " + X.shape_string());
   }
   return encoder_.predict_batch(std::move(X));
-}
-
-template <class S>
-VecT<S> AutoencoderT<S>::encode_training(const VecT<S>& x) {
-  return encoder_.forward(x);
-}
-
-template <class S>
-VecT<S> AutoencoderT<S>::backward_through_encoder(const VecT<S>& dcode) {
-  return encoder_.backward(dcode);
-}
-
-template <class S>
-VecT<S> AutoencoderT<S>::reconstruct(const VecT<S>& x) {
-  VecT<S> code = encoder_.predict(x);
-  return decoder_.predict(code);
-}
-
-template <class S>
-double AutoencoderT<S>::train_batch(const std::vector<VecT<S>>& batch) {
-  if (batch.empty()) throw std::invalid_argument("Autoencoder::train_batch: empty batch");
-  for (const VecT<S>& x : batch) {
-    if (x.size() != input_dim_) {
-      throw std::invalid_argument("Autoencoder::train_batch: bad sample dimension");
-    }
-  }
-  return train_batch_matrix(MatrixT<S>::from_rows(batch));
 }
 
 template <class S>

@@ -1,9 +1,9 @@
 // Autoencoder used by the global tier to compress server-group states.
 //
 // The paper (§V-A, Fig. 6) uses a two-layer fully-connected ELU encoder with
-// 30 and 15 neurons; the decoder mirrors it. One Autoencoder instance can be
-// applied to all K groups because the K logical autoencoders share weights —
-// the LIFO layer caches make repeated forward() calls differentiable.
+// 30 and 15 neurons; the decoder mirrors it. One Autoencoder instance serves
+// all K groups because the K logical autoencoders share weights: the global
+// tier stacks the K group states as rows of one encode_batch.
 //
 // Templated on the Scalar type (float/double instantiations in
 // autoencoder.cpp); `Autoencoder` aliases the double instantiation.
@@ -35,24 +35,12 @@ class AutoencoderT {
   std::size_t input_dim() const noexcept { return input_dim_; }
   std::size_t code_dim() const noexcept { return code_dim_; }
 
-  /// Encode without caching (inference).
-  VecT<S> encode(const VecT<S>& x);
-  /// Encode a (batch x input_dim) matrix of samples in one GEMM sweep.
+  /// Encode a (batch x input_dim) matrix of samples in one GEMM sweep,
+  /// without caching (inference).
   MatrixT<S> encode_batch(MatrixT<S> X);
-  /// Encode, keeping caches so that a later backward_through_encoder() can
-  /// propagate downstream gradients into the encoder weights.
-  VecT<S> encode_training(const VecT<S>& x);
-  /// Back-propagate dL/dcode from a downstream consumer through the encoder
-  /// (one pending encode_training per call, reverse order).
-  VecT<S> backward_through_encoder(const VecT<S>& dcode);
 
-  /// Full reconstruction (inference).
-  VecT<S> reconstruct(const VecT<S>& x);
-
-  /// One self-supervised training step on a batch; returns mean MSE.
-  double train_batch(const std::vector<VecT<S>>& batch);
-  /// train_batch over samples already stacked as a (batch x input_dim)
-  /// matrix (no per-sample Vec staging — the hot observe_state path).
+  /// One self-supervised training step on the samples stacked as a
+  /// (batch x input_dim) matrix; returns the mean MSE.
   double train_batch_matrix(const MatrixT<S>& X);
 
   NetworkT<S>& encoder() noexcept { return encoder_; }

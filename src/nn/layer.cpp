@@ -11,16 +11,6 @@
 namespace hcrl::nn {
 
 template <class S>
-VecT<S> LayerT<S>::forward(const VecT<S>& x) {
-  return forward_batch(MatrixT<S>::from_row(x)).row(0);
-}
-
-template <class S>
-VecT<S> LayerT<S>::backward(const VecT<S>& dy) {
-  return backward_batch(MatrixT<S>::from_row(dy)).row(0);
-}
-
-template <class S>
 DenseT<S>::DenseT(DenseParamsPtrT<S> params) : params_(std::move(params)) {
   if (!params_) throw std::invalid_argument("Dense: null params");
 }
@@ -224,7 +214,6 @@ MatrixT<S> ActivationLayerT<S>::backward_batch(const MatrixT<S>& dY, bool /*want
 }
 
 #define HCRL_NN_INSTANTIATE_LAYER(S)                     \
-  template class LayerT<S>;                              \
   template class DenseT<S>;                              \
   template class ActivationLayerT<S>;                    \
   template S activate<S>(Activation, S) noexcept;        \

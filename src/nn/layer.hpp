@@ -6,10 +6,10 @@
 // passes must therefore run in exactly reverse order of the forward calls,
 // which is the natural order of reverse-mode differentiation.
 //
-// The primitive interface is *batched*: activations travel as a
-// (batch x dim) Matrix and the heavy lifting happens in the GEMM kernels of
-// matrix.hpp. The per-sample Vec API is a thin wrapper over batch = 1, so
-// both paths run the same kernels and stay bit-compatible (pinned by
+// The interface is *batched*: activations travel as a (batch x dim) Matrix
+// and the heavy lifting happens in the GEMM kernels of matrix.hpp. One
+// sample is a batch of one (MatrixT::from_row), through the same kernels,
+// so a batched call equals its rows run one at a time (pinned by
 // tests/batch_parity_test.cpp). Layers are templated on the Scalar type
 // (float/double instantiations in layer.cpp); the unsuffixed names alias
 // the double instantiation.
@@ -44,12 +44,6 @@ class LayerT {
   /// then empty.
   virtual MatrixT<S> backward_batch(const MatrixT<S>& dY, bool want_input_grad = true) = 0;
 
-  /// Per-sample wrappers: one row through the batched kernels.
-  VecT<S> forward(const VecT<S>& x);
-  VecT<S> backward(const VecT<S>& dy);
-
-  /// Drop any pending caches (e.g. after inference-only forwards).
-  virtual void clear_cache() = 0;
   /// Parameter blocks of this layer (empty for activations).
   virtual void collect_params(std::vector<ParamBlockPtrT<S>>& out) const = 0;
 };
@@ -68,7 +62,6 @@ class DenseT final : public LayerT<S> {
 
   MatrixT<S> forward_batch(MatrixT<S> X, bool keep_cache = true) override;
   MatrixT<S> backward_batch(const MatrixT<S>& dY, bool want_input_grad = true) override;
-  void clear_cache() override { inputs_.clear(); }
   void collect_params(std::vector<ParamBlockPtrT<S>>& out) const override;
 
   /// Cache-free forms of forward_batch / backward_batch, for a caller that
@@ -100,7 +93,6 @@ class ActivationLayerT final : public LayerT<S> {
 
   MatrixT<S> forward_batch(MatrixT<S> X, bool keep_cache = true) override;
   MatrixT<S> backward_batch(const MatrixT<S>& dY, bool want_input_grad = true) override;
-  void clear_cache() override { outputs_.clear(); }
   void collect_params(std::vector<ParamBlockPtrT<S>>&) const override {}
 
   Activation kind() const noexcept { return kind_; }

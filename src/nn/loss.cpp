@@ -1,63 +1,9 @@
 #include "src/nn/loss.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
 namespace hcrl::nn {
-
-template <class S>
-LossResultT<S> mse_loss(const VecT<S>& pred, const VecT<S>& target) {
-  assert(pred.size() == target.size());
-  if (pred.empty()) throw std::invalid_argument("mse_loss: empty");
-  LossResultT<S> out;
-  out.grad.resize(pred.size());
-  const S inv_n = S(1) / static_cast<S>(pred.size());
-  for (std::size_t i = 0; i < pred.size(); ++i) {
-    const S d = pred[i] - target[i];
-    out.value += static_cast<double>(d * d * inv_n);
-    out.grad[i] = S(2) * d * inv_n;
-  }
-  return out;
-}
-
-template <class S>
-LossResultT<S> huber_loss(const VecT<S>& pred, const VecT<S>& target, S delta) {
-  assert(pred.size() == target.size());
-  if (pred.empty()) throw std::invalid_argument("huber_loss: empty");
-  if (delta <= S(0)) throw std::invalid_argument("huber_loss: delta must be > 0");
-  LossResultT<S> out;
-  out.grad.resize(pred.size());
-  const S inv_n = S(1) / static_cast<S>(pred.size());
-  for (std::size_t i = 0; i < pred.size(); ++i) {
-    const S d = pred[i] - target[i];
-    if (std::abs(d) <= delta) {
-      out.value += static_cast<double>(S(0.5) * d * d * inv_n);
-      out.grad[i] = d * inv_n;
-    } else {
-      out.value += static_cast<double>(delta * (std::abs(d) - S(0.5) * delta) * inv_n);
-      out.grad[i] = (d > S(0) ? delta : -delta) * inv_n;
-    }
-  }
-  return out;
-}
-
-template <class S>
-LossResultT<S> masked_huber_loss(const VecT<S>& pred, std::size_t index, S target, S delta) {
-  if (index >= pred.size()) throw std::invalid_argument("masked_huber_loss: index out of range");
-  if (delta <= S(0)) throw std::invalid_argument("masked_huber_loss: delta must be > 0");
-  LossResultT<S> out;
-  out.grad.assign(pred.size(), S(0));
-  const S d = pred[index] - target;
-  if (std::abs(d) <= delta) {
-    out.value = static_cast<double>(S(0.5) * d * d);
-    out.grad[index] = d;
-  } else {
-    out.value = static_cast<double>(delta * (std::abs(d) - S(0.5) * delta));
-    out.grad[index] = d > S(0) ? delta : -delta;
-  }
-  return out;
-}
 
 template <class S>
 BatchLossResultT<S> mse_loss_batch(const MatrixT<S>& pred, const MatrixT<S>& target,
@@ -111,9 +57,6 @@ BatchLossResultT<S> masked_huber_loss_batch(const MatrixT<S>& pred,
 }
 
 #define HCRL_NN_INSTANTIATE_LOSS(S)                                                          \
-  template LossResultT<S> mse_loss<S>(const VecT<S>&, const VecT<S>&);                       \
-  template LossResultT<S> huber_loss<S>(const VecT<S>&, const VecT<S>&, S);                  \
-  template LossResultT<S> masked_huber_loss<S>(const VecT<S>&, std::size_t, S, S);           \
   template BatchLossResultT<S> mse_loss_batch<S>(const MatrixT<S>&, const MatrixT<S>&, S);   \
   template BatchLossResultT<S> masked_huber_loss_batch<S>(                                   \
       const MatrixT<S>&, const std::vector<std::size_t>&, const VecT<S>&, S, S);

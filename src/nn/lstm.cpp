@@ -150,16 +150,6 @@ const MatrixT<S>& LstmT<S>::step_batch(const MatrixT<S>& X, bool keep_cache) {
 }
 
 template <class S>
-std::vector<MatrixT<S>> LstmT<S>::forward_batch(const std::vector<MatrixT<S>>& Xs) {
-  if (Xs.empty()) return {};
-  reset_batch(Xs.front().rows());
-  std::vector<MatrixT<S>> hs;
-  hs.reserve(Xs.size());
-  for (const auto& X : Xs) hs.push_back(step_batch(X));
-  return hs;
-}
-
-template <class S>
 const MatrixT<S>& LstmT<S>::backward_batch(const std::vector<MatrixT<S>>& dH) {
   const std::size_t B = batch_;
   const std::size_t H = hidden_dim();
@@ -223,34 +213,6 @@ const MatrixT<S>& LstmT<S>::backward_batch(const std::vector<MatrixT<S>>& dH) {
   st.dz.add_col_sums_into(params_->gb);
   recycle_cache();
   return dxs_;
-}
-
-template <class S>
-VecT<S> LstmT<S>::step(const VecT<S>& x) {
-  if (batch_ != 1) {
-    throw std::logic_error("Lstm::step: per-sample step on batched state; call reset() first");
-  }
-  return step_batch(MatrixT<S>::from_row(x)).row(0);
-}
-
-template <class S>
-std::vector<VecT<S>> LstmT<S>::forward(const std::vector<VecT<S>>& xs) {
-  reset();
-  std::vector<VecT<S>> hs;
-  hs.reserve(xs.size());
-  for (const auto& x : xs) hs.push_back(step(x));
-  return hs;
-}
-
-template <class S>
-std::vector<VecT<S>> LstmT<S>::backward(const std::vector<VecT<S>>& dh) {
-  std::vector<MatrixT<S>> dH;
-  dH.reserve(dh.size());
-  for (const auto& d : dh) dH.push_back(MatrixT<S>::from_row(d));
-  const MatrixT<S>& dX = backward_batch(dH);  // newest step first
-  std::vector<VecT<S>> dx(dX.rows());
-  for (std::size_t s = 0; s < dX.rows(); ++s) dx[dX.rows() - 1 - s] = dX.row(s);
-  return dx;
 }
 
 template class LstmT<float>;

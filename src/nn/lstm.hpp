@@ -17,10 +17,9 @@
 // sequence's backward has run; update them after, then reset_batch again.
 // After the first sequence of a given length, a forward + backward pass
 // allocates nothing: step caches, gate scratch and BPTT buffers are reused
-// (BPTT's step stacks once per thread, the rest per cell). The per-sample
-// step/backward API is a thin wrapper over batch = 1 running the same
-// kernels. Templated on the Scalar type (float/double instantiations in
-// lstm.cpp); `Lstm` aliases the double instantiation.
+// (BPTT's step stacks once per thread, the rest per cell). One sequence is
+// a batch of one. Templated on the Scalar type (float/double instantiations
+// in lstm.cpp); `Lstm` aliases the double instantiation.
 #pragma once
 
 #include <vector>
@@ -36,7 +35,6 @@ class LstmT {
 
   std::size_t hidden_dim() const noexcept { return params_->hidden_dim(); }
   std::size_t in_dim() const noexcept { return params_->in_dim(); }
-  std::size_t batch_size() const noexcept { return batch_; }
   const LstmParamsPtrT<S>& params() const noexcept { return params_; }
 
   /// Clear hidden/cell state and all cached steps (batch = 1).
@@ -45,16 +43,10 @@ class LstmT {
   /// the forward pass's transposed copies of the current Wx / Wh.
   void reset_batch(std::size_t batch);
 
-  // --- batched path --------------------------------------------------------
-
   /// One forward step for `batch` sequences at once: X is (batch x in_dim),
   /// the returned hidden state is (batch x H). With keep_cache, caches the
   /// step for backward_batch; inference passes false and skips the copies.
   const MatrixT<S>& step_batch(const MatrixT<S>& X, bool keep_cache = true);
-
-  /// Reset to Xs[0].rows() sequences, then run the whole stacked sequence;
-  /// returns the (batch x H) hidden state of every step.
-  std::vector<MatrixT<S>> forward_batch(const std::vector<MatrixT<S>>& Xs);
 
   /// BPTT over all cached steps. `dH` holds dL/dh_t (batch x H) for each
   /// cached step (zero matrices for steps without direct loss). Clears the
@@ -72,23 +64,6 @@ class LstmT {
   const MatrixT<S>& backward_batch(const std::vector<MatrixT<S>>& dH);
 
   const MatrixT<S>& hidden_batch() const noexcept { return h_; }
-  const MatrixT<S>& cell_batch() const noexcept { return c_; }
-
-  // --- per-sample wrappers (batch = 1) -------------------------------------
-
-  /// One forward step; returns h_t and caches intermediates for backward.
-  VecT<S> step(const VecT<S>& x);
-
-  /// Reset, then run the whole sequence; returns h_t for every step.
-  std::vector<VecT<S>> forward(const std::vector<VecT<S>>& xs);
-
-  /// BPTT over all cached steps (see backward_batch); per-sample shapes.
-  std::vector<VecT<S>> backward(const std::vector<VecT<S>>& dh);
-
-  /// Row 0 of the hidden/cell state (the only row in per-sample use).
-  VecT<S> hidden() const { return h_.row(0); }
-  VecT<S> cell() const { return c_.row(0); }
-  std::size_t cached_steps() const noexcept { return cache_.size(); }
 
  private:
   struct StepCache {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -75,44 +74,6 @@ void MatrixT<Scalar>::resize_for_overwrite(std::size_t rows, std::size_t cols) {
 }
 
 template <class Scalar>
-void MatrixT<Scalar>::multiply(const VecT<Scalar>& x, VecT<Scalar>& y) const {
-  assert(x.size() == cols_);
-  y.assign(rows_, Scalar(0));
-  const Scalar* w = data_.get();
-  for (std::size_t r = 0; r < rows_; ++r) {
-    Scalar acc = Scalar(0);
-    const Scalar* row = w + r * cols_;
-    for (std::size_t c = 0; c < cols_; ++c) acc += row[c] * x[c];
-    y[r] = acc;
-  }
-}
-
-template <class Scalar>
-void MatrixT<Scalar>::multiply_transposed(const VecT<Scalar>& x, VecT<Scalar>& y) const {
-  assert(x.size() == rows_);
-  y.assign(cols_, Scalar(0));
-  const Scalar* w = data_.get();
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const Scalar xr = x[r];
-    if (xr == Scalar(0)) continue;
-    const Scalar* row = w + r * cols_;
-    for (std::size_t c = 0; c < cols_; ++c) y[c] += row[c] * xr;
-  }
-}
-
-template <class Scalar>
-void MatrixT<Scalar>::add_outer(const VecT<Scalar>& a, const VecT<Scalar>& b) {
-  assert(a.size() == rows_ && b.size() == cols_);
-  Scalar* w = data_.get();
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const Scalar ar = a[r];
-    if (ar == Scalar(0)) continue;
-    Scalar* row = w + r * cols_;
-    for (std::size_t c = 0; c < cols_; ++c) row[c] += ar * b[c];
-  }
-}
-
-template <class Scalar>
 std::string MatrixT<Scalar>::shape_string() const {
   std::ostringstream os;
   os << rows_ << "x" << cols_;
@@ -151,15 +112,6 @@ void MatrixT<Scalar>::set_row(std::size_t r, const VecT<Scalar>& x) {
   assert(r < rows_ && x.size() == cols_);
   Scalar* dst = data_.get() + r * cols_;
   for (std::size_t c = 0; c < cols_; ++c) dst[c] = x[c];
-}
-
-template <class Scalar>
-void MatrixT<Scalar>::add_row_broadcast(const VecT<Scalar>& b) {
-  assert(b.size() == cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    Scalar* dst = data_.get() + r * cols_;
-    for (std::size_t c = 0; c < cols_; ++c) dst[c] += b[c];
-  }
 }
 
 template <class Scalar>
@@ -569,59 +521,6 @@ void gemm_nt(const MatrixT<S>& A, const MatrixT<S>& B, MatrixT<S>& C, bool accum
 }
 
 template <class S>
-void add_in_place(MatrixT<S>& X, const MatrixT<S>& Y) {
-  if (!X.same_shape(Y)) {
-    throw std::invalid_argument("Matrix add_in_place: " + X.shape_string() + " vs " +
-                                Y.shape_string());
-  }
-  S* x = X.data();
-  const S* y = Y.data();
-  for (std::size_t i = 0; i < X.size(); ++i) x[i] += y[i];
-}
-
-template <class S>
-VecT<S> add(const VecT<S>& x, const VecT<S>& y) {
-  assert(x.size() == y.size());
-  VecT<S> z(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) z[i] = x[i] + y[i];
-  return z;
-}
-
-template <class S>
-void add_in_place(VecT<S>& x, const VecT<S>& y) {
-  assert(x.size() == y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] += y[i];
-}
-
-template <class S>
-void scale_in_place(VecT<S>& x, S s) {
-  for (auto& v : x) v *= s;
-}
-
-template <class S>
-S dot(const VecT<S>& x, const VecT<S>& y) {
-  assert(x.size() == y.size());
-  S acc = S(0);
-  for (std::size_t i = 0; i < x.size(); ++i) acc += x[i] * y[i];
-  return acc;
-}
-
-template <class S>
-S norm(const VecT<S>& x) {
-  return std::sqrt(dot(x, x));
-}
-
-template <class S>
-VecT<S> concat(const std::vector<const VecT<S>*>& parts) {
-  std::size_t total = 0;
-  for (const VecT<S>* p : parts) total += p->size();
-  VecT<S> out;
-  out.reserve(total);
-  for (const VecT<S>* p : parts) out.insert(out.end(), p->begin(), p->end());
-  return out;
-}
-
-template <class S>
 std::size_t argmax(const VecT<S>& x) {
   if (x.empty()) throw std::invalid_argument("argmax: empty vector");
   std::size_t best = 0;
@@ -637,13 +536,6 @@ std::size_t argmax(const VecT<S>& x) {
   template void gemm<S>(const MatrixT<S>&, const MatrixT<S>&, MatrixT<S>&, bool);      \
   template void gemm_tn<S>(const MatrixT<S>&, const MatrixT<S>&, MatrixT<S>&, bool);   \
   template void gemm_nt<S>(const MatrixT<S>&, const MatrixT<S>&, MatrixT<S>&, bool);   \
-  template void add_in_place<S>(MatrixT<S>&, const MatrixT<S>&);                       \
-  template VecT<S> add<S>(const VecT<S>&, const VecT<S>&);                             \
-  template void add_in_place<S>(VecT<S>&, const VecT<S>&);                             \
-  template void scale_in_place<S>(VecT<S>&, S);                                        \
-  template S dot<S>(const VecT<S>&, const VecT<S>&);                                   \
-  template S norm<S>(const VecT<S>&);                                                  \
-  template VecT<S> concat<S>(const std::vector<const VecT<S>*>&);                      \
   template std::size_t argmax<S>(const VecT<S>&);
 
 HCRL_NN_INSTANTIATE_MATRIX(float)

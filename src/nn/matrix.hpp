@@ -1,11 +1,10 @@
-// Dense row-major matrix and vector helpers for the NN substrate.
+// Dense row-major matrix and GEMM kernels for the NN substrate.
 //
 // The networks in this project are tiny (tens to a few hundred units), so a
 // straightforward matrix with cache-friendly loops is both simple and fast
 // enough; there is intentionally no BLAS dependency. The GEMM kernels below
-// are the batched substrate: every batched layer carries a (batch x dim)
-// activation Matrix through them, and the per-sample APIs are thin wrappers
-// over batch = 1.
+// are the whole substrate: every layer carries a (batch x dim) activation
+// Matrix through them, and single-sample work runs them at batch 1.
 //
 // Everything is templated on the Scalar type and instantiated for float and
 // double (matrix.cpp). `Matrix`/`Vec` alias the double instantiation — the
@@ -60,13 +59,6 @@ class MatrixT {
   /// already right); callers must overwrite every element before reading.
   void resize_for_overwrite(std::size_t rows, std::size_t cols);
 
-  /// y = this * x  (rows x cols) * (cols) -> (rows)
-  void multiply(const VecT<Scalar>& x, VecT<Scalar>& y) const;
-  /// y = this^T * x  (cols) <- (rows)
-  void multiply_transposed(const VecT<Scalar>& x, VecT<Scalar>& y) const;
-  /// this += outer(a, b): this(r,c) += a[r] * b[c]
-  void add_outer(const VecT<Scalar>& a, const VecT<Scalar>& b);
-
   bool same_shape(const MatrixT& other) const noexcept {
     return rows_ == other.rows_ && cols_ == other.cols_;
   }
@@ -91,8 +83,6 @@ class MatrixT {
     Scalar* dst = data_.get() + r * cols_;
     for (std::size_t c = 0; c < cols_; ++c) dst[c] = static_cast<Scalar>(x[c]);
   }
-  /// this(r, :) += b for every row r (bias broadcast).
-  void add_row_broadcast(const VecT<Scalar>& b);
   /// out[c] += sum over rows of this(r, c), accumulated in row order so the
   /// result is bit-identical to adding the rows one by one (bias gradients).
   void add_col_sums_into(VecT<Scalar>& out) const;
@@ -113,9 +103,11 @@ using Vec = VecT<double>;
 // is false C is resized and overwritten; when true C must already have the
 // result shape and the product is added into it. Shape mismatches throw
 // std::invalid_argument. Each output element's reduction runs in strictly
-// increasing k order, so a batch-1 GEMM reproduces the per-sample
-// multiply/multiply_transposed/add_outer results bit-for-bit — the property
-// the batch-parity suite pins down.
+// increasing k order from 0, so a GEMM that fits one L2 panel (every NN
+// layer here) equals the plain scalar loop bit for bit at any batch size
+// (Gemm.BitIdenticalToScalarReference in matrix_test), and a batched call
+// equals its rows run at batch 1 — the property the batch-parity suite pins
+// down.
 
 /// C (+)= A * B;  A is (m x k), B is (k x n), C is (m x n).
 template <class S>
@@ -130,41 +122,9 @@ void gemm_nt(const MatrixT<S>& A, const MatrixT<S>& B, MatrixT<S>& C, bool accum
 /// No-op stub: bench_e2e still calls it; the next benchmark change deletes it.
 inline void set_gemm_threads(std::size_t /*n*/) noexcept {}
 
-// --- small Vec helpers used throughout the nn/ and core/ code -------------
-
-/// X += Y elementwise (shapes must match).
-template <class S>
-void add_in_place(MatrixT<S>& X, const MatrixT<S>& Y);
-
-/// z = x + y (sizes must match).
-template <class S>
-VecT<S> add(const VecT<S>& x, const VecT<S>& y);
-/// x += y
-template <class S>
-void add_in_place(VecT<S>& x, const VecT<S>& y);
-/// x *= s
-template <class S>
-void scale_in_place(VecT<S>& x, S s);
-/// Dot product.
-template <class S>
-S dot(const VecT<S>& x, const VecT<S>& y);
-/// Euclidean norm.
-template <class S>
-S norm(const VecT<S>& x);
-/// Concatenate a list of vectors.
-template <class S>
-VecT<S> concat(const std::vector<const VecT<S>*>& parts);
 /// Index of the maximum element (first on ties); requires non-empty.
 template <class S>
 std::size_t argmax(const VecT<S>& x);
-
-/// Per-element value conversion between precisions (the agent boundary).
-template <class To, class From>
-VecT<To> convert_vec(const VecT<From>& v) {
-  VecT<To> out(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) out[i] = static_cast<To>(v[i]);
-  return out;
-}
 
 extern template class MatrixT<float>;
 extern template class MatrixT<double>;

@@ -72,27 +72,6 @@ MatrixT<S> NetworkT<S>::predict_batch(MatrixT<S> X) {
 }
 
 template <class S>
-VecT<S> NetworkT<S>::forward(const VecT<S>& x) {
-  return forward_batch(MatrixT<S>::from_row(x)).row(0);
-}
-
-template <class S>
-VecT<S> NetworkT<S>::backward(const VecT<S>& dy, bool want_input_grad) {
-  MatrixT<S> dX = backward_batch(MatrixT<S>::from_row(dy), want_input_grad);
-  return want_input_grad ? dX.row(0) : VecT<S>();
-}
-
-template <class S>
-VecT<S> NetworkT<S>::predict(const VecT<S>& x) {
-  return predict_batch(MatrixT<S>::from_row(x)).row(0);
-}
-
-template <class S>
-void NetworkT<S>::clear_cache() {
-  for (auto& layer : layers_) layer->clear_cache();
-}
-
-template <class S>
 void NetworkT<S>::zero_grad() {
   for (const auto& p : params()) p->zero_grad();
 }

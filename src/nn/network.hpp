@@ -29,8 +29,8 @@ class NetworkT {
   std::size_t out_dim() const;
   bool empty() const noexcept { return layers_.empty(); }
 
-  // Batched path: a (batch x dim) activation matrix flows through the GEMM
-  // kernels; one call handles a whole minibatch.
+  // A (batch x dim) activation matrix flows through the GEMM kernels; one
+  // call handles a whole minibatch, or one sample as a batch of one.
   MatrixT<S> forward_batch(MatrixT<S> X);
   /// Backward through the whole stack; returns dL/dX (batch x in_dim).
   /// Trainers that discard dL/dX pass want_input_grad = false to skip the
@@ -39,14 +39,6 @@ class NetworkT {
   /// Batched forward without keeping caches (inference only).
   MatrixT<S> predict_batch(MatrixT<S> X);
 
-  // Per-sample wrappers over batch = 1 (same kernels, same results).
-  VecT<S> forward(const VecT<S>& x);
-  /// Backward through the whole stack; returns dL/dx (see backward_batch).
-  VecT<S> backward(const VecT<S>& dy, bool want_input_grad = true);
-  /// Forward without keeping caches (inference only).
-  VecT<S> predict(const VecT<S>& x);
-
-  void clear_cache();
   void zero_grad();
   std::vector<ParamBlockPtrT<S>> params() const;
   std::size_t param_count() const;

@@ -42,8 +42,6 @@ class AdamT final {
   /// gradients untouched (the caller decides when to zero).
   void step();
   void zero_grad();
-  void set_lr(double lr) noexcept { opts_.lr = lr; }
-  double lr() const noexcept { return opts_.lr; }
   std::int64_t steps_taken() const noexcept { return t_; }
 
  private:

@@ -27,13 +27,6 @@ void copy_param_values(const std::vector<ParamBlockPtrT<S>>& src,
 }
 
 template <class S>
-std::size_t total_param_count(const std::vector<ParamBlockPtrT<S>>& params) {
-  std::size_t n = 0;
-  for (const auto& s : gather_segments(params)) n += s.n;
-  return n;
-}
-
-template <class S>
 std::vector<double> flatten_param_values(const std::vector<ParamBlockPtrT<S>>& params) {
   std::vector<double> out;
   for (const auto& s : gather_segments(params)) {
@@ -47,7 +40,6 @@ std::vector<double> flatten_param_values(const std::vector<ParamBlockPtrT<S>>& p
       const std::vector<ParamBlockPtrT<S>>&);                                             \
   template void copy_param_values<S>(const std::vector<ParamBlockPtrT<S>>&,               \
                                      const std::vector<ParamBlockPtrT<S>>&);              \
-  template std::size_t total_param_count<S>(const std::vector<ParamBlockPtrT<S>>&);       \
   template std::vector<double> flatten_param_values<S>(const std::vector<ParamBlockPtrT<S>>&);
 
 HCRL_NN_INSTANTIATE_PARAM(float)

@@ -134,10 +134,6 @@ template <class S>
 void copy_param_values(const std::vector<ParamBlockPtrT<S>>& src,
                        const std::vector<ParamBlockPtrT<S>>& dst);
 
-/// Total scalar parameter count across blocks.
-template <class S>
-std::size_t total_param_count(const std::vector<ParamBlockPtrT<S>>& params);
-
 /// Flattened copy of all parameter values as doubles (precision-agnostic —
 /// what the type-erased agent boundary exposes for tests and tools).
 template <class S>

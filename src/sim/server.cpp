@@ -44,7 +44,6 @@ Server::Server(ServerId id, const ServerConfig& cfg, ClusterMetrics* metrics)
       cfg_.start_asleep ? cfg_.power.sleep_watts : cfg_.power.active_power(0.0);
   power_.set(0.0, 0.0);
   queue_len_.set(0.0, 0.0);
-  jobs_.set(0.0, 0.0);
   set_power(0.0, initial_watts);
   if (metrics_ != nullptr) metrics_->on_server_status(id_, is_on(), 0.0);
 }
@@ -82,7 +81,6 @@ void Server::refresh_power(Time now) {
 
 void Server::update_trackers(Time now) {
   queue_len_.set(now, static_cast<double>(queue_.size()));
-  jobs_.set(now, static_cast<double>(jobs_on_server()));
 }
 
 void Server::handle_arrival(const Job& job, Time now, EventQueue& queue, PowerPolicy& policy) {

@@ -107,7 +107,6 @@ class Server {
   /// Exact integrals used by the local-tier RL reward (Eqn. 5).
   double power_integral(Time now) const { return power_.integral(now); }
   double queue_integral(Time now) const { return queue_len_.integral(now); }
-  double jobs_integral(Time now) const { return jobs_.integral(now); }
   double energy_joules(Time now) const { return power_.integral(now); }
 
   /// Time of the most recent job arrival at this server (-inf if none).
@@ -145,7 +144,6 @@ class Server {
 
   common::TimeWeightedValue power_;
   common::TimeWeightedValue queue_len_;
-  common::TimeWeightedValue jobs_;
   Time last_arrival_ = -1.0;
   std::size_t total_arrivals_ = 0;
 };

@@ -4,8 +4,6 @@
 
 #include <stdexcept>
 
-#include "src/nn/loss.hpp"
-
 namespace hcrl::nn {
 namespace {
 
@@ -36,8 +34,10 @@ TEST(Autoencoder, Dimensions) {
   Autoencoder ae = make_ae(12, rng);
   EXPECT_EQ(ae.input_dim(), 12u);
   EXPECT_EQ(ae.code_dim(), 4u);
-  EXPECT_EQ(ae.encode({Vec(12, 0.1)}).size(), 4u);
-  EXPECT_EQ(ae.reconstruct({Vec(12, 0.1)}).size(), 12u);
+  const Matrix code = ae.encode_batch(Matrix::from_row(Vec(12, 0.1)));
+  EXPECT_EQ(code.rows(), 1u);
+  EXPECT_EQ(code.cols(), 4u);
+  EXPECT_EQ(ae.decoder().predict_batch(code).cols(), 12u);  // the reconstruction
 }
 
 TEST(Autoencoder, PaperDefaultDims) {
@@ -50,21 +50,20 @@ TEST(Autoencoder, PaperDefaultDims) {
 TEST(Autoencoder, TrainingReducesReconstructionError) {
   common::Rng rng(3);
   Autoencoder ae = make_ae(12, rng);
-  auto data = structured_batch(rng, 64, 12);
-  const double first = ae.train_batch(data);
+  const Matrix data = Matrix::from_rows(structured_batch(rng, 64, 12));
+  const double first = ae.train_batch_matrix(data);
   double last = first;
-  for (int i = 0; i < 300; ++i) last = ae.train_batch(data);
+  for (int i = 0; i < 300; ++i) last = ae.train_batch_matrix(data);
   EXPECT_LT(last, first * 0.2) << "first=" << first << " last=" << last;
 }
 
 TEST(Autoencoder, EncodeTrainingBackwardRoundTrip) {
   common::Rng rng(4);
   Autoencoder ae = make_ae(6, rng);
-  const Vec x(6, 0.5);
-  const Vec code = ae.encode_training(x);
-  ASSERT_EQ(code.size(), 4u);
-  const Vec dx = ae.backward_through_encoder(Vec(4, 1.0));
-  EXPECT_EQ(dx.size(), 6u);
+  const Matrix code = ae.encoder().forward_batch(Matrix::from_row(Vec(6, 0.5)));
+  ASSERT_EQ(code.cols(), 4u);
+  const Matrix dx = ae.encoder().backward_batch(Matrix(1, 4, 1.0));
+  EXPECT_EQ(dx.cols(), 6u);
 }
 
 TEST(Autoencoder, RepeatedEncodesAreLifo) {
@@ -73,12 +72,12 @@ TEST(Autoencoder, RepeatedEncodesAreLifo) {
   // per-application input gradients.
   common::Rng rng(5);
   Autoencoder ae = make_ae(6, rng);
-  ae.encode_training(Vec(6, 0.1));
-  ae.encode_training(Vec(6, 0.9));
-  const Vec dx2 = ae.backward_through_encoder(Vec(4, 1.0));
-  const Vec dx1 = ae.backward_through_encoder(Vec(4, 1.0));
-  EXPECT_EQ(dx2.size(), 6u);
-  EXPECT_EQ(dx1.size(), 6u);
+  ae.encoder().forward_batch(Matrix::from_row(Vec(6, 0.1)));
+  ae.encoder().forward_batch(Matrix::from_row(Vec(6, 0.9)));
+  const Matrix dx2 = ae.encoder().backward_batch(Matrix(1, 4, 1.0));
+  const Matrix dx1 = ae.encoder().backward_batch(Matrix(1, 4, 1.0));
+  EXPECT_EQ(dx2.cols(), 6u);
+  EXPECT_EQ(dx1.cols(), 6u);
 }
 
 TEST(Autoencoder, InvalidConstruction) {
@@ -92,8 +91,9 @@ TEST(Autoencoder, InvalidConstruction) {
 TEST(Autoencoder, TrainBatchValidation) {
   common::Rng rng(7);
   Autoencoder ae = make_ae(6, rng);
-  EXPECT_THROW(ae.train_batch({}), std::invalid_argument);
-  EXPECT_THROW(ae.train_batch({Vec(5, 0.0)}), std::invalid_argument);
+  EXPECT_THROW(ae.train_batch_matrix(Matrix()), std::invalid_argument);
+  EXPECT_THROW(ae.train_batch_matrix(Matrix(0, 6)), std::invalid_argument);
+  EXPECT_THROW(ae.train_batch_matrix(Matrix(1, 5, 0.0)), std::invalid_argument);
 }
 
 TEST(Autoencoder, ParamCountMatchesArchitecture) {

@@ -1,9 +1,9 @@
-// Property tests pinning the batched GEMM execution path to the per-sample
-// path: Network::forward_batch on N stacked inputs must match N per-sample
-// forward() calls (and likewise for backward gradients, LSTM steps/BPTT, the
-// autoencoder training step, and the global tier's DQN step,
-// core::GroupedQNetwork::train_batch, at K = 1 and K = 3) to 1e-12, across
-// random shapes, activations and seeds.
+// Property tests pinning batched execution to one sample at a time:
+// Network::forward_batch on N stacked inputs must match N batch-1 calls (and
+// likewise for backward gradients, LSTM steps/BPTT, the autoencoder training
+// step, and the global tier's DQN step, core::GroupedQNetwork::train_batch,
+// at K = 1 and K = 3, against per-sample reference loops kept here) to
+// 1e-12, across random shapes, activations and seeds.
 //
 // Also the precision gates of the f32 compute mode: the float instantiation
 // of the substrate must track the double one to 1e-4 relative (forward,
@@ -20,12 +20,12 @@
 #include "src/core/qnetwork.hpp"
 #include "src/nn/autoencoder.hpp"
 #include "src/nn/init.hpp"
-#include "src/nn/loss.hpp"
 #include "src/nn/lstm.hpp"
 #include "src/nn/network.hpp"
 #include "src/nn/optimizer.hpp"
 #include "src/nn/precision.hpp"
 #include "src/rl/smdp.hpp"
+#include "tests/reference_loss.hpp"
 
 namespace hcrl::nn {
 namespace {
@@ -36,6 +36,23 @@ Vec random_vec(std::size_t n, common::Rng& rng) {
   Vec v(n);
   for (auto& x : v) x = rng.uniform(-2.0, 2.0);
   return v;
+}
+
+// The same values at f32 (each rounded once), for the precision gates.
+std::vector<VecT<float>> to_f32(const std::vector<Vec>& rows) {
+  std::vector<VecT<float>> out;
+  for (const Vec& r : rows) out.emplace_back(r.begin(), r.end());
+  return out;
+}
+
+// Reset the cell to Xs[0].rows() sequences and run every step, keeping the
+// caches for BPTT; returns each step's (batch x H) hidden state.
+template <class S>
+std::vector<MatrixT<S>> run_steps(LstmT<S>& lstm, const std::vector<MatrixT<S>>& Xs) {
+  lstm.reset_batch(Xs.front().rows());
+  std::vector<MatrixT<S>> hs;
+  for (const auto& X : Xs) hs.push_back(lstm.step_batch(X));
+  return hs;
 }
 
 // All segments (values and gradients) of two parameter lists must agree.
@@ -87,7 +104,7 @@ TEST(BatchParity, NetworkForwardMatchesPerSample) {
     ASSERT_EQ(Y.rows(), batch);
     ASSERT_EQ(Y.cols(), out);
     for (std::size_t b = 0; b < batch; ++b) {
-      const Vec y = net.predict(xs[b]);
+      const Vec y = net.predict_batch(Matrix::from_row(xs[b])).row(0);
       for (std::size_t j = 0; j < out; ++j) {
         EXPECT_NEAR(Y(b, j), y[j], kTol) << "seed " << seed << " row " << b;
       }
@@ -121,8 +138,8 @@ TEST(BatchParity, NetworkBackwardGradientsMatchPerSample) {
     net_b.zero_grad();
     std::vector<Vec> dx_rows;
     for (std::size_t b = 0; b < batch; ++b) {
-      net_b.forward(xs[b]);
-      dx_rows.push_back(net_b.backward(dys[b]));
+      net_b.forward_batch(Matrix::from_row(xs[b]));
+      dx_rows.push_back(net_b.backward_batch(Matrix::from_row(dys[b])).row(0));
     }
 
     for (std::size_t b = 0; b < batch; ++b) {
@@ -148,7 +165,7 @@ TEST(BatchParity, LstmStepsMatchPerSampleInstances) {
     // batch parallel sequences through one batched cell...
     Lstm batched(params);
     batched.reset_batch(batch);
-    // ...versus `batch` independent per-sample cells sharing the parameters.
+    // ...versus `batch` independent batch-1 cells sharing the parameters.
     std::vector<Lstm> singles;
     for (std::size_t b = 0; b < batch; ++b) singles.emplace_back(params);
 
@@ -157,7 +174,7 @@ TEST(BatchParity, LstmStepsMatchPerSampleInstances) {
       for (std::size_t b = 0; b < batch; ++b) xs.push_back(random_vec(in, rng));
       const Matrix H = batched.step_batch(Matrix::from_rows(xs));
       for (std::size_t b = 0; b < batch; ++b) {
-        const Vec h = singles[b].step(xs[b]);
+        const Vec h = singles[b].step_batch(Matrix::from_row(xs[b])).row(0);
         for (std::size_t j = 0; j < hidden; ++j) {
           EXPECT_NEAR(H(b, j), h[j], kTol) << "seed " << seed << " t " << t << " row " << b;
         }
@@ -195,33 +212,29 @@ TEST(BatchParity, LstmBpttGradientsMatchPerSample) {
     Lstm batched(params_a);
     std::vector<Matrix> Xs;
     for (std::size_t t = 0; t < steps; ++t) Xs.push_back(Matrix::from_rows(xs[t]));
-    batched.forward_batch(Xs);
+    run_steps(batched, Xs);
     std::vector<Matrix> dH;
     for (std::size_t t = 0; t < steps; ++t) dH.push_back(Matrix::from_rows(dhs[t]));
     const Matrix dX = batched.backward_batch(dH);  // steps newest first
 
-    // Per-sample: one cell per sequence, gradients summed into params_b.
+    // Per-sample: one batch-1 cell per sequence, gradients summed into params_b.
     params_b->zero_grad();
-    std::vector<Vec> dx_single(batch);  // per sequence: dx flattened over time
+    std::vector<Matrix> dx_single(batch);  // per sequence: dL/dX, newest step first
     for (std::size_t b = 0; b < batch; ++b) {
       Lstm single(params_b);
-      std::vector<Vec> seq;
-      for (std::size_t t = 0; t < steps; ++t) seq.push_back(xs[t][b]);
-      single.forward(seq);
-      std::vector<Vec> dh;
-      for (std::size_t t = 0; t < steps; ++t) dh.push_back(dhs[t][b]);
-      dx_single[b] = [&] {
-        auto v = single.backward(dh);
-        Vec flat;
-        for (const auto& d : v) flat.insert(flat.end(), d.begin(), d.end());
-        return flat;
-      }();
+      std::vector<Matrix> seq, dh;
+      for (std::size_t t = 0; t < steps; ++t) {
+        seq.push_back(Matrix::from_row(xs[t][b]));
+        dh.push_back(Matrix::from_row(dhs[t][b]));
+      }
+      run_steps(single, seq);
+      dx_single[b] = single.backward_batch(dh);
     }
 
     for (std::size_t t = 0; t < steps; ++t) {
       for (std::size_t b = 0; b < batch; ++b) {
         for (std::size_t j = 0; j < in; ++j) {
-          EXPECT_NEAR(dX((steps - 1 - t) * batch + b, j), dx_single[b][t * in + j], kTol)
+          EXPECT_NEAR(dX((steps - 1 - t) * batch + b, j), dx_single[b](steps - 1 - t, j), kTol)
               << "seed " << seed << " t " << t << " row " << b;
         }
       }
@@ -239,27 +252,27 @@ TEST(BatchParity, AutoencoderBatchedTrainMatchesPerSampleReference) {
     Autoencoder ae(dim, opts, rng_a);
 
     // Reference: the same architecture trained by an explicit per-sample
-    // loop over forward/backward (the seed implementation of train_batch).
+    // loop over batch-1 forward/backward calls.
     Autoencoder ref(dim, opts, rng_b);
 
     common::Rng data(seed * 101);
     std::vector<Vec> samples;
     for (std::size_t b = 0; b < batch; ++b) samples.push_back(random_vec(dim, data));
 
-    const double batched_loss = ae.train_batch(samples);
+    const double batched_loss = ae.train_batch_matrix(Matrix::from_rows(samples));
 
     Adam ref_opt(ref.params(), Adam::Options{.lr = opts.learning_rate});
     ref_opt.zero_grad();
     double total = 0.0;
     const double inv_n = 1.0 / static_cast<double>(batch);
     for (const Vec& x : samples) {
-      Vec code = ref.encoder().forward(x);
-      Vec recon = ref.decoder().forward(code);
-      LossResult loss = mse_loss(recon, x);
+      Matrix code = ref.encoder().forward_batch(Matrix::from_row(x));
+      const Vec recon = ref.decoder().forward_batch(std::move(code)).row(0);
+      reference::LossResult loss = reference::mse_loss(recon, x);
       total += loss.value;
-      scale_in_place(loss.grad, inv_n);
-      Vec dcode = ref.decoder().backward(loss.grad);
-      ref.encoder().backward(dcode);
+      reference::scale_in_place(loss.grad, inv_n);
+      const Matrix dcode = ref.decoder().backward_batch(Matrix::from_row(loss.grad));
+      ref.encoder().backward_batch(dcode);
     }
     clip_grad_norm(ref.params(), opts.grad_clip);
     ref_opt.step();
@@ -321,11 +334,9 @@ TEST(PrecisionParity, NetworkForwardF32TracksF64) {
     const std::size_t batch = 1 + static_cast<std::size_t>(data.uniform_int(0, 24));
     std::vector<Vec> xs;
     for (std::size_t b = 0; b < batch; ++b) xs.push_back(random_vec(g.dims.front(), data));
-    std::vector<VecT<float>> xs32;
-    for (const Vec& x : xs) xs32.push_back(convert_vec<float>(x));
 
     const MatrixT<double> Y64 = net64.predict_batch(MatrixT<double>::from_rows(xs));
-    const MatrixT<float> Y32 = net32.predict_batch(MatrixT<float>::from_rows(xs32));
+    const MatrixT<float> Y32 = net32.predict_batch(MatrixT<float>::from_rows(to_f32(xs)));
     ASSERT_TRUE(Y64.rows() == Y32.rows() && Y64.cols() == Y32.cols());
     for (std::size_t b = 0; b < Y64.rows(); ++b) {
       for (std::size_t j = 0; j < Y64.cols(); ++j) {
@@ -348,16 +359,13 @@ TEST(PrecisionParity, NetworkBackwardGradientsF32TrackF64) {
       xs.push_back(random_vec(g.dims.front(), data));
       dys.push_back(random_vec(g.dims.back(), data));
     }
-    std::vector<VecT<float>> xs32, dys32;
-    for (const Vec& x : xs) xs32.push_back(convert_vec<float>(x));
-    for (const Vec& d : dys) dys32.push_back(convert_vec<float>(d));
 
     net64.zero_grad();
     net64.forward_batch(MatrixT<double>::from_rows(xs));
     net64.backward_batch(MatrixT<double>::from_rows(dys));
     net32.zero_grad();
-    net32.forward_batch(MatrixT<float>::from_rows(xs32));
-    net32.backward_batch(MatrixT<float>::from_rows(dys32));
+    net32.forward_batch(MatrixT<float>::from_rows(to_f32(xs)));
+    net32.backward_batch(MatrixT<float>::from_rows(to_f32(dys)));
 
     std::vector<ParamSegmentT<double>> s64 = gather_segments(net64.params());
     std::vector<ParamSegmentT<float>> s32 = gather_segments(net32.params());
@@ -396,21 +404,18 @@ TEST(PrecisionParity, LstmF32TracksF64ThroughStepsAndBptt) {
     std::vector<MatrixT<float>> Xs32, dH32;
     for (std::size_t t = 0; t < steps; ++t) {
       std::vector<Vec> xs, dhs;
-      std::vector<VecT<float>> xs32, dhs32;
       for (std::size_t b = 0; b < batch; ++b) {
         xs.push_back(random_vec(in, data));
         dhs.push_back(random_vec(hidden, data));
-        xs32.push_back(convert_vec<float>(xs.back()));
-        dhs32.push_back(convert_vec<float>(dhs.back()));
       }
       Xs64.push_back(MatrixT<double>::from_rows(xs));
       dH64.push_back(MatrixT<double>::from_rows(dhs));
-      Xs32.push_back(MatrixT<float>::from_rows(xs32));
-      dH32.push_back(MatrixT<float>::from_rows(dhs32));
+      Xs32.push_back(MatrixT<float>::from_rows(to_f32(xs)));
+      dH32.push_back(MatrixT<float>::from_rows(to_f32(dhs)));
     }
 
-    const auto hs64 = lstm64.forward_batch(Xs64);
-    const auto hs32 = lstm32.forward_batch(Xs32);
+    const auto hs64 = run_steps(lstm64, Xs64);
+    const auto hs32 = run_steps(lstm32, Xs32);
     for (std::size_t t = 0; t < steps; ++t) {
       for (std::size_t b = 0; b < batch; ++b) {
         for (std::size_t j = 0; j < hidden; ++j) {
@@ -487,11 +492,12 @@ std::vector<const rl::Transition*> sample_batch(const std::vector<rl::Transition
 }
 
 // Test-side reference for GroupedQNetwork::train_batch: the per-sample loop
-// over the public NN API. It draws its networks from the network's seed in
-// the core's order (autoencoder if K > 1, online Sub-Q, target Sub-Q). Per
-// transition it encodes the groups, runs the K target heads, takes the
-// argmax over all M, and applies a masked Huber loss and a per-sample
-// backward; one clip and one Adam step follow the batch.
+// over the public NN API, one sample at a time as a batch of one. It draws
+// its networks from the network's seed in the core's order (autoencoder if
+// K > 1, online Sub-Q, target Sub-Q). Per transition it encodes the groups,
+// runs the K target heads, takes the argmax over all M, and applies a
+// masked Huber loss and a per-sample backward; one clip and one Adam step
+// follow the batch.
 template <class S>
 class PerSampleGroupedQReference {
  public:
@@ -514,18 +520,20 @@ class PerSampleGroupedQReference {
       const std::vector<nn::VecT<S>> next_codes = encode(t->next_state);
       nn::VecT<S> q_next;
       for (std::size_t k = 0; k < enc.num_groups; ++k) {
-        const nn::VecT<S> q = target_.predict(head_input(t->next_state, k, next_codes));
+        const nn::VecT<S> q =
+            target_.predict_batch(row(head_input(t->next_state, k, next_codes))).row(0);
         q_next.insert(q_next.end(), q.begin(), q.end());
       }
       const double target = rl::smdp_target(t->reward_rate, t->tau, beta,
                                             static_cast<double>(q_next[nn::argmax(q_next)]));
       const std::size_t group = t->action / enc.group_size();
-      const nn::VecT<S> pred = online_.forward(head_input(t->state, group, encode(t->state)));
-      nn::LossResultT<S> loss =
-          nn::masked_huber_loss(pred, t->action % enc.group_size(), static_cast<S>(target));
+      const nn::VecT<S> pred =
+          online_.forward_batch(row(head_input(t->state, group, encode(t->state)))).row(0);
+      nn::reference::LossResultT<S> loss = nn::reference::masked_huber_loss(
+          pred, t->action % enc.group_size(), static_cast<S>(target));
       total_loss += loss.value;
-      nn::scale_in_place(loss.grad, static_cast<S>(inv_n));
-      online_.backward(loss.grad, /*want_input_grad=*/false);
+      nn::reference::scale_in_place(loss.grad, static_cast<S>(inv_n));
+      online_.backward_batch(row(loss.grad), /*want_input_grad=*/false);
     }
     nn::clip_grad_norm(params_, opts_.grad_clip);
     optimizer_.step();
@@ -563,6 +571,8 @@ class PerSampleGroupedQReference {
     return net;
   }
 
+  static nn::MatrixT<S> row(const nn::VecT<S>& x) { return nn::MatrixT<S>::from_row(x); }
+
   nn::VecT<S> slice(const nn::Vec& full_state, std::size_t begin, std::size_t n) const {
     nn::VecT<S> out(n);
     for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<S>(full_state[begin + i]);
@@ -575,7 +585,7 @@ class PerSampleGroupedQReference {
     if (!autoencoder_) return codes;
     const std::size_t g = opts_.encoder.group_state_dim();
     for (std::size_t k = 0; k < opts_.encoder.num_groups; ++k) {
-      codes.push_back(autoencoder_->encode(slice(full_state, k * g, g)));
+      codes.push_back(autoencoder_->encode_batch(row(slice(full_state, k * g, g))).row(0));
     }
     return codes;
   }

@@ -21,13 +21,18 @@ DenseParamsPtr make_params(std::size_t out, std::size_t in, double wfill, double
   return p;
 }
 
+// One sample through a layer as a batch of one (the forward keeps its cache).
+Vec forward1(Layer& layer, const Vec& x) { return layer.forward_batch(Matrix::from_row(x)).row(0); }
+Vec backward1(Layer& layer, const Vec& dy) {
+  return layer.backward_batch(Matrix::from_row(dy)).row(0);
+}
+
 TEST(Dense, ForwardAffine) {
   Dense layer(make_params(2, 3, 1.0, 0.5));
-  const Vec y = layer.forward({1.0, 2.0, 3.0});
+  const Vec y = forward1(layer, {1.0, 2.0, 3.0});
   ASSERT_EQ(y.size(), 2u);
   EXPECT_DOUBLE_EQ(y[0], 6.5);
   EXPECT_DOUBLE_EQ(y[1], 6.5);
-  layer.clear_cache();
 }
 
 TEST(Dense, BackwardGradients) {
@@ -35,8 +40,8 @@ TEST(Dense, BackwardGradients) {
   params->W(0, 0) = 2.0;
   params->W(0, 1) = -1.0;
   Dense layer(params);
-  layer.forward({3.0, 4.0});
-  const Vec dx = layer.backward({1.0});
+  forward1(layer, {3.0, 4.0});
+  const Vec dx = backward1(layer, {1.0});
   // dL/dx = W^T dy
   EXPECT_DOUBLE_EQ(dx[0], 2.0);
   EXPECT_DOUBLE_EQ(dx[1], -1.0);
@@ -48,16 +53,16 @@ TEST(Dense, BackwardGradients) {
 
 TEST(Dense, BackwardWithoutForwardThrows) {
   Dense layer(make_params(1, 1, 1.0, 0.0));
-  EXPECT_THROW(layer.backward({1.0}), std::logic_error);
+  EXPECT_THROW(backward1(layer, {1.0}), std::logic_error);
 }
 
 TEST(Dense, GradientsAccumulateAcrossUses) {
   auto params = make_params(1, 1, 1.0, 0.0);
   Dense layer(params);
-  layer.forward({2.0});
-  layer.forward({3.0});
-  layer.backward({1.0});  // pops the x=3 cache
-  layer.backward({1.0});  // pops the x=2 cache
+  forward1(layer, {2.0});
+  forward1(layer, {3.0});
+  backward1(layer, {1.0});  // pops the x=3 cache
+  backward1(layer, {1.0});  // pops the x=2 cache
   EXPECT_DOUBLE_EQ(params->gW(0, 0), 5.0);  // 3 + 2
   EXPECT_DOUBLE_EQ(params->gb[0], 2.0);
 }
@@ -65,10 +70,10 @@ TEST(Dense, GradientsAccumulateAcrossUses) {
 TEST(Dense, SharedParamsBetweenTwoLayers) {
   auto params = make_params(1, 1, 2.0, 0.0);
   Dense a(params), b(params);
-  a.forward({1.0});
-  b.forward({10.0});
-  b.backward({1.0});
-  a.backward({1.0});
+  forward1(a, {1.0});
+  forward1(b, {10.0});
+  backward1(b, {1.0});
+  backward1(a, {1.0});
   EXPECT_DOUBLE_EQ(params->gW(0, 0), 11.0);  // both uses hit the shared grad
 }
 
@@ -99,10 +104,10 @@ TEST(Activations, GradFromOutputMatchesNumerical) {
 
 TEST(ActivationLayer, ForwardBackwardShape) {
   ActivationLayer layer(Activation::kTanh, 3);
-  const Vec y = layer.forward({0.0, 1.0, -1.0});
+  const Vec y = forward1(layer, {0.0, 1.0, -1.0});
   ASSERT_EQ(y.size(), 3u);
   EXPECT_DOUBLE_EQ(y[0], 0.0);
-  const Vec dx = layer.backward({1.0, 1.0, 1.0});
+  const Vec dx = backward1(layer, {1.0, 1.0, 1.0});
   EXPECT_DOUBLE_EQ(dx[0], 1.0);  // tanh'(0) = 1
   EXPECT_NEAR(dx[1], 1.0 - std::tanh(1.0) * std::tanh(1.0), 1e-12);
 }
@@ -160,7 +165,7 @@ TEST(ActivationLayer, SweepBitIdenticalToScalarF32) {
 
 TEST(ActivationLayer, BackwardWithoutForwardThrows) {
   ActivationLayer layer(Activation::kElu, 1);
-  EXPECT_THROW(layer.backward({1.0}), std::logic_error);
+  EXPECT_THROW(backward1(layer, {1.0}), std::logic_error);
 }
 
 TEST(Initializers, XavierBoundsRespected) {

@@ -17,6 +17,31 @@ LocalPowerManagerOptions small_opts(std::size_t servers = 2) {
   return o;
 }
 
+// Deliver every event scheduled before `until` to the one server.
+void drain_until(sim::Server& server, sim::EventQueue& queue, RlPowerManager& mgr, double until) {
+  while (!queue.empty() && queue.top().time < until) {
+    const sim::Event e = queue.pop();
+    switch (e.type) {
+      case sim::EventType::kJobFinish:
+        server.handle_job_finish(e.job, e.time, queue, mgr);
+        break;
+      case sim::EventType::kWakeComplete:
+        server.handle_wake_complete(e.time, queue, mgr);
+        break;
+      case sim::EventType::kSleepComplete:
+        server.handle_sleep_complete(e.time, queue, mgr);
+        break;
+      case sim::EventType::kIdleTimeout:
+        server.handle_idle_timeout(e.generation, e.time, queue, mgr);
+        break;
+      case sim::EventType::kServerCrash:
+      case sim::EventType::kServerRecover:
+      case sim::EventType::kSpotEvict:
+        break;  // not produced by a single fault-free server
+    }
+  }
+}
+
 TEST(LocalPowerManagerOptions, Validation) {
   EXPECT_NO_THROW(small_opts().validate());
   auto o = small_opts();
@@ -143,6 +168,49 @@ TEST(RlPowerManager, LearningOffFreezesTable) {
   EXPECT_EQ(visits, 0u);
 }
 
+// "Frozen" freezes the Q-table, not the workload predictor: with learning
+// off, an LSTM predictor still trains on the gaps it observes (so frozen
+// cells still pay for LSTM training).
+TEST(RlPowerManager, LearningOffStillTrainsLstmPredictor) {
+  auto o = small_opts(1);
+  o.predictor = "lstm";
+  o.lstm.lookback = 3;
+  o.lstm.hidden_units = 4;
+  o.lstm.train_interval = 2;
+  o.lstm.train_windows = 1;
+  RlPowerManager mgr(o);
+  mgr.set_learning(false);
+  const auto* lstm = dynamic_cast<const LstmPredictor*>(&mgr.predictor(0));
+  ASSERT_NE(lstm, nullptr);
+  EXPECT_LT(lstm->last_training_loss(), 0.0);  // untrained
+
+  sim::ServerConfig cfg;
+  cfg.start_asleep = false;
+  sim::ClusterMetrics metrics(1);
+  sim::Server server(0, cfg, &metrics);
+  sim::EventQueue queue;
+  for (int i = 0; i < 12; ++i) {
+    sim::Job j;
+    j.id = static_cast<sim::JobId>(i + 1);
+    j.arrival = 100.0 * i;
+    j.duration = 5.0;
+    j.demand = sim::ResourceVector{0.2, 0.1, 0.01};
+    server.handle_arrival(j, j.arrival, queue, mgr);  // closes the previous sojourn
+    drain_until(server, queue, mgr, j.arrival + 100.0);  // finishes, idles, decides
+  }
+  EXPECT_EQ(mgr.decisions(0), 12u);
+
+  std::size_t visits = 0;
+  for (std::size_t s = 0; s < mgr.agent(0).n_states(); ++s) {
+    for (std::size_t a = 0; a < mgr.agent(0).n_actions(); ++a) {
+      visits += mgr.agent(0).visits(s, a);
+    }
+  }
+  EXPECT_EQ(visits, 0u);
+  EXPECT_EQ(lstm->observations(), 11u);
+  EXPECT_GE(lstm->last_training_loss(), 0.0);
+}
+
 // Behavioural learning test: with deterministic periodic arrivals whose gap
 // is far beyond the sleep break-even, the manager should learn to shut down
 // immediately (or nearly so) in the corresponding state; with very short
@@ -171,29 +239,8 @@ TEST(RlPowerManager, LearnsGapAppropriateTimeouts) {
       j.demand = sim::ResourceVector{0.2, 0.1, 0.01};
       server.handle_arrival(j, t, queue, mgr);
       // Drain everything scheduled before the next arrival.
-      const double next_t = t + gap;
-      while (!queue.empty() && queue.top().time < next_t) {
-        const sim::Event e = queue.pop();
-        switch (e.type) {
-          case sim::EventType::kJobFinish:
-            server.handle_job_finish(e.job, e.time, queue, mgr);
-            break;
-          case sim::EventType::kWakeComplete:
-            server.handle_wake_complete(e.time, queue, mgr);
-            break;
-          case sim::EventType::kSleepComplete:
-            server.handle_sleep_complete(e.time, queue, mgr);
-            break;
-          case sim::EventType::kIdleTimeout:
-            server.handle_idle_timeout(e.generation, e.time, queue, mgr);
-            break;
-          case sim::EventType::kServerCrash:
-          case sim::EventType::kServerRecover:
-          case sim::EventType::kSpotEvict:
-            break;  // not produced by a single fault-free server
-        }
-      }
-      t = next_t;
+      t += gap;
+      drain_until(server, queue, mgr, t);
     }
     // Greedy timeout in the state corresponding to the (perfectly
     // predicted) gap.

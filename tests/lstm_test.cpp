@@ -22,24 +22,39 @@ LstmParamsPtr make_params(std::size_t hidden, std::size_t in, std::uint64_t seed
   return p;
 }
 
+// One step of one sequence (a batch of one); returns h_t and caches the step.
+Vec step1(Lstm& lstm, const Vec& x) { return lstm.step_batch(Matrix::from_row(x)).row(0); }
+
+// Reset, then run one sequence through the cell; returns h_t of every step.
+std::vector<Vec> run_sequence(Lstm& lstm, const std::vector<Vec>& xs) {
+  lstm.reset();
+  std::vector<Vec> hs;
+  for (const Vec& x : xs) hs.push_back(step1(lstm, x));
+  return hs;
+}
+
 TEST(Lstm, ShapesAndReset) {
   Lstm lstm(make_params(4, 2, 1));
   EXPECT_EQ(lstm.hidden_dim(), 4u);
   EXPECT_EQ(lstm.in_dim(), 2u);
-  const Vec h = lstm.step({0.5, -0.5});
-  EXPECT_EQ(h.size(), 4u);
-  EXPECT_EQ(lstm.cached_steps(), 1u);
+  const Vec first = step1(lstm, {0.5, -0.5});
+  EXPECT_EQ(first.size(), 4u);
+  step1(lstm, {0.5, -0.5});
+  // Two cached steps: a backward with one dH is rejected.
+  EXPECT_THROW(lstm.backward_batch(std::vector<Matrix>(1, Matrix(1, 4))), std::invalid_argument);
   lstm.reset();
-  EXPECT_EQ(lstm.cached_steps(), 0u);
-  for (double v : lstm.hidden()) EXPECT_DOUBLE_EQ(v, 0.0);
-  for (double v : lstm.cell()) EXPECT_DOUBLE_EQ(v, 0.0);
+  // No cached steps, zero hidden state...
+  EXPECT_EQ(lstm.backward_batch({}).rows(), 0u);
+  for (double v : lstm.hidden_batch().row(0)) EXPECT_DOUBLE_EQ(v, 0.0);
+  // ...and zero cell state: the first step repeats bit for bit.
+  EXPECT_EQ(step1(lstm, {0.5, -0.5}), first);
 }
 
 TEST(Lstm, OutputsBoundedByGateAlgebra) {
   // h = o * tanh(c): |h| < 1 whenever |tanh(c)| < 1, and o in (0,1).
   Lstm lstm(make_params(8, 1, 2));
   for (int t = 0; t < 50; ++t) {
-    const Vec h = lstm.step({std::sin(0.3 * t) * 5.0});
+    const Vec h = step1(lstm, {std::sin(0.3 * t) * 5.0});
     for (double v : h) EXPECT_LT(std::abs(v), 1.0);
   }
 }
@@ -48,8 +63,8 @@ TEST(Lstm, DeterministicGivenParams) {
   auto p = make_params(3, 1, 3);
   Lstm a(p), b(p);
   for (int t = 0; t < 10; ++t) {
-    const Vec ha = a.step({0.1 * t});
-    const Vec hb = b.step({0.1 * t});
+    const Vec ha = step1(a, {0.1 * t});
+    const Vec hb = step1(b, {0.1 * t});
     for (std::size_t i = 0; i < ha.size(); ++i) EXPECT_DOUBLE_EQ(ha[i], hb[i]);
   }
 }
@@ -57,16 +72,16 @@ TEST(Lstm, DeterministicGivenParams) {
 TEST(Lstm, ForwardRunsWholeSequence) {
   Lstm lstm(make_params(3, 1, 4));
   std::vector<Vec> xs = {{0.1}, {0.2}, {0.3}};
-  const auto hs = lstm.forward(xs);
+  const auto hs = run_sequence(lstm, xs);
   EXPECT_EQ(hs.size(), 3u);
-  EXPECT_EQ(lstm.cached_steps(), 3u);
+  // Every step is cached: BPTT takes exactly three dH and returns three dX rows.
+  EXPECT_EQ(lstm.backward_batch(std::vector<Matrix>(3, Matrix(1, 3))).rows(), 3u);
 }
 
 TEST(Lstm, BackwardSizeMismatchThrows) {
   Lstm lstm(make_params(3, 1, 5));
-  lstm.step({0.5});
-  std::vector<Vec> dh(2, Vec(3, 0.0));
-  EXPECT_THROW(lstm.backward(dh), std::invalid_argument);
+  step1(lstm, {0.5});
+  EXPECT_THROW(lstm.backward_batch(std::vector<Matrix>(2, Matrix(1, 3))), std::invalid_argument);
 }
 
 TEST(Lstm, NullParamsThrows) { EXPECT_THROW(Lstm(nullptr), std::invalid_argument); }
@@ -77,22 +92,21 @@ TEST(Lstm, GradientMatchesFiniteDifferences) {
   auto params = make_params(3, 2, 6);
   Lstm lstm(params);
   const std::vector<Vec> xs = {{0.5, -0.2}, {0.1, 0.9}, {-0.7, 0.3}, {0.2, 0.2}};
-  const Vec target = {0.3, -0.1, 0.2};
+  const Matrix target = Matrix::from_row({0.3, -0.1, 0.2});
 
   auto loss_of = [&]() {
-    const auto hs = lstm.forward(xs);
-    const double v = mse_loss(hs.back(), target).value;
+    const auto hs = run_sequence(lstm, xs);
+    const double v = mse_loss_batch(Matrix::from_row(hs.back()), target).value;
     lstm.reset();
     return v;
   };
 
   // Analytic gradients.
   params->zero_grad();
-  const auto hs = lstm.forward(xs);
-  LossResult loss = mse_loss(hs.back(), target);
-  std::vector<Vec> dh(xs.size(), Vec(3, 0.0));
-  dh.back() = loss.grad;
-  lstm.backward(dh);
+  run_sequence(lstm, xs);
+  std::vector<Matrix> dh(xs.size(), Matrix(1, 3, 0.0));
+  dh.back() = mse_loss_batch(lstm.hidden_batch(), target).grad;
+  lstm.backward_batch(dh);
 
   std::vector<ParamSegment> segs;
   params->append_segments(segs);
@@ -116,14 +130,13 @@ TEST(Lstm, GradientMatchesFiniteDifferences) {
 TEST(Lstm, InputGradientsReturned) {
   auto params = make_params(2, 1, 7);
   Lstm lstm(params);
-  std::vector<Vec> xs = {{0.4}, {0.6}};
-  lstm.forward(xs);
-  std::vector<Vec> dh = {Vec{0.0, 0.0}, Vec{1.0, 1.0}};
-  const auto dx = lstm.backward(dh);
-  ASSERT_EQ(dx.size(), 2u);
-  EXPECT_EQ(dx[0].size(), 1u);
+  run_sequence(lstm, {{0.4}, {0.6}});
+  const Matrix& dx =
+      lstm.backward_batch({Matrix::from_row({0.0, 0.0}), Matrix::from_row({1.0, 1.0})});
+  ASSERT_EQ(dx.rows(), 2u);  // newest step first
+  EXPECT_EQ(dx.cols(), 1u);
   // Gradient through time must reach the first input.
-  EXPECT_NE(dx[0][0], 0.0);
+  EXPECT_NE(dx(1, 0), 0.0);
 }
 
 TEST(Lstm, LearnsToPredictSineNextValue) {
@@ -149,13 +162,12 @@ TEST(Lstm, LearnsToPredictSineNextValue) {
     const double target = sample(start + static_cast<int>(lookback));
 
     opt.zero_grad();
-    const auto hs = lstm.forward(xs);
-    const Vec pred = out.forward(hs.back());
-    LossResult loss = mse_loss(pred, {target});
-    const Vec dh = out.backward(loss.grad);
-    std::vector<Vec> dh_list(lookback, Vec(hidden, 0.0));
-    dh_list.back() = dh;
-    lstm.backward(dh_list);
+    run_sequence(lstm, xs);
+    const Matrix pred = out.forward_batch(lstm.hidden_batch());
+    const BatchLossResult loss = mse_loss_batch(pred, Matrix::from_row({target}));
+    std::vector<Matrix> dh_list(lookback, Matrix(1, hidden, 0.0));
+    dh_list.back() = out.backward_batch(loss.grad);
+    lstm.backward_batch(dh_list);
     clip_grad_norm(std::vector<ParamBlockPtr>{lstm_params, out_params}, 10.0);
     opt.step();
 

@@ -24,33 +24,38 @@ TEST(Matrix, ConstructionAndFill) {
   EXPECT_DOUBLE_EQ(m(1, 2), 0.0);
 }
 
+// One sample through the GEMM kernels at batch 1: W x (gemm_nt), W^T x
+// (gemm) and the rank-1 gradient update (gemm_tn, accumulating).
 TEST(Matrix, MultiplyKnownValues) {
   Matrix m(2, 3);
   // [1 2 3; 4 5 6] * [1 0 -1]^T = [-2, -2]
   m(0, 0) = 1; m(0, 1) = 2; m(0, 2) = 3;
   m(1, 0) = 4; m(1, 1) = 5; m(1, 2) = 6;
-  Vec y;
-  m.multiply({1.0, 0.0, -1.0}, y);
-  ASSERT_EQ(y.size(), 2u);
-  EXPECT_DOUBLE_EQ(y[0], -2.0);
-  EXPECT_DOUBLE_EQ(y[1], -2.0);
+  Matrix y;
+  gemm_nt(Matrix::from_row({1.0, 0.0, -1.0}), m, y);
+  ASSERT_EQ(y.rows(), 1u);
+  ASSERT_EQ(y.cols(), 2u);
+  EXPECT_DOUBLE_EQ(y(0, 0), -2.0);
+  EXPECT_DOUBLE_EQ(y(0, 1), -2.0);
 }
 
 TEST(Matrix, MultiplyTransposedKnownValues) {
   Matrix m(2, 3);
   m(0, 0) = 1; m(0, 1) = 2; m(0, 2) = 3;
   m(1, 0) = 4; m(1, 1) = 5; m(1, 2) = 6;
-  Vec y;
-  m.multiply_transposed({1.0, 1.0}, y);  // column sums
-  ASSERT_EQ(y.size(), 3u);
-  EXPECT_DOUBLE_EQ(y[0], 5.0);
-  EXPECT_DOUBLE_EQ(y[1], 7.0);
-  EXPECT_DOUBLE_EQ(y[2], 9.0);
+  Matrix y;
+  gemm(Matrix::from_row({1.0, 1.0}), m, y);  // column sums
+  ASSERT_EQ(y.rows(), 1u);
+  ASSERT_EQ(y.cols(), 3u);
+  EXPECT_DOUBLE_EQ(y(0, 0), 5.0);
+  EXPECT_DOUBLE_EQ(y(0, 1), 7.0);
+  EXPECT_DOUBLE_EQ(y(0, 2), 9.0);
 }
 
 TEST(Matrix, AddOuterAccumulates) {
   Matrix m(2, 2, 1.0);
-  m.add_outer({1.0, 2.0}, {3.0, 4.0});
+  // m += outer(a, b) = a^T b for the rows a = [1 2], b = [3 4].
+  gemm_tn(Matrix::from_row({1.0, 2.0}), Matrix::from_row({3.0, 4.0}), m, /*accumulate=*/true);
   EXPECT_DOUBLE_EQ(m(0, 0), 4.0);
   EXPECT_DOUBLE_EQ(m(0, 1), 5.0);
   EXPECT_DOUBLE_EQ(m(1, 0), 7.0);
@@ -68,31 +73,6 @@ TEST(Matrix, ResizeReshapes) {
 TEST(Matrix, SameShape) {
   EXPECT_TRUE(Matrix(2, 3).same_shape(Matrix(2, 3)));
   EXPECT_FALSE(Matrix(2, 3).same_shape(Matrix(3, 2)));
-}
-
-TEST(VecHelpers, AddAndAddInPlace) {
-  Vec a = {1.0, 2.0};
-  const Vec b = {3.0, -1.0};
-  const Vec c = add(a, b);
-  EXPECT_DOUBLE_EQ(c[0], 4.0);
-  EXPECT_DOUBLE_EQ(c[1], 1.0);
-  add_in_place(a, b);
-  EXPECT_DOUBLE_EQ(a[0], 4.0);
-}
-
-TEST(VecHelpers, ScaleDotNorm) {
-  Vec a = {3.0, 4.0};
-  EXPECT_DOUBLE_EQ(norm(a), 5.0);
-  EXPECT_DOUBLE_EQ(dot(a, a), 25.0);
-  scale_in_place(a, 2.0);
-  EXPECT_DOUBLE_EQ(a[1], 8.0);
-}
-
-TEST(VecHelpers, Concat) {
-  const Vec a = {1.0}, b = {2.0, 3.0}, c = {};
-  const Vec out = concat(std::vector<const Vec*>{&a, &b, &c});
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_DOUBLE_EQ(out[2], 3.0);
 }
 
 TEST(VecHelpers, ArgmaxFirstOnTies) {
@@ -228,34 +208,6 @@ TEST(Gemm, AssociativityProperty) {
   }
 }
 
-TEST(Gemm, BatchOneMatchesMatrixVectorKernels) {
-  // The per-sample kernels and the batch-1 GEMMs must agree exactly.
-  common::Rng rng(7);
-  Matrix W(5, 3);
-  for (std::size_t i = 0; i < W.size(); ++i) W.data()[i] = rng.uniform(-2.0, 2.0);
-  Vec x = {0.3, -1.2, 2.5};
-
-  Vec y;
-  W.multiply(x, y);
-  Matrix Y;
-  gemm_nt(Matrix::from_row(x), W, Y);  // (1x3) * (5x3)^T = (1x5)
-  for (std::size_t j = 0; j < 5; ++j) EXPECT_DOUBLE_EQ(Y(0, j), y[j]);
-
-  Vec dy = {1.0, -0.5, 0.25, 2.0, -1.5};
-  Vec dx;
-  W.multiply_transposed(dy, dx);
-  Matrix dX;
-  gemm(Matrix::from_row(dy), W, dX);  // (1x5) * (5x3) = (1x3)
-  for (std::size_t j = 0; j < 3; ++j) EXPECT_DOUBLE_EQ(dX(0, j), dx[j]);
-
-  Matrix gW(5, 3, 0.0), gW_ref(5, 3, 0.0);
-  gW_ref.add_outer(dy, x);
-  gemm_tn(Matrix::from_row(dy), Matrix::from_row(x), gW, /*accumulate=*/true);
-  for (std::size_t r = 0; r < 5; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) EXPECT_DOUBLE_EQ(gW(r, c), gW_ref(r, c));
-  }
-}
-
 // --- Bit-identity oracle for the micro-kernel -------------------------------
 
 enum class GemmKind { kNN, kNT, kTN };
@@ -352,9 +304,7 @@ TEST(MatrixRowHelpers, FromRowsRowSetRowColSums) {
   Matrix n(2, 2, 0.0);
   n.set_row(1, {7.0, 8.0});
   EXPECT_DOUBLE_EQ(n(1, 1), 8.0);
-  n.add_row_broadcast({1.0, 1.0});
-  EXPECT_DOUBLE_EQ(n(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(n(1, 0), 8.0);
+  EXPECT_DOUBLE_EQ(n(0, 1), 0.0);
 
   Vec sums(2, 10.0);
   m.add_col_sums_into(sums);

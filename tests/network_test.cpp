@@ -17,6 +17,11 @@ Network make_mlp(common::Rng& rng) {
   return net;
 }
 
+// The MSE of the network's inference on one sample (a batch of one).
+double loss_at(Network& net, const Vec& x, const Vec& target) {
+  return mse_loss_batch(net.predict_batch(Matrix::from_row(x)), Matrix::from_row(target)).value;
+}
+
 TEST(Network, DimsAndParamCount) {
   common::Rng rng(1);
   Network net = make_mlp(rng);
@@ -44,9 +49,8 @@ TEST(Network, PredictMatchesForward) {
   common::Rng rng(2);
   Network net = make_mlp(rng);
   const Vec x = {0.1, -0.5, 0.8};
-  const Vec a = net.forward(x);
-  net.clear_cache();
-  const Vec b = net.predict(x);
+  const Vec a = net.forward_batch(Matrix::from_row(x)).row(0);
+  const Vec b = net.predict_batch(Matrix::from_row(x)).row(0);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
 }
@@ -64,9 +68,8 @@ TEST(Network, GradientMatchesFiniteDifferences) {
   const Vec target = {0.5, -0.25, 1.0};
 
   net.zero_grad();
-  const Vec pred = net.forward(x);
-  LossResult loss = mse_loss(pred, target);
-  net.backward(loss.grad);
+  const Matrix pred = net.forward_batch(Matrix::from_row(x));
+  net.backward_batch(mse_loss_batch(pred, Matrix::from_row(target)).grad);
 
   auto segs = gather_segments(net.params());
   const double h = 1e-6;
@@ -75,9 +78,9 @@ TEST(Network, GradientMatchesFiniteDifferences) {
     for (std::size_t i = 0; i < seg.n; i += 7) {  // sample every 7th weight
       const double orig = seg.value[i];
       seg.value[i] = orig + h;
-      const double up = mse_loss(net.predict(x), target).value;
+      const double up = loss_at(net, x, target);
       seg.value[i] = orig - h;
-      const double down = mse_loss(net.predict(x), target).value;
+      const double down = loss_at(net, x, target);
       seg.value[i] = orig;
       const double numerical = (up - down) / (2 * h);
       EXPECT_NEAR(seg.grad[i], numerical, 1e-4) << "param index " << i;
@@ -93,17 +96,16 @@ TEST(Network, InputGradientMatchesFiniteDifferences) {
   Vec x = {0.2, 0.4, -0.1};
   const Vec target = {1.0, -1.0};
 
-  const Vec pred = net.forward(x);
-  LossResult loss = mse_loss(pred, target);
-  const Vec dx = net.backward(loss.grad);
+  const Matrix pred = net.forward_batch(Matrix::from_row(x));
+  const Vec dx = net.backward_batch(mse_loss_batch(pred, Matrix::from_row(target)).grad).row(0);
 
   const double h = 1e-6;
   for (std::size_t i = 0; i < x.size(); ++i) {
     const double orig = x[i];
     x[i] = orig + h;
-    const double up = mse_loss(net.predict(x), target).value;
+    const double up = loss_at(net, x, target);
     x[i] = orig - h;
-    const double down = mse_loss(net.predict(x), target).value;
+    const double down = loss_at(net, x, target);
     x[i] = orig;
     EXPECT_NEAR(dx[i], (up - down) / (2 * h), 1e-5);
   }
@@ -112,8 +114,8 @@ TEST(Network, InputGradientMatchesFiniteDifferences) {
 TEST(Network, ZeroGradClearsAllParams) {
   common::Rng rng(5);
   Network net = make_mlp(rng);
-  net.forward({1.0, 1.0, 1.0});
-  net.backward({1.0, 1.0});
+  net.forward_batch(Matrix::from_row({1.0, 1.0, 1.0}));
+  net.backward_batch(Matrix::from_row({1.0, 1.0}));
   net.zero_grad();
   for (auto& seg : gather_segments(net.params())) {
     for (std::size_t i = 0; i < seg.n; ++i) EXPECT_DOUBLE_EQ(seg.grad[i], 0.0);

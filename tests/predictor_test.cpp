@@ -55,7 +55,7 @@ class ReferenceLstmNet {
   double train_window(const std::vector<double>& hist, std::size_t end) {
     forward(hist, end);
     const S d = output() - static_cast<S>(hist[end]);
-    const S inv_n = S(1) / S(1);  // mse_loss over one output
+    const S inv_n = S(1) / S(1);  // the MSE over one output
     const double loss = static_cast<double>(d * d * inv_n);
     const S gy = S(2) * d * inv_n;
     adam_->zero_grad();

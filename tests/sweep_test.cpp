@@ -62,9 +62,9 @@ TEST_P(ActivationSweep, NetworkFitsLinearTarget) {
   for (int i = 0; i < 1500; ++i) {
     const double a = data.uniform(-1.0, 1.0), b = data.uniform(-1.0, 1.0);
     opt.zero_grad();
-    const nn::Vec pred = net.forward({a, b});
-    auto loss = nn::mse_loss(pred, {target_fn(a, b)});
-    net.backward(loss.grad);
+    const nn::Matrix pred = net.forward_batch(nn::Matrix::from_row({a, b}));
+    const auto loss = nn::mse_loss_batch(pred, nn::Matrix::from_row({target_fn(a, b)}));
+    net.backward_batch(loss.grad);
     opt.step();
     if (i < 50) first += loss.value;
     if (i >= 1450) last += loss.value;
