@@ -105,9 +105,9 @@ int main(int argc, char** argv) {
       } else if (arg == "--jobs") {
         opts.jobs = common::parse_count(next(), "--jobs", 1);
       } else if (arg == "--sla") {
-        opts.sla_latency_s = std::stod(next());
+        opts.sla_latency_s = common::parse_number(next(), "--sla");
       } else if (arg == "--watchdog") {
-        opts.watchdog_s = std::stod(next());
+        opts.watchdog_s = common::parse_number(next(), "--watchdog");
       } else if (arg == "--journal") {
         opts.journal_path = next();
       } else if (arg == "--workers") {

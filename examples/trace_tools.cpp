@@ -139,12 +139,11 @@ int cmd_inspect(int argc, char** argv) {
 
 int cmd_slice(int argc, char** argv) {
   if (argc < 6) return usage(argv[0]);
-  auto jobs = workload::read_trace_file(argv[2]);
   const std::string out_path = argv[3];
 
   workload::trace::NormalizeOptions norm;
-  norm.window_start_s = std::stod(argv[4]);
-  norm.window_end_s = std::stod(argv[5]);
+  norm.window_start_s = common::parse_number(argv[4], "start_s");
+  norm.window_end_s = common::parse_number(argv[5], "end_s");
   if (argc > 6) norm.max_jobs = common::parse_count(argv[6], "max_jobs");
   // Pass-through for everything but the window: canonical traces already
   // satisfy the simulator's ranges.
@@ -153,7 +152,8 @@ int cmd_slice(int argc, char** argv) {
   norm.resource_floor = std::numeric_limits<double>::min();
 
   workload::trace::NormalizeReport report;
-  const auto sliced = workload::trace::normalize(std::move(jobs), norm, &report);
+  const auto sliced =
+      workload::trace::normalize(workload::read_trace_file(argv[2]), norm, &report);
   std::printf("slice: %s\n", report.to_string().c_str());
   workload::write_trace_file(out_path, sliced);
   std::printf("wrote %zu jobs to %s\n", sliced.size(), out_path.c_str());

@@ -73,6 +73,10 @@ expect_error "run_experiment: crashes enabled without repair" \
   -- "$RUN_EXPERIMENT" --inline "faults.mtbf_s = 100" "faults.mttr_s = 0"
 expect_error "run_experiment: unknown scenario name" \
   -- "$RUN_EXPERIMENT" --scenario nope/nothing 100
+expect_error "run_experiment: scenario name typo" "did you mean 'fig8/hierarchical'" \
+  -- "$RUN_EXPERIMENT" --scenario fig8/hierarchcal 100
+expect_error "run_experiment: catalog dataset typo" "did you mean 'google2011-sample'" \
+  -- "$RUN_EXPERIMENT" --catalog google2011-smple
 expect_error "run_experiment: missing config file" \
   -- "$RUN_EXPERIMENT" /nonexistent/config.cfg
 expect_error "run_experiment: missing trace file" \
@@ -158,6 +162,28 @@ expect_error "tournament: zero --jobs" \
   -- "$TOURNAMENT" --jobs 0
 expect_error "tournament: negative --workers" \
   -- "$TOURNAMENT" --workers -1
+expect_error "tournament: scenario name typo" "did you mean 'tiny/round-robin'" \
+  -- "$TOURNAMENT" --scenarios tiny/round-robn --workers 1 --jobs 50
+# Seconds arguments are strict too: the whole text must be one number, NaN
+# is not one, and a negative watchdog fails the cells' validation before any
+# cell runs. (`inf` still turns --sla and --watchdog off.)
+TINY_GRID=(--combos round-robin+always-on --scenarios tiny/round-robin --jobs 50 --workers 1
+           --out-dir /nonexistent/deep/dir)
+expect_error "tournament: --watchdog with a suffix" "--watchdog must be a number" \
+  -- "$TOURNAMENT" "${TINY_GRID[@]}" --watchdog 5x
+expect_error "tournament: --sla with a suffix" "--sla must be a number" \
+  -- "$TOURNAMENT" "${TINY_GRID[@]}" --sla 300abc
+expect_error "tournament: non-numeric --sla" "--sla must be a number" \
+  -- "$TOURNAMENT" "${TINY_GRID[@]}" --sla abc
+expect_error "tournament: NaN --watchdog" "--watchdog must be a number" \
+  -- "$TOURNAMENT" "${TINY_GRID[@]}" --watchdog nan
+expect_error "tournament: negative --watchdog" "watchdog_s must be >= 0" \
+  -- "$TOURNAMENT" "${TINY_GRID[@]}" --watchdog -5
+inf_out=$(mktemp -d)
+expect_ok "tournament: inf --sla and --watchdog mean off" \
+  -- "$TOURNAMENT" --combos round-robin+always-on --scenarios tiny/round-robin --jobs 50 \
+     --workers 1 --out-dir "$inf_out" --sla inf --watchdog inf
+rm -rf "$inf_out"
 expect_error "tournament: unwritable --out-dir" \
   -- "$TOURNAMENT" --combos round-robin+always-on --scenarios tiny/round-robin \
      --jobs 50 --workers 1 --out-dir /nonexistent/deep/dir
@@ -167,6 +193,12 @@ expect_error "trace_tools: missing trace file" \
   -- "$TRACE_TOOLS" inspect /nonexistent/trace.csv
 expect_error "trace_tools: unknown raw-trace format" \
   -- "$TRACE_TOOLS" convert not-a-format /nonexistent/raw.csv /tmp/out.csv
+expect_error "trace_tools: raw-trace format typo" "did you mean 'google2011'" \
+  -- "$TRACE_TOOLS" convert googel2011 /nonexistent/raw.csv /tmp/out.csv
+for start in abc 100x nan; do
+  expect_error "trace_tools: slice start '$start'" "start_s must be a number" \
+    -- "$TRACE_TOOLS" slice /nonexistent/trace.csv /nonexistent/out.csv "$start" 5000
+done
 expect_error "trace_tools: negative job count" \
   -- "$TRACE_TOOLS" generate -5 /nonexistent/out.csv
 expect_error "trace_tools: non-numeric max_jobs" \

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <charconv>
 #include <fstream>
 #include <sstream>
@@ -166,6 +167,16 @@ std::size_t parse_count(const std::string& text, const std::string& what, std::s
                                 ", got '" + text + "'");
   }
   return n;
+}
+
+double parse_number(const std::string& text, const std::string& what) {
+  double x = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, x);
+  if (ec != std::errc() || ptr != end || std::isnan(x)) {
+    throw std::invalid_argument(what + " must be a number, got '" + text + "'");
+  }
+  return x;
 }
 
 }  // namespace hcrl::common

@@ -2,8 +2,8 @@
 //
 // Experiments are described by flat `key = value` files (or programmatic
 // maps). Typed getters validate and convert; unknown keys are detectable so
-// configs stay in sync with the code. parse_count is the strict parser for
-// count arguments on the command line.
+// configs stay in sync with the code. parse_count and parse_number are the
+// strict parsers for count and real-number arguments on the command line.
 #pragma once
 
 #include <map>
@@ -69,5 +69,11 @@ class Config {
 /// digits (no sign, space or suffix) for a value in [min, SIZE_MAX].
 /// Throws std::invalid_argument naming `what` otherwise.
 std::size_t parse_count(const std::string& text, const std::string& what, std::size_t min = 0);
+
+/// Parses a real-number argument strictly: the whole of `text` must be one
+/// number (`inf` and `-inf` included, NaN not), with no space or suffix.
+/// Range checks are the caller's. Throws std::invalid_argument naming
+/// `what` otherwise.
+double parse_number(const std::string& text, const std::string& what);
 
 }  // namespace hcrl::common

@@ -39,7 +39,6 @@ void set_log_level(LogLevel level) { g_level.store(level, std::memory_order_rela
 LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
 
 void set_log_thread_tag(const std::string& tag) { t_tag = tag.empty() ? "?" : tag; }
-std::string log_thread_tag() { return tag_for_this_thread(); }
 
 void log_message(LogLevel level, const std::string& msg) {
   if (static_cast<int>(level) < static_cast<int>(log_level())) return;

@@ -18,12 +18,10 @@ LogLevel log_level();
 /// prefixes the line with the calling thread's tag: `[LEVEL][tag] msg`.
 void log_message(LogLevel level, const std::string& msg);
 
-/// Set the calling thread's log tag (e.g. "shard-3", "runner-1"). The
-/// default tag is "main" for the first thread to log and "t<N>" for later
-/// ones, N assigned in first-log order.
+/// Set the calling thread's log tag (e.g. "runner-worker-1"). The default
+/// tag is "main" for the first thread to log and "t<N>" for later ones, N
+/// assigned in first-log order.
 void set_log_thread_tag(const std::string& tag);
-/// The calling thread's current tag (assigns the default if unset).
-std::string log_thread_tag();
 
 namespace detail {
 class LogLine {
@@ -45,9 +43,6 @@ class LogLine {
 };
 }  // namespace detail
 
-inline detail::LogLine log_debug() { return detail::LogLine(LogLevel::kDebug); }
 inline detail::LogLine log_info() { return detail::LogLine(LogLevel::kInfo); }
-inline detail::LogLine log_warn() { return detail::LogLine(LogLevel::kWarn); }
-inline detail::LogLine log_error() { return detail::LogLine(LogLevel::kError); }
 
 }  // namespace hcrl::common

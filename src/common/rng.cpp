@@ -85,28 +85,6 @@ double Rng::exponential(double rate) noexcept {
   return -std::log(1.0 - uniform()) / rate;
 }
 
-double Rng::log_uniform(double lo, double hi) noexcept {
-  assert(lo > 0.0 && hi >= lo);
-  return lo * std::exp(uniform() * std::log(hi / lo));
-}
-
-double Rng::pareto(double xm, double alpha) noexcept {
-  assert(xm > 0.0 && alpha > 0.0);
-  return xm / std::pow(1.0 - uniform(), 1.0 / alpha);
-}
-
-std::size_t Rng::weighted_index(const std::vector<double>& weights) noexcept {
-  double total = 0.0;
-  for (double w : weights) total += w;
-  assert(total > 0.0);
-  double r = uniform() * total;
-  for (std::size_t i = 0; i + 1 < weights.size(); ++i) {
-    r -= weights[i];
-    if (r < 0.0) return i;
-  }
-  return weights.empty() ? 0 : weights.size() - 1;
-}
-
 Rng Rng::fork() noexcept { return Rng(next() ^ 0xdeadbeefcafef00dULL); }
 
 }  // namespace hcrl::common

@@ -8,7 +8,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 namespace hcrl::common {
 
@@ -57,13 +56,6 @@ class Rng {
   double normal(double mean, double stddev) noexcept;
   /// Exponential with given rate (mean = 1/rate).
   double exponential(double rate) noexcept;
-  /// Log-uniform on [lo, hi]; lo > 0 required.
-  double log_uniform(double lo, double hi) noexcept;
-  /// Pareto (Lomax-shifted) with scale xm > 0 and shape alpha > 0.
-  double pareto(double xm, double alpha) noexcept;
-  /// Sample an index in [0, weights.size()) proportionally to weights.
-  /// Weights must be non-negative and not all zero.
-  std::size_t weighted_index(const std::vector<double>& weights) noexcept;
 
   /// Derive an independent child generator (for per-component streams).
   Rng fork() noexcept;

@@ -1,7 +1,6 @@
 #include "src/common/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -51,23 +50,6 @@ void RunningStats::add(double x) noexcept {
   max_ = std::max(max_, x);
 }
 
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStats::variance() const noexcept {
   return n_ >= 2 ? m2_ / static_cast<double>(n_) : 0.0;
 }
@@ -77,7 +59,7 @@ double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 void TimeWeightedValue::set(double t, double value) {
   if (!started_) {
     started_ = true;
-    start_ = last_t_ = t;
+    last_t_ = t;
     value_ = value;
     return;
   }
@@ -93,13 +75,8 @@ double TimeWeightedValue::integral(double t) const {
   return integral_ + value_ * (t - last_t_);
 }
 
-double TimeWeightedValue::time_average(double t) const {
-  if (!started_ || t <= start_) return 0.0;
-  return integral(t) / (t - start_);
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
+    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
   if (!(hi > lo) || bins == 0) throw std::invalid_argument("Histogram: bad range/bins");
 }
 
@@ -112,22 +89,6 @@ void Histogram::add(double x) noexcept {
 
 double Histogram::bin_lo(std::size_t i) const noexcept { return lo_ + width_ * static_cast<double>(i); }
 double Histogram::bin_hi(std::size_t i) const noexcept { return bin_lo(i) + width_; }
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) throw std::invalid_argument("Histogram::quantile: empty");
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      const double frac = counts_[i] > 0 ? (target - cum) / static_cast<double>(counts_[i]) : 0.0;
-      return bin_lo(i) + frac * width_;
-    }
-    cum = next;
-  }
-  return hi_;
-}
 
 std::string Histogram::to_string(std::size_t max_width) const {
   std::size_t peak = 1;

@@ -30,7 +30,6 @@ double quantile_from_bins(std::span<const std::uint64_t> bins, std::span<const d
 class RunningStats {
  public:
   void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
   void reset() noexcept { *this = RunningStats{}; }
 
   std::size_t count() const noexcept { return n_; }
@@ -54,8 +53,7 @@ class RunningStats {
 ///
 /// The core energy-accounting primitive: `set(t, v)` records that the signal
 /// takes value `v` from time `t` until the next call. `integral(t)` returns
-/// the exact integral of the signal from the first set() up to time t, and
-/// `time_average(t)` the integral divided by elapsed time.
+/// the exact integral of the signal from the first set() up to time t.
 class TimeWeightedValue {
  public:
   /// Record that the signal value is `value` starting at time `t`.
@@ -63,22 +61,17 @@ class TimeWeightedValue {
   void set(double t, double value);
   /// Integral of the signal from the first set() through time `t`.
   double integral(double t) const;
-  /// Time average over [start, t]; 0 before any sample.
-  double time_average(double t) const;
   double current() const noexcept { return value_; }
-  double start_time() const noexcept { return start_; }
-  bool empty() const noexcept { return !started_; }
 
  private:
   bool started_ = false;
-  double start_ = 0.0;
   double last_t_ = 0.0;
   double value_ = 0.0;
   double integral_ = 0.0;
 };
 
 /// Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the
-/// first/last bin. Used for trace validation and latency distributions.
+/// first/last bin. Used for the text histograms of trace inspection.
 class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t bins);
@@ -89,31 +82,12 @@ class Histogram {
   std::size_t total() const noexcept { return total_; }
   double bin_lo(std::size_t i) const noexcept;
   double bin_hi(std::size_t i) const noexcept;
-  /// Approximate quantile (linear interpolation inside the bin).
-  double quantile(double q) const;
   std::string to_string(std::size_t max_width = 50) const;
 
  private:
-  double lo_, hi_, width_;
+  double lo_, width_;
   std::size_t total_ = 0;
   std::vector<std::size_t> counts_;
-};
-
-/// Exponential moving average with configurable smoothing factor.
-class Ema {
- public:
-  explicit Ema(double alpha) : alpha_(alpha) {}
-  void add(double x) noexcept {
-    value_ = seeded_ ? alpha_ * x + (1.0 - alpha_) * value_ : x;
-    seeded_ = true;
-  }
-  double value() const noexcept { return value_; }
-  bool seeded() const noexcept { return seeded_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool seeded_ = false;
 };
 
 }  // namespace hcrl::common

@@ -55,8 +55,8 @@ void fill_tail_metrics(ExperimentResult& result, std::vector<double> latencies,
     result.sla_violations = static_cast<std::size_t>(std::count_if(
         latencies.begin(), latencies.end(), [&](double l) { return l > sla_latency_s; }));
   }
-  // common::percentile uses the same index rule as
-  // ClusterMetrics::latency_percentile.
+  // Lower-nearest-rank percentiles over every completed job (see
+  // common::percentile).
   result.latency_p95_s = common::percentile(latencies, 0.95);
   result.latency_p99_s = common::percentile(latencies, 0.99);
 }

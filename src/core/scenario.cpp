@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/common/rng.hpp"
+#include "src/common/suggest.hpp"
 #include "src/policy/registry.hpp"
 #include "src/sim/types.hpp"
 #include "src/workload/trace/calibrate.hpp"
@@ -136,10 +137,8 @@ bool ScenarioRegistry::contains(const std::string& name) const {
 Scenario ScenarioRegistry::make(const std::string& name, std::size_t jobs) const {
   const auto it = factories_.find(name);
   if (it == factories_.end()) {
-    std::string known;
-    for (const auto& n : order_) known += (known.empty() ? "" : ", ") + n;
-    throw std::invalid_argument("ScenarioRegistry: unknown scenario '" + name +
-                                "' (known: " + known + ")");
+    throw std::invalid_argument("ScenarioRegistry: " +
+                                common::unknown_key_message("scenario", name, order_));
   }
   Scenario s = it->second(jobs);
   if (s.name.empty()) s.name = name;

@@ -49,13 +49,6 @@ class StateEncoder {
   /// Full flat state [g_1, ..., g_K, s_j]: the global tier's DQN state.
   nn::Vec full_state(const sim::ClusterView& cluster, const sim::Job& job) const;
 
-  /// Group that server `m` belongs to, and its index within the group.
-  std::size_t group_of(std::size_t server) const { return server / opts_.group_size(); }
-  std::size_t index_in_group(std::size_t server) const { return server % opts_.group_size(); }
-  std::size_t server_of(std::size_t group, std::size_t index_in_group) const {
-    return group * opts_.group_size() + index_in_group;
-  }
-
  private:
   void encode_server(const sim::Server& server, nn::Vec& out) const;
 

@@ -70,19 +70,6 @@ S activate(Activation kind, S x) noexcept {
   return x;
 }
 
-template <class S>
-S activate_grad_from_output(Activation kind, S y) noexcept {
-  switch (kind) {
-    case Activation::kIdentity: return S(1);
-    case Activation::kRelu: return y > S(0) ? S(1) : S(0);
-    // ELU (alpha=1): y = e^x - 1 for x<=0, so dy/dx = e^x = y + 1; y>0 -> 1.
-    case Activation::kElu: return y > S(0) ? S(1) : y + S(1);
-    case Activation::kTanh: return S(1) - y * y;
-    case Activation::kSigmoid: return y * (S(1) - y);
-  }
-  return S(1);
-}
-
 namespace {
 
 // ELU forward in place, y = x > 0 ? x : expm1(x) — activate<S> element by
@@ -216,8 +203,7 @@ MatrixT<S> ActivationLayerT<S>::backward_batch(const MatrixT<S>& dY, bool /*want
 #define HCRL_NN_INSTANTIATE_LAYER(S)                     \
   template class DenseT<S>;                              \
   template class ActivationLayerT<S>;                    \
-  template S activate<S>(Activation, S) noexcept;        \
-  template S activate_grad_from_output<S>(Activation, S) noexcept;
+  template S activate<S>(Activation, S) noexcept;
 
 HCRL_NN_INSTANTIATE_LAYER(float)
 HCRL_NN_INSTANTIATE_LAYER(double)

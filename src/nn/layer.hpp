@@ -110,11 +110,9 @@ using LayerPtr = LayerPtrT<double>;
 using Dense = DenseT<double>;
 using ActivationLayer = ActivationLayerT<double>;
 
-// Scalar activation helpers (exposed for tests and the LSTM).
+// Scalar activation: the batched sweeps match it bit for bit (exposed for
+// tests).
 template <class S>
 S activate(Activation kind, S x) noexcept;
-/// Derivative d(activation)/dx expressed in terms of the *output* y.
-template <class S>
-S activate_grad_from_output(Activation kind, S y) noexcept;
 
 }  // namespace hcrl::nn

@@ -42,7 +42,6 @@ class AdamT final {
   /// gradients untouched (the caller decides when to zero).
   void step();
   void zero_grad();
-  std::int64_t steps_taken() const noexcept { return t_; }
 
  private:
   std::vector<ParamBlockPtrT<S>> params_;

@@ -1,9 +1,12 @@
-// Parameter blocks: the unit of ownership, sharing and optimization.
+// Parameter blocks: the unit of ownership and optimization.
 //
-// Layers hold parameters through shared_ptr<...Params>, which is exactly how
-// the paper's weight sharing (Fig. 6) is expressed: K autoencoders (and the
-// K Sub-Q heads) hold the *same* parameter block, so every training sample
-// updates the shared weights and gradients accumulate across uses.
+// Layers hold parameters through shared_ptr<...Params>, so a network and its
+// optimizer (AdamT, clip_grad_norm, fed by collect_params) address the same
+// weights and gradients. Two layers may share one block, and their gradients
+// then accumulate across both uses. The paper's weight sharing (Fig. 6) does
+// not rely on that: core::GroupedQNetwork owns one Sub-Q network and one
+// autoencoder and stacks the K heads' rows through each (encode_groups and
+// q_values_with in src/core/qnetwork.cpp).
 //
 // Everything is templated on the Scalar type (float/double instantiations in
 // param.cpp); the unsuffixed names alias the double instantiation.

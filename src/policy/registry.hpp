@@ -159,7 +159,8 @@ struct SystemBundle {
 SystemBundle build_system(const core::ExperimentConfig& cfg);
 
 /// The shared --list-policies body: every registered allocator and power
-/// policy with descriptions, option schemas and parallel-safety flags.
+/// policy with its description, a `[learning]` tag on the learning tiers,
+/// and its option schema.
 /// run_experiment, trace_tools and tournament all print exactly this.
 void print_policy_listing(std::ostream& out);
 

@@ -295,7 +295,7 @@ TournamentResult run_tournament(const TournamentOptions& opts, std::size_t worke
       cell.config.power = combo.power;
       cell.config.power_opts = combo.power_opts;
       cell.config.sla_latency_s = opts.sla_latency_s;
-      if (opts.watchdog_s > 0.0) cell.config.watchdog_s = opts.watchdog_s;
+      if (opts.watchdog_s != 0.0) cell.config.watchdog_s = opts.watchdog_s;
       cells.push_back(std::move(cell));
     }
   }

@@ -66,9 +66,10 @@ struct TournamentOptions {
   std::size_t jobs = 2000;
   /// SLA threshold applied to every cell (seconds; 0 disables the count).
   double sla_latency_s = 300.0;
-  /// Per-cell wall-clock watchdog applied to every cell (seconds; 0
-  /// disables): a cell exceeding it becomes a per-cell error outcome while
-  /// the rest of the grid completes. See ExperimentConfig::watchdog_s.
+  /// Per-cell wall-clock watchdog applied to every cell (seconds; 0 leaves
+  /// each cell's own, and a negative value fails the cells' validation): a
+  /// cell exceeding it becomes a per-cell error outcome while the rest of
+  /// the grid completes. See ExperimentConfig::watchdog_s.
   double watchdog_s = 0.0;
   /// Crash-safe resume journal (empty disables). Every successfully finished
   /// cell appends one fsync-free flushed CSV record to this file; rerunning

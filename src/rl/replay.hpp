@@ -39,8 +39,6 @@ class ReplayBuffer {
   }
 
   std::size_t size() const noexcept { return items_.size(); }
-  std::size_t capacity() const noexcept { return capacity_; }
-  bool empty() const noexcept { return items_.empty(); }
 
   const T& at(std::size_t i) const { return items_.at(i); }
 
@@ -55,11 +53,6 @@ class ReplayBuffer {
       out.push_back(&items_[idx]);
     }
     return out;
-  }
-
-  void clear() noexcept {
-    items_.clear();
-    head_ = 0;
   }
 
  private:

@@ -1,66 +1,38 @@
 // Exploration schedules for epsilon-greedy policies.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
 
 namespace hcrl::rl {
 
-/// Epsilon as a function of the step counter. Supports constant, linear
-/// decay and exponential decay; all clamp to [end, start].
+/// Epsilon as a function of the step counter: exponential decay from
+/// `start` toward `end`, so every value lies between the two.
 class EpsilonSchedule {
  public:
-  enum class Kind { kConstant, kLinear, kExponential };
-
-  static EpsilonSchedule constant(double eps) {
-    if (eps < 0.0 || eps > 1.0) throw std::invalid_argument("epsilon out of [0,1]");
-    return EpsilonSchedule(Kind::kConstant, eps, eps, 1);
-  }
-  /// Linearly anneal from `start` to `end` over `steps` steps.
-  static EpsilonSchedule linear(double start, double end, std::int64_t steps) {
-    check(start, end, steps);
-    return EpsilonSchedule(Kind::kLinear, start, end, steps);
-  }
-  /// Exponentially anneal: eps(t) = end + (start-end) * 0.5^(t/steps).
+  /// eps(t) = end + (start - end) * 0.5^(t / half_life).
   static EpsilonSchedule exponential(double start, double end, std::int64_t half_life) {
-    check(start, end, half_life);
-    return EpsilonSchedule(Kind::kExponential, start, end, half_life);
+    if (!(start >= 0.0 && start <= 1.0 && end >= 0.0 && end <= 1.0)) {
+      throw std::invalid_argument("epsilon out of [0,1]");
+    }
+    if (half_life <= 0) throw std::invalid_argument("epsilon half-life must be > 0");
+    return EpsilonSchedule(start, end, half_life);
   }
 
   double value(std::int64_t step) const {
-    switch (kind_) {
-      case Kind::kConstant:
-        return start_;
-      case Kind::kLinear: {
-        const double frac = std::min(1.0, static_cast<double>(step) / static_cast<double>(steps_));
-        return start_ + (end_ - start_) * frac;
-      }
-      case Kind::kExponential: {
-        const double decay =
-            std::pow(0.5, static_cast<double>(step) / static_cast<double>(steps_));
-        return end_ + (start_ - end_) * decay;
-      }
-    }
-    return end_;
+    const double decay =
+        std::pow(0.5, static_cast<double>(step) / static_cast<double>(half_life_));
+    return end_ + (start_ - end_) * decay;
   }
 
  private:
-  EpsilonSchedule(Kind kind, double start, double end, std::int64_t steps)
-      : kind_(kind), start_(start), end_(end), steps_(steps) {}
+  EpsilonSchedule(double start, double end, std::int64_t half_life)
+      : start_(start), end_(end), half_life_(half_life) {}
 
-  static void check(double start, double end, std::int64_t steps) {
-    if (start < 0.0 || start > 1.0 || end < 0.0 || end > 1.0) {
-      throw std::invalid_argument("epsilon out of [0,1]");
-    }
-    if (steps <= 0) throw std::invalid_argument("schedule steps must be > 0");
-  }
-
-  Kind kind_;
   double start_;
   double end_;
-  std::int64_t steps_;
+  std::int64_t half_life_;
 };
 
 }  // namespace hcrl::rl

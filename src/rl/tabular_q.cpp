@@ -10,7 +10,7 @@ TabularQAgent::TabularQAgent(std::size_t n_states, std::size_t n_actions, const 
     : n_states_(n_states),
       n_actions_(n_actions),
       opts_(opts),
-      q_(n_states * n_actions, opts.initial_q),
+      q_(n_states * n_actions, 0.0),
       visits_(n_states * n_actions, 0) {
   if (n_states == 0 || n_actions == 0) {
     throw std::invalid_argument("TabularQAgent: empty state or action space");

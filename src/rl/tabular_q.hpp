@@ -19,7 +19,6 @@ class TabularQAgent {
     double learning_rate = 0.1;   // alpha in Eqn. (2)
     double beta = 0.5;            // continuous-time discount rate
     EpsilonSchedule epsilon = EpsilonSchedule::exponential(0.3, 0.02, 300);
-    double initial_q = 0.0;       // optimistic init when > 0 for max-reward agents
 
     /// Throws std::invalid_argument unless 0 < learning_rate <= 1 and beta > 0.
     void validate() const;
@@ -48,7 +47,6 @@ class TabularQAgent {
 
   double q(std::size_t state, std::size_t action) const;
   double max_q(std::size_t state) const;
-  std::int64_t steps() const noexcept { return step_; }
   double current_epsilon() const { return opts_.epsilon.value(step_); }
 
   /// Visit counts, useful for diagnostics and tests.

@@ -203,10 +203,9 @@ void Cluster::requeue_killed(const std::vector<Job>& killed) {
   }
 }
 
-double Cluster::mean_cpu_utilization() const {
-  return metrics_.cpu_used_sum() / static_cast<double>(servers_.size());
+std::size_t Cluster::servers_on() const {
+  return static_cast<std::size_t>(
+      std::count_if(servers_.begin(), servers_.end(), [](const Server& s) { return s.is_on(); }));
 }
-
-std::size_t Cluster::servers_on() const { return metrics_.servers_on(); }
 
 }  // namespace hcrl::sim

@@ -65,12 +65,11 @@ class Cluster final : public ClusterView {
   std::size_t jobs_arrived() const noexcept override { return metrics_.jobs_arrived(); }
   std::size_t jobs_completed() const noexcept override { return metrics_.jobs_completed(); }
 
-  /// Sum of CPU utilizations across servers divided by M (cluster load); O(1).
-  double mean_cpu_utilization() const override;
-  /// Number of servers currently powered on (active or idle); O(1).
-  std::size_t servers_on() const override;
   /// Number of servers currently crash-failed; O(1).
   std::size_t servers_failed() const override { return metrics_.servers_failed(); }
+  /// Number of servers currently powered on (active or idle); scans every
+  /// server.
+  std::size_t servers_on() const;
 
   const ClusterConfig& config() const noexcept { return cfg_; }
 

@@ -1,18 +1,13 @@
 #include "src/sim/metrics.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-
-#include "src/common/stats.hpp"
 
 namespace hcrl::sim {
 
 ClusterMetrics::ClusterMetrics(std::size_t num_servers, bool keep_job_records)
     : keep_job_records_(keep_job_records),
       server_power_(num_servers, 0.0),
-      server_reliability_(num_servers, 0.0),
-      server_on_(num_servers, 0),
-      server_cpu_(num_servers, 0.0) {
+      server_reliability_(num_servers, 0.0) {
   total_power_.set(0.0, 0.0);
   jobs_in_system_.set(0.0, 0.0);
   reliability_.set(0.0, 0.0);
@@ -28,8 +23,6 @@ void ClusterMetrics::on_completion(const JobRecord& record, Time now) {
   ++completed_;
   jobs_in_system_.set(now, jobs_in_system_.current() - 1.0);
   latency_sum_ += record.latency();
-  latency_stats_.add(record.latency());
-  wait_stats_.add(record.wait());
   if (keep_job_records_) records_.push_back(record);
 }
 
@@ -45,18 +38,6 @@ void ClusterMetrics::on_reliability_change(ServerId server, double new_penalty, 
   const double delta = new_penalty - server_reliability_[server];
   server_reliability_[server] = new_penalty;
   reliability_.set(now, reliability_.current() + delta);
-}
-
-void ClusterMetrics::on_server_status(ServerId server, bool is_on, double cpu_used) {
-  if (server >= server_on_.size()) throw std::out_of_range("metrics: bad server id");
-  if (static_cast<bool>(server_on_[server]) != is_on) {
-    server_on_[server] = is_on ? 1 : 0;
-    servers_on_ += is_on ? 1 : static_cast<std::size_t>(-1);
-  }
-  // Incremental sum: exact when a server returns to a previously-seen load
-  // only up to float rounding; the brute-force-scan pin lives in the tests.
-  cpu_used_sum_ += cpu_used - server_cpu_[server];
-  server_cpu_[server] = cpu_used;
 }
 
 void ClusterMetrics::on_crash(Time now) {
@@ -89,18 +70,6 @@ void ClusterMetrics::on_bounce() { ++faults_.bounces; }
 void ClusterMetrics::on_retry() { ++faults_.retries; }
 
 void ClusterMetrics::on_job_lost() { ++faults_.jobs_lost; }
-
-double ClusterMetrics::latency_percentile(double q) const {
-  if (!keep_job_records_) {
-    throw std::logic_error("latency_percentile: job records disabled");
-  }
-  if (records_.empty()) throw std::logic_error("latency_percentile: no completed jobs");
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("latency_percentile: q out of [0,1]");
-  std::vector<double> latencies;
-  latencies.reserve(records_.size());
-  for (const auto& r : records_) latencies.push_back(r.latency());
-  return common::percentile(latencies, q);
-}
 
 MetricsSnapshot ClusterMetrics::snapshot(Time now) const {
   MetricsSnapshot s;

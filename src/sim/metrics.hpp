@@ -1,8 +1,13 @@
-// Cluster-level measurement: energy, latency, jobs-in-system, reliability.
+// Cluster-level measurement: the exact integrals the global tier's reward
+// reads, and the run totals the runner reports.
 //
-// All quantities are exact integrals of piecewise-constant signals between
-// events — no sampling error. These integrals are also what the RL reward
-// functions consume (Eqn. 4 and Eqn. 5 integrate power / #VMs over sojourns).
+// Total power (energy), jobs in the system and the hot-spot penalty are
+// exact integrals of piecewise-constant signals between events — no
+// sampling error. They are what the Eqn. (4) reward integrates over each
+// sojourn; each server keeps its own power and queue integrals for the
+// local tier's Eqn. (5) (see server.hpp). The rest are plain counts taken at
+// events: arrivals, completions, the completed-job latency sum, fault
+// counters and, when kept, one record per completed job.
 #pragma once
 
 #include <cstddef>
@@ -47,10 +52,6 @@ struct MetricsSnapshot {
   double average_latency_s() const noexcept {
     return jobs_completed > 0 ? accumulated_latency_s / static_cast<double>(jobs_completed) : 0.0;
   }
-  /// Average energy per completed job, in joules.
-  double energy_per_job() const noexcept {
-    return jobs_completed > 0 ? energy_joules / static_cast<double>(jobs_completed) : 0.0;
-  }
 };
 
 class ClusterMetrics {
@@ -64,11 +65,6 @@ class ClusterMetrics {
   void on_power_change(ServerId server, double new_watts, Time now);
   /// A server's hot-spot (reliability) penalty contribution changed.
   void on_reliability_change(ServerId server, double new_penalty, Time now);
-  /// A server's availability (powered on/off) or CPU utilization changed.
-  /// Maintains the O(1) servers_on / cpu_used_sum aggregates so cluster-wide
-  /// load queries never rescan every server (at 10k servers the
-  /// per-checkpoint O(M) scans dominate the metrics path).
-  void on_server_status(ServerId server, bool is_on, double cpu_used);
 
   // -- fault accounting (see src/sim/fault/fault.hpp) ------------------------
   void on_crash(Time now);
@@ -83,30 +79,15 @@ class ClusterMetrics {
   void on_job_lost();
 
   // -- queries ---------------------------------------------------------------
-  double total_power_watts() const noexcept { return total_power_.current(); }
   double energy_joules(Time now) const { return total_power_.integral(now); }
-  double jobs_in_system() const noexcept { return jobs_in_system_.current(); }
   double jobs_in_system_integral(Time now) const { return jobs_in_system_.integral(now); }
   double reliability_integral(Time now) const { return reliability_.integral(now); }
   std::size_t jobs_arrived() const noexcept { return arrived_; }
   std::size_t jobs_completed() const noexcept { return completed_; }
-  /// Servers currently powered on (active or idle); O(1).
-  std::size_t servers_on() const noexcept { return servers_on_; }
   /// Servers currently crash-failed; O(1).
   std::size_t servers_failed() const noexcept { return servers_failed_; }
   const FaultCounters& faults() const noexcept { return faults_; }
-  /// Sum of per-server CPU utilizations; O(1). Incrementally maintained, so
-  /// it may drift from an exact rescan by float rounding only (pinned to the
-  /// brute-force scan in tests).
-  double cpu_used_sum() const noexcept { return cpu_used_sum_; }
-  double accumulated_latency(Time /*unused*/ = 0.0) const noexcept { return latency_sum_; }
-  const common::RunningStats& latency_stats() const noexcept { return latency_stats_; }
-  const common::RunningStats& wait_stats() const noexcept { return wait_stats_; }
   const std::vector<JobRecord>& job_records() const noexcept { return records_; }
-
-  /// Latency percentile over completed jobs (q in [0, 1]). Requires job
-  /// records to be kept; throws std::logic_error otherwise or when empty.
-  double latency_percentile(double q) const;
 
   MetricsSnapshot snapshot(Time now) const;
 
@@ -114,20 +95,14 @@ class ClusterMetrics {
   bool keep_job_records_;
   std::vector<double> server_power_;
   std::vector<double> server_reliability_;
-  std::vector<std::uint8_t> server_on_;
-  std::vector<double> server_cpu_;
-  std::size_t servers_on_ = 0;
   std::size_t servers_failed_ = 0;
   FaultCounters faults_;
-  double cpu_used_sum_ = 0.0;
   common::TimeWeightedValue total_power_;
   common::TimeWeightedValue jobs_in_system_;
   common::TimeWeightedValue reliability_;
   std::size_t arrived_ = 0;
   std::size_t completed_ = 0;
   double latency_sum_ = 0.0;
-  common::RunningStats latency_stats_;
-  common::RunningStats wait_stats_;
   std::vector<JobRecord> records_;
 };
 

@@ -45,7 +45,6 @@ Server::Server(ServerId id, const ServerConfig& cfg, ClusterMetrics* metrics)
   power_.set(0.0, 0.0);
   queue_len_.set(0.0, 0.0);
   set_power(0.0, initial_watts);
-  if (metrics_ != nullptr) metrics_->on_server_status(id_, is_on(), 0.0);
 }
 
 void Server::set_power(Time now, double watts) {
@@ -73,9 +72,6 @@ void Server::refresh_power(Time now) {
   if (metrics_ != nullptr) {
     const double over = std::max(0.0, utilization(0) - cfg_.hotspot_threshold);
     metrics_->on_reliability_change(id_, over * over, now);
-    // Every is_on()/utilization transition funnels through refresh_power, so
-    // reporting here keeps the O(1) cluster aggregates exact per event.
-    metrics_->on_server_status(id_, is_on(), utilization(0));
   }
 }
 

@@ -100,14 +100,12 @@ class Server {
   /// Cheaper than queue_length() == 0: std::deque::size() is iterator
   /// arithmetic across its blocks, empty() one pointer compare.
   bool queue_empty() const noexcept { return queue_.empty(); }
-  std::size_t running_count() const noexcept { return running_.size(); }
   std::size_t jobs_on_server() const noexcept { return queue_.size() + running_.size(); }
   double power_watts() const noexcept { return power_.current(); }
 
   /// Exact integrals used by the local-tier RL reward (Eqn. 5).
   double power_integral(Time now) const { return power_.integral(now); }
   double queue_integral(Time now) const { return queue_len_.integral(now); }
-  double energy_joules(Time now) const { return power_.integral(now); }
 
   /// Time of the most recent job arrival at this server (-inf if none).
   Time last_arrival_time() const noexcept { return last_arrival_; }

@@ -171,11 +171,6 @@ void MetricRegistry::reset() noexcept {
   }
 }
 
-std::size_t MetricRegistry::num_metrics() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return num_defs_;
-}
-
 void set_enabled(bool on) noexcept { detail::g_enabled.store(on, std::memory_order_relaxed); }
 
 MetricRegistry& global_registry() {

@@ -115,7 +115,6 @@ class MetricRegistry {
   RegistrySnapshot snapshot() const;
   /// Zero every slab cell; definitions are kept (bench/test isolation).
   void reset() noexcept;
-  std::size_t num_metrics() const;
 
  private:
   struct Slab {
@@ -167,8 +166,8 @@ MetricRegistry& global_registry();
 std::size_t current_shard() noexcept;
 
 /// Scoped binding of the calling thread to a registry shard. Writers that
-/// may run concurrently (runner workers, shard threads) bind distinct shards
-/// so their increments never share cache lines.
+/// may run concurrently (the batch runner's workers) bind distinct shards so
+/// their increments never share cache lines.
 class ShardScope {
  public:
   explicit ShardScope(std::size_t shard) noexcept;

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "src/common/csv.hpp"
+#include "src/common/suggest.hpp"
 
 namespace hcrl::workload::trace {
 
@@ -54,8 +55,9 @@ TraceFormat parse_format(const std::string& name) {
   if (name == "google2011") return TraceFormat::kGoogle2011;
   if (name == "alibaba2018") return TraceFormat::kAlibaba2018;
   if (name == "azure2017") return TraceFormat::kAzure2017;
-  throw std::invalid_argument("parse_format: unknown trace format '" + name +
-                              "' (known: google2011, alibaba2018, azure2017)");
+  throw std::invalid_argument(
+      "parse_format: " +
+      common::unknown_key_message("trace format", name, {"google2011", "alibaba2018", "azure2017"}));
 }
 
 std::string to_string(TraceFormat format) {

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "src/common/suggest.hpp"
+
 #ifndef HCRL_DATA_DIR
 #define HCRL_DATA_DIR ""
 #endif
@@ -30,10 +32,8 @@ const CatalogEntry& TraceCatalog::entry(const std::string& name) const {
   for (const auto& e : entries_) {
     if (e.name == name) return e;
   }
-  std::string known;
-  for (const auto& e : entries_) known += (known.empty() ? "" : ", ") + e.name;
-  throw std::invalid_argument("TraceCatalog: unknown dataset '" + name + "' (known: " + known +
-                              ")");
+  throw std::invalid_argument("TraceCatalog: " +
+                              common::unknown_key_message("dataset", name, names()));
 }
 
 std::vector<std::string> TraceCatalog::names() const {

@@ -11,16 +11,17 @@
 namespace hcrl::workload::trace {
 
 void NormalizeOptions::validate() const {
-  if (window_start_s < 0.0 || window_end_s <= window_start_s) {
+  // Written so that NaN fails each check too.
+  if (!(window_start_s >= 0.0 && window_end_s > window_start_s)) {
     throw std::invalid_argument("NormalizeOptions: bad window");
   }
-  if (min_duration_s <= 0.0 || max_duration_s < min_duration_s) {
+  if (!(min_duration_s > 0.0 && max_duration_s >= min_duration_s)) {
     throw std::invalid_argument("NormalizeOptions: bad duration clip");
   }
-  if (resource_floor <= 0.0 || resource_cap > 1.0 || resource_cap < resource_floor) {
+  if (!(resource_floor > 0.0 && resource_cap <= 1.0 && resource_cap >= resource_floor)) {
     throw std::invalid_argument("NormalizeOptions: bad resource clamp");
   }
-  if (rescale_peak < 0.0 || rescale_peak > 1.0) {
+  if (!(rescale_peak >= 0.0 && rescale_peak <= 1.0)) {
     throw std::invalid_argument("NormalizeOptions: rescale_peak must be in [0, 1]");
   }
 }

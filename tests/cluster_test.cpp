@@ -23,22 +23,6 @@ ClusterConfig small_cluster(std::size_t n = 3) {
   return cfg;
 }
 
-// Brute-force O(M) rescans of the quantities the engine keeps as O(1)
-// incremental counters.
-double mean_cpu_utilization_scan(const Cluster& c) {
-  double total = 0.0;
-  for (const Server& s : c.servers()) total += s.utilization(0);
-  return total / static_cast<double>(c.num_servers());
-}
-
-std::size_t servers_on_scan(const Cluster& c) {
-  std::size_t n = 0;
-  for (const Server& s : c.servers()) {
-    if (s.is_on()) ++n;
-  }
-  return n;
-}
-
 TEST(Cluster, ConfigValidation) {
   ClusterConfig cfg = small_cluster(0);
   RoundRobinAllocator alloc;
@@ -69,7 +53,7 @@ TEST(Cluster, AllJobsCompleteAndConserve) {
   c.run();
   EXPECT_EQ(c.metrics().jobs_arrived(), 20u);
   EXPECT_EQ(c.metrics().jobs_completed(), 20u);
-  EXPECT_DOUBLE_EQ(c.metrics().jobs_in_system(), 0.0);
+  EXPECT_DOUBLE_EQ(c.snapshot().jobs_in_system, 0.0);
   EXPECT_EQ(c.metrics().job_records().size(), 20u);
 }
 
@@ -157,11 +141,12 @@ TEST(Cluster, ServersOnAndUtilization) {
   cfg.server.start_asleep = false;
   Cluster c(cfg, alloc, power);
   EXPECT_EQ(c.servers_on(), 2u);
-  EXPECT_DOUBLE_EQ(c.mean_cpu_utilization(), 0.0);
+  EXPECT_DOUBLE_EQ(c.server(0).utilization(0) + c.server(1).utilization(0), 0.0);
   c.load_jobs({make_job(1, 0.0, 1000.0, 0.5)});
   // The arrival event both dispatches and (idle server) starts the job.
   while (c.metrics().jobs_arrived() < 1) c.step();
-  EXPECT_NEAR(c.mean_cpu_utilization(), 0.25, 1e-9);  // 0.5 on one of two
+  EXPECT_EQ(c.servers_on(), 2u);
+  EXPECT_NEAR(c.server(0).utilization(0) + c.server(1).utilization(0), 0.5, 1e-9);
 }
 
 TEST(Cluster, EnergyNeverExceedsAllPeak) {
@@ -193,26 +178,6 @@ TEST(Cluster, SleepingClusterUsesLessEnergyThanAlwaysOn) {
   AlwaysOnPolicy on;
   ImmediateSleepPolicy sleep_now;
   EXPECT_LT(run_with(sleep_now), 0.5 * run_with(on));
-}
-
-// The O(1) incremental counters must track the brute-force rescans at every
-// event of a run that exercises all power-state transitions.
-TEST(Cluster, IncrementalCountersMatchBruteForceScan) {
-  RoundRobinAllocator alloc;
-  FixedTimeoutPolicy power(20.0);
-  ClusterConfig cfg = small_cluster(4);
-  cfg.server.t_on = 30.0;
-  cfg.server.t_off = 10.0;
-  Cluster c(cfg, alloc, power);
-  std::vector<Job> jobs;
-  for (int i = 0; i < 60; ++i) jobs.push_back(make_job(i, i * 35.0, 35.0, 0.45));
-  c.load_jobs(jobs);
-  EXPECT_EQ(c.servers_on(), servers_on_scan(c));
-  while (c.step()) {
-    ASSERT_EQ(c.servers_on(), servers_on_scan(c));
-    ASSERT_NEAR(c.mean_cpu_utilization(), mean_cpu_utilization_scan(c), 1e-12);
-  }
-  EXPECT_EQ(c.metrics().jobs_completed(), 60u);
 }
 
 }  // namespace

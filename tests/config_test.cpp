@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace hcrl::common {
 namespace {
@@ -106,6 +108,21 @@ TEST(Config, ToStringParsesBack) {
 
 TEST(Config, FromFileMissingThrows) {
   EXPECT_THROW(Config::from_file("/nonexistent/path/cfg.txt"), std::invalid_argument);
+}
+
+TEST(ParseNumber, WholeTextMustBeOneNumber) {
+  EXPECT_EQ(parse_number("300", "--sla"), 300.0);
+  EXPECT_EQ(parse_number("-5", "--watchdog"), -5.0);  // range checks are the caller's
+  EXPECT_EQ(parse_number("1.5e3", "x"), 1500.0);
+  EXPECT_EQ(parse_number("inf", "x"), std::numeric_limits<double>::infinity());
+  for (const char* bad : {"", "5x", "300abc", "abc", "nan", "-nan", " 5", "5 ", "1e999"}) {
+    try {
+      parse_number(bad, "--watchdog");
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--watchdog"), std::string::npos) << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Deterministic fault injection: plan generation, backoff/retry goldens,
-// lost-work accounting invariants, and — the load-bearing properties — that
-// fixed-seed faulty runs are bit-reproducible run to run and with telemetry
-// on or off, and that equal-time events run arrival, then retry, then heap;
-// plus the harness robustness seams (per-cell watchdog, crash-safe
-// tournament journal resume).
+// lost-work accounting invariants, cluster totals against per-server sums,
+// and — the load-bearing properties — that fixed-seed faulty runs are
+// bit-reproducible run to run and with telemetry on or off, and that
+// equal-time events run arrival, then retry, then heap; plus the harness
+// robustness seams (per-cell watchdog, crash-safe tournament journal resume).
 #include "src/sim/fault/fault.hpp"
 
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include "src/policy/tournament.hpp"
 #include "src/sim/cluster.hpp"
 #include "src/telemetry/registry.hpp"
+#include "src/workload/generator.hpp"
 
 namespace hcrl {
 namespace {
@@ -289,6 +290,56 @@ TEST(FaultRun, LostWorkAccountingInvariantsHold) {
   if (f.recoveries > 0) {
     EXPECT_GT(f.mttr_s(), 0.0);
     EXPECT_NEAR(f.mttr_s(), f.downtime_s / static_cast<double>(f.recoveries), 1e-12);
+  }
+}
+
+// The engine keeps cluster-wide totals apart from the servers' own state:
+// one energy integral fed by every power change, and one jobs-in-system
+// count fed by arrivals, completions and kills. At every event of a faulty
+// run (crashes, evictions and the retries they cause) both must equal the
+// sums over the servers.
+TEST(FaultRun, ClusterTotalsMatchPerServerSumsAtEveryStep) {
+  workload::GeneratorOptions g;
+  g.num_jobs = 5000;
+  g.seed = 11;
+  const std::vector<sim::Job> jobs = workload::GoogleTraceGenerator(g).generate();
+  FaultConfig f;
+  f.mtbf_s = 4.0 * 3600.0;
+  f.evict_every_s = 6.0 * 3600.0;
+  f.seed = 29;
+  sim::BestFitAllocator best_fit;
+  sim::RoundRobinAllocator round_robin;
+  sim::LeastLoadedAllocator least_loaded;
+  for (sim::AllocationPolicy* alloc :
+       std::vector<sim::AllocationPolicy*>{&best_fit, &round_robin, &least_loaded}) {
+    SCOPED_TRACE(alloc->name());
+    sim::FixedTimeoutPolicy power(60.0);
+    sim::ClusterConfig c;
+    c.num_servers = 20;
+    sim::Cluster engine(c, *alloc, power);
+    FaultInjector faults(f, c.num_servers, jobs.back().arrival + f.horizon_padding_s);
+    engine.install_faults(&faults);
+    engine.load_jobs(jobs);
+    std::size_t steps = 0;
+    while (engine.step()) {
+      ++steps;
+      const sim::Time now = engine.now();
+      double server_energy = 0.0;
+      std::size_t server_jobs = 0;
+      for (const sim::Server& s : engine.servers()) {
+        server_energy += s.power_integral(now);
+        server_jobs += s.jobs_on_server();
+      }
+      ASSERT_LE(std::abs(engine.metrics().energy_joules(now) - server_energy),
+                1e-12 * server_energy)
+          << "step " << steps;
+      ASSERT_EQ(engine.snapshot().jobs_in_system, static_cast<double>(server_jobs))
+          << "step " << steps;
+    }
+    const sim::FaultCounters& fc = engine.snapshot().faults;
+    EXPECT_GT(fc.crashes, 0u);
+    EXPECT_GT(fc.evictions, 0u);
+    EXPECT_GT(fc.retries, 0u);
   }
 }
 

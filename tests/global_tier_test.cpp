@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 
 #include "src/sim/cluster.hpp"
@@ -83,7 +84,7 @@ TEST(DrlAllocator, LearningOffFreezesAndActsGreedily) {
 
 TEST(DrlAllocator, EpsilonDecaysWithEpochs) {
   auto o = small_opts();
-  o.epsilon = rl::EpsilonSchedule::linear(1.0, 0.0, 100);
+  o.epsilon = rl::EpsilonSchedule::exponential(1.0, 0.0, 10);
   DrlAllocator alloc(o);
   EXPECT_DOUBLE_EQ(alloc.current_epsilon(), 1.0);
   sim::AlwaysOnPolicy power;
@@ -92,7 +93,8 @@ TEST(DrlAllocator, EpsilonDecaysWithEpochs) {
   sim::Cluster cluster(cfg, alloc, power);
   cluster.load_jobs(small_trace(150));
   cluster.run();
-  EXPECT_DOUBLE_EQ(alloc.current_epsilon(), 0.0);
+  // One step per arrival: 150 epochs are 15 half-lives.
+  EXPECT_DOUBLE_EQ(alloc.current_epsilon(), std::ldexp(1.0, -15));
 }
 
 TEST(DrlAllocator, GuidePolicyIsConsultedDuringExploration) {
@@ -106,7 +108,7 @@ TEST(DrlAllocator, GuidePolicyIsConsultedDuringExploration) {
     int calls = 0;
   };
   auto o = small_opts();
-  o.epsilon = rl::EpsilonSchedule::constant(1.0);  // always explore
+  o.epsilon = rl::EpsilonSchedule::exponential(1.0, 1.0, 1);  // always explore
   o.guide_mix = 1.0;                               // always via guide
   DrlAllocator alloc(o);
   auto guide = std::make_unique<CountingGuide>();

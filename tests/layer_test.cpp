@@ -89,17 +89,28 @@ TEST(Activations, ScalarValues) {
   EXPECT_DOUBLE_EQ(activate(Activation::kSigmoid, 0.0), 0.5);
 }
 
-TEST(Activations, GradFromOutputMatchesNumerical) {
-  for (Activation kind : {Activation::kIdentity, Activation::kElu, Activation::kTanh,
-                          Activation::kSigmoid}) {
+// The derivative the Sub-Q and autoencoder networks run, from the cached
+// output: ActivationLayerT::backward_batch at batch 1 against a central
+// difference of the f64 scalar activation, for every activation.
+template <class S>
+void check_activation_backward_matches_numerical(double tol) {
+  for (Activation kind : {Activation::kIdentity, Activation::kRelu, Activation::kElu,
+                          Activation::kTanh, Activation::kSigmoid}) {
     for (double x : {-1.5, -0.3, 0.2, 1.7}) {
+      ActivationLayerT<S> layer(kind, 1);
+      layer.forward_batch(MatrixT<S>::from_row(VecT<S>{static_cast<S>(x)}));
+      const MatrixT<S> dx = layer.backward_batch(MatrixT<S>::from_row(VecT<S>{S(1)}));
       const double h = 1e-6;
       const double numerical = (activate(kind, x + h) - activate(kind, x - h)) / (2 * h);
-      const double analytic = activate_grad_from_output(kind, activate(kind, x));
-      EXPECT_NEAR(analytic, numerical, 1e-5)
+      EXPECT_NEAR(static_cast<double>(dx(0, 0)), numerical, tol)
           << "kind=" << static_cast<int>(kind) << " x=" << x;
     }
   }
+}
+
+TEST(Activations, GradFromOutputMatchesNumerical) {
+  check_activation_backward_matches_numerical<double>(1e-5);
+  check_activation_backward_matches_numerical<float>(1e-4);
 }
 
 TEST(ActivationLayer, ForwardBackwardShape) {

@@ -13,7 +13,7 @@ LocalPowerManagerOptions small_opts(std::size_t servers = 2) {
   LocalPowerManagerOptions o;
   o.num_servers = servers;
   o.predictor = "last-value";  // deterministic, fast
-  o.agent.epsilon = rl::EpsilonSchedule::constant(0.0);
+  o.agent.epsilon = rl::EpsilonSchedule::exponential(0.0, 0.0, 1);
   return o;
 }
 

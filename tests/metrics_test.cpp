@@ -30,10 +30,10 @@ TEST(ClusterMetrics, ArrivalsAndCompletionsCounted) {
   m.on_arrival(job_at(1, 0.0), 0.0);
   m.on_arrival(job_at(2, 1.0), 1.0);
   EXPECT_EQ(m.jobs_arrived(), 2u);
-  EXPECT_DOUBLE_EQ(m.jobs_in_system(), 2.0);
+  EXPECT_DOUBLE_EQ(m.snapshot(1.0).jobs_in_system, 2.0);
   m.on_completion(record(1, 0.0, 0.0, 5.0), 5.0);
   EXPECT_EQ(m.jobs_completed(), 1u);
-  EXPECT_DOUBLE_EQ(m.jobs_in_system(), 1.0);
+  EXPECT_DOUBLE_EQ(m.snapshot(5.0).jobs_in_system, 1.0);
 }
 
 TEST(ClusterMetrics, LatencyAccumulation) {
@@ -42,16 +42,16 @@ TEST(ClusterMetrics, LatencyAccumulation) {
   m.on_arrival(job_at(2, 0.0), 0.0);
   m.on_completion(record(1, 0.0, 2.0, 12.0), 12.0);   // latency 12
   m.on_completion(record(2, 0.0, 12.0, 30.0), 30.0);  // latency 30
-  EXPECT_DOUBLE_EQ(m.accumulated_latency(), 42.0);
-  EXPECT_DOUBLE_EQ(m.latency_stats().mean(), 21.0);
-  EXPECT_DOUBLE_EQ(m.wait_stats().mean(), 7.0);  // waits 2 and 12
+  const MetricsSnapshot s = m.snapshot(30.0);
+  EXPECT_DOUBLE_EQ(s.accumulated_latency_s, 42.0);
+  EXPECT_DOUBLE_EQ(s.average_latency_s(), 21.0);
 }
 
 TEST(ClusterMetrics, PowerIntegralSumsServers) {
   ClusterMetrics m(2);
   m.on_power_change(0, 100.0, 0.0);
   m.on_power_change(1, 50.0, 0.0);
-  EXPECT_DOUBLE_EQ(m.total_power_watts(), 150.0);
+  EXPECT_DOUBLE_EQ(m.snapshot(10.0).average_power_watts, 150.0);
   m.on_power_change(0, 0.0, 10.0);  // server 0 off after 10 s
   // Energy so far: 150 W * 10 s.
   EXPECT_DOUBLE_EQ(m.energy_joules(10.0), 1500.0);
@@ -86,7 +86,6 @@ TEST(ClusterMetrics, SnapshotComposition) {
   EXPECT_DOUBLE_EQ(s.average_power_watts, 100.0);
   EXPECT_EQ(s.jobs_completed, 1u);
   EXPECT_DOUBLE_EQ(s.average_latency_s(), 36.0);
-  EXPECT_DOUBLE_EQ(s.energy_per_job(), 360000.0);
 }
 
 TEST(ClusterMetrics, JobRecordsKeptWhenEnabled) {
@@ -99,32 +98,9 @@ TEST(ClusterMetrics, JobRecordsKeptWhenEnabled) {
   EXPECT_EQ(drop.jobs_completed(), 1u);  // counters still work
 }
 
-TEST(LatencyPercentile, MatchesKnownDistribution) {
-  ClusterMetrics m(1);
-  for (JobId i = 1; i <= 100; ++i) m.on_arrival(job_at(i, 0.0), 0.0);
-  for (JobId i = 1; i <= 100; ++i) {
-    const auto finish = static_cast<Time>(i);  // latencies 1..100
-    m.on_completion(record(i, 0.0, 0.0, finish), finish);
-  }
-  EXPECT_NEAR(m.latency_percentile(0.5), 50.0, 1.0);
-  EXPECT_NEAR(m.latency_percentile(0.95), 95.0, 1.0);
-  EXPECT_DOUBLE_EQ(m.latency_percentile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(m.latency_percentile(1.0), 100.0);
-  EXPECT_THROW(m.latency_percentile(1.5), std::invalid_argument);
-}
-
-TEST(LatencyPercentile, RequiresRecords) {
-  ClusterMetrics no_records(1, false);
-  no_records.on_completion(record(1, 0.0, 0.0, 1.0), 1.0);
-  EXPECT_THROW(no_records.latency_percentile(0.5), std::logic_error);
-  ClusterMetrics empty(1, true);
-  EXPECT_THROW(empty.latency_percentile(0.5), std::logic_error);
-}
-
 TEST(MetricsSnapshot, SafeOnEmpty) {
   const MetricsSnapshot s;
   EXPECT_DOUBLE_EQ(s.average_latency_s(), 0.0);
-  EXPECT_DOUBLE_EQ(s.energy_per_job(), 0.0);
 }
 
 }  // namespace

@@ -45,12 +45,15 @@ TEST(Adam, FirstStepMovesByLr) {
 }
 
 TEST(Adam, StepsCounterIncrements) {
+  // The bias correction reads the step count: under a constant gradient the
+  // corrected moments stay g and g^2, so each step moves by ~lr. A counter
+  // stuck at 1 would make the second step ~1.34 lr.
   auto p = single_param(0.0, 1.0);
-  Adam opt({p});
-  EXPECT_EQ(opt.steps_taken(), 0);
+  Adam opt({p}, Adam::Options{.lr = 0.01});
   opt.step();
+  EXPECT_NEAR(p->W(0, 0), -0.01, 1e-6);
   opt.step();
-  EXPECT_EQ(opt.steps_taken(), 2);
+  EXPECT_NEAR(p->W(0, 0), -0.02, 1e-6);
 }
 
 TEST(Adam, InvalidLrThrows) {

@@ -63,18 +63,6 @@ TEST(ReplayBuffer, SampleCoversBuffer) {
   EXPECT_EQ(seen.size(), 8u);
 }
 
-TEST(ReplayBuffer, ClearEmpties) {
-  ReplayBuffer<Transition> buf(4);
-  buf.push(make_transition(1));
-  buf.clear();
-  EXPECT_TRUE(buf.empty());
-  EXPECT_EQ(buf.size(), 0u);
-  // And it refills correctly afterwards.
-  buf.push(make_transition(2));
-  EXPECT_EQ(buf.size(), 1u);
-  EXPECT_DOUBLE_EQ(buf.at(0).reward_rate, 2.0);
-}
-
 TEST(ReplayBuffer, GenericPayload) {
   ReplayBuffer<int> buf(2);
   buf.push(7);

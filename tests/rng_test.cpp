@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <set>
-#include <vector>
 
 namespace hcrl::common {
 namespace {
@@ -131,35 +130,6 @@ TEST(Rng, ExponentialMeanIsInverseRate) {
 TEST(Rng, ExponentialIsPositive) {
   Rng rng(27);
   for (int i = 0; i < 1000; ++i) EXPECT_GE(rng.exponential(3.0), 0.0);
-}
-
-TEST(Rng, LogUniformStaysInRange) {
-  Rng rng(29);
-  for (int i = 0; i < 5000; ++i) {
-    const double v = rng.log_uniform(60.0, 7200.0);
-    EXPECT_GE(v, 60.0);
-    EXPECT_LE(v, 7200.0 * (1.0 + 1e-12));
-  }
-}
-
-TEST(Rng, ParetoRespectsScale) {
-  Rng rng(31);
-  for (int i = 0; i < 5000; ++i) EXPECT_GE(rng.pareto(2.0, 1.5), 2.0);
-}
-
-TEST(Rng, WeightedIndexZeroWeightNeverChosen) {
-  Rng rng(33);
-  const std::vector<double> w = {1.0, 0.0, 3.0};
-  for (int i = 0; i < 2000; ++i) EXPECT_NE(rng.weighted_index(w), 1u);
-}
-
-TEST(Rng, WeightedIndexProportions) {
-  Rng rng(35);
-  const std::vector<double> w = {1.0, 3.0};
-  int count1 = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) count1 += rng.weighted_index(w) == 1 ? 1 : 0;
-  EXPECT_NEAR(static_cast<double>(count1) / n, 0.75, 0.01);
 }
 
 TEST(Rng, ForkProducesIndependentStream) {

@@ -229,6 +229,16 @@ TEST(ScenarioRegistry, UnknownNameThrowsWithKnownNames) {
   }
 }
 
+TEST(ScenarioRegistry, TypoSuggestsTheClosestName) {
+  try {
+    ScenarioRegistry::builtin().make("fig8/hierarchcal", 100);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("did you mean 'fig8/hierarchical'"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ScenarioRegistry, MakeGroupBuildsEveryMatchInRegistrationOrder) {
   const auto group = ScenarioRegistry::builtin().make_group("fig8/", 500);
   ASSERT_EQ(group.size(), 3u);

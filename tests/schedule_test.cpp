@@ -2,23 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 
 namespace hcrl::rl {
 namespace {
 
-TEST(EpsilonSchedule, ConstantHoldsValue) {
-  const auto s = EpsilonSchedule::constant(0.3);
-  EXPECT_DOUBLE_EQ(s.value(0), 0.3);
-  EXPECT_DOUBLE_EQ(s.value(1000000), 0.3);
-}
-
-TEST(EpsilonSchedule, LinearInterpolatesAndClamps) {
-  const auto s = EpsilonSchedule::linear(1.0, 0.0, 100);
-  EXPECT_DOUBLE_EQ(s.value(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.value(50), 0.5);
-  EXPECT_DOUBLE_EQ(s.value(100), 0.0);
-  EXPECT_DOUBLE_EQ(s.value(100000), 0.0);
+// Tests hold epsilon fixed with equal endpoints; the decay term is then
+// exactly zero at every step.
+TEST(EpsilonSchedule, EqualEndpointsHoldExactly) {
+  for (const double e : {0.0, 0.3, 1.0}) {
+    const auto s = EpsilonSchedule::exponential(e, e, 1);
+    EXPECT_EQ(s.value(0), e);
+    EXPECT_EQ(s.value(7), e);
+    EXPECT_EQ(s.value(1000000), e);
+  }
 }
 
 TEST(EpsilonSchedule, ExponentialHalfLife) {
@@ -34,22 +32,21 @@ TEST(EpsilonSchedule, ExponentialApproachesEnd) {
 }
 
 TEST(EpsilonSchedule, InvalidArgumentsThrow) {
-  EXPECT_THROW(EpsilonSchedule::constant(-0.1), std::invalid_argument);
-  EXPECT_THROW(EpsilonSchedule::constant(1.1), std::invalid_argument);
-  EXPECT_THROW(EpsilonSchedule::linear(0.5, 0.1, 0), std::invalid_argument);
-  EXPECT_THROW(EpsilonSchedule::linear(2.0, 0.1, 10), std::invalid_argument);
+  EXPECT_THROW(EpsilonSchedule::exponential(-0.1, 0.1, 10), std::invalid_argument);
+  EXPECT_THROW(EpsilonSchedule::exponential(1.1, 0.1, 10), std::invalid_argument);
+  EXPECT_THROW(EpsilonSchedule::exponential(0.5, 0.1, 0), std::invalid_argument);
+  EXPECT_THROW(EpsilonSchedule::exponential(0.5, 0.1, -5), std::invalid_argument);
   EXPECT_THROW(EpsilonSchedule::exponential(0.5, -0.1, 10), std::invalid_argument);
+  EXPECT_THROW(EpsilonSchedule::exponential(0.5, 1.5, 10), std::invalid_argument);
+  EXPECT_THROW(EpsilonSchedule::exponential(std::nan(""), 0.1, 10), std::invalid_argument);
 }
 
 TEST(EpsilonSchedule, ValuesAlwaysWithinEndpoints) {
-  const auto lin = EpsilonSchedule::linear(0.9, 0.1, 500);
-  const auto exp = EpsilonSchedule::exponential(0.9, 0.1, 500);
+  const auto s = EpsilonSchedule::exponential(0.9, 0.1, 500);
   for (std::int64_t t = 0; t <= 5000; t += 37) {
-    for (const auto* s : {&lin, &exp}) {
-      const double v = s->value(t);
-      EXPECT_GE(v, 0.1 - 1e-12);
-      EXPECT_LE(v, 0.9 + 1e-12);
-    }
+    const double v = s.value(t);
+    EXPECT_GE(v, 0.1 - 1e-12);
+    EXPECT_LE(v, 0.9 + 1e-12);
   }
 }
 

@@ -94,7 +94,7 @@ TEST(Server, FcfsHeadOfLineBlocking) {
   s.handle_arrival(make_job(1, 0.0, 100.0, 0.7), 0.0, q, policy);
   s.handle_arrival(make_job(2, 1.0, 50.0, 0.5), 1.0, q, policy);
   s.handle_arrival(make_job(3, 2.0, 10.0, 0.2), 2.0, q, policy);
-  EXPECT_EQ(s.running_count(), 1u);
+  EXPECT_EQ(s.jobs_on_server() - s.queue_length(), 1u);  // running
   EXPECT_EQ(s.queue_length(), 2u);
 
   drain(s, q, policy);
@@ -113,7 +113,7 @@ TEST(Server, ParallelExecutionWhenResourcesFit) {
   AlwaysOnPolicy policy;
   s.handle_arrival(make_job(1, 0.0, 100.0, 0.4), 0.0, q, policy);
   s.handle_arrival(make_job(2, 0.0, 100.0, 0.4), 0.0, q, policy);
-  EXPECT_EQ(s.running_count(), 2u);
+  EXPECT_EQ(s.jobs_on_server() - s.queue_length(), 2u);  // running
   EXPECT_EQ(s.queue_length(), 0u);
   EXPECT_NEAR(s.utilization(0), 0.8, 1e-12);
 }
@@ -193,7 +193,7 @@ TEST(Server, PowerAccountingForScriptedScenario) {
   // then sleep 0 W.
   const double expected =
       50.0 * 87.0 + 100.0 * pm.active_power(0.5) + 30.0 * 145.0;
-  EXPECT_NEAR(s.energy_joules(200.0), expected, 1e-9);
+  EXPECT_NEAR(s.power_integral(200.0), expected, 1e-9);
   EXPECT_NEAR(metrics.energy_joules(200.0), expected, 1e-9);
 }
 

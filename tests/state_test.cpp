@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "src/sim/cluster.hpp"
 #include "src/sim/policies.hpp"
@@ -51,15 +52,6 @@ TEST(StateEncoderOptions, DimensionArithmetic) {
   EXPECT_EQ(o.full_state_dim(), 2u * 15u + 4u);
 }
 
-TEST(StateEncoder, GroupIndexMapping) {
-  const StateEncoder enc(opts(6, 2));
-  EXPECT_EQ(enc.group_of(0), 0u);
-  EXPECT_EQ(enc.group_of(2), 0u);
-  EXPECT_EQ(enc.group_of(3), 1u);
-  EXPECT_EQ(enc.index_in_group(4), 1u);
-  EXPECT_EQ(enc.server_of(1, 2), 5u);
-}
-
 class StateEncoderWithCluster : public testing::Test {
  protected:
   StateEncoderWithCluster() : encoder_(opts(6, 2)) {
@@ -81,6 +73,26 @@ TEST_F(StateEncoderWithCluster, SleepingClusterEncodesZeros) {
   for (double v : g) EXPECT_DOUBLE_EQ(v, 0.0);  // utilization 0, asleep, queue 0
 }
 
+// Group k holds servers [k*|G|, (k+1)*|G|): server m is slot m % |G| of
+// group m / |G|.
+TEST_F(StateEncoderWithCluster, GroupStateHoldsItsServersInOrder) {
+  std::vector<sim::Job> jobs;
+  for (std::size_t i = 0; i < 6; ++i) {
+    sim::Job j = make_job(0.1 * static_cast<double>(i + 1), 1000.0);
+    j.id = i;
+    jobs.push_back(j);
+  }
+  cluster_->load_jobs(jobs);  // round-robin: one job per server
+  while (cluster_->servers_on() < 6) ASSERT_TRUE(cluster_->step());
+  const StateEncoderOptions& o = encoder_.options();
+  for (std::size_t m = 0; m < 6; ++m) {
+    const nn::Vec g = encoder_.group_state(*cluster_, m / o.group_size());
+    const std::size_t slot = (m % o.group_size()) * o.per_server_features();
+    EXPECT_DOUBLE_EQ(g[slot], cluster_->server(m).utilization(0)) << "server " << m;
+    EXPECT_DOUBLE_EQ(g[slot + 3], 1.0) << "server " << m;  // availability: on
+  }
+}
+
 TEST_F(StateEncoderWithCluster, JobStateEncodesDemandsAndDuration) {
   const nn::Vec j = encoder_.job_state(make_job(0.3, 7200.0));
   ASSERT_EQ(j.size(), 4u);
@@ -100,7 +112,8 @@ TEST_F(StateEncoderWithCluster, RunningJobShowsInUtilizationAndAvailability) {
   jobs[0].arrival = 0.0;
   cluster_->load_jobs(jobs);
   // Process arrival + wake completion so the job actually starts on server 0.
-  while (cluster_->metrics().jobs_completed() == 0 && cluster_->server(0).running_count() == 0) {
+  const sim::Server& s0 = cluster_->server(0);
+  while (cluster_->metrics().jobs_completed() == 0 && s0.jobs_on_server() == s0.queue_length()) {
     cluster_->step();
   }
   const nn::Vec g = encoder_.group_state(*cluster_, 0);

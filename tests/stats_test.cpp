@@ -79,30 +79,6 @@ TEST(RunningStats, KnownMoments) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(RunningStats, MergeMatchesSequential) {
-  RunningStats a, b, all;
-  const std::vector<double> xs = {1.0, -2.0, 3.5, 0.25, 10.0, -7.0};
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    (i < 3 ? a : b).add(xs[i]);
-    all.add(xs[i]);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-12);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmptyIsNoop) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(2.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 1.5);
-}
-
 TEST(RunningStats, ResetClears) {
   RunningStats s;
   s.add(1.0);
@@ -114,7 +90,6 @@ TEST(TimeWeightedValue, ConstantSignalIntegral) {
   TimeWeightedValue v;
   v.set(0.0, 5.0);
   EXPECT_DOUBLE_EQ(v.integral(10.0), 50.0);
-  EXPECT_DOUBLE_EQ(v.time_average(10.0), 5.0);
 }
 
 TEST(TimeWeightedValue, PiecewiseIntegralIsExact) {
@@ -124,15 +99,12 @@ TEST(TimeWeightedValue, PiecewiseIntegralIsExact) {
   v.set(5.0, 0.0);   // [2,5) at 3 -> 9
   EXPECT_DOUBLE_EQ(v.integral(5.0), 11.0);
   EXPECT_DOUBLE_EQ(v.integral(8.0), 11.0);  // zero afterwards
-  EXPECT_DOUBLE_EQ(v.time_average(8.0), 11.0 / 8.0);
 }
 
 TEST(TimeWeightedValue, NonZeroStartTime) {
   TimeWeightedValue v;
   v.set(10.0, 2.0);
   EXPECT_DOUBLE_EQ(v.integral(15.0), 10.0);
-  EXPECT_DOUBLE_EQ(v.time_average(15.0), 2.0);
-  EXPECT_DOUBLE_EQ(v.start_time(), 10.0);
 }
 
 TEST(TimeWeightedValue, RepeatedSetAtSameTime) {
@@ -152,9 +124,8 @@ TEST(TimeWeightedValue, ThrowsOnBackwardsTime) {
 
 TEST(TimeWeightedValue, EmptyBehaviour) {
   TimeWeightedValue v;
-  EXPECT_TRUE(v.empty());
   EXPECT_DOUBLE_EQ(v.integral(100.0), 0.0);
-  EXPECT_DOUBLE_EQ(v.time_average(100.0), 0.0);
+  EXPECT_DOUBLE_EQ(v.current(), 0.0);
 }
 
 TEST(Histogram, CountsAndClamping) {
@@ -177,39 +148,10 @@ TEST(Histogram, BinEdges) {
   EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
 }
 
-TEST(Histogram, QuantileOfUniformFill) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-}
-
 TEST(Histogram, InvalidConstruction) {
   EXPECT_THROW(Histogram(1.0, 1.0, 5), std::invalid_argument);
   EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
   EXPECT_THROW(Histogram(2.0, 1.0, 3), std::invalid_argument);
-}
-
-TEST(Histogram, QuantileOfEmptyThrows) {
-  Histogram h(0.0, 1.0, 2);
-  EXPECT_THROW(h.quantile(0.5), std::invalid_argument);
-}
-
-TEST(Ema, FirstSampleSeeds) {
-  Ema e(0.5);
-  EXPECT_FALSE(e.seeded());
-  e.add(10.0);
-  EXPECT_TRUE(e.seeded());
-  EXPECT_DOUBLE_EQ(e.value(), 10.0);
-}
-
-TEST(Ema, BlendsTowardNewValues) {
-  Ema e(0.5);
-  e.add(0.0);
-  e.add(10.0);
-  EXPECT_DOUBLE_EQ(e.value(), 5.0);
-  e.add(10.0);
-  EXPECT_DOUBLE_EQ(e.value(), 7.5);
 }
 
 }  // namespace

@@ -99,9 +99,10 @@ TEST_P(EncoderShapeSweep, FullStateHasDeclaredDimension) {
   job.duration = 100.0;
   job.demand = sim::ResourceVector{0.1, 0.1, 0.01};
   EXPECT_EQ(enc.full_state(cluster, job).size(), o.full_state_dim());
-  // Group/server index maps are mutually inverse.
-  for (std::size_t m = 0; m < servers; ++m) {
-    EXPECT_EQ(enc.server_of(enc.group_of(m), enc.index_in_group(m)), m);
+  // The K groups of |G| servers tile the M servers.
+  EXPECT_EQ(o.num_groups * o.group_size(), servers);
+  for (std::size_t k = 0; k < groups; ++k) {
+    EXPECT_EQ(enc.group_state(cluster, k).size(), o.group_state_dim());
   }
 }
 

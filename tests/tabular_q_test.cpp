@@ -14,7 +14,7 @@ TabularQAgent::Options opts(double alpha = 0.5, double beta = 0.5) {
   TabularQAgent::Options o;
   o.learning_rate = alpha;
   o.beta = beta;
-  o.epsilon = EpsilonSchedule::constant(0.0);
+  o.epsilon = EpsilonSchedule::exponential(0.0, 0.0, 1);
   return o;
 }
 
@@ -27,14 +27,6 @@ TEST(TabularQ, ConstructionValidation) {
   auto bad_beta = opts();
   bad_beta.beta = 0.0;
   EXPECT_THROW(TabularQAgent(2, 2, bad_beta), std::invalid_argument);
-}
-
-TEST(TabularQ, InitialQValue) {
-  auto o = opts();
-  o.initial_q = 2.5;
-  TabularQAgent agent(2, 3, o);
-  EXPECT_DOUBLE_EQ(agent.q(1, 2), 2.5);
-  EXPECT_DOUBLE_EQ(agent.max_q(0), 2.5);
 }
 
 TEST(TabularQ, UpdateMatchesEqnTwo) {
@@ -79,7 +71,7 @@ TEST(TabularQ, OutOfRangeThrows) {
 
 TEST(TabularQ, EpsilonOneExploresUniformly) {
   auto o = opts();
-  o.epsilon = EpsilonSchedule::constant(1.0);
+  o.epsilon = EpsilonSchedule::exponential(1.0, 1.0, 1);
   TabularQAgent agent(1, 4, o);
   common::Rng rng(5);
   std::vector<int> counts(4, 0);
@@ -103,7 +95,7 @@ TEST(TabularQ, EpsilonZeroIsGreedy) {
 TEST(TabularQ, ConvergesToAnalyticFixedPoint) {
   const double beta = 0.5, tau = 1.0;
   auto o = opts(0.2, beta);
-  o.epsilon = EpsilonSchedule::constant(0.5);  // keep exploring both actions
+  o.epsilon = EpsilonSchedule::exponential(0.5, 0.5, 1);  // keep exploring both actions
   TabularQAgent agent(1, 2, o);
   common::Rng rng(7);
   for (int i = 0; i < 4000; ++i) {
@@ -123,7 +115,7 @@ class TabularQConvergence : public testing::TestWithParam<double> {};
 
 TEST_P(TabularQConvergence, LearnsBetterActionAcrossAlphas) {
   auto o = opts(GetParam(), 0.2);
-  o.epsilon = EpsilonSchedule::constant(0.3);
+  o.epsilon = EpsilonSchedule::exponential(0.3, 0.3, 1);
   TabularQAgent agent(2, 2, o);
   common::Rng rng(8);
   // State 0: action 1 better; state 1: action 0 better. Transitions flip state.

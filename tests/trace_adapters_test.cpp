@@ -30,6 +30,16 @@ TEST(TraceFormat, UnknownNameThrowsListingKnown) {
   }
 }
 
+TEST(TraceFormat, TypoSuggestsTheClosestFormat) {
+  try {
+    parse_format("googel2011");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("did you mean 'google2011'"), std::string::npos)
+        << e.what();
+  }
+}
+
 // ---- Google 2011 task_events ------------------------------------------------
 
 // 13-column task_events rows: time_us, missing, job_id, task_index,

@@ -48,6 +48,16 @@ TEST(TraceCatalog, UnknownDatasetThrowsListingKnown) {
   }
 }
 
+TEST(TraceCatalog, TypoSuggestsTheClosestDataset) {
+  try {
+    TraceCatalog::builtin().entry("google2011-smple");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("did you mean 'google2011-sample'"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(TraceCatalog, EveryFixtureLoadsCleanAndSurvivesTraceIo) {
   for (const auto& name : TraceCatalog::builtin().names()) {
     SCOPED_TRACE(name);

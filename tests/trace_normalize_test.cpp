@@ -207,5 +207,21 @@ TEST(Normalize, EmptyInputAndBadOptions) {
   EXPECT_THROW(normalize({}, bad3), std::invalid_argument);
 }
 
+// NaN fails every option check; an unchecked NaN window would empty the
+// trace without an error.
+TEST(Normalize, NanOptionsAreRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double NormalizeOptions::*field :
+       {&NormalizeOptions::window_start_s, &NormalizeOptions::window_end_s,
+        &NormalizeOptions::min_duration_s, &NormalizeOptions::max_duration_s,
+        &NormalizeOptions::rescale_peak, &NormalizeOptions::resource_floor,
+        &NormalizeOptions::resource_cap}) {
+    NormalizeOptions o;
+    o.*field = nan;
+    EXPECT_THROW(o.validate(), std::invalid_argument);
+    EXPECT_THROW(normalize({make_job(0.0, 100.0)}, o), std::invalid_argument);
+  }
+}
+
 }  // namespace
 }  // namespace hcrl::workload::trace
